@@ -19,8 +19,6 @@ from .model import (
     ModelParams,
     OffspringDistribution,
     ValidationReport,
-    decay_rate,
-    mean_and_second_moment,
     sample_offspring,
     truncation_level,
     validate,

@@ -218,11 +218,16 @@ def _solve_scaled(
     raise SolverError(f"tolerance {tol:g} not reached after {_MAX_REFINEMENTS} refinements")
 
 
+def default_dt(t_max: float) -> float:
+    """Output grid spacing used when none is given: t_max/400 clamped to [1e-3, 0.5]."""
+    return min(0.5, max(t_max / 400.0, 1e-3))
+
+
 def _grid(t_max: float, dt: float | None) -> np.ndarray:
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     if dt is None:
-        dt = min(0.5, max(t_max / 400.0, 1e-3))
+        dt = default_dt(t_max)
     n = max(1, math.ceil(t_max / dt))
     return np.linspace(0.0, t_max, n + 1)
 

@@ -12,7 +12,15 @@ Experiments are described by a JSON config with three blocks::
 Experiment types: survival (per-k curves, ODE and/or Monte Carlo), constant
 (leading-constant extraction), gumbel (extinction-time limit law), oracle
 (closed-form comparison table), slope (decay-rate fit against the model
-value).  Unknown keys are rejected anywhere; every artifact embeds the fully
+value).  Each type is declared once, as an `Experiment` entry of the
+`EXPERIMENTS` registry: its keys in resolution order, each a `Key` with a
+type check, a bound and a default (which may depend on earlier keys and on
+the model); whether it needs a subcritical model; whether a run with the
+resolved settings is randomized; and the function that computes its
+artifacts.  One walker resolves every type from its entry, so adding a type
+means adding one entry.
+
+Unknown keys are rejected anywhere; every artifact embeds the fully
 resolved config (defaults filled), its hash, the RNG algorithm tag, and the
 master seed, so a rerun needs nothing but the artifact.  Randomized
 experiments refuse to run without an explicit seed unless --ephemeral.
@@ -29,8 +37,9 @@ import json
 import math
 import secrets
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +51,7 @@ from .analytic import (
     _grid,
     closed_form_linear_fractional,
     closed_form_mu0,
+    default_dt,
     estimate_constant,
     linear_fractional_constant,
     solve_survival,
@@ -55,8 +65,6 @@ from .stats import (
     gumbel_experiment,
     survival_curve_mc,
 )
-
-EXPERIMENT_TYPES = ("survival", "constant", "gumbel", "oracle", "slope")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,17 +91,24 @@ class ExperimentConfig:
 
     @property
     def randomized(self) -> bool:
-        return self.kind == "gumbel" or (
-            self.kind == "survival" and self.settings["method"] != "ode"
-        )
+        return EXPERIMENTS[self.kind].randomized(self.settings)
 
     @property
     def seed(self) -> int | None:
         return self.settings.get("seed")
 
     def set_seed(self, seed: int) -> None:
-        self.settings["seed"] = int(seed)
-        self.resolved["experiment"]["seed"] = int(seed)
+        seed = _checked("experiment.seed", SEED.check, int(seed), self.settings, self.params)
+        self.settings["seed"] = seed
+        self.resolved["experiment"]["seed"] = seed
+
+
+def _checked(path: str, check, *args):
+    """check(*args), with its ValueError turned into a ConfigError at path."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from e
 
 
 def _require_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> None:
@@ -106,17 +121,15 @@ def _require_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _number(obj: dict, path: str, key: str, default=None):
-    value = obj.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
+def _number(value) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
-def _integer(obj: dict, path: str, key: str, default=None):
-    value = obj.get(key, default)
+def _integer(value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -135,11 +148,8 @@ def _parse_offspring(obj, path: str) -> OffspringDistribution:
             raise ConfigError(f"{path}.probs", str(e)) from e
     if kind in ("poisson", "geometric"):
         _require_keys(obj, path, ("kind", "param"))
-        param = _number(obj, path, "param")
-        try:
-            return OffspringDistribution(kind=kind, param=param)
-        except ValueError as e:
-            raise ConfigError(f"{path}.param", str(e)) from e
+        param = _checked(f"{path}.param", _number, obj["param"])
+        return _checked(f"{path}.param", lambda: OffspringDistribution(kind=kind, param=param))
     raise ConfigError(f"{path}.kind", f"expected one of table/poisson/geometric, got {kind!r}")
 
 
@@ -147,160 +157,161 @@ def _parse_model(obj, path: str = "model") -> ModelParams:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
     _require_keys(obj, path, ("beta", "rho", "offspring"))
-    beta = _number(obj, path, "beta")
-    rho = _number(obj, path, "rho")
+    beta = _checked(f"{path}.beta", _number, obj["beta"])
+    rho = _checked(f"{path}.rho", _number, obj["rho"])
     offspring = _parse_offspring(obj["offspring"], f"{path}.offspring")
-    try:
-        return ModelParams(beta=beta, rho=rho, offspring=offspring)
-    except ValueError as e:
-        raise ConfigError(path, str(e)) from e
+    return _checked(path, lambda: ModelParams(beta=beta, rho=rho, offspring=offspring))
 
 
-def _parse_initial_counts(obj, path: str) -> dict[int, int]:
-    if not isinstance(obj, dict) or not obj:
-        raise ConfigError(path, "expected a nonempty map of type -> host count")
+def _types(value) -> list[int]:
+    if not isinstance(value, list) or not value or not all(
+        isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in value
+    ):
+        raise ValueError("expected a nonempty list of integers >= 1")
+    return sorted(set(value))
+
+
+def _method(value) -> str:
+    if value not in ("ode", "mc", "both"):
+        raise ValueError(f"expected ode/mc/both, got {value!r}")
+    return value
+
+
+def _optional_number(value) -> float | None:
+    return None if value is None else _number(value)
+
+
+def _time_window(value) -> list[float]:
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+        or not 0.0 <= value[0] < value[1] < math.inf
+    ):
+        raise ValueError("expected [t_lo, t_hi] with 0 <= t_lo < t_hi")
+    return [float(value[0]), float(value[1])]
+
+
+def _initial_counts(value) -> dict[str, int]:
+    """Sparse map type -> host count; zero counts dropped, types sorted."""
+    if not isinstance(value, dict) or not value:
+        raise ValueError("expected a nonempty map of type -> host count")
     counts: dict[int, int] = {}
-    for key, value in obj.items():
+    for key, n in value.items():
         try:
             k = int(key)
         except ValueError:
-            raise ConfigError(f"{path}.{key}", "type keys must be integers") from None
+            raise ValueError(f"type key {key!r} is not an integer") from None
         if k < 1:
-            raise ConfigError(f"{path}.{key}", "types must be >= 1")
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ConfigError(f"{path}.{key}", "host counts must be nonnegative integers")
-        if value:
-            counts[k] = value
+            raise ValueError(f"type {key!r} must be >= 1")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"host count of type {key!r} must be a nonnegative integer")
+        if n:
+            counts[k] = n
     if not counts:
-        raise ConfigError(path, "needs at least one host")
-    return counts
+        raise ValueError("needs at least one host")
+    return {str(k): n for k, n in sorted(counts.items())}
 
 
-def _default_dt(t_max: float) -> float:
-    return min(0.5, max(t_max / 400.0, 1e-3))
+def _bound(ok, message: str):
+    """A bound rejecting each value v for which ok(v, settings, model) is false."""
+
+    def check(value, s: dict, m: ModelParams) -> None:
+        if not ok(value, s, m):
+            raise ValueError(message)
+
+    return check
 
 
-def _require_subcritical(m: ModelParams, kind: str) -> None:
-    lam = m.decay_rate
-    if lam <= 0.0:
-        raise ConfigError(
-            "model",
-            f"experiment '{kind}' requires a subcritical model: "
-            f"rho + beta*(1 - mean offspring) must be positive, got {lam:g}",
-        )
+_POSITIVE = _bound(lambda x, s, m: x > 0, "must be positive")
+_COVERS_K = _bound(
+    lambda K, s, m: K >= max(s["k"]), "truncation level K must cover every requested k"
+)
+_SEED_RANGE = _bound(lambda seed, s, m: 0 <= seed < 1 << 64, "must lie in [0, 2**64)")
+_LEADING_CONSTANT = _bound(
+    lambda C, s, m: C is None or 0.0 < C <= 1.0, "leading constant must lie in (0, 1]"
+)
+
+
+def _window_a(a, s: dict, m: ModelParams) -> None:
+    DecayWindow.for_model(m, a=a)
+
+
+def _window_epsilon(epsilon, s: dict, m: ModelParams) -> None:
+    DecayWindow(a=s["a"], epsilon=epsilon).check(m)
+
+
+REQUIRED = object()  # Key default: the key must be given
+OMITTED = object()  # Key default: an absent key stays out of the resolved config
+
+
+@dataclass(frozen=True)
+class Key:
+    """One experiment key.  `parse(value)` type-checks and normalizes the
+    value, `bound(value, settings of the earlier keys, model)` rejects it when
+    out of range; both raise ValueError with the message.  `default` is a
+    value, a function (settings of the earlier keys, model) -> value,
+    REQUIRED or OMITTED."""
+
+    name: str
+    parse: Callable[[object], object]
+    default: object = REQUIRED
+    bound: Callable[[object, dict, ModelParams], None] | None = None
+
+    def check(self, value, s: dict, m: ModelParams):
+        value = self.parse(value)
+        if self.bound is not None:
+            self.bound(value, s, m)
+        return value
+
+
+SEED = Key("seed", _integer, OMITTED, _SEED_RANGE)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment type.  `run(model, settings, directory, threads)`
+    computes every artifact as (path, "csv" or "json", payload) and returns
+    them with the run's pass flag and a one-line summary;
+    `randomized(settings)` says whether the run draws random numbers and so
+    needs a seed."""
+
+    keys: tuple[Key, ...]
+    run: Callable
+    subcritical: bool = False
+    randomized: Callable[[dict], bool] = lambda s: False
 
 
 def _parse_experiment(obj, m: ModelParams, path: str = "experiment") -> tuple[str, dict]:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
     kind = obj.get("type")
-    if kind not in EXPERIMENT_TYPES:
-        raise ConfigError(f"{path}.type", f"expected one of {EXPERIMENT_TYPES}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
+        raise ConfigError(f"{path}.type", f"expected one of {tuple(EXPERIMENTS)}, got {kind!r}")
+    spec = EXPERIMENTS[kind]
+    _require_keys(
+        obj,
+        path,
+        ("type", *(key.name for key in spec.keys if key.default is REQUIRED)),
+        tuple(key.name for key in spec.keys if key.default is not REQUIRED),
+    )
+    if spec.subcritical and not m.subcritical:
+        raise ConfigError(
+            "model",
+            f"experiment '{kind}' requires a subcritical model: "
+            f"rho + beta*(1 - mean offspring) must be positive, got {m.decay_rate:g}",
+        )
     s: dict = {"type": kind}
-
-    if kind == "survival":
-        _require_keys(
-            obj,
-            path,
-            ("type", "k", "t_max"),
-            ("dt", "method", "K", "tol", "seed", "replicates", "max_events"),
-        )
-        ks = obj["k"]
-        if not isinstance(ks, list) or not ks or not all(
-            isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in ks
-        ):
-            raise ConfigError(f"{path}.k", "expected a nonempty list of integers >= 1")
-        s["k"] = sorted(set(ks))
-        s["t_max"] = _number(obj, path, "t_max")
-        if s["t_max"] <= 0.0:
-            raise ConfigError(f"{path}.t_max", "must be positive")
-        s["dt"] = _number(obj, path, "dt", _default_dt(s["t_max"]))
-        method = obj.get("method", "ode")
-        if method not in ("ode", "mc", "both"):
-            raise ConfigError(f"{path}.method", f"expected ode/mc/both, got {method!r}")
-        s["method"] = method
-        s["K"] = _integer(obj, path, "K", max(max(s["k"]), 20))
-        if s["K"] < max(s["k"]):
-            raise ConfigError(f"{path}.K", "truncation level K must cover every requested k")
-        s["tol"] = _number(obj, path, "tol", 1e-9)
-        s["replicates"] = _integer(obj, path, "replicates", 100_000)
-        s["max_events"] = _integer(obj, path, "max_events", DEFAULT_MAX_EVENTS)
-        if "seed" in obj:
-            s["seed"] = _integer(obj, path, "seed")
-
-    elif kind == "constant":
-        _require_keys(
-            obj, path, ("type",), ("K", "tol", "solver_tol", "a", "epsilon", "t_max")
-        )
-        _require_subcritical(m, kind)
-        try:
-            window = DecayWindow.for_model(
-                m,
-                a=_number(obj, path, "a") if "a" in obj else None,
-                epsilon=_number(obj, path, "epsilon") if "epsilon" in obj else None,
-            )
-        except ValueError as e:
-            raise ConfigError(f"{path}.a", str(e)) from e
-        s["a"] = window.a
-        s["epsilon"] = window.epsilon
-        s["K"] = _integer(obj, path, "K", 20)
-        s["tol"] = _number(obj, path, "tol", 1e-8)
-        s["solver_tol"] = _number(obj, path, "solver_tol", 1e-9)
-        s["t_max"] = _number(obj, path, "t_max", 30.0 / window.a)
-
-    elif kind == "gumbel":
-        _require_keys(
-            obj, path, ("type", "z"), ("replicates", "seed", "C", "a", "max_events")
-        )
-        _require_subcritical(m, kind)
-        counts = _parse_initial_counts(obj["z"], f"{path}.z")
-        s["z"] = {str(k): v for k, v in sorted(counts.items())}
-        s["replicates"] = _integer(obj, path, "replicates", 2000)
-        s["max_events"] = _integer(obj, path, "max_events", DEFAULT_MAX_EVENTS)
-        cap = min(m.decay_rate, m.beta)
-        s["a"] = _number(obj, path, "a", cap / 2.0)
-        if not 0.0 < s["a"] < cap:
-            raise ConfigError(f"{path}.a", f"must lie in (0, {cap:g})")
-        if "C" in obj and obj["C"] is not None:
-            s["C"] = _number(obj, path, "C")
-            if not 0.0 < s["C"] <= 1.0:
-                raise ConfigError(f"{path}.C", "leading constant must lie in (0, 1]")
+    for key in spec.keys:
+        if key.name in obj:
+            value = obj[key.name]
+        elif key.default is OMITTED:
+            continue
+        elif callable(key.default):
+            value = key.default(s, m)
         else:
-            s["C"] = None
-        if "seed" in obj:
-            s["seed"] = _integer(obj, path, "seed")
-
-    elif kind == "oracle":
-        _require_keys(obj, path, ("type",), ("k", "t_max", "dt", "K", "tol", "match_tol"))
-        ks = obj.get("k", [1, 2, 5])
-        if not isinstance(ks, list) or not ks or not all(
-            isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in ks
-        ):
-            raise ConfigError(f"{path}.k", "expected a nonempty list of integers >= 1")
-        s["k"] = sorted(set(ks))
-        s["t_max"] = _number(obj, path, "t_max", 5.0)
-        s["dt"] = _number(obj, path, "dt", _default_dt(s["t_max"]))
-        s["K"] = _integer(obj, path, "K", max(max(s["k"]), 4))
-        s["tol"] = _number(obj, path, "tol", 1e-9)
-        s["match_tol"] = _number(obj, path, "match_tol", 1e-7)
-
-    else:  # slope
-        _require_keys(obj, path, ("type",), ("window", "K", "tol", "dt"))
-        _require_subcritical(m, kind)
-        lam = m.decay_rate
-        window = obj.get("window", [20.0 / lam, 40.0 / lam])
-        if (
-            not isinstance(window, list)
-            or len(window) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in window)
-            or not 0.0 <= window[0] < window[1]
-        ):
-            raise ConfigError(f"{path}.window", "expected [t_lo, t_hi] with 0 <= t_lo < t_hi")
-        s["window"] = [float(window[0]), float(window[1])]
-        s["K"] = _integer(obj, path, "K", 20)
-        s["tol"] = _number(obj, path, "tol", 1e-9)
-        s["dt"] = _number(obj, path, "dt", _default_dt(s["window"][1]))
-
+            value = key.default
+        s[key.name] = _checked(f"{path}.{key.name}", key.check, value, s, m)
     return kind, s
 
 
@@ -412,19 +423,249 @@ def _is_linear_fractional(m: ModelParams) -> bool:
     return d.probs[0] != d.probs[2]
 
 
-def _resolve_gumbel_constant(cfg: ExperimentConfig) -> tuple[float, str]:
-    if cfg.settings["C"] is not None:
-        return cfg.settings["C"], "config"
-    m = cfg.params
+def _resolve_gumbel_constant(m: ModelParams, s: dict) -> tuple[float, str]:
+    if s["C"] is not None:
+        return s["C"], "config"
     if _is_linear_fractional(m) and m.offspring.probs[2] < m.offspring.probs[0]:
         return linear_fractional_constant(m.offspring.probs[0], m.offspring.probs[2]), (
             "linear_fractional"
         )
-    window = DecayWindow.for_model(m, a=cfg.settings["a"])
+    window = DecayWindow.for_model(m, a=s["a"])
     support = m.offspring.max_support
     K = support if support is not None else 20
     est = estimate_constant(TruncatedSystem(m, K=max(K, 2)), window)
     return est.c_hat, "backward_system"
+
+
+def _run_survival(m: ModelParams, s: dict, directory: Path, threads: int):
+    artifacts = []
+    header = ["k", "t", "q", "err", "source"]
+    if s["method"] in ("ode", "both"):
+        curves = solve_survival(
+            TruncatedSystem(m, K=s["K"]), t_max=s["t_max"], tol=s["tol"], dt=s["dt"]
+        )
+        rows = [
+            (c.k, float(t), float(q), float(e), c.source)
+            for c in curves
+            if c.k in s["k"]
+            for t, q, e in zip(c.ts, c.qs, c.err)
+        ]
+        artifacts.append((directory / "survival_ode.csv", "csv", (header, rows)))
+    if s["method"] in ("mc", "both"):
+        ts = _grid(s["t_max"], s["dt"])
+        rows = []
+        for pos, k in enumerate(s["k"]):
+            curve = survival_curve_mc(
+                k,
+                ts,
+                m,
+                seed=(s["seed"] + pos) % (1 << 64),  # disjoint streams per k
+                n=s["replicates"],
+                max_events=s["max_events"],
+                threads=threads,
+            )
+            rows.extend(
+                (k, float(t), float(q), float(e), curve.source)
+                for t, q, e in zip(curve.ts, curve.qs, curve.err)
+            )
+        artifacts.append((directory / "survival_mc.csv", "csv", (header, rows)))
+    return artifacts, True, f"survival curves for k={s['k']}"
+
+
+def _run_constant(m: ModelParams, s: dict, directory: Path, threads: int):
+    window = DecayWindow(a=s["a"], epsilon=s["epsilon"])
+    est = estimate_constant(
+        TruncatedSystem(m, K=s["K"]),
+        window,
+        tol=s["tol"],
+        solver_tol=s["solver_tol"],
+        t_max=s["t_max"],
+    )
+    payload = {**asdict(est), "decay_rate": m.decay_rate, "a": window.a, "epsilon": window.epsilon}
+    summary = f"c_hat = {est.c_hat:.6g} at t* = {est.t_star:.4g}"
+    return [(directory / "constant.json", "json", payload)], True, summary
+
+
+def _run_gumbel(m: ModelParams, s: dict, directory: Path, threads: int):
+    C, c_source = _resolve_gumbel_constant(m, s)
+    z = {int(k): v for k, v in s["z"].items()}
+    report = gumbel_experiment(
+        z,
+        m,
+        C=C,
+        seed=s["seed"],
+        replicates=s["replicates"],
+        max_events=s["max_events"],
+        threads=threads,
+    )
+    growth = check_growth_condition(z, a=s["a"], lam=m.decay_rate)
+    payload = {
+        "C": C,
+        "C_source": c_source,
+        "decay_rate": m.decay_rate,
+        "predicted_location": report.location,
+        "predicted_scale": report.scale,
+        "replicates": report.n,
+        "ks_distance": report.ks,
+        "median_w": report.median_w,
+        "predicted_median_w": -math.log(math.log(2.0)),
+        "quantiles": [
+            {"p": p, "empirical": emp, "predicted": pred}
+            for p, emp, pred in report.quantiles
+        ],
+        "growth_condition": asdict(growth),
+    }
+    rows = [(i, float(t)) for i, t in enumerate(report.extinction_times)]
+    artifacts = [
+        (directory / "gumbel.json", "json", payload),
+        (directory / "extinction_times.csv", "csv", (["replicate", "T"], rows)),
+    ]
+    return artifacts, True, f"KS distance {report.ks:.4f} over {report.n} replicates"
+
+
+def _match_case(name: str, err: float, tol: float) -> dict:
+    return {"name": name, "max_abs_err": err, "tolerance": tol, "pass": err <= tol}
+
+
+def _run_oracle(m: ModelParams, s: dict, directory: Path, threads: int):
+    cases: list[dict] = []
+    if m.offspring.mean == 0.0:
+        curves = solve_survival(
+            TruncatedSystem(m, K=s["K"]), t_max=s["t_max"], tol=s["tol"], dt=s["dt"]
+        )
+        by_k = {c.k: c for c in curves}
+        for k in s["k"]:
+            c = by_k[k]
+            exact = np.array([closed_form_mu0(k, t, m.beta, m.rho) for t in c.ts])
+            err = float(np.abs(c.qs - exact).max())
+            cases.append(_match_case(f"pure_death_q{k}_vs_ode", err, s["match_tol"]))
+    elif _is_linear_fractional(m):
+        p0, p2 = m.offspring.probs[0], m.offspring.probs[2]
+        curves = solve_survival(
+            TruncatedSystem(m, K=max(s["K"], 2)), t_max=s["t_max"], tol=s["tol"], dt=s["dt"]
+        )
+        c1 = curves[0]
+        exact = np.array(
+            [closed_form_linear_fractional(t, m.beta, p0, p2) for t in c1.ts]
+        )
+        err = float(np.abs(c1.qs - exact).max())
+        cases.append(_match_case("linear_fractional_q1_vs_ode", err, s["match_tol"]))
+        if p2 < p0:
+            window = DecayWindow.for_model(m)
+            est = estimate_constant(TruncatedSystem(m, K=max(s["K"], 2)), window)
+            expected = linear_fractional_constant(p0, p2)
+            cases.append(
+                {
+                    "name": "linear_fractional_constant",
+                    "computed": est.c_hat,
+                    "expected": expected,
+                    "abs_err": abs(est.c_hat - expected),
+                    "tolerance": 1e-4,
+                    "pass": abs(est.c_hat - expected) <= 1e-4,
+                }
+            )
+    else:
+        raise ConfigError(
+            "experiment",
+            "no closed-form oracle covers this model (needs zero mean offspring, "
+            "or rho = 0 with offspring on {0, 2})",
+        )
+    ok = all(c["pass"] for c in cases)
+    payload = {"cases": cases, "all_pass": ok}
+    summary = f"{sum(c['pass'] for c in cases)}/{len(cases)} oracle comparisons pass"
+    return [(directory / "oracle.json", "json", payload)], ok, summary
+
+
+def _run_slope(m: ModelParams, s: dict, directory: Path, threads: int):
+    lo, hi = s["window"]
+    curves = solve_survival(
+        TruncatedSystem(m, K=s["K"]), t_max=hi, tol=s["tol"], dt=s["dt"]
+    )
+    lam_fit, stderr = fit_decay_rate(curves[0], (lo, hi))
+    lam = m.decay_rate
+    payload = {
+        "lambda_fit": lam_fit,
+        "stderr": stderr,
+        "lambda_model": lam,
+        "rel_error": abs(lam_fit - lam) / lam,
+        "window": [lo, hi],
+    }
+    summary = f"fitted rate {lam_fit:.6g} vs model {lam:.6g}"
+    return [(directory / "slope.json", "json", payload)], True, summary
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "survival": Experiment(
+        keys=(
+            Key("k", _types),
+            Key("t_max", _number, REQUIRED, _POSITIVE),
+            Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _POSITIVE),
+            Key("method", _method, "ode"),
+            Key("K", _integer, lambda s, m: max(max(s["k"]), 20), _COVERS_K),
+            Key("tol", _number, 1e-9, _POSITIVE),
+            Key("replicates", _integer, 100_000, _POSITIVE),
+            Key("max_events", _integer, DEFAULT_MAX_EVENTS, _POSITIVE),
+            SEED,
+        ),
+        run=_run_survival,
+        randomized=lambda s: s["method"] != "ode",
+    ),
+    "constant": Experiment(
+        keys=(
+            Key("a", _number, lambda s, m: DecayWindow.for_model(m).a, _window_a),
+            Key(
+                "epsilon",
+                _number,
+                lambda s, m: DecayWindow.for_model(m, a=s["a"]).epsilon,
+                _window_epsilon,
+            ),
+            Key("K", _integer, 20, _POSITIVE),
+            Key("tol", _number, 1e-8, _POSITIVE),
+            Key("solver_tol", _number, 1e-9, _POSITIVE),
+            Key("t_max", _number, lambda s, m: 30.0 / s["a"], _POSITIVE),
+        ),
+        run=_run_constant,
+        subcritical=True,
+    ),
+    "gumbel": Experiment(
+        keys=(
+            Key("z", _initial_counts),
+            Key("replicates", _integer, 2000, _POSITIVE),
+            Key("max_events", _integer, DEFAULT_MAX_EVENTS, _POSITIVE),
+            Key("a", _number, lambda s, m: DecayWindow.for_model(m).a, _window_a),
+            Key("C", _optional_number, None, _LEADING_CONSTANT),
+            SEED,
+        ),
+        run=_run_gumbel,
+        subcritical=True,
+        randomized=lambda s: True,
+    ),
+    "oracle": Experiment(
+        keys=(
+            Key("k", _types, [1, 2, 5]),
+            Key("t_max", _number, 5.0, _POSITIVE),
+            Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _POSITIVE),
+            Key("K", _integer, lambda s, m: max(max(s["k"]), 4), _COVERS_K),
+            Key("tol", _number, 1e-9, _POSITIVE),
+            Key("match_tol", _number, 1e-7, _POSITIVE),
+        ),
+        run=_run_oracle,
+    ),
+    "slope": Experiment(
+        keys=(
+            Key(
+                "window",
+                _time_window,
+                lambda s, m: [20.0 / m.decay_rate, 40.0 / m.decay_rate],
+            ),
+            Key("K", _integer, 20, _POSITIVE),
+            Key("tol", _number, 1e-9, _POSITIVE),
+            Key("dt", _number, lambda s, m: default_dt(s["window"][1]), _POSITIVE),
+        ),
+        run=_run_slope,
+        subcritical=True,
+    ),
+}
 
 
 @dataclass
@@ -449,131 +690,9 @@ def run_experiment(
         )
     directory = Path(out_dir if out_dir is not None else cfg.out_dir)
     metadata = build_metadata(cfg)
-    m = cfg.params
-    s = cfg.settings
-    artifacts: list[tuple[Path, str, dict | tuple]] = []  # (path, kind, payload)
-    ok = True
-    summary = ""
-
-    if cfg.kind == "survival":
-        header = ["k", "t", "q", "err", "source"]
-        if s["method"] in ("ode", "both"):
-            curves = solve_survival(
-                TruncatedSystem(m, K=s["K"]), t_max=s["t_max"], tol=s["tol"], dt=s["dt"]
-            )
-            rows = [
-                (c.k, float(t), float(q), float(e), c.source)
-                for c in curves
-                if c.k in s["k"]
-                for t, q, e in zip(c.ts, c.qs, c.err)
-            ]
-            artifacts.append((directory / "survival_ode.csv", "csv", (header, rows)))
-        if s["method"] in ("mc", "both"):
-            ts = _grid(s["t_max"], s["dt"])
-            rows = []
-            for pos, k in enumerate(s["k"]):
-                curve = survival_curve_mc(
-                    k,
-                    ts,
-                    m,
-                    seed=(s["seed"] + pos) % (1 << 64),  # disjoint streams per k
-                    n=s["replicates"],
-                    max_events=s["max_events"],
-                    threads=threads,
-                )
-                rows.extend(
-                    (k, float(t), float(q), float(e), curve.source)
-                    for t, q, e in zip(curve.ts, curve.qs, curve.err)
-                )
-            artifacts.append((directory / "survival_mc.csv", "csv", (header, rows)))
-        summary = f"survival curves for k={s['k']}"
-
-    elif cfg.kind == "constant":
-        window = DecayWindow(a=s["a"], epsilon=s["epsilon"])
-        est = estimate_constant(
-            TruncatedSystem(m, K=s["K"]),
-            window,
-            tol=s["tol"],
-            solver_tol=s["solver_tol"],
-            t_max=s["t_max"],
-        )
-        payload = {
-            "c_hat": est.c_hat,
-            "t_star": est.t_star,
-            "K": est.K,
-            "last_rel_change": est.last_rel_change,
-            "k_doubling_change": est.k_doubling_change,
-            "decay_rate": m.decay_rate,
-            "a": window.a,
-            "epsilon": window.epsilon,
-        }
-        artifacts.append((directory / "constant.json", "json", payload))
-        summary = f"c_hat = {est.c_hat:.6g} at t* = {est.t_star:.4g}"
-
-    elif cfg.kind == "gumbel":
-        C, c_source = _resolve_gumbel_constant(cfg)
-        z = {int(k): v for k, v in s["z"].items()}
-        report = gumbel_experiment(
-            z,
-            m,
-            C=C,
-            seed=s["seed"],
-            replicates=s["replicates"],
-            max_events=s["max_events"],
-            threads=threads,
-        )
-        growth = check_growth_condition(z, a=s["a"], lam=m.decay_rate)
-        payload = {
-            "C": C,
-            "C_source": c_source,
-            "decay_rate": m.decay_rate,
-            "predicted_location": report.location,
-            "predicted_scale": report.scale,
-            "replicates": report.n,
-            "ks_distance": report.ks,
-            "median_w": report.median_w,
-            "predicted_median_w": -math.log(math.log(2.0)),
-            "quantiles": [
-                {"p": p, "empirical": emp, "predicted": pred}
-                for p, emp, pred in report.quantiles
-            ],
-            "growth_condition": {
-                "spores": growth.spores,
-                "second_moment": growth.second_moment,
-                "exponent": growth.exponent,
-                "ratio": growth.ratio,
-            },
-        }
-        artifacts.append((directory / "gumbel.json", "json", payload))
-        rows = [(i, float(t)) for i, t in enumerate(report.extinction_times)]
-        artifacts.append(
-            (directory / "extinction_times.csv", "csv", (["replicate", "T"], rows))
-        )
-        summary = f"KS distance {report.ks:.4f} over {report.n} replicates"
-
-    elif cfg.kind == "oracle":
-        cases = _oracle_cases(cfg)
-        ok = all(c["pass"] for c in cases)
-        payload = {"cases": cases, "all_pass": ok}
-        artifacts.append((directory / "oracle.json", "json", payload))
-        summary = f"{sum(c['pass'] for c in cases)}/{len(cases)} oracle comparisons pass"
-
-    else:  # slope
-        lo, hi = s["window"]
-        curves = solve_survival(
-            TruncatedSystem(m, K=s["K"]), t_max=hi, tol=s["tol"], dt=s["dt"]
-        )
-        lam_fit, stderr = fit_decay_rate(curves[0], (lo, hi))
-        lam = m.decay_rate
-        payload = {
-            "lambda_fit": lam_fit,
-            "stderr": stderr,
-            "lambda_model": lam,
-            "rel_error": abs(lam_fit - lam) / lam,
-            "window": [lo, hi],
-        }
-        artifacts.append((directory / "slope.json", "json", payload))
-        summary = f"fitted rate {lam_fit:.6g} vs model {lam:.6g}"
+    artifacts, ok, summary = EXPERIMENTS[cfg.kind].run(
+        cfg.params, cfg.settings, directory, threads
+    )
 
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -590,68 +709,6 @@ def run_experiment(
             path.unlink(missing_ok=True)
         raise
     return ExperimentResult(paths=written, ok=ok, summary=summary)
-
-
-def _oracle_cases(cfg: ExperimentConfig) -> list[dict]:
-    m = cfg.params
-    s = cfg.settings
-    cases: list[dict] = []
-    if m.offspring.mean == 0.0:
-        curves = solve_survival(
-            TruncatedSystem(m, K=s["K"]), t_max=s["t_max"], tol=s["tol"], dt=s["dt"]
-        )
-        by_k = {c.k: c for c in curves}
-        for k in s["k"]:
-            c = by_k[k]
-            exact = np.array([closed_form_mu0(k, t, m.beta, m.rho) for t in c.ts])
-            err = float(np.abs(c.qs - exact).max())
-            cases.append(
-                {
-                    "name": f"pure_death_q{k}_vs_ode",
-                    "max_abs_err": err,
-                    "tolerance": s["match_tol"],
-                    "pass": err <= s["match_tol"],
-                }
-            )
-    elif _is_linear_fractional(m):
-        p0, p2 = m.offspring.probs[0], m.offspring.probs[2]
-        curves = solve_survival(
-            TruncatedSystem(m, K=max(s["K"], 2)), t_max=s["t_max"], tol=s["tol"], dt=s["dt"]
-        )
-        c1 = curves[0]
-        exact = np.array(
-            [closed_form_linear_fractional(t, m.beta, p0, p2) for t in c1.ts]
-        )
-        err = float(np.abs(c1.qs - exact).max())
-        cases.append(
-            {
-                "name": "linear_fractional_q1_vs_ode",
-                "max_abs_err": err,
-                "tolerance": s["match_tol"],
-                "pass": err <= s["match_tol"],
-            }
-        )
-        if p2 < p0:
-            window = DecayWindow.for_model(m)
-            est = estimate_constant(TruncatedSystem(m, K=max(s["K"], 2)), window)
-            expected = linear_fractional_constant(p0, p2)
-            cases.append(
-                {
-                    "name": "linear_fractional_constant",
-                    "computed": est.c_hat,
-                    "expected": expected,
-                    "abs_err": abs(est.c_hat - expected),
-                    "tolerance": 1e-4,
-                    "pass": abs(est.c_hat - expected) <= 1e-4,
-                }
-            )
-    else:
-        raise ConfigError(
-            "experiment",
-            "no closed-form oracle covers this model (needs zero mean offspring, "
-            "or rho = 0 with offspring on {0, 2})",
-        )
-    return cases
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -681,8 +738,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(text)
 
         if args.command == "validate":
-            report = validate(cfg.params, require_subcritical=cfg.kind in
-                              ("constant", "gumbel", "slope"))
+            report = validate(cfg.params, require_subcritical=EXPERIMENTS[cfg.kind].subcritical)
             print(report)
             print(f"experiment: {cfg.kind}")
             print(f"resolved: {_canonical_json(cfg.resolved)}")

@@ -147,14 +147,6 @@ class OffspringDistribution:
         return tuple(float(x) for x in cum)
 
 
-def mean_and_second_moment(d: OffspringDistribution) -> tuple[float, float]:
-    """Exact mean and second moment of the offspring law.
-
-    Closed forms for the parametric kinds, direct summation for tables.
-    """
-    return d.mean, d.second_moment
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Process parameters: release rate per spore, removal rate per host,
@@ -177,14 +169,6 @@ class ModelParams:
     @property
     def subcritical(self) -> bool:
         return self.decay_rate > 0.0
-
-
-def decay_rate(m: ModelParams) -> float:
-    """Survival-probability decay rate rho + beta * (1 - mean offspring).
-
-    No sign restriction; callers decide whether subcriticality is required.
-    """
-    return m.decay_rate
 
 
 @dataclass(frozen=True)
@@ -258,7 +242,7 @@ def validate(m: ModelParams, require_subcritical: bool = False) -> ValidationRep
     then a pure death process with an exact closed-form survival probability,
     but the exponential-tail machinery does not apply.
     """
-    mu, m2 = mean_and_second_moment(m.offspring)
+    mu, m2 = m.offspring.mean, m.offspring.second_moment
     lam = m.decay_rate
     checks = [
         CheckResult("beta_positive", m.beta > 0.0, True, f"beta = {m.beta:g}"),

@@ -29,6 +29,76 @@ LF_MODEL_BLOCK = (
     '"offspring": {"kind": "table", "probs": [0.6, 0.0, 0.4]}}'
 )
 
+PURE_DEATH_MODEL_BLOCK = (
+    '"model": {"beta": 1.0, "rho": 1.0, "offspring": {"kind": "table", "probs": [1.0]}}'
+)
+
+CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
+
+# the smallest config of each experiment type: every optional key defaulted
+MINIMAL_CONFIGS = {
+    "survival": MINIMAL_SURVIVAL,
+    "constant": '{%s, "experiment": {"type": "constant"}}' % LF_MODEL_BLOCK,
+    "gumbel": '{%s, "experiment": {"type": "gumbel", "z": {"1": 10}}}' % LF_MODEL_BLOCK,
+    "oracle": '{%s, "experiment": {"type": "oracle"}}' % LF_MODEL_BLOCK,
+    "slope": '{%s, "experiment": {"type": "slope"}}' % LF_MODEL_BLOCK,
+}
+
+LF_GUMBEL = '"type": "gumbel", "z": {"1": 10}'
+LF_SURVIVAL_ODE = '"type": "survival", "k": [1], "t_max": 1.0'
+LF_SURVIVAL_MC = LF_SURVIVAL_ODE + ', "method": "mc"'
+
+# one out-of-range value per case: (model, experiment keys, extra CLI args,
+# offending key under "experiment")
+OUT_OF_RANGE = {
+    "gumbel-seed-negative": (LF_MODEL_BLOCK, LF_GUMBEL + ', "seed": -1', [], "seed"),
+    "gumbel-seed-flag-negative": (LF_MODEL_BLOCK, LF_GUMBEL, ["--seed", "-1"], "seed"),
+    "survival-seed-2**64": (
+        LF_MODEL_BLOCK,
+        LF_SURVIVAL_MC + ', "replicates": 10, "seed": 18446744073709551616',
+        [],
+        "seed",
+    ),
+    "survival-replicates-0": (
+        LF_MODEL_BLOCK,
+        LF_SURVIVAL_MC + ', "replicates": 0, "seed": 1',
+        [],
+        "replicates",
+    ),
+    "gumbel-replicates-0": (
+        LF_MODEL_BLOCK, LF_GUMBEL + ', "replicates": 0, "seed": 1', [], "replicates"
+    ),
+    "gumbel-max_events-0": (
+        LF_MODEL_BLOCK, LF_GUMBEL + ', "max_events": 0, "seed": 1', [], "max_events"
+    ),
+    "constant-K-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 0', [], "K"),
+    "slope-K-0": (LF_MODEL_BLOCK, '"type": "slope", "K": 0', [], "K"),
+    "oracle-K-0": (LF_MODEL_BLOCK, '"type": "oracle", "K": 0', [], "K"),
+    "oracle-K-below-k": (
+        PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "k": [1, 5], "K": 2', [], "K"
+    ),
+    "survival-t_max-infinite": (
+        LF_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": Infinity', [], "t_max"
+    ),
+    "slope-window-infinite": (
+        LF_MODEL_BLOCK, '"type": "slope", "window": [0, Infinity]', [], "window"
+    ),
+    "survival-dt-0": (LF_MODEL_BLOCK, LF_SURVIVAL_ODE + ', "dt": 0', [], "dt"),
+    "survival-dt-negative": (LF_MODEL_BLOCK, LF_SURVIVAL_ODE + ', "dt": -1', [], "dt"),
+    "survival-tol-0": (LF_MODEL_BLOCK, LF_SURVIVAL_ODE + ', "tol": 0', [], "tol"),
+    "constant-tol-0": (
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "tol": 0, "t_max": 10.0', [], "tol"
+    ),
+    "constant-solver_tol-0": (
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "solver_tol": 0', [], "solver_tol"
+    ),
+    "oracle-match_tol-0": (
+        PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "match_tol": 0', [], "match_tol"
+    ),
+    "oracle-t_max-0": (PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "t_max": 0', [], "t_max"),
+    "constant-t_max-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 0', [], "t_max"),
+}
+
 
 def write_config(tmp_path: Path, text: str) -> Path:
     path = tmp_path / "cfg.json"
@@ -86,6 +156,18 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL_SURVIVAL)
         cfg.set_seed(99)
         assert cfg.resolved["experiment"]["seed"] == 99
+
+    @pytest.mark.parametrize(
+        "text",
+        [path.read_text(encoding="utf-8") for path in CONFIGS] + list(MINIMAL_CONFIGS.values()),
+        ids=[path.stem for path in CONFIGS] + [f"minimal_{kind}" for kind in MINIMAL_CONFIGS],
+    )
+    def test_resolved_config_round_trips(self, tmp_path, text):
+        cfg = parse_config(text)
+        resolved_text = json.dumps(cfg.resolved)
+        assert parse_config(resolved_text).resolved == cfg.resolved
+        path = write_config(tmp_path, resolved_text)
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
 
     def test_K_must_cover_requested_k(self):
         text = MINIMAL_SURVIVAL.replace('"t_max": 5.0', '"t_max": 5.0, "K": 1')
@@ -254,6 +336,21 @@ class TestMain:
         report = json.loads((tmp_path / "o" / "gumbel.json").read_text())
         assert report["metadata"]["master_seed"] == 555
         assert report["metadata"]["config"]["experiment"]["seed"] == 555
+
+    @pytest.mark.parametrize(
+        "model, experiment, args, path",
+        list(OUT_OF_RANGE.values()),
+        ids=list(OUT_OF_RANGE),
+    )
+    def test_out_of_range_value_rejected_before_run(
+        self, tmp_path, capsys, model, experiment, args, path
+    ):
+        out = tmp_path / "out"
+        text = '{%s, "experiment": {%s}, "output": {"dir": "%s"}}' % (model, experiment, out)
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", str(cfg), *args]) == EXIT_CONFIG
+        assert f"experiment.{path}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_byte_identical_across_threads(self, tmp_path):
         text = (

@@ -9,8 +9,6 @@ from sporesim import (
     ModelParams,
     OffspringDistribution,
     RandomStream,
-    decay_rate,
-    mean_and_second_moment,
     sample_offspring,
     truncation_level,
     validate,
@@ -35,16 +33,16 @@ def brute_force_moments(pmf, kmax=200, tail_tol=1e-12):
 class TestMoments:
     def test_table_two_point(self):
         d = OffspringDistribution.table([0.6, 0.0, 0.4])
-        assert mean_and_second_moment(d) == (0.8, 1.6)
+        assert (d.mean, d.second_moment) == (0.8, 1.6)
 
     def test_table_point_mass_one(self):
         d = OffspringDistribution.table([0.0, 1.0])
-        assert mean_and_second_moment(d) == (1.0, 1.0)
+        assert (d.mean, d.second_moment) == (1.0, 1.0)
 
     def test_poisson_vs_brute_force(self):
         d = OffspringDistribution.poisson(2.0)
         mu_oracle, m2_oracle = brute_force_moments(d.pmf)
-        mu, m2 = mean_and_second_moment(d)
+        mu, m2 = d.mean, d.second_moment
         assert mu == pytest.approx(mu_oracle, abs=1e-12)
         assert m2 == pytest.approx(m2_oracle, abs=1e-10)
         assert mu == pytest.approx(2.0, abs=1e-12)
@@ -53,7 +51,7 @@ class TestMoments:
     def test_geometric_vs_brute_force(self):
         d = OffspringDistribution.geometric(0.5)
         mu_oracle, m2_oracle = brute_force_moments(d.pmf)
-        mu, m2 = mean_and_second_moment(d)
+        mu, m2 = d.mean, d.second_moment
         assert mu == pytest.approx(mu_oracle, abs=1e-12)
         assert m2 == pytest.approx(m2_oracle, abs=1e-10)
         assert mu == pytest.approx(1.0, abs=1e-12)
@@ -96,15 +94,15 @@ class TestNormalization:
 class TestDecayRate:
     def test_two_point_table(self):
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.6, 0.0, 0.4]))
-        assert decay_rate(m) == pytest.approx(0.2, abs=1e-15)
+        assert m.decay_rate == pytest.approx(0.2, abs=1e-15)
 
     def test_mean_one_cancels_beta(self):
         m = ModelParams(1.0, 0.5, OffspringDistribution.table([0.0, 1.0]))
-        assert decay_rate(m) == pytest.approx(0.5, abs=1e-15)
+        assert m.decay_rate == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_mean(self):
         m = ModelParams(2.0, 0.0, OffspringDistribution.table([1.0]))
-        assert decay_rate(m) == pytest.approx(2.0, abs=1e-15)
+        assert m.decay_rate == pytest.approx(2.0, abs=1e-15)
 
     def test_affine_in_mean(self):
         # decay rate must equal rho + beta - beta*mean exactly, for any law
@@ -115,13 +113,13 @@ class TestDecayRate:
             beta = float(rng.uniform(0.1, 3.0))
             rho = float(rng.uniform(0.0, 2.0))
             m = ModelParams(beta, rho, d)
-            assert decay_rate(m) == pytest.approx(rho + beta - beta * d.mean, abs=1e-13)
+            assert m.decay_rate == pytest.approx(rho + beta - beta * d.mean, abs=1e-13)
 
 
 class TestValidate:
     def test_supercritical_fails_when_required(self):
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.0, 0.0, 1.0]))
-        assert decay_rate(m) == -1.0
+        assert m.decay_rate == -1.0
         report = validate(m, require_subcritical=True)
         assert not report.ok
         assert validate(m).ok  # without the requirement it passes
@@ -192,7 +190,7 @@ class TestDecayWindow:
     def test_defaults_midpoints(self):
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.6, 0.0, 0.4]))
         w = DecayWindow.for_model(m)
-        cap = min(decay_rate(m), m.beta)
+        cap = min(m.decay_rate, m.beta)
         assert w.a == pytest.approx(cap / 2)
         assert w.epsilon == pytest.approx(cap / 4)
         w.check(m)
