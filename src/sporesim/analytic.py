@@ -176,9 +176,10 @@ def _rk4(
 
 def _solve_scaled(
     sys: TruncatedSystem, ts: np.ndarray, tol: float
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Integrate u = e^{sigma t} q over the grid to absolute accuracy tol,
-    validated by step-halving.  Returns (U, sigma)."""
+    validated by step-halving.  Returns (U, sigma, err): err holds, per grid
+    point, max_k |U_n - U_2n| of the accepted step-halving pair."""
     beta = sys.params.beta
     rho = sys.params.rho
     lam = sys.params.decay_rate
@@ -198,11 +199,12 @@ def _solve_scaled(
     for _ in range(_MAX_REFINEMENTS):
         sol2 = _rk4(ts, u0, 2 * n_sub, coef_lin, coef_rel, ptail, sigma)
         if np.isfinite(sol).all() and np.isfinite(sol2).all():
-            err = float(np.max(np.abs(sol - sol2)))
+            point_err = np.max(np.abs(sol - sol2), axis=1)
+            err = float(point_err.max())
         else:
             err = math.inf
         if err <= tol:
-            return sol2, sigma
+            return sol2, sigma, point_err
         # fourth-order error model: required h scales like (tol/err)^(1/4)
         if math.isfinite(err):
             factor = (err / tol) ** 0.25
@@ -228,6 +230,8 @@ def _grid(t_max: float, dt: float | None) -> np.ndarray:
         raise ValueError("t_max must be positive")
     if dt is None:
         dt = default_dt(t_max)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     n = max(1, math.ceil(t_max / dt))
     return np.linspace(0.0, t_max, n + 1)
 
@@ -241,18 +245,21 @@ def solve_survival(
     """Survival curves q_k(t), k = 1..K, from the truncated backward system.
 
     Per-component absolute accuracy <= tol at every grid point, validated by
-    step-halving; output clamped to [0, 1].
+    step-halving; output clamped to [0, 1].  Each curve's ``err`` is the
+    measured error e^{-sigma t} max_k |U_n - U_2n| of the accepted
+    step-halving pair at each grid point.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     ts = _grid(t_max, dt)
-    U, sigma = _solve_scaled(sys, ts, tol)
-    Q = U * np.exp(-sigma * ts)[:, None]
+    U, sigma, u_err = _solve_scaled(sys, ts, tol)
+    scale = np.exp(-sigma * ts)
+    Q = U * scale[:, None]
     negatives = int((Q < 0.0).sum())
     if negatives:
         logger.warning("clamped %d negative survival values to 0", negatives)
     np.clip(Q, 0.0, 1.0, out=Q)
-    err = np.full(len(ts), tol)
+    err = u_err * scale
     return [
         SurvivalCurve(k=k, ts=ts, qs=Q[:, k - 1].copy(), err=err.copy(), source="ode")
         for k in range(1, sys.K + 1)
@@ -328,7 +335,7 @@ def estimate_constant(
 
     def extract(system: TruncatedSystem) -> tuple[float, float, float]:
         ts = _grid(t_max, dt)
-        U, _ = _solve_scaled(system, ts, solver_tol)
+        U, _, _ = _solve_scaled(system, ts, solver_tol)
         h = U[:, 0]  # e^{lambda t} q_1(t) exactly, since sigma = lambda here
         rel = np.abs(np.diff(h)) / (h[1:] * np.diff(ts))
         for i in range(1, len(ts)):
@@ -400,7 +407,7 @@ def truncation_lower_bound_check(
     if t_max is None:
         t_max = max(20.0 / lam, 4.0 / epsilon)
     ts = _grid(t_max, dt)
-    U, _ = _solve_scaled(sys, ts, solver_tol)
+    U, _, _ = _solve_scaled(sys, ts, solver_tol)
     margin = np.log(U[:, 0]) + epsilon * ts  # = ln q_1 + (lambda + epsilon) t
     i = int(np.argmin(margin))
     return TruncationBoundReport(

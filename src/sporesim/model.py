@@ -14,6 +14,7 @@ and the process is subcritical exactly when lambda > 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,12 @@ import numpy as np
 # ones are a hard error (bad config files should not drift quietly).
 _EXACT_TOL = 1e-12
 _RENORM_TOL = 1e-9
+# a parametric law's sampling table ends where the tail mass is below
+# _TABLE_TAIL, or at _TABLE_MAX entries
+_TABLE_TAIL = 2.0**-32
+_TABLE_MAX = 1 << 16
+# largest Poisson mean whose pmf recursion starts from a normal float exp(-mean)
+_POISSON_MAX_MEAN = 700.0
 
 KINDS = ("table", "poisson", "geometric")
 
@@ -39,8 +46,8 @@ class OffspringDistribution:
     * ``geometric``: success probability ``param in (0, 1)``, support
       {0, 1, 2, ...} with P(J = j) = (1 - param)^j * param.
 
-    All kinds have finite mean and second moment and support exact sampling;
-    nothing is ever truncated at the sampling stage.
+    All kinds have finite mean and second moment and are sampled by inverse
+    CDF on one uniform; nothing is ever truncated at the sampling stage.
     """
 
     kind: str
@@ -71,6 +78,11 @@ class OffspringDistribution:
                 raise ValueError(f"{self.kind} offspring law needs a positive parameter")
             if self.kind == "geometric" and self.param >= 1.0:
                 raise ValueError("geometric success probability must lie in (0, 1)")
+            if self.kind == "poisson" and self.param > _POISSON_MAX_MEAN:
+                raise ValueError(
+                    f"poisson mean must be at most {_POISSON_MAX_MEAN:g}: exp(-mean) "
+                    "underflows the pmf recursion"
+                )
 
     @classmethod
     def table(cls, probs) -> "OffspringDistribution":
@@ -138,13 +150,62 @@ class OffspringDistribution:
         return out
 
     @cached_property
-    def cumulative(self) -> tuple[float, ...]:
-        """Cumulative table for inverse-CDF sampling (table kind only)."""
-        if self.kind != "table":
-            raise ValueError("cumulative table only exists for the table kind")
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0  # guard against rounding shortfall at the top
-        return tuple(float(x) for x in cum)
+    def cumulative(self) -> np.ndarray:
+        """P(J <= j) for j = 0 .. top, the table inverse-CDF sampling searches.
+
+        A table law covers its whole support (the top entry is set to 1
+        against rounding shortfall).  A parametric law runs the
+        :meth:`pmf_table` recursion up to the first j >= mean whose tail mass
+        is below 2^-32 (at most 2^16 entries); :meth:`quantile` continues the
+        recursion above it.
+        """
+        if self.kind == "table":
+            cum = np.cumsum(self.probs)
+            cum[-1] = 1.0
+            return cum
+        n = 16
+        while True:
+            cum = np.cumsum(self.pmf_table(n))
+            done = (np.arange(n + 1) >= self.mean) & (1.0 - cum <= _TABLE_TAIL)
+            if done.any():
+                return cum[: int(np.argmax(done)) + 1]
+            if n >= _TABLE_MAX:
+                return cum
+            n *= 2
+
+    @cached_property
+    def _cumulative_list(self) -> list[float]:
+        return self.cumulative.tolist()
+
+    def quantile(self, u: float) -> int:
+        """Inverse CDF: the smallest j with u < P(J <= j), for u in [0, 1)."""
+        cum = self._cumulative_list
+        j = bisect_right(cum, u)
+        if j < len(cum):
+            return j
+        return self._tail_quantile(u)
+
+    def quantiles(self, u: np.ndarray) -> np.ndarray:
+        """:meth:`quantile` of every entry of u, as an integer array."""
+        cum = self.cumulative
+        j = np.searchsorted(cum, u, side="right")
+        above = j == len(cum)
+        if above.any():
+            j[above] = [self._tail_quantile(x) for x in u[above].tolist()]
+        return j
+
+    def _tail_quantile(self, u: float) -> int:
+        """Continue the pmf_table recursion above the sampling table's top,
+        doubling its length until the cumulative sum passes u (or stops
+        growing in floating point)."""
+        n = len(self.cumulative) - 1
+        while True:
+            cum = np.cumsum(self.pmf_table(2 * n))
+            j = int(np.searchsorted(cum, u, side="right"))
+            if j <= 2 * n or cum[-1] == cum[n]:
+                # found, or the sum stopped growing: then the first j reaching it
+                return min(j, int(np.argmax(cum == cum[-1])))
+            n *= 2
 
 
 @dataclass(frozen=True)
@@ -296,18 +357,5 @@ def truncation_level(d: OffspringDistribution, epsilon: float, beta: float) -> i
 
 
 def sample_offspring(d: OffspringDistribution, rng) -> int:
-    """Draw one exact sample of J.
-
-    Table kind uses inverse CDF on the precomputed cumulative table (one
-    uniform); parametric kinds use the generator's exact samplers.
-    """
-    if d.kind == "table":
-        u = rng.uniform01()
-        cum = d.cumulative
-        j = 0
-        while u > cum[j]:
-            j += 1
-        return j
-    if d.kind == "poisson":
-        return int(rng.generator.poisson(d.param))
-    return int(rng.generator.geometric(d.param)) - 1
+    """Draw one exact sample of J: inverse CDF on one uniform from rng."""
+    return d.quantile(rng.uniform01())

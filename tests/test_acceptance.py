@@ -28,7 +28,7 @@ from sporesim import (
     fit_decay_rate,
     gumbel_experiment,
     linear_fractional_constant,
-    run_to_extinction,
+    run_batch,
     run_to_extinction_reference,
     solve_survival,
 )
@@ -208,10 +208,8 @@ def test_criterion_6_engine_equivalence():
     worst_p = 1.0
     for counts, seed in (({1: 3}, 9100), ({2: 1, 3: 1}, 9200)):
         init = PopulationState.from_counts(counts)
-        agg = [
-            run_to_extinction(init, m, RandomStream(seed, i)).extinction_time
-            for i in range(n)
-        ]
+        # replicate i is run_to_extinction(init, m, RandomStream(seed, i))
+        agg = [o.extinction_time for o in run_batch(init, m, seed, replicates=n)]
         ref = [
             run_to_extinction_reference(init, m, RandomStream(seed + 1, i)).extinction_time
             for i in range(n)

@@ -153,6 +153,26 @@ class TestSolveSurvival:
         with pytest.raises(ValueError):
             solve_survival(sys, t_max=1.0, tol=0.0)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            solve_survival(TruncatedSystem(LF_MODEL, K=2), t_max=1.0, dt=dt)
+
+    def test_err_is_measured_step_halving_error(self):
+        # err carries the accepted step-halving difference per grid point,
+        # scaled back to q: within tol, zero at t = 0, not a constant
+        tol = 1e-9
+        curves = solve_survival(
+            TruncatedSystem(ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), K=20),
+            t_max=10.0,
+            tol=tol,
+        )
+        err = curves[0].err
+        assert np.all((err >= 0.0) & (err <= tol))
+        assert err[0] == 0.0 and err.max() > 0.0
+        assert len(np.unique(err)) > 1
+        assert all(np.array_equal(c.err, err) for c in curves)
+
 
 class TestClosedForms:
     def test_mu0_half_life(self):

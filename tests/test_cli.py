@@ -33,6 +33,10 @@ PURE_DEATH_MODEL_BLOCK = (
     '"model": {"beta": 1.0, "rho": 1.0, "offspring": {"kind": "table", "probs": [1.0]}}'
 )
 
+POISSON_MODEL_BLOCK = (
+    '"model": {"beta": 0.5, "rho": 1.0, "offspring": {"kind": "poisson", "param": 2.0}}'
+)
+
 CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
 
 # the smallest config of each experiment type: every optional key defaulted
@@ -49,7 +53,7 @@ LF_SURVIVAL_ODE = '"type": "survival", "k": [1], "t_max": 1.0'
 LF_SURVIVAL_MC = LF_SURVIVAL_ODE + ', "method": "mc"'
 
 # one out-of-range value per case: (model, experiment keys, extra CLI args,
-# offending key under "experiment")
+# offending key under "experiment", "" for the experiment block itself)
 OUT_OF_RANGE = {
     "gumbel-seed-negative": (LF_MODEL_BLOCK, LF_GUMBEL + ', "seed": -1', [], "seed"),
     "gumbel-seed-flag-negative": (LF_MODEL_BLOCK, LF_GUMBEL, ["--seed", "-1"], "seed"),
@@ -97,6 +101,7 @@ OUT_OF_RANGE = {
     ),
     "oracle-t_max-0": (PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "t_max": 0', [], "t_max"),
     "constant-t_max-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 0', [], "t_max"),
+    "oracle-no-closed-form": (POISSON_MODEL_BLOCK, '"type": "oracle"', [], ""),
 }
 
 
@@ -348,9 +353,13 @@ class TestMain:
         out = tmp_path / "out"
         text = '{%s, "experiment": {%s}, "output": {"dir": "%s"}}' % (model, experiment, out)
         cfg = write_config(tmp_path, text)
+        json_path = f"experiment.{path}" if path else "experiment"
         assert main(["run", "--config", str(cfg), *args]) == EXIT_CONFIG
-        assert f"experiment.{path}" in capsys.readouterr().err
+        assert f"'{json_path}'" in capsys.readouterr().err
         assert not out.exists()
+        if not args:
+            assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+            assert f"'{json_path}'" in capsys.readouterr().err
 
     def test_rerun_byte_identical_across_threads(self, tmp_path):
         text = (

@@ -90,6 +90,13 @@ class TestNormalization:
         with pytest.raises(ValueError):
             OffspringDistribution(kind="weibull")
 
+    def test_poisson_mean_whose_pmf_underflows_rejected(self):
+        # exp(-800) underflows: pmf_table would be all zeros, which the
+        # backward system reads as "no offspring" and sampling cannot invert
+        assert OffspringDistribution.poisson(700.0).pmf_table(0)[0] > 0.0
+        with pytest.raises(ValueError, match="poisson mean"):
+            OffspringDistribution.poisson(800.0)
+
 
 class TestDecayRate:
     def test_two_point_table(self):
@@ -184,6 +191,40 @@ class TestSampling:
         expected = np.array([d.pmf(k) for k in range(top)] + [(1 - 0.4) ** top]) * n
         _, p = chisquare(counts, expected)
         assert p > 0.001
+
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            OffspringDistribution.table([0.6, 0.0, 0.4]),
+            OffspringDistribution.poisson(2.0),
+            OffspringDistribution.geometric(0.3),
+        ],
+        ids=["table", "poisson", "geometric"],
+    )
+    def test_scalar_and_vector_quantiles_agree(self, d):
+        top = float(d.cumulative[-1])
+        u = np.concatenate(
+            [
+                np.random.Generator(np.random.Philox(key=9)).random(2000),
+                [0.0, 0.6, top, np.nextafter(top, 0.0), np.nextafter(1.0, 0.0)],
+            ]
+        )
+        assert d.quantiles(u).tolist() == [d.quantile(x) for x in u.tolist()]
+
+    @pytest.mark.parametrize(
+        "d", [OffspringDistribution.poisson(2.0), OffspringDistribution.geometric(0.3)]
+    )
+    def test_tail_continues_pmf_recursion(self, d):
+        # draws above the sampling table's top continue the pmf_table
+        # recursion: they equal a search in a longer table
+        top = len(d.cumulative) - 1
+        c = float(d.cumulative[-1])
+        u = np.array([c, c + 0.25 * (1.0 - c), c + 0.5 * (1.0 - c), c + 0.9 * (1.0 - c)])
+        longer = np.cumsum(d.pmf_table(top + 60))
+        expected = np.searchsorted(longer, u, side="right")
+        assert np.all(expected > top)
+        assert d.quantiles(u).tolist() == expected.tolist()
 
 
 class TestDecayWindow:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chisquare, ks_2samp, kstest
 
 from sporesim import (
     BudgetError,
@@ -10,16 +12,66 @@ from sporesim import (
     OffspringDistribution,
     PopulationState,
     RandomStream,
+    TruncatedSystem,
+    closed_form_linear_fractional,
     run_batch,
     run_to_extinction,
     run_to_extinction_reference,
+    solve_survival,
     step,
     survival_indicator,
 )
+from sporesim import simulator
+from sporesim.simulator import philox4x64
 from sporesim.stats import wilson_interval
 
 NO_OFFSPRING = OffspringDistribution.table([1.0])
 TWO_POINT = OffspringDistribution.table([0.6, 0.0, 0.4])
+WORD = st.integers(0, 2**64 - 1)
+
+
+class FamilyWords:
+    """Stub stream for step(): serves the waiting-time, type-choice and
+    offspring words of one family's Philox blocks, event after event (each
+    block's spare word skipped), as uniforms."""
+
+    def __init__(self, seed: int, replicate: int, family: int):
+        self.key = (replicate, seed)
+        self.family = family
+        self.event = 0
+        self.words: list[float] = []
+
+    def uniform01(self) -> float:
+        if not self.words:
+            self.event += 1
+            block = philox4x64((self.event, self.family, 0, 0), self.key)
+            self.words = [(int(w[0]) >> 11) * 2.0**-53 for w in block[:3]]
+        return self.words.pop(0)
+
+
+class TestPhilox:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=WORD,
+        replicate=WORD,
+        counter=st.tuples(st.integers(1, 2**64 - 1), WORD, WORD, WORD),
+    )
+    def test_matches_numpy_philox(self, seed, replicate, counter):
+        bitgen = np.random.Philox(key=(seed << 64) | replicate)
+        state = bitgen.state
+        # numpy increments the counter before each block
+        state["state"]["counter"] = np.array([counter[0] - 1, *counter[1:]], dtype=np.uint64)
+        state["buffer_pos"] = 4
+        bitgen.state = state
+        words = philox4x64(counter, (replicate, seed))
+        assert [int(w[0]) for w in words] == bitgen.random_raw(4).tolist()
+
+    def test_family_zero_reads_numpy_stream(self):
+        events = np.arange(1, 6, dtype=np.uint64)
+        words = np.stack(philox4x64((events, 0, 0, 0), (np.full(5, 9, np.uint64), 77)))
+        uniforms = ((words.T.ravel() >> np.uint64(11)) * 2.0**-53).tolist()
+        stream = RandomStream(77, 9)
+        assert uniforms == [stream.uniform01() for _ in range(20)]
 
 
 class TestRandomStream:
@@ -45,16 +97,6 @@ class TestRandomStream:
             RandomStream(-1)
         with pytest.raises(ValueError):
             RandomStream(0, 1 << 64)
-
-    def test_reseed_equals_fresh_construction(self):
-        recycled = RandomStream(1, 0)
-        for _ in range(10):
-            recycled.uniform01()
-        recycled.reseed(987654321, 13)
-        fresh = RandomStream(987654321, 13)
-        assert [recycled.uniform01() for _ in range(500)] == [
-            fresh.uniform01() for _ in range(500)
-        ]
 
     def test_buffering_matches_raw_generator(self):
         # the block refill schedule must not alter the draw sequence
@@ -145,13 +187,12 @@ class TestStep:
 
 class TestRunToExtinction:
     def test_exponential_mean_single_clock(self):
-        # {1:1}, rho=0, beta=1, no offspring: extinction ~ Exp(1)
+        # {1:1}, rho=0, beta=1, no offspring: extinction ~ Exp(1); replicate
+        # i is run_to_extinction on RandomStream(10, i)
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
         init = PopulationState.from_counts({1: 1})
         n = 10**5
-        total = sum(
-            run_to_extinction(init, m, RandomStream(10, i)).extinction_time for i in range(n)
-        )
+        total = sum(o.extinction_time for o in run_batch(init, m, 10, replicates=n))
         assert abs(total / n - 1.0) < 3.0 / math.sqrt(n)
 
     def test_exponential_mean_competing_clocks(self):
@@ -159,9 +200,7 @@ class TestRunToExtinction:
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
         init = PopulationState.from_counts({1: 1})
         n = 10**5
-        total = sum(
-            run_to_extinction(init, m, RandomStream(11, i)).extinction_time for i in range(n)
-        )
+        total = sum(o.extinction_time for o in run_batch(init, m, 11, replicates=n))
         assert abs(total / n - 0.5) < 3 * 0.5 / math.sqrt(n)
 
     def test_deterministic(self):
@@ -172,22 +211,27 @@ class TestRunToExtinction:
         assert a == b
 
     def test_matches_iterated_step_bitwise(self):
-        # the fast loop and the public step() must consume the stream identically
+        # step() is the engine's kernel: fed each family's Philox words, it
+        # reproduces run_to_extinction bit for bit (time = latest family)
         cases = [
             ModelParams(1.0, 0.5, TWO_POINT),
             ModelParams(0.7, 0.0, OffspringDistribution.poisson(0.8)),
             ModelParams(1.2, 0.3, OffspringDistribution.geometric(0.7)),
         ]
+        founders = [1, 1, 1, 1, 3]
         for j, m in enumerate(cases):
             init = PopulationState.from_counts({1: 4, 3: 1})
             fast = run_to_extinction(init, m, RandomStream(50, j))
-            st = init.copy()
-            rng = RandomStream(50, j)
+            clocks = []
             events = 0
-            while not st.extinct:
-                step(st, m, rng)
-                events += 1
-            assert st.clock == fast.extinction_time
+            for family, k in enumerate(founders):
+                st = PopulationState.from_counts({k: 1})
+                rng = FamilyWords(50, j, family)
+                while not st.extinct:
+                    step(st, m, rng)
+                    events += 1
+                clocks.append(st.clock)
+            assert max(clocks) == fast.extinction_time
             assert events == fast.event_count
 
     def test_input_not_mutated(self):
@@ -225,10 +269,12 @@ class TestSurvivalIndicator:
         assert all(survival_indicator(1, 0.0, m, RandomStream(1, i)) for i in range(20))
 
     def test_matches_closed_form_k1(self):
-        # rho=1, beta=1, no offspring, k=1, t=1 -> P(survive) = e^{-2}
+        # rho=1, beta=1, no offspring, k=1, t=1 -> P(survive) = e^{-2}; replicate
+        # i is survival_indicator(1, 1.0, m, RandomStream(21, i))
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
         n = 10**5
-        hits = sum(1 for i in range(n) if survival_indicator(1, 1.0, m, RandomStream(21, i)))
+        init = PopulationState.from_counts({1: 1})
+        hits = sum(o.censored for o in run_batch(init, m, 21, replicates=n, horizon=1.0))
         p = math.exp(-2.0)
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -236,7 +282,8 @@ class TestSurvivalIndicator:
         # k=3, rho=0.5, beta=1, t=1 -> e^{-0.5} (1 - (1 - e^{-1})^3)
         m = ModelParams(1.0, 0.5, NO_OFFSPRING)
         n = 10**5
-        hits = sum(1 for i in range(n) if survival_indicator(3, 1.0, m, RandomStream(22, i)))
+        init = PopulationState.from_counts({3: 1})
+        hits = sum(o.censored for o in run_batch(init, m, 22, replicates=n, horizon=1.0))
         p = math.exp(-0.5) * (1.0 - (1.0 - math.exp(-1.0)) ** 3)
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -299,10 +346,7 @@ class TestDistributionalProperties:
         n = 4000
         for counts, seed in (({1: 3}, 700), ({2: 1, 3: 1}, 701)):
             init = PopulationState.from_counts(counts)
-            agg = [
-                run_to_extinction(init, m, RandomStream(seed, i)).extinction_time
-                for i in range(n)
-            ]
+            agg = [o.extinction_time for o in run_batch(init, m, seed, replicates=n)]
             ref = [
                 run_to_extinction_reference(init, m, RandomStream(seed + 50, i)).extinction_time
                 for i in range(n)
@@ -328,3 +372,101 @@ def test_outcome_event_counts_match_total_releases():
         )
         assert out.event_count == k
         assert out.peak_hosts == 1
+
+
+class TestBatchEngine:
+    @pytest.mark.parametrize("cells", [7, simulator.POOL_CELLS])
+    def test_replicate_equals_single_run(self, monkeypatch, cells):
+        # the pool size changes which families run together, never a result
+        monkeypatch.setattr(simulator, "POOL_CELLS", cells)
+        init = PopulationState.from_counts({1: 4, 3: 2})
+        for m, horizon in (
+            (ModelParams(1.0, 0.5, TWO_POINT), None),
+            (ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), 1.5),
+        ):
+            batch = run_batch(init, m, 123, replicates=64, horizon=horizon)
+            for i in (0, 1, 17, 63):
+                assert batch[i] == run_to_extinction(
+                    init, m, RandomStream(123, i), horizon=horizon
+                )
+
+    def test_budget_error_replicate_independent_of_pool(self, monkeypatch):
+        m = ModelParams(1.0, 0.0, TWO_POINT)
+        init = PopulationState.from_counts({1: 20})
+        counts = [o.event_count for o in run_batch(init, m, 3, replicates=40)]
+        budget = max(counts[:5])
+        first = next(i for i, c in enumerate(counts) if c > budget)
+        for cells in (5, simulator.POOL_CELLS):
+            monkeypatch.setattr(simulator, "POOL_CELLS", cells)
+            with pytest.raises(BudgetError) as exc:
+                run_batch(init, m, 3, replicates=40, max_events=budget)
+            assert exc.value.replicate == first
+        run_batch(init, m, 3, replicates=first, max_events=budget)
+
+    def test_peak_hosts_sums_family_peaks(self):
+        m = ModelParams(1.0, 0.0, NO_OFFSPRING)
+        out = run_to_extinction(PopulationState.from_counts({2: 3}), m, RandomStream(1, 0))
+        assert out.peak_hosts == 3
+        assert out.event_count == 6
+
+
+class TestExactExtinctionLaw:
+    """Extinction times from a mixed start against the exact finite-population
+    law P(T <= t) = prod_k (1 - q_k(t))^{z_k} (families are independent)."""
+
+    Z = {1: 10_000, 3: 250}
+
+    def test_linear_fractional(self):
+        # rho = 0: the spores of a host act independently, so
+        # q_k = 1 - (1 - q_1)^k and the law is (1 - q_1)^{sum k z_k}
+        m = ModelParams(1.0, 0.0, TWO_POINT)
+        init = PopulationState.from_counts(self.Z)
+        times = [o.extinction_time for o in run_batch(init, m, 901, replicates=200)]
+        spores = init.n_spores
+
+        def cdf(ts):
+            q = np.array([closed_form_linear_fractional(t, 1.0, 0.6, 0.4) for t in ts])
+            return np.exp(spores * np.log1p(-q))
+
+        assert kstest(times, cdf).pvalue > 1e-3
+
+    def test_poisson_with_removal(self):
+        m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
+        init = PopulationState.from_counts(self.Z)
+        times = [o.extinction_time for o in run_batch(init, m, 902, replicates=200)]
+        t_max = 45.0
+        assert max(times) < t_max
+        curves = solve_survival(TruncatedSystem(m, K=20), t_max=t_max, tol=1e-10, dt=0.1)
+        with np.errstate(divide="ignore"):  # q_k(0) = 1
+            log_cdf = sum(z * np.log1p(-curves[k - 1].qs) for k, z in self.Z.items())
+
+        def cdf(ts):
+            return np.exp(np.interp(ts, curves[0].ts, log_cdf))
+
+        assert kstest(times, cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        OffspringDistribution.poisson(2.0),
+        OffspringDistribution.poisson(30.0),
+        OffspringDistribution.geometric(0.1),
+        OffspringDistribution.geometric(0.9),
+        OffspringDistribution.table([0.3, 0.0, 0.25, 0.05, 0.4]),
+    ],
+    ids=["poisson-2", "poisson-30", "geometric-0.1", "geometric-0.9", "table"],
+)
+def test_inverse_cdf_offspring_chi_square(law):
+    n = 10**6
+    u = np.random.Generator(np.random.Philox(key=4242)).random(n)
+    draws = law.quantiles(u)
+    pmf = np.array([law.pmf(j) for j in range(int(draws.max()) + 1)])
+    top = int(np.flatnonzero(n * pmf >= 5.0).max())  # lump the sparse tail
+    observed = np.bincount(np.minimum(draws, top + 1), minlength=top + 2)
+    expected = n * np.append(pmf[: top + 1], max(0.0, 1.0 - pmf[: top + 1].sum()))
+    keep = expected > 0.0
+    assert observed[~keep].sum() == 0
+    observed, expected = observed[keep], expected[keep]
+    _, p = chisquare(observed, expected * observed.sum() / expected.sum())
+    assert p > 1e-3
