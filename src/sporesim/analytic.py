@@ -15,13 +15,12 @@ The infinite system is closed by truncation: offspring counts above a level
 K are mapped to 0, which only removes reproduction and therefore bounds the
 true process from below, monotonically in K.
 
-Numerics: the solver integrates the rescaled variables u_k = e^{sigma*t} q_k
-with sigma = max(decay rate, 0).  u_k stays O(k) for subcritical models, so
-absolute step-halving control on u gives *relative* accuracy on q deep into
-the tail (where q underflows any absolute tolerance), and |q error| =
-e^{-sigma*t} |u error| never exceeds the requested tolerance.  The public
-:func:`backward_rhs` stays in plain q coordinates and the two are tied
-together by tests.
+Numerics: an adaptive Dormand-Prince 5(4) pair integrates the rescaled
+u_k = e^{sigma*t} q_k, sigma = max(decay rate, 0), with a step end on every
+grid point.  u_k stays O(k) for subcritical models, so absolute error control
+on u gives *relative* accuracy on q deep into the tail (where q underflows
+any absolute tolerance), and |q error| = e^{-sigma*t} |u error| <= tol.
+:func:`backward_rhs` is the one right-hand side, in q (sigma = 0) or in u.
 """
 
 from __future__ import annotations
@@ -38,9 +37,6 @@ from .model import ModelParams, truncation_level
 logger = logging.getLogger(__name__)
 
 DEFAULT_SOLVER_TOL = 1e-9
-
-_MAX_REFINEMENTS = 12
-_MAX_SUBSTEPS = 1 << 22
 
 
 class SolverError(RuntimeError):
@@ -74,6 +70,10 @@ class TruncatedSystem:
         table = self.params.offspring.pmf_table(self.K)
         table[0] = 1.0 - float(table[1:].sum())
         return table
+
+    @cached_property
+    def release_rates(self) -> np.ndarray:
+        return self.params.beta * np.arange(1, self.K + 1, dtype=float)
 
     @cached_property
     def truncated_mean(self) -> float:
@@ -115,109 +115,109 @@ class ConstantEstimate:
             raise ValueError(f"leading constant must lie in (0, 1], got {self.c_hat!r}")
 
 
-def backward_rhs(q: np.ndarray, sys: TruncatedSystem) -> np.ndarray:
+def backward_rhs(
+    q: np.ndarray, sys: TruncatedSystem, sigma: float = 0.0, t: float = 0.0
+) -> np.ndarray:
     """Derivative of (q_1 .. q_K) under the truncated backward system.
 
     Index i of the vector holds type i+1; q_0 is identically 0.  Component 1
     reduces exactly to q_1' = -(rho + beta) q_1 + beta * sum_j p~_j q_j.
+    With sigma > 0 it holds u = e^{sigma t} q at time t and the result is
+    u', in which only e^{-sigma t} times the offspring sum can underflow.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (sys.K,):
         raise ValueError(f"expected shape ({sys.K},), got {q.shape}")
-    beta = sys.params.beta
-    rho = sys.params.rho
-    ptail = sys.offspring_table[1:]
-    k = np.arange(1, sys.K + 1, dtype=float)
-    w = ptail @ q
+    release = sys.release_rates
+    w = float(sys.offspring_table[1:] @ q)
     shift = np.empty_like(q)
     shift[0] = 0.0
     shift[1:] = q[:-1]
-    return -(rho + beta * k) * q + beta * k * (shift + w - shift * w)
+    decay = math.exp(-sigma * t)
+    return (sigma - sys.params.rho - release) * q + release * (shift * (1.0 - decay * w) + w)
 
 
-def _rk4(
-    ts: np.ndarray,
-    u0: np.ndarray,
-    n_sub: int,
-    coef_lin: np.ndarray,
-    coef_rel: np.ndarray,
-    ptail: np.ndarray,
-    sigma: float,
-) -> np.ndarray:
-    """Classic fixed-step RK4 on the rescaled system over the output grid,
-    n_sub internal steps per grid interval.  Returns shape (len(ts), K)."""
-    exp = math.exp
+# Dormand-Prince 5(4): nodes, stage rows (the last is the fifth-order step, its
+# derivative the next step's first stage), error weights (fifth minus fourth)
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = [
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_REFINE = 32.0  # local tolerance ratio of the two passes compared
 
-    def f(t: float, u: np.ndarray) -> np.ndarray:
-        w = ptail @ u
-        shift = np.empty_like(u)
-        shift[0] = 0.0
-        shift[1:] = u[:-1]
-        return coef_lin * u + coef_rel * (shift * (1.0 - exp(-sigma * t) * w) + w)
 
-    out = np.empty((len(ts), len(u0)))
-    u = u0.copy()
+def _dopri5(
+    sys: TruncatedSystem, ts: np.ndarray, tau: float, sigma: float
+) -> tuple[np.ndarray, int, int]:
+    """One adaptive Dormand-Prince pass for u from u(0) = 1, local error on u
+    <= tau per step, a step end on every grid point: (U, accepted, rejected)."""
+    u = np.ones(sys.K)
+    out = np.empty((len(ts), sys.K))
     out[0] = u
-    for m in range(len(ts) - 1):
-        t0 = ts[m]
-        h = (ts[m + 1] - t0) / n_sub
-        half = 0.5 * h
-        sixth = h / 6.0
-        for s in range(n_sub):
-            t = t0 + s * h
-            k1 = f(t, u)
-            k2 = f(t + half, u + half * k1)
-            k3 = f(t + half, u + half * k2)
-            k4 = f(t + h, u + h * k3)
-            u = u + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        out[m + 1] = u
-    return out
+    ks = np.empty((7, sys.K))
+    ks[0] = backward_rhs(u, sys, sigma, 0.0)
+    h = float(ts[1] - ts[0])
+    t, accepted, rejected = 0.0, 0, 0
+    for m in range(1, len(ts)):
+        t_end = float(ts[m])
+        while t < t_end:
+            n = math.ceil((t_end - t) / h)
+            step = (t_end - t) / n
+            if step < 16.0 * math.ulp(t_end):
+                raise SolverError(f"step-size underflow at t={t:g} for local tolerance {tau:g}")
+            for i in range(1, 7):
+                y = u + step * (_DP_A[i - 1] @ ks[:i])
+                ks[i] = backward_rhs(y, sys, sigma, t + _DP_C[i] * step)
+            err = step * float(np.abs(_DP_E @ ks).max()) / tau
+            if err <= 1.0:
+                accepted += 1
+                t = t_end if n == 1 else t + step
+                u = y
+                ks[0] = ks[6]
+                h = step * (5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2))
+            else:
+                rejected += 1
+                h = step * (max(0.2, 0.9 * err**-0.2) if math.isfinite(err) else 0.2)
+        out[m] = u
+    return out, accepted, rejected
 
 
 def _solve_scaled(
     sys: TruncatedSystem, ts: np.ndarray, tol: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Integrate u = e^{sigma t} q over the grid to absolute accuracy tol,
-    validated by step-halving.  Returns (U, sigma, err): err holds, per grid
-    point, max_k |U_n - U_2n| of the accepted step-halving pair."""
-    beta = sys.params.beta
-    rho = sys.params.rho
-    lam = sys.params.decay_rate
-    sigma = max(lam, 0.0)
-    k = np.arange(1, sys.K + 1, dtype=float)
-    coef_lin = sigma - rho - beta * k
-    coef_rel = beta * k
-    ptail = sys.offspring_table[1:]
-    u0 = np.ones(sys.K)
+    """Integrate u = e^{sigma t} q over the grid to absolute accuracy tol.
 
-    # start inside the RK4 stability region for the stiffest component
-    rate_cap = rho + beta * sys.K + abs(sigma)
-    dt_out = float(ts[1] - ts[0])
-    n_sub = max(1, math.ceil(dt_out * rate_cap / 1.2))
-
-    sol = _rk4(ts, u0, n_sub, coef_lin, coef_rel, ptail, sigma)
-    for _ in range(_MAX_REFINEMENTS):
-        sol2 = _rk4(ts, u0, 2 * n_sub, coef_lin, coef_rel, ptail, sigma)
-        if np.isfinite(sol).all() and np.isfinite(sol2).all():
-            point_err = np.max(np.abs(sol - sol2), axis=1)
-            err = float(point_err.max())
-        else:
-            err = math.inf
-        if err <= tol:
-            return sol2, sigma, point_err
-        # fourth-order error model: required h scales like (tol/err)^(1/4)
-        if math.isfinite(err):
-            factor = (err / tol) ** 0.25
-            n_next = math.ceil(2 * n_sub * min(max(factor, 1.0), 8.0))
-        else:
-            n_next = 8 * n_sub
-        if n_next > _MAX_SUBSTEPS:
-            raise SolverError(
-                f"step-size underflow: {n_next} substeps per interval needed for tol={tol:g}"
-            )
-        n_sub = n_next
-        sol = _rk4(ts, u0, n_sub, coef_lin, coef_rel, ptail, sigma)
-    raise SolverError(f"tolerance {tol:g} not reached after {_MAX_REFINEMENTS} refinements")
+    Passes at local tolerances tau = tol/4 and tau/32 must agree within tol
+    at every grid point, else the finer one is compared with a pass at a 32
+    times tighter tolerance.  A tolerance below ulp(max|u|) / 32, which
+    rounding swamps, raises SolverError.  Returns (U, sigma, err): the finer
+    pass of the accepted pair and per grid point max_k of their difference.
+    """
+    sigma = max(sys.params.decay_rate, 0.0)
+    tau, u_max, coarse = tol / 4.0, 1.0, None
+    passes = accepted = rejected = 0
+    while True:
+        if tau < math.ulp(u_max) / _REFINE:
+            raise SolverError(f"tol={tol:g} is below double precision for |u| up to {u_max:.3g}")
+        fine, acc, rej = _dopri5(sys, ts, tau, sigma)
+        passes, accepted, rejected = passes + 1, accepted + acc, rejected + rej
+        if coarse is not None:
+            point_err = np.abs(fine - coarse).max(axis=1)
+            if point_err.max() <= tol:
+                break
+        coarse, u_max, tau = fine, float(np.abs(fine).max()), tau / _REFINE
+    logger.debug(
+        "backward solve, K=%d on %d grid points: %d passes, %d accepted and %d rejected steps, "
+        "%d RHS evaluations, err %.3g", sys.K, len(ts), passes, accepted, rejected,
+        passes + 6 * (accepted + rejected), point_err.max(),
+    )
+    return fine, sigma, point_err
 
 
 def default_dt(t_max: float) -> float:
@@ -245,9 +245,9 @@ def solve_survival(
     """Survival curves q_k(t), k = 1..K, from the truncated backward system.
 
     Per-component absolute accuracy <= tol at every grid point, validated by
-    step-halving; output clamped to [0, 1].  Each curve's ``err`` is the
-    measured error e^{-sigma t} max_k |U_n - U_2n| of the accepted
-    step-halving pair at each grid point.
+    two adaptive passes at local tolerances tau and tau/32; output clamped to
+    [0, 1].  Each curve's ``err`` is the measured difference
+    e^{-sigma t} max_k |U_tau - U_tau/32| of the accepted pair per grid point.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")

@@ -1,4 +1,7 @@
+import logging
 import math
+import re
+import signal
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from sporesim import (
 )
 from sporesim.analytic import (
     NonConvergenceError,
+    SolverError,
     survival_ratios,
     tail_ratio_check,
 )
@@ -26,6 +30,18 @@ from sporesim.analytic import (
 NO_OFFSPRING = OffspringDistribution.table([1.0])
 TWO_POINT = OffspringDistribution.table([0.6, 0.0, 0.4])
 LF_MODEL = ModelParams(1.0, 0.0, TWO_POINT)
+
+
+def backward_jacobian(q: np.ndarray, sys: TruncatedSystem) -> np.ndarray:
+    """d backward_rhs / dq: diagonal -(rho + beta k), subdiagonal
+    beta k (1 - w) and the offspring coupling beta k (1 - q_{k-1}) p~_j."""
+    p = sys.offspring_table[1:]
+    k = np.arange(1, sys.K + 1, dtype=float)
+    shift = np.concatenate(([0.0], q[:-1]))
+    J = np.outer(sys.params.beta * k * (1.0 - shift), p)
+    J[np.diag_indices(sys.K)] -= sys.params.rho + sys.params.beta * k
+    J[np.arange(1, sys.K), np.arange(sys.K - 1)] += sys.params.beta * k[1:] * (1.0 - p @ q)
+    return J
 
 
 class TestBackwardRhs:
@@ -109,23 +125,38 @@ class TestSolveSurvival:
             c.validate(tol=1e-9)
 
     def test_matches_independent_integrator(self):
-        # cross-check the scaled fixed-step solver against scipy's adaptive
-        # RK45 run directly on the unscaled right-hand side
-        sys = TruncatedSystem(ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), K=12)
-        curves = solve_survival(sys, t_max=5.0, tol=1e-10, dt=0.25)
-        ts = curves[0].ts
-        ref = solve_ivp(
-            lambda t, q: backward_rhs(q, sys),
-            (0.0, 5.0),
-            np.ones(12),
-            t_eval=ts,
-            rtol=1e-11,
-            atol=1e-13,
-            method="RK45",
-        )
-        assert ref.success
-        ours = np.stack([c.qs for c in curves], axis=1)
-        assert np.abs(ours - ref.y.T).max() < 5e-9
+        # cross-check the scaled adaptive solver against scipy run directly on
+        # the unscaled right-hand side: RK45 at K=12, and at K=400, where
+        # rho + beta*K = 201 makes the system stiff and stability limits the
+        # solver's steps, Radau with the analytic Jacobian
+        m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
+        for K, method in ((12, "RK45"), (400, "Radau")):
+            sys = TruncatedSystem(m, K=K)
+            jac = {"jac": lambda t, q: backward_jacobian(q, sys)} if method == "Radau" else {}
+            curves = solve_survival(sys, t_max=5.0, tol=1e-10, dt=0.25)
+            ref = solve_ivp(
+                lambda t, q: backward_rhs(q, sys),
+                (0.0, 5.0),
+                np.ones(K),
+                t_eval=curves[0].ts,
+                rtol=1e-11,
+                atol=1e-13,
+                method=method,
+                **jac,
+            )
+            assert ref.success
+            ours = np.stack([c.qs for c in curves], axis=1)
+            assert np.abs(ours - ref.y.T).max() < 5e-9, K
+
+    def test_scaled_rhs_is_derivative_of_rescaled_q(self):
+        # u = e^{sigma t} q has u' = sigma u + e^{sigma t} q'
+        sys = TruncatedSystem(ModelParams(0.8, 0.6, OffspringDistribution.poisson(1.1)), K=12)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            q, sigma, t = rng.random(12), rng.random(), 5.0 * rng.random()
+            u = math.exp(sigma * t) * q
+            expected = sigma * u + math.exp(sigma * t) * backward_rhs(q, sys)
+            assert backward_rhs(u, sys, sigma, t) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     def test_bound_preservation(self):
         # 0 <= q_k <= min(1, k q_1) + tol at every grid point
@@ -158,9 +189,9 @@ class TestSolveSurvival:
         with pytest.raises(ValueError, match="dt"):
             solve_survival(TruncatedSystem(LF_MODEL, K=2), t_max=1.0, dt=dt)
 
-    def test_err_is_measured_step_halving_error(self):
-        # err carries the accepted step-halving difference per grid point,
-        # scaled back to q: within tol, zero at t = 0, not a constant
+    def test_err_is_measured_pass_difference(self):
+        # err carries the difference of the accepted pair of passes per grid
+        # point, scaled back to q: within tol, zero at t = 0, not a constant
         tol = 1e-9
         curves = solve_survival(
             TruncatedSystem(ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), K=20),
@@ -172,6 +203,40 @@ class TestSolveSurvival:
         assert err[0] == 0.0 and err.max() > 0.0
         assert len(np.unique(err)) > 1
         assert all(np.array_equal(c.err, err) for c in curves)
+
+    @pytest.mark.parametrize("tol", [1e-20, 1e-16])
+    def test_unattainable_tol_fails_fast(self, tol):
+        # a tolerance below the rounding of u = O(1) raises at once instead of
+        # refining the steps forever
+        def expire(signum, frame):
+            raise TimeoutError(f"tol={tol:g} still refining after 20 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        try:
+            with pytest.raises(SolverError, match="double precision"):
+                solve_survival(TruncatedSystem(LF_MODEL, K=2), t_max=1.0, tol=tol)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_work_counters_logged(self, caplog):
+        sys = TruncatedSystem(ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), K=12)
+        with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
+            curves = solve_survival(sys, t_max=5.0, tol=1e-10, dt=0.25)
+        (record,) = [r for r in caplog.records if r.name == "sporesim.analytic"]
+        found = re.search(
+            r"K=12 on 21 grid points: (\d+) passes, (\d+) accepted and (\d+) rejected steps, "
+            r"(\d+) RHS evaluations, err (\S+)",
+            record.getMessage(),
+        )
+        assert found, record.getMessage()
+        passes, accepted, rejected, rhs = map(int, found.groups()[:4])
+        assert passes >= 2 and accepted >= 20 * passes  # every grid point ends a step
+        assert rhs == passes + 6 * (accepted + rejected)
+        err = float(found.group(5))
+        assert 0.0 < err <= 1e-10
+        assert 0.0 < curves[0].err.max() <= 1.01 * err  # err scaled to q by e^{-sigma t}
 
 
 class TestClosedForms:

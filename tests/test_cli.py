@@ -331,6 +331,19 @@ class TestMain:
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", str(cfg)]) == EXIT_NUMERICAL
 
+    def test_unattainable_solver_tol_exit_code(self, tmp_path, capsys):
+        # a tolerance below double precision fails fast and writes nothing
+        out = tmp_path / "s"
+        text = '{%s, "experiment": {%s, "K": 2, "tol": 1e-20}, "output": {"dir": "%s"}}' % (
+            LF_MODEL_BLOCK,
+            LF_SURVIVAL_ODE,
+            out,
+        )
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", str(cfg)]) == EXIT_NUMERICAL
+        assert "double precision" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_recorded(self, tmp_path):
         text = (
             '{%s, "experiment": {"type": "gumbel", "z": {"1": 10}, "replicates": 3, '
