@@ -24,6 +24,7 @@ from .model import (
     validate,
 )
 from .simulator import (
+    BatchOutcomes,
     BudgetError,
     EventRecord,
     PopulationState,

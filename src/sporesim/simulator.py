@@ -32,17 +32,23 @@ stream (seed, r) word for word.  Every draw is a pure function of
 families are advanced together nor on any thread count.
 
 :func:`run_batch` advances a pool of families together, one event per
-family per step, refilling freed slots in (replicate, family) order.
-:func:`run_to_extinction` is the same engine on one replicate, and
-:func:`step` applies the same transition kernel to one population.  A
-deliberately naive engine (one exponential clock per host and per spore,
-no aggregation) lives in :func:`run_to_extinction_reference` as a
-distributional oracle.
+family per step, refilling freed slots in (replicate, family) order.  Once
+no family is left to start the pool only shrinks, and the engine computes
+each live family's Philox blocks several events ahead in one call, as many
+as fit in one full-pool step.  A batch's results are arrays, a
+:class:`BatchOutcomes`; a :class:`SimOutcome` per replicate is built only
+when one is indexed or iterated.  :func:`run_to_extinction` is the same
+engine on one replicate, and :func:`step` applies the same transition
+kernel to one population.  A deliberately naive engine (one exponential
+clock per host and per spore, no aggregation) lives in
+:func:`run_to_extinction_reference` as a distributional oracle.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,11 +57,18 @@ from .model import ModelParams, sample_offspring
 
 RNG_ALGORITHM = "philox4x64-u01/v2"
 
+logger = logging.getLogger(__name__)
+
 DEFAULT_MAX_EVENTS = 10**9
 
 # families x type columns the batch engine holds at once; any value gives
 # the same results, it only trades memory against per-step overhead
 POOL_CELLS = 1 << 15
+
+# populations from which the type scan adds its running sums row by row:
+# numpy's cumsum down axis 0 walks one column at a time, ~5 ns per entry,
+# while adding a row costs ~1.5 us however long it is
+_ROW_SUMS = 256
 
 # RandomStream materializes uniforms in growing blocks; the block schedule
 # never changes the draw sequence, only how far ahead it is computed
@@ -258,17 +271,6 @@ class EventRecord:
     offspring: int | None
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One applied event: the new clock value, what happened, to which type,
-    and the sampled offspring count (None for removals)."""
-
-    time: float
-    kind: str  # "removal" or "release"
-    host_type: int
-    offspring: int | None
-
-
 @dataclass(frozen=True, slots=True)
 class SimOutcome:
     """Result of one replicate.
@@ -295,6 +297,73 @@ class SimOutcome:
             raise ValueError("censored outcome requires a horizon")
         if self.extinction_time is not None and self.extinction_time < 0.0:
             raise ValueError("extinction time must be nonnegative")
+
+
+class BatchOutcomes(Sequence):
+    """The outcomes of one batch as read-only arrays, in replicate order;
+    a ``Sequence[SimOutcome]``.
+
+    ``extinction_times`` holds ``inf`` where the replicate was censored.
+    The :class:`SimOutcome` objects are built once, the first time a
+    replicate is indexed or the batch iterated.  A batch equals another
+    batch, or a list, holding the same outcomes.
+    """
+
+    _ARRAYS = ("extinction_times", "censored", "event_counts", "peak_hosts")
+    __slots__ = (*_ARRAYS, "horizon", "_outcomes")
+
+    def __init__(
+        self,
+        extinction_times: np.ndarray,
+        censored: np.ndarray,
+        event_counts: np.ndarray,
+        peak_hosts: np.ndarray,
+        horizon: float | None,
+    ):
+        self.extinction_times = extinction_times
+        self.censored = censored
+        self.event_counts = event_counts
+        self.peak_hosts = peak_hosts
+        for a in (extinction_times, censored, event_counts, peak_hosts):
+            a.setflags(write=False)
+        self.horizon = horizon
+        self._outcomes: list[SimOutcome] | None = None
+
+    def _list(self) -> list[SimOutcome]:
+        if self._outcomes is None:
+            self._outcomes = [
+                SimOutcome(None if c else t, self.horizon, e, p)
+                for t, c, e, p in zip(
+                    self.extinction_times.tolist(),
+                    self.censored.tolist(),
+                    self.event_counts.tolist(),
+                    self.peak_hosts.tolist(),
+                )
+            ]
+        return self._outcomes
+
+    def __len__(self) -> int:
+        return len(self.censored)
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, BatchOutcomes):
+            return self.horizon == other.horizon and all(
+                np.array_equal(getattr(self, a), getattr(other, a)) for a in self._ARRAYS
+            )
+        if isinstance(other, Sequence):
+            return self._list() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"BatchOutcomes({len(self)} replicates, horizon={self.horizon})"
 
 
 class _Rows:
@@ -340,26 +409,33 @@ class _Rows:
 
         # one uniform across the combined rate picks kind and type: the type
         # is the first whose cumulative weight (removal rho*n_k, release
-        # beta*k*n_k, in ascending type order) exceeds x; the scan stops at
-        # the highest type any population holds
+        # beta*k*n_k, in ascending type order) exceeds x.  The running sums
+        # are one cumsum down the types, up to the highest type any
+        # population holds.
         x = u_pick * total
         removal = x < removal_rate
         x -= np.where(removal, 0.0, removal_rate)
-        acc = np.zeros(n)
-        col = np.zeros(n, dtype=np.intp)
-        scanned = self.counts[: np.flatnonzero(self.counts.any(axis=1))[-1] + 1]
-        for k, counts in enumerate(scanned, start=1):
-            acc += counts * np.where(removal, m.rho, m.beta * k)
-            col += acc <= x
-        edge = col == len(scanned)
+        top = int(np.flatnonzero(self.counts.any(axis=1))[-1]) + 1
+        release_weight = m.beta * np.arange(1, top + 1, dtype=float)
+        acc = np.where(removal, m.rho, release_weight[:, None])
+        acc *= self.counts[:top]
+        if n < _ROW_SUMS:
+            np.cumsum(acc, axis=0, out=acc)
+        else:  # same sums, faster when rows are long
+            for k in range(1, top):
+                acc[k] += acc[k - 1]
+        col = np.count_nonzero(acc <= x, axis=0)
+        edge = col == top
         if edge.any():  # x landed on the top edge by rounding: last occupied type
             occupied = self.counts[::-1, edge] > 0.0
             col[edge] = len(self.counts) - 1 - np.argmax(occupied, axis=0)
 
-        # scatter updates on the flat counts: entry (k-1)*n + i is n_k of
-        # population i.  Offsets one type below 1 wrap around to the last row
-        # and add 0 there.
-        here = col * n + np.arange(n)
+        # scatter updates on the flat counts (ufunc.at on flat indices is the
+        # fastest scatter numpy offers here): entry (k-1)*n + i is n_k of
+        # population i.  Offsets one type below 1 wrap around to the last
+        # row and add 0 there.
+        lanes = np.arange(n)
+        here = col * n + lanes
         np.subtract.at(self.counts.reshape(-1), here, 1.0)
         release = ~removal
         np.add.at(self.counts.reshape(-1), here - n, (release & (col > 0)).astype(float))
@@ -372,7 +448,7 @@ class _Rows:
             top = int(j.max())
             if top > len(self.counts):
                 self.widen(top)
-            np.add.at(self.counts.reshape(-1), (j - 1) * n + np.arange(n), born.astype(float))
+            np.add.at(self.counts.reshape(-1), (j - 1) * n + lanes, born.astype(float))
             self.hosts += born
             self.spores += j
         return removal, col + 1, j
@@ -386,7 +462,7 @@ def _simulate(
     replicates: int,
     horizon: float | None,
     max_events: int,
-) -> list[SimOutcome]:
+) -> BatchOutcomes:
     """The engine: replicates first .. first + replicates - 1 from ``init``.
 
     A pool of single-host families advances one event per family per step;
@@ -406,6 +482,8 @@ def _simulate(
     censored = np.zeros(replicates, dtype=bool)
     events = np.zeros(replicates, dtype=np.uint64)
     peaks = np.zeros(replicates)
+    failed = replicates  # smallest replicate over budget, if any
+    steps = drain_steps = calls = computed = consumed = 0
 
     if n_families:
         width = max(int(founders[-1]), m.offspring.quantile(1.0 - 2.0**-20), 1)
@@ -419,7 +497,10 @@ def _simulate(
         end = math.inf if horizon is None else horizon
         started = 0  # families started so far
         limit = replicates * n_families  # families to start
-        failed = replicates  # smallest replicate over budget, if any
+        # uniforms computed ahead: ahead[w][e, lane[i]] is word w of live
+        # family i's e-th block after the buffer was computed; row is the
+        # next e to read, depth the buffer's length (both 0: compute first)
+        depth = row = 0
 
         def start(slots: np.ndarray) -> None:
             nonlocal started
@@ -439,10 +520,27 @@ def _simulate(
 
         start(np.arange(size))
         while len(replicate):
-            # waiting-time, type-choice and offspring words; the spare is unused
-            words = philox4x64((done_events + np.uint64(1), family, 0, 0), (key, seed))[:3]
-            uniforms = [_u01(w) for w in words]
-            del words  # frees the Philox buffers before the kernel allocates
+            live = len(replicate)
+            if row == depth:
+                # as many events ahead as fit in one full-pool step: one
+                # while families are still being started (the pool is full,
+                # so slots refilled after this step get fresh blocks), more
+                # as the drain empties the pool
+                depth = size // live
+                ahead_counter = done_events + np.arange(1, depth + 1, dtype=np.uint64)[:, None]
+                # waiting-time, type-choice and offspring words; the spare is unused
+                words = philox4x64((ahead_counter, family, 0, 0), (key, seed))[:3]
+                ahead = [_u01(w) for w in words]
+                del words, ahead_counter  # frees the Philox buffers before the kernel allocates
+                lane = np.arange(live)
+                row = 0
+                computed += depth * live
+                calls += 1
+            uniforms = [u[row, lane] for u in ahead]
+            row += 1
+            steps += 1
+            drain_steps += live < size
+            consumed += live
             pool.event(*uniforms)
             cut = pool.clock > end  # the event falls past the horizon
             done_events += ~cut
@@ -476,28 +574,28 @@ def _simulate(
                 keep = np.ones(len(replicate), dtype=bool)
                 keep[free] = False
                 pool.keep(keep)
-                replicate, key, family, done_events, peak = (
-                    a[keep] for a in (replicate, key, family, done_events, peak)
+                replicate, key, family, done_events, peak, lane = (
+                    a[keep] for a in (replicate, key, family, done_events, peak, lane)
                 )
-        if failed < replicates:
-            index = first + failed
-            raise BudgetError(
-                f"replicate {index}: event budget {max_events} exhausted; "
-                "the model may be critical or supercritical",
-                replicate=index,
-            )
 
-    return [
-        SimOutcome(
-            extinction_time=None if c else t,
-            horizon=horizon,
-            event_count=e,
-            peak_hosts=int(p),
+    logger.debug(
+        "batch of %d replicates, %d families: %d engine steps, %d in the drain; "
+        "%d Philox blocks computed in %d calls, %d consumed; %d events, at most %d per "
+        "replicate; peak hosts at most %d", replicates, replicates * n_families, steps,
+        drain_steps, computed, calls, consumed, int(events.sum()), int(events.max()),
+        int(peaks.max()),
+    )
+    if failed < replicates:
+        index = first + failed
+        raise BudgetError(
+            f"replicate {index}: event budget {max_events} exhausted; "
+            "the model may be critical or supercritical",
+            replicate=index,
         )
-        for t, c, e, p in zip(
-            times.tolist(), censored.tolist(), events.tolist(), peaks.tolist()
-        )
-    ]
+    times[censored] = math.inf
+    return BatchOutcomes(
+        times, censored, events.astype(np.int64), peaks.astype(np.int64), horizon
+    )
 
 
 def step(state: PopulationState, m: ModelParams, rng: RandomStream) -> EventRecord:
@@ -575,13 +673,15 @@ def run_batch(
     horizon: float | None = None,
     max_events: int = DEFAULT_MAX_EVENTS,
     threads: int = 1,
-) -> list[SimOutcome]:
+) -> BatchOutcomes:
     """Independent replicates; replicate i equals
     ``run_to_extinction(init, m, RandomStream(master_seed, i), ...)``.
 
-    Results come in replicate-index order.  ``threads`` is accepted for
-    compatibility and has no effect: the engine runs in the calling thread
-    and its results depend on no schedule.  A :class:`BudgetError` names the
+    Results come in replicate-index order, as a :class:`BatchOutcomes`:
+    arrays of extinction times, censoring flags, event counts and peak host
+    counts that also read as a sequence of :class:`SimOutcome`.
+    ``threads`` is accepted for compatibility and has no effect: the engine
+    runs in the calling thread and its results depend on no schedule.  A :class:`BudgetError` names the
     smallest replicate index whose events exceed ``max_events``.
     """
     return _simulate(init, m, master_seed, 0, replicates, horizon, max_events)

@@ -75,7 +75,7 @@ def estimate_qk(
     outcomes = run_batch(
         init, m, seed, replicates=n, horizon=t, max_events=max_events, threads=threads
     )
-    survived = sum(1 for o in outcomes if o.censored)
+    survived = int(np.count_nonzero(outcomes.censored))
     low, high = wilson_interval(survived, n)
     return EstimateWithCI(point=survived / n, ci_low=low, ci_high=high, n=n, method="wilson-95")
 
@@ -100,13 +100,11 @@ def survival_curve_mc(
     outcomes = run_batch(
         init, m, seed, replicates=n, horizon=horizon, max_events=max_events, threads=threads
     )
-    times = np.array(
-        [math.inf if o.censored else o.extinction_time for o in outcomes], dtype=float
-    )
+    # survivors at t: extinction times beyond t (censored ones are inf)
+    alive = n - np.searchsorted(np.sort(outcomes.extinction_times), ts, side="right")
     qs = np.empty_like(ts)
     err = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        survived = int((times > t).sum())
+    for i, survived in enumerate(alive.tolist()):
         low, high = wilson_interval(survived, n)
         qs[i] = survived / n
         err[i] = (high - low) / 2.0
@@ -213,7 +211,7 @@ def gumbel_experiment(
     outcomes = run_batch(
         init, m, seed, replicates=replicates, horizon=None, max_events=max_events, threads=threads
     )
-    times = np.array([o.extinction_time for o in outcomes], dtype=float)
+    times = outcomes.extinction_times
     center = math.log(C * init.n_spores)
     w = lam * times - center
     ks = ks_distance(w, gumbel_cdf)

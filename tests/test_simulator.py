@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -379,16 +381,98 @@ class TestBatchEngine:
     def test_replicate_equals_single_run(self, monkeypatch, cells):
         # the pool size changes which families run together, never a result
         monkeypatch.setattr(simulator, "POOL_CELLS", cells)
-        init = PopulationState.from_counts({1: 4, 3: 2})
-        for m, horizon in (
-            (ModelParams(1.0, 0.5, TWO_POINT), None),
-            (ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), 1.5),
+        mixed = PopulationState.from_counts({1: 4, 3: 2})
+        # long-lived families of a wide law: replicate 232 takes 688 events,
+        # so the drain computes blocks ahead at many depths, and the type
+        # scan reaches type 47
+        one = PopulationState.from_counts({1: 1})
+        wide = ModelParams(1.0, 9.0, OffspringDistribution.geometric(0.1))
+        for init, m, horizon, n in (
+            (mixed, ModelParams(1.0, 0.5, TWO_POINT), None, 64),
+            (mixed, ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), 1.5, 64),
+            (one, wide, None, 256),
+            (one, wide, 1.0, 256),
         ):
-            batch = run_batch(init, m, 123, replicates=64, horizon=horizon)
-            for i in (0, 1, 17, 63):
+            batch = run_batch(init, m, 123, replicates=n, horizon=horizon)
+            longest = int(np.argmax(batch.event_counts))
+            for i in sorted({0, 1, 17, n - 1, longest}):
                 assert batch[i] == run_to_extinction(
                     init, m, RandomStream(123, i), horizon=horizon
                 )
+
+    def test_kernel_same_for_any_population_count(self):
+        # one event on 300 populations at once (running sums added row by
+        # row) equals the event on each population alone (one cumsum)
+        rng = np.random.default_rng(3)
+        probs = rng.random(12)
+        m = ModelParams(0.3, 0.7, OffspringDistribution.table((probs / probs.sum()).tolist()))
+        n, width = 300, 12
+        counts = rng.integers(0, 3, size=(width, n)).astype(float)
+        counts[rng.integers(0, width, size=n), np.arange(n)] += 1.0
+        u = rng.random((3, n))
+
+        def kernel(cols):
+            rows = simulator._Rows(m, len(cols), width)
+            rows.counts[:] = counts[:, cols]
+            rows.hosts[:] = rows.counts.sum(axis=0)
+            rows.spores[:] = (np.arange(1, width + 1)[:, None] * rows.counts).sum(axis=0)
+            drawn = rows.event(*u[:, cols])
+            return rows, drawn
+
+        together, drawn = kernel(np.arange(n))
+        assert 0 < drawn[0].sum() < n  # removals and releases
+        for i in range(n):
+            alone, one = kernel(np.array([i]))
+            assert all(a[0] == b[i] for a, b in zip(one, drawn))
+            assert np.array_equal(alone.counts[:, 0], together.counts[:, i])
+            assert alone.clock[0] == together.clock[i]
+
+    def test_batch_outcomes_sequence(self):
+        m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
+        init = PopulationState.from_counts({2: 1})
+        n = 40
+        batch = run_batch(init, m, 77, replicates=n, horizon=1.0)
+        singles = [
+            run_to_extinction(init, m, RandomStream(77, i), horizon=1.0) for i in range(n)
+        ]
+        assert len(batch) == n
+        assert list(batch) == singles
+        assert batch[-1] == singles[-1] and batch[-n] == singles[0]
+        with pytest.raises(IndexError):
+            batch[n]
+        assert batch == singles and singles == batch
+        assert batch != singles[:-1]
+        assert batch == run_batch(init, m, 77, replicates=n, horizon=1.0)
+        assert batch != run_batch(init, m, 78, replicates=n, horizon=1.0)
+        assert 0 < batch.censored.sum() < n
+        assert batch.censored.tolist() == [o.extinction_time is None for o in batch]
+        assert batch.extinction_times.tolist() == [
+            math.inf if o.censored else o.extinction_time for o in singles
+        ]
+        assert batch.event_counts.tolist() == [o.event_count for o in singles]
+        assert batch.peak_hosts.tolist() == [o.peak_hosts for o in singles]
+
+    def test_work_counters_logged(self, caplog):
+        m = ModelParams(1.0, 9.0, OffspringDistribution.geometric(0.1))
+        init = PopulationState.from_counts({1: 1})
+        with caplog.at_level(logging.DEBUG, logger="sporesim.simulator"):
+            batch = run_batch(init, m, 123, replicates=256)
+        (record,) = [r for r in caplog.records if r.name == "sporesim.simulator"]
+        found = re.search(
+            r"batch of 256 replicates, 256 families: (\d+) engine steps, (\d+) in the drain; "
+            r"(\d+) Philox blocks computed in (\d+) calls, (\d+) consumed; (\d+) events, "
+            r"at most (\d+) per replicate; peak hosts at most (\d+)",
+            record.getMessage(),
+        )
+        assert found, record.getMessage()
+        steps, drain, computed, calls, consumed, events, most, peak = map(int, found.groups())
+        assert events == batch.event_counts.sum()
+        assert most == batch.event_counts.max() == 688
+        assert peak == batch.peak_hosts.max()
+        assert consumed == events  # no horizon: every block read is an event
+        assert computed > consumed  # blocks computed ahead for families that died first
+        assert steps >= most and 0 < drain < steps
+        assert calls < steps  # drain steps read blocks computed by earlier calls
 
     def test_budget_error_replicate_independent_of_pool(self, monkeypatch):
         m = ModelParams(1.0, 0.0, TWO_POINT)
