@@ -57,7 +57,7 @@ from .analytic import (
     solve_survival,
 )
 from .model import DecayWindow, ModelParams, OffspringDistribution, validate
-from .simulator import DEFAULT_MAX_EVENTS, RNG_ALGORITHM, BudgetError
+from .simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS, RNG_ALGORITHM, BudgetError
 from .stats import (
     WindowError,
     check_growth_condition,
@@ -210,6 +210,8 @@ def _initial_counts(value) -> dict[str, int]:
             counts[k] = n
     if not counts:
         raise ValueError("needs at least one host")
+    if sum(counts.values()) >= 1 << 32:  # a family's index is one 32-bit Philox word
+        raise ValueError("needs fewer than 2**32 hosts")
     return {str(k): n for k, n in sorted(counts.items())}
 
 
@@ -226,6 +228,9 @@ def _bound(ok, message: str):
 _POSITIVE = _bound(lambda x, s, m: x > 0, "must be positive")
 _COVERS_K = _bound(
     lambda K, s, m: K >= max(s["k"]), "truncation level K must cover every requested k"
+)
+_EVENT_BUDGET = _bound(
+    lambda x, s, m: 1 <= x <= MAX_EVENTS, f"must lie in [1, {MAX_EVENTS}] (2**31 - 1)"
 )
 _SEED_RANGE = _bound(lambda seed, s, m: 0 <= seed < 1 << 64, "must lie in [0, 2**64)")
 _LEADING_CONSTANT = _bound(
@@ -610,7 +615,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("K", _integer, lambda s, m: max(max(s["k"]), 20), _COVERS_K),
             Key("tol", _number, 1e-9, _POSITIVE),
             Key("replicates", _integer, 100_000, _POSITIVE),
-            Key("max_events", _integer, DEFAULT_MAX_EVENTS, _POSITIVE),
+            Key("max_events", _integer, DEFAULT_MAX_EVENTS, _EVENT_BUDGET),
             SEED,
         ),
         run=_run_survival,
@@ -637,7 +642,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         keys=(
             Key("z", _initial_counts),
             Key("replicates", _integer, 2000, _POSITIVE),
-            Key("max_events", _integer, DEFAULT_MAX_EVENTS, _POSITIVE),
+            Key("max_events", _integer, DEFAULT_MAX_EVENTS, _EVENT_BUDGET),
             Key("a", _number, lambda s, m: DecayWindow.for_model(m).a, _window_a),
             Key("C", _optional_number, None, _LEADING_CONSTANT),
             SEED,

@@ -22,20 +22,25 @@ embedded jump chain:
   host, J drawn from the offspring law by inverse CDF (nothing is created
   when J = 0).
 
-Random numbers (tag ``philox4x64-u01/v2``): event e of family f in
-replicate r reads the four 64-bit words of one Philox4x64-10 block with key
-(seed << 64) | r and counter (e + 1, f, 0, 0): waiting time, type choice,
-offspring, spare.  A word w becomes the uniform (w >> 11) * 2^-53, as in
-numpy's ``Generator.random``, so family 0 of replicate r reads numpy's own
-stream (seed, r) word for word.  Every draw is a pure function of
-(seed, replicate, family, event): results depend neither on how many
-families are advanced together nor on any thread count.
+Random numbers (tag ``philox4x32-u01/v3``): event e (from 0) of family f
+in replicate r reads two Philox4x32-10 blocks, with key (seed mod 2^32,
+seed >> 32) and counters (2e + b, f, r mod 2^32, r >> 32) for b = 0, 1.
+A block's 32-bit output words (x0, x1, x2, x3) make the 64-bit words
+(x1 << 32) | x0 and (x3 << 32) | x2, and a word w becomes the uniform
+(w >> 11) * 2^-53, 53 bits as in numpy's ``Generator.random``.  Block 0
+gives the waiting-time and type-choice uniforms, block 1 the offspring
+uniform and a spare word.
+No two draws share a counter: event budgets are capped at
+:data:`MAX_EVENTS` = 2^31 - 1 and families per replicate at 2^32 - 1.
+Every draw is a pure function of (seed, replicate, family, event):
+results depend neither on how many families are advanced together nor on
+any thread count.  (``v2`` read one Philox4x64-10 block per event.)
 
 :func:`run_batch` advances a pool of families together, one event per
 family per step, refilling freed slots in (replicate, family) order.  Once
 no family is left to start the pool only shrinks, and the engine computes
 each live family's Philox blocks several events ahead in one call, as many
-as fit in one full-pool step.  A batch's results are arrays, a
+events as fit in one full-pool step.  A batch's results are arrays, a
 :class:`BatchOutcomes`; a :class:`SimOutcome` per replicate is built only
 when one is indexed or iterated.  :func:`run_to_extinction` is the same
 engine on one replicate, and :func:`step` applies the same transition
@@ -55,7 +60,7 @@ import numpy as np
 
 from .model import ModelParams, sample_offspring
 
-RNG_ALGORITHM = "philox4x64-u01/v2"
+RNG_ALGORITHM = "philox4x32-u01/v3"
 
 logger = logging.getLogger(__name__)
 
@@ -70,17 +75,23 @@ POOL_CELLS = 1 << 15
 # while adding a row costs ~1.5 us however long it is
 _ROW_SUMS = 256
 
-# RandomStream materializes uniforms in growing blocks; the block schedule
-# never changes the draw sequence, only how far ahead it is computed
-_FIRST_BLOCK = 128
-_MAX_BLOCK = 4096
+# RandomStream computes its uniforms in growing blocks of events, so a
+# fresh stream's first draw stays cheap; the block schedule never changes
+# the draw sequence, only how far ahead it is computed
+_FIRST_BLOCK = 43
+_MAX_BLOCK = 1024
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# event e reads the Philox counters 2e and 2e + 1, which must stay below 2^32
+MAX_EVENTS = (1 << 31) - 1
+
+_PHILOX_M = np.array([0xD2511F53, 0xCD9E8D57], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 _PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
+_LOW32 = np.uint64(_MASK32)
 _SHIFT32 = np.uint64(32)
+_SHIFT21 = np.uint64(21)
 _SHIFT11 = np.uint64(11)
 
 
@@ -103,74 +114,76 @@ class BudgetError(RuntimeError):
         self.replicate = replicate
 
 
-def _mulhilo(a, m: int, hi, lo, tmp) -> None:
-    """hi, lo = high and low 64-bit words of a * m, from 32-bit halves;
-    ``tmp`` holds four scratch arrays shaped like ``a``."""
-    a_lo, a_hi, t, t2 = tmp
-    m_lo = np.uint64(m & 0xFFFFFFFF)
-    m_hi = np.uint64(m >> 32)
-    np.bitwise_and(a, _LOW32, out=a_lo)
-    np.right_shift(a, _SHIFT32, out=a_hi)
-    np.multiply(a_lo, m_lo, out=t)
-    t >>= _SHIFT32
-    np.multiply(a_hi, m_lo, out=t2)
-    t2 += t  # a_hi*m_lo + carry, below 2^64
-    np.multiply(a_lo, m_hi, out=t)
-    np.bitwise_and(t2, _LOW32, out=a_lo)
-    t += a_lo  # a_lo*m_hi + low half of t2, below 2^64
-    t2 >>= _SHIFT32
-    t >>= _SHIFT32
-    np.multiply(a_hi, m_hi, out=hi)
-    hi += t2
-    hi += t
-    np.multiply(a, np.uint64(m), out=lo)
+def philox4x32(counter, key: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """Philox4x32-10 blocks (Salmon et al., SC'11), elementwise.
 
-
-def philox4x64(counter, key) -> tuple[np.ndarray, ...]:
-    """Philox4x64-10 blocks (Salmon et al., SC'11), elementwise.
-
-    ``counter`` holds four broadcastable uint64 arrays, ``key`` an array of
-    low key words (numpy's 128-bit Philox key is (high << 64) | low) and one
-    integer high word; returns the four output words.  Bit for bit what
-    ``np.random.Philox`` produces for the same key and counter.
+    ``counter`` holds four broadcastable arrays of 32-bit words and ``key``
+    two 32-bit integers; returns the four output words as uint64 arrays.
+    Each 32x32 -> 64 product is one exact uint64 multiply.
     """
-    low, high = key
-    words = np.broadcast_arrays(
-        *(np.array(a, dtype=np.uint64, ndmin=1) for a in (*counter, low))
+    words = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    # words 0 and 2, words 1 and 3, products; one allocation, not three
+    even, odd, scratch = np.empty((3, 2, *words[0].shape), dtype=np.uint64)
+    even[0], odd[0], even[1], odd[1] = words
+    ones = (1,) * words[0].ndim
+    m = _PHILOX_M.reshape(2, *ones)
+    keys = np.array(
+        [[(k + i * w) & _MASK32 for k, w in zip(key, _PHILOX_W)] for i in range(_PHILOX_ROUNDS)],
+        dtype=np.uint64,
+    ).reshape(_PHILOX_ROUNDS, 2, *ones)
+    for k in keys:
+        np.multiply(even, m, out=scratch)
+        np.right_shift(scratch, _SHIFT32, out=even)  # high halves of both products
+        scratch &= _LOW32  # low halves
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        odd ^= even[::-1]
+        odd ^= k
+        even, odd, scratch = odd, scratch[::-1], even
+    return even[0], odd[0], even[1], odd[1]
+
+
+def _u01(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from 64-bit words (hi << 32) | lo, as (w >> 11) * 2^-53."""
+    return ((hi << _SHIFT21) | (lo >> _SHIFT11)) * 2.0**-53
+
+
+def event_uniforms(seed: int, event, family, replicate) -> tuple[np.ndarray, ...]:
+    """The waiting-time, type-choice and offspring uniforms of event(s)
+    ``event`` of family ``family`` in replicate ``replicate`` (broadcastable
+    integer arrays), under the engine's counter layout."""
+    e, f, r = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.uint64) for a in (event, family, replicate))
     )
-    buf = np.empty((13, *words[0].shape), dtype=np.uint64)
-    for dst, src in zip(buf, words):
-        dst[...] = src
-    c0, c1, c2, c3, k0, hi0, lo0, hi1, lo1, *tmp = buf
-    for i in range(_PHILOX_ROUNDS):
-        if i:
-            k0 += np.uint64(_PHILOX_W[0])
-        _mulhilo(c0, _PHILOX_M[0], hi0, lo0, tmp)
-        _mulhilo(c2, _PHILOX_M[1], hi1, lo1, tmp)
-        np.bitwise_xor(hi1, c1, out=c0)
-        c0 ^= k0
-        np.bitwise_xor(hi0, c3, out=c2)
-        c2 ^= np.uint64((int(high) + i * _PHILOX_W[1]) & _MASK64)
-        c1, lo1 = lo1, c1
-        c3, lo0 = lo0, c3
-    return c0, c1, c2, c3
+    e = e * np.uint64(2)
+    x0, x1, x2, x3 = philox4x32(
+        (np.stack((e, e + np.uint64(1))), f, r & _LOW32, r >> _SHIFT32),
+        (seed & _MASK32, seed >> 32),
+    )
+    wait, offspring = _u01(x0, x1)  # word pair 0 of blocks 0 and 1
+    return wait, _u01(x2[0], x3[0]), offspring  # pair 1 of block 1 is spare
 
 
-def _u01(word: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) from 64-bit words, as Generator.random makes them."""
-    return (word >> _SHIFT11) * 2.0**-53
+def _stream_uniforms(seed: int, index: int):
+    """Family 0's uniforms of replicate ``index``, in the engine's order."""
+    start, n = 0, _FIRST_BLOCK
+    while start < MAX_EVENTS:
+        events = np.arange(start, min(start + n, MAX_EVENTS), dtype=np.uint64)
+        yield from np.stack(event_uniforms(seed, events, 0, index), axis=1).ravel().tolist()
+        start, n = start + n, min(n * 8, _MAX_BLOCK)
 
 
 class RandomStream:
     """Counter-based random stream fully determined by (version, seed, index).
 
-    Distinct stream indices under the same master seed give statistically
-    independent streams.  The simulation engines key their draws on
-    (``seed``, ``index``) directly; :meth:`uniform01` serves the stream's
-    uniforms in order, for the naive engine and for single draws.
+    The engines key their draws on (``seed``, ``index``) directly, replicate
+    ``index`` under master seed ``seed``; :meth:`uniform01` serves its family
+    0's uniforms in the engine's order (waiting time, type choice, offspring,
+    event after event; two Philox4x32 blocks per event, laid out as the
+    module docstring says), so iterating :func:`step` on a fresh stream from a
+    one-host start reproduces :func:`run_to_extinction` bit for bit.
     """
 
-    __slots__ = ("seed", "index", "_gen", "_buf", "_i", "_block")
+    __slots__ = ("seed", "index", "_draws")
 
     version = RNG_ALGORITHM
 
@@ -180,29 +193,15 @@ class RandomStream:
         _check_stream_id(seed, index)
         self.seed = seed
         self.index = index
-        self._gen = np.random.Generator(np.random.Philox(key=(seed << 64) | index))
-        self._buf: list[float] = []
-        self._i = 0
-        self._block = _FIRST_BLOCK
+        self._draws = _stream_uniforms(seed, index)
 
     def uniform01(self) -> float:
         """Next uniform draw in [0, 1)."""
-        if self._i == len(self._buf):
-            n = self._block
-            self._block = min(n * 8, _MAX_BLOCK)
-            self._buf = self._gen.random(n).tolist()
-            self._i = 0
-        self._i += 1
-        return self._buf[self._i - 1]
+        return next(self._draws)
 
     def exponential(self, rate: float) -> float:
         """Exp(rate) via inverse CDF -ln(U)/rate with U in (0, 1]."""
         return -math.log1p(-self.uniform01()) / rate
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """Underlying numpy generator, for the naive engine's clock draws."""
-        return self._gen
 
 
 @dataclass
@@ -472,8 +471,10 @@ def _simulate(
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if max_events < 1:
-        raise ValueError("max_events must be >= 1")
+    if not 1 <= max_events <= MAX_EVENTS:
+        raise ValueError(f"max_events must lie in [1, {MAX_EVENTS}]")
+    if sum(init.counts.values()) >= 1 << 32:
+        raise ValueError("a replicate must start from fewer than 2**32 hosts")
     _check_stream_id(seed, first + replicates - 1)
     types = sorted(init.counts)
     founders = np.repeat(np.array(types, dtype=np.intp), [init.counts[k] for k in types])
@@ -497,8 +498,8 @@ def _simulate(
         end = math.inf if horizon is None else horizon
         started = 0  # families started so far
         limit = replicates * n_families  # families to start
-        # uniforms computed ahead: ahead[w][e, lane[i]] is word w of live
-        # family i's e-th block after the buffer was computed; row is the
+        # uniforms computed ahead: ahead[w][e, lane[i]] is uniform w of live
+        # family i's e-th event after the buffer was computed; row is the
         # next e to read, depth the buffer's length (both 0: compute first)
         depth = row = 0
 
@@ -527,11 +528,11 @@ def _simulate(
                 # so slots refilled after this step get fresh blocks), more
                 # as the drain empties the pool
                 depth = size // live
-                ahead_counter = done_events + np.arange(1, depth + 1, dtype=np.uint64)[:, None]
-                # waiting-time, type-choice and offspring words; the spare is unused
-                words = philox4x64((ahead_counter, family, 0, 0), (key, seed))[:3]
-                ahead = [_u01(w) for w in words]
-                del words, ahead_counter  # frees the Philox buffers before the kernel allocates
+                # events past the budget are never read: clipping them keeps
+                # every Philox counter below 2^32
+                ahead_events = done_events + np.arange(depth, dtype=np.uint64)[:, None]
+                np.minimum(ahead_events, max_events, out=ahead_events)
+                ahead = event_uniforms(seed, ahead_events, family, key)
                 lane = np.arange(live)
                 row = 0
                 computed += depth * live
@@ -580,7 +581,7 @@ def _simulate(
 
     logger.debug(
         "batch of %d replicates, %d families: %d engine steps, %d in the drain; "
-        "%d Philox blocks computed in %d calls, %d consumed; %d events, at most %d per "
+        "%d Philox block pairs computed in %d calls, %d consumed; %d events, at most %d per "
         "replicate; peak hosts at most %d", replicates, replicates * n_families, steps,
         drain_steps, computed, calls, consumed, int(events.sum()), int(events.max()),
         int(peaks.max()),
@@ -603,9 +604,9 @@ def step(state: PopulationState, m: ModelParams, rng: RandomStream) -> EventReco
 
     The batch engine's transition kernel on one population, drawing exactly
     three uniforms from ``rng``: waiting time, type choice and offspring
-    (drawn, and unused, for a removal too).  Fed a family's Philox words
-    (skipping each block's spare), iterating it reproduces the engine bit
-    for bit.
+    (drawn, and unused, for a removal too).  Fed a family's uniforms (a
+    fresh :class:`RandomStream` serves family 0's), iterating it reproduces
+    the engine bit for bit.
     """
     if state.n_hosts < 1:
         raise ValueError("step requires a non-extinct state")
@@ -698,8 +699,9 @@ def run_to_extinction_reference(
 
     Every host carries its own removal clock and every spore its own release
     clock; all clocks are redrawn after each event (memorylessness makes the
-    resampling exact).  O(hosts + spores) work per event, intended only for
-    small populations in tests.
+    resampling exact).  The clocks come from numpy's Philox4x64 generator
+    keyed (seed << 64) | index, the offspring from ``rng``.  O(hosts +
+    spores) work per event, intended only for small populations in tests.
     """
     hosts = []
     for k, n in init.counts.items():
@@ -707,7 +709,7 @@ def run_to_extinction_reference(
     t = init.clock
     peak = len(hosts)
     events = 0
-    gen = rng.generator
+    gen = np.random.Generator(np.random.Philox(key=(rng.seed << 64) | rng.index))
 
     while hosts:
         n = len(hosts)

@@ -15,6 +15,7 @@ from sporesim.cli import (
     parse_config,
     run_experiment,
 )
+from sporesim.simulator import RNG_ALGORITHM
 
 MINIMAL_SURVIVAL = """
 {
@@ -74,6 +75,15 @@ OUT_OF_RANGE = {
     ),
     "gumbel-max_events-0": (
         LF_MODEL_BLOCK, LF_GUMBEL + ', "max_events": 0, "seed": 1', [], "max_events"
+    ),
+    "gumbel-max_events-2**31": (
+        LF_MODEL_BLOCK, LF_GUMBEL + ', "max_events": 2147483648, "seed": 1', [], "max_events"
+    ),
+    "gumbel-z-2**32-hosts": (
+        LF_MODEL_BLOCK,
+        '"type": "gumbel", "z": {"1": 4294967295, "2": 1}, "seed": 1',
+        [],
+        "z",
     ),
     "constant-K-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 0', [], "K"),
     "slope-K-0": (LF_MODEL_BLOCK, '"type": "slope", "K": 0', [], "K"),
@@ -389,6 +399,28 @@ class TestMain:
         )
         for name in ("gumbel.json", "extinction_times.csv"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+def test_rng_tag_documented_and_recorded(tmp_path):
+    # a bump of the RNG tag must reach README and every artifact
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f"`{RNG_ALGORITHM}`" in readme
+    for kind, text in MINIMAL_CONFIGS.items():
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / kind
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--seed", "1"]) == EXIT_OK
+        artifacts = sorted(out.iterdir())
+        assert artifacts
+        for path in artifacts:
+            if path.suffix == ".json":
+                tag = json.loads(path.read_text())["metadata"]["rng_algorithm"]
+            else:
+                (tag,) = [
+                    line.removeprefix("# rng_algorithm=")
+                    for line in path.read_text().splitlines()
+                    if line.startswith("# rng_algorithm=")
+                ]
+            assert tag == RNG_ALGORITHM, path.name
 
 
 class TestShippedConfigs:

@@ -24,56 +24,90 @@ from sporesim import (
     survival_indicator,
 )
 from sporesim import simulator
-from sporesim.simulator import philox4x64
+from sporesim.simulator import event_uniforms, philox4x32
 from sporesim.stats import wilson_interval
 
 NO_OFFSPRING = OffspringDistribution.table([1.0])
 TWO_POINT = OffspringDistribution.table([0.6, 0.0, 0.4])
-WORD = st.integers(0, 2**64 - 1)
+WORD32 = st.integers(0, 2**32 - 1)
+MASK32 = 2**32 - 1
+
+
+def philox4x32_scalar(counter, key):
+    """One Philox4x32-10 block on Python integers, from the specification
+    (Salmon et al., SC'11; Random123's philox4x32round and key bump)."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & MASK32
+        k0, k1 = (k0 + 0x9E3779B9) & MASK32, (k1 + 0xBB67AE85) & MASK32
+    return c0, c1, c2, c3
 
 
 class FamilyWords:
-    """Stub stream for step(): serves the waiting-time, type-choice and
-    offspring words of one family's Philox blocks, event after event (each
-    block's spare word skipped), as uniforms."""
+    """Stub stream for step(): serves one family's uniforms, event after
+    event, computed with the scalar Philox from the v3 layout: event e reads
+    blocks with counters (2e + b, family, replicate low and high 32 bits) for
+    b = 0, 1 under the seed's two 32-bit halves as key.  Block 0's 64-bit
+    words (x1 << 32) | x0 and (x3 << 32) | x2 give the waiting-time and
+    type-choice uniforms, block 1's (x1 << 32) | x0 the offspring uniform."""
 
     def __init__(self, seed: int, replicate: int, family: int):
-        self.key = (replicate, seed)
-        self.family = family
+        self.key = (seed & MASK32, seed >> 32)
+        self.counter = (family, replicate & MASK32, replicate >> 32)
         self.event = 0
         self.words: list[float] = []
 
     def uniform01(self) -> float:
         if not self.words:
+            x, y = (
+                philox4x32_scalar((2 * self.event + b, *self.counter), self.key) for b in (0, 1)
+            )
             self.event += 1
-            block = philox4x64((self.event, self.family, 0, 0), self.key)
-            self.words = [(int(w[0]) >> 11) * 2.0**-53 for w in block[:3]]
+            pairs = ((x[1] << 32) | x[0], (x[3] << 32) | x[2], (y[1] << 32) | y[0])
+            self.words = [(w >> 11) * 2.0**-53 for w in pairs]
         return self.words.pop(0)
 
 
 class TestPhilox:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        seed=WORD,
-        replicate=WORD,
-        counter=st.tuples(st.integers(1, 2**64 - 1), WORD, WORD, WORD),
+    @pytest.mark.parametrize(
+        "counter, key, expected",
+        [
+            ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+            ((MASK32,) * 4, (MASK32,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+            (
+                (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+                (0xA4093822, 0x299F31D0),
+                (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+            ),
+        ],
+        ids=["zero", "ones", "pi"],
     )
-    def test_matches_numpy_philox(self, seed, replicate, counter):
-        bitgen = np.random.Philox(key=(seed << 64) | replicate)
-        state = bitgen.state
-        # numpy increments the counter before each block
-        state["state"]["counter"] = np.array([counter[0] - 1, *counter[1:]], dtype=np.uint64)
-        state["buffer_pos"] = 4
-        bitgen.state = state
-        words = philox4x64(counter, (replicate, seed))
-        assert [int(w[0]) for w in words] == bitgen.random_raw(4).tolist()
+    def test_known_answers(self, counter, key, expected):
+        # Random123's known-answer vectors for Philox4x32-10
+        assert tuple(int(w) for w in philox4x32(counter, key)) == expected
+        assert philox4x32_scalar(counter, key) == expected
 
-    def test_family_zero_reads_numpy_stream(self):
-        events = np.arange(1, 6, dtype=np.uint64)
-        words = np.stack(philox4x64((events, 0, 0, 0), (np.full(5, 9, np.uint64), 77)))
-        uniforms = ((words.T.ravel() >> np.uint64(11)) * 2.0**-53).tolist()
-        stream = RandomStream(77, 9)
-        assert uniforms == [stream.uniform01() for _ in range(20)]
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.tuples(WORD32, WORD32),
+        counters=st.lists(st.tuples(WORD32, WORD32, WORD32, WORD32), min_size=1, max_size=8),
+    )
+    def test_matches_scalar_specification(self, key, counters):
+        words = philox4x32(tuple(np.array(c, dtype=np.uint64) for c in zip(*counters)), key)
+        assert [tuple(w) for w in zip(*(w.tolist() for w in words))] == [
+            philox4x32_scalar(c, key) for c in counters
+        ]
+
+    def test_random_stream_serves_family_zero(self):
+        # the second case sets the high words of the key and the counter
+        for seed, replicate in ((77, 9), (2**40 + 77, 2**33 + 9)):
+            stream = RandomStream(seed, replicate)
+            family = FamilyWords(seed, replicate, 0)
+            assert [stream.uniform01() for _ in range(30)] == [
+                family.uniform01() for _ in range(30)
+            ]
 
 
 class TestRandomStream:
@@ -103,8 +137,8 @@ class TestRandomStream:
     def test_buffering_matches_raw_generator(self):
         # the block refill schedule must not alter the draw sequence
         rng = RandomStream(5, 7)
-        raw = np.random.Generator(np.random.Philox(key=(5 << 64) | 7)).random(3000)
-        assert [rng.uniform01() for _ in range(3000)] == raw.tolist()
+        raw = np.stack(event_uniforms(5, np.arange(2500), 0, 7), axis=1).ravel()
+        assert [rng.uniform01() for _ in range(3 * 2500)] == raw.tolist()
 
 
 class TestPopulationState:
@@ -158,13 +192,18 @@ class TestStep:
             step(PopulationState(), m, RandomStream(0, 0))
 
     def test_removal_probability(self):
-        # {1:2}, rho=1, beta=1: P(first event is removal) = 2/(2+2) = 1/2
+        # {1:2}, rho=1, beta=1: P(first event is removal) = 2/(2+2) = 1/2.
+        # Population i draws the uniforms RandomStream(5, i) serves first
+        # (event 0 of family 0), all in one call and one kernel step.
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
         n = 10**5
-        removals = 0
-        for i in range(n):
+        rows = simulator._Rows(m, n, 1)
+        rows.counts[0] = rows.hosts[:] = rows.spores[:] = 2.0
+        removal = rows.event(*event_uniforms(5, 0, 0, np.arange(n)))[0]
+        for i in (0, 1, n - 1):
             st = PopulationState.from_counts({1: 2})
-            removals += step(st, m, RandomStream(5, i)).kind == "removal"
+            assert (step(st, m, RandomStream(5, i)).kind == "removal") == removal[i]
+        removals = int(removal.sum())
         assert abs(removals / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
     def test_bookkeeping_and_spore_conservation(self):
@@ -235,6 +274,20 @@ class TestRunToExtinction:
                 clocks.append(st.clock)
             assert max(clocks) == fast.extinction_time
             assert events == fast.event_count
+
+    def test_random_stream_steps_reproduce_one_host_run(self):
+        # a fresh RandomStream(seed, r) serves family 0 of replicate r
+        m = ModelParams(1.2, 0.3, OffspringDistribution.geometric(0.7))
+        for r in range(5):
+            init = PopulationState.from_counts({3: 1})
+            st = init.copy()
+            rng = RandomStream(51, r)
+            events = 0
+            while not st.extinct:
+                step(st, m, rng)
+                events += 1
+            fast = run_to_extinction(init, m, RandomStream(51, r))
+            assert (st.clock, events) == (fast.extinction_time, fast.event_count)
 
     def test_input_not_mutated(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
@@ -313,6 +366,17 @@ class TestRunBatch:
         assert exc.value.replicate == 0
         assert "replicate 0" in str(exc.value)
 
+    def test_counter_layout_bounds(self):
+        # event e reads counters 2e and 2e + 1 < 2^32; a family index is one
+        # 32-bit counter word
+        m = ModelParams(1.0, 0.0, TWO_POINT)
+        init = PopulationState.from_counts({1: 1})
+        run_batch(init, m, 1, replicates=2, max_events=simulator.MAX_EVENTS)
+        with pytest.raises(ValueError, match="max_events"):
+            run_batch(init, m, 1, replicates=2, max_events=simulator.MAX_EVENTS + 1)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            run_batch(PopulationState.from_counts({1: 2**32}), m, 1, replicates=1)
+
     def test_subcritical_all_extinct(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts({1: 100})
@@ -382,9 +446,10 @@ class TestBatchEngine:
         # the pool size changes which families run together, never a result
         monkeypatch.setattr(simulator, "POOL_CELLS", cells)
         mixed = PopulationState.from_counts({1: 4, 3: 2})
-        # long-lived families of a wide law: replicate 232 takes 688 events,
-        # so the drain computes blocks ahead at many depths, and the type
-        # scan reaches type 47
+        # long-lived families of a wide law: replicate 93 takes 75 events,
+        # so the drain computes blocks ahead at several depths (1, 10, 62
+        # and 250 events at the default pool size), and the type scan
+        # reaches type 57
         one = PopulationState.from_counts({1: 1})
         wide = ModelParams(1.0, 9.0, OffspringDistribution.geometric(0.1))
         for init, m, horizon, n in (
@@ -460,19 +525,20 @@ class TestBatchEngine:
         (record,) = [r for r in caplog.records if r.name == "sporesim.simulator"]
         found = re.search(
             r"batch of 256 replicates, 256 families: (\d+) engine steps, (\d+) in the drain; "
-            r"(\d+) Philox blocks computed in (\d+) calls, (\d+) consumed; (\d+) events, "
+            r"(\d+) Philox block pairs computed in (\d+) calls, (\d+) consumed; (\d+) events, "
             r"at most (\d+) per replicate; peak hosts at most (\d+)",
             record.getMessage(),
         )
         assert found, record.getMessage()
         steps, drain, computed, calls, consumed, events, most, peak = map(int, found.groups())
         assert events == batch.event_counts.sum()
-        assert most == batch.event_counts.max() == 688
+        assert most == batch.event_counts.max() == 75
         assert peak == batch.peak_hosts.max()
         assert consumed == events  # no horizon: every block read is an event
         assert computed > consumed  # blocks computed ahead for families that died first
         assert steps >= most and 0 < drain < steps
         assert calls < steps  # drain steps read blocks computed by earlier calls
+        assert calls >= 3  # the drain computes ahead at several depths
 
     def test_budget_error_replicate_independent_of_pool(self, monkeypatch):
         m = ModelParams(1.0, 0.0, TWO_POINT)
