@@ -59,6 +59,7 @@ from .analytic import (
 from .model import DecayWindow, ModelParams, OffspringDistribution, validate
 from .simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS, RNG_ALGORITHM, BudgetError
 from .stats import (
+    GUMBEL_MEDIAN,
     WindowError,
     check_growth_condition,
     fit_decay_rate,
@@ -98,7 +99,12 @@ class ExperimentConfig:
         return self.settings.get("seed")
 
     def set_seed(self, seed: int) -> None:
+        """Record ``seed`` as the master seed, after the seed key's range
+        check.  An experiment whose schema has no seed key draws no random
+        numbers and records none, so its resolved config stays valid."""
         seed = _checked("experiment.seed", SEED.check, int(seed), self.settings, self.params)
+        if SEED not in EXPERIMENTS[self.kind].keys:
+            return
         self.settings["seed"] = seed
         self.resolved["experiment"]["seed"] = seed
 
@@ -275,12 +281,12 @@ SEED = Key("seed", _integer, OMITTED, _SEED_RANGE)
 
 @dataclass(frozen=True)
 class Experiment:
-    """An experiment type.  `run(model, settings, directory, threads)`
-    computes every artifact as (path, "csv" or "json", payload) and returns
-    them with the run's pass flag and a one-line summary;
-    `randomized(settings)` says whether the run draws random numbers and so
-    needs a seed; `model_check(model)` raises ValueError when the experiment
-    cannot handle the model."""
+    """An experiment type.  `run(model, settings, directory)` computes every
+    artifact as (path, "csv" or "json", payload) and returns them with the
+    run's pass flag and a one-line summary; `randomized(settings)` says
+    whether the run draws random numbers and so needs a seed;
+    `model_check(model)` raises ValueError when the experiment cannot handle
+    the model."""
 
     keys: tuple[Key, ...]
     run: Callable
@@ -446,7 +452,7 @@ def _resolve_gumbel_constant(m: ModelParams, s: dict) -> tuple[float, str]:
     return est.c_hat, "backward_system"
 
 
-def _run_survival(m: ModelParams, s: dict, directory: Path, threads: int):
+def _run_survival(m: ModelParams, s: dict, directory: Path):
     artifacts = []
     header = ["k", "t", "q", "err", "source"]
     if s["method"] in ("ode", "both"):
@@ -471,7 +477,6 @@ def _run_survival(m: ModelParams, s: dict, directory: Path, threads: int):
                 seed=(s["seed"] + pos) % (1 << 64),  # disjoint streams per k
                 n=s["replicates"],
                 max_events=s["max_events"],
-                threads=threads,
             )
             rows.extend(
                 (k, float(t), float(q), float(e), curve.source)
@@ -481,7 +486,7 @@ def _run_survival(m: ModelParams, s: dict, directory: Path, threads: int):
     return artifacts, True, f"survival curves for k={s['k']}"
 
 
-def _run_constant(m: ModelParams, s: dict, directory: Path, threads: int):
+def _run_constant(m: ModelParams, s: dict, directory: Path):
     window = DecayWindow(a=s["a"], epsilon=s["epsilon"])
     est = estimate_constant(
         TruncatedSystem(m, K=s["K"]),
@@ -495,7 +500,7 @@ def _run_constant(m: ModelParams, s: dict, directory: Path, threads: int):
     return [(directory / "constant.json", "json", payload)], True, summary
 
 
-def _run_gumbel(m: ModelParams, s: dict, directory: Path, threads: int):
+def _run_gumbel(m: ModelParams, s: dict, directory: Path):
     C, c_source = _resolve_gumbel_constant(m, s)
     z = {int(k): v for k, v in s["z"].items()}
     report = gumbel_experiment(
@@ -505,7 +510,6 @@ def _run_gumbel(m: ModelParams, s: dict, directory: Path, threads: int):
         seed=s["seed"],
         replicates=s["replicates"],
         max_events=s["max_events"],
-        threads=threads,
     )
     growth = check_growth_condition(z, a=s["a"], lam=m.decay_rate)
     payload = {
@@ -517,7 +521,7 @@ def _run_gumbel(m: ModelParams, s: dict, directory: Path, threads: int):
         "replicates": report.n,
         "ks_distance": report.ks,
         "median_w": report.median_w,
-        "predicted_median_w": -math.log(math.log(2.0)),
+        "predicted_median_w": GUMBEL_MEDIAN,
         "quantiles": [
             {"p": p, "empirical": emp, "predicted": pred}
             for p, emp, pred in report.quantiles
@@ -544,7 +548,7 @@ def _oracle_covers(m: ModelParams) -> None:
         )
 
 
-def _run_oracle(m: ModelParams, s: dict, directory: Path, threads: int):
+def _run_oracle(m: ModelParams, s: dict, directory: Path):
     cases: list[dict] = []
     if m.offspring.mean == 0.0:
         curves = solve_survival(
@@ -587,7 +591,7 @@ def _run_oracle(m: ModelParams, s: dict, directory: Path, threads: int):
     return [(directory / "oracle.json", "json", payload)], ok, summary
 
 
-def _run_slope(m: ModelParams, s: dict, directory: Path, threads: int):
+def _run_slope(m: ModelParams, s: dict, directory: Path):
     lo, hi = s["window"]
     curves = solve_survival(
         TruncatedSystem(m, K=s["K"]), t_max=hi, tol=s["tol"], dt=s["dt"]
@@ -693,7 +697,8 @@ def run_experiment(
     """Execute the configured experiment and write its artifacts.
 
     All payloads are computed before anything is written; if writing fails
-    partway, every artifact written so far is removed.
+    partway, every artifact written so far is removed.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     if cfg.randomized and cfg.seed is None:
         raise ConfigError(
@@ -702,9 +707,7 @@ def run_experiment(
         )
     directory = Path(out_dir if out_dir is not None else cfg.out_dir)
     metadata = build_metadata(cfg)
-    artifacts, ok, summary = EXPERIMENTS[cfg.kind].run(
-        cfg.params, cfg.settings, directory, threads
-    )
+    artifacts, ok, summary = EXPERIMENTS[cfg.kind].run(cfg.params, cfg.settings, directory)
 
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -772,7 +775,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             cfg.set_seed(secrets.randbits(63))
 
-        result = run_experiment(cfg, out_dir=args.out_dir, threads=args.threads)
+        result = run_experiment(cfg, out_dir=args.out_dir)
         for path in result.paths:
             print(f"wrote {path}")
         print(result.summary)

@@ -43,10 +43,7 @@ each live family's Philox blocks several events ahead in one call, as many
 events as fit in one full-pool step.  A batch's results are arrays, a
 :class:`BatchOutcomes`; a :class:`SimOutcome` per replicate is built only
 when one is indexed or iterated.  :func:`run_to_extinction` is the same
-engine on one replicate, and :func:`step` applies the same transition
-kernel to one population.  A deliberately naive engine (one exponential
-clock per host and per spore, no aggregation) lives in
-:func:`run_to_extinction_reference` as a distributional oracle.
+engine on one replicate.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, sample_offspring
+from .model import ModelParams
 
 RNG_ALGORITHM = "philox4x32-u01/v3"
 
@@ -179,8 +176,9 @@ class RandomStream:
     ``index`` under master seed ``seed``; :meth:`uniform01` serves its family
     0's uniforms in the engine's order (waiting time, type choice, offspring,
     event after event; two Philox4x32 blocks per event, laid out as the
-    module docstring says), so iterating :func:`step` on a fresh stream from a
-    one-host start reproduces :func:`run_to_extinction` bit for bit.
+    module docstring says), so the engine's transition kernel fed a fresh
+    stream from a one-host start reproduces :func:`run_to_extinction` bit for
+    bit.
     """
 
     __slots__ = ("seed", "index", "_draws")
@@ -199,17 +197,14 @@ class RandomStream:
         """Next uniform draw in [0, 1)."""
         return next(self._draws)
 
-    def exponential(self, rate: float) -> float:
-        """Exp(rate) via inverse CDF -ln(U)/rate with U in (0, 1]."""
-        return -math.log1p(-self.uniform01()) / rate
-
 
 @dataclass
 class PopulationState:
-    """Sparse per-type host counts with cached totals and a clock.
+    """The initial population of a replicate: sparse per-type host counts,
+    their totals and a start clock.
 
     Entries with zero hosts are never retained and type 0 never appears.
-    Single-owner: one replicate mutates one state, no sharing.
+    The engines read a state and never mutate it.
     """
 
     counts: dict[int, int] = field(default_factory=dict)
@@ -234,40 +229,9 @@ class PopulationState:
             clock=float(clock),
         )
 
-    def copy(self) -> "PopulationState":
-        return PopulationState(
-            counts=dict(self.counts),
-            n_hosts=self.n_hosts,
-            n_spores=self.n_spores,
-            clock=self.clock,
-        )
-
     @property
     def extinct(self) -> bool:
         return self.n_hosts == 0
-
-    def total_rate(self, m: ModelParams) -> float:
-        return m.rho * self.n_hosts + m.beta * self.n_spores
-
-    def check_consistency(self) -> None:
-        """Recompute the cached totals from the counts; exact match required."""
-        assert all(k >= 1 and n > 0 for k, n in self.counts.items()), self.counts
-        assert self.n_hosts == sum(self.counts.values()), (self.n_hosts, self.counts)
-        assert self.n_spores == sum(k * n for k, n in self.counts.items()), (
-            self.n_spores,
-            self.counts,
-        )
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One applied event: the new clock value, what happened, to which type,
-    and the sampled offspring count (None for removals)."""
-
-    time: float
-    kind: str  # "removal" or "release"
-    host_type: int
-    offspring: int | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -599,37 +563,6 @@ def _simulate(
     )
 
 
-def step(state: PopulationState, m: ModelParams, rng: RandomStream) -> EventRecord:
-    """Apply one exact event to ``state`` in place.
-
-    The batch engine's transition kernel on one population, drawing exactly
-    three uniforms from ``rng``: waiting time, type choice and offspring
-    (drawn, and unused, for a removal too).  Fed a family's uniforms (a
-    fresh :class:`RandomStream` serves family 0's), iterating it reproduces
-    the engine bit for bit.
-    """
-    if state.n_hosts < 1:
-        raise ValueError("step requires a non-extinct state")
-    row = _Rows(m, 1, max(state.counts))
-    for k, n in state.counts.items():
-        row.counts[k - 1, 0] = n
-    row.hosts[0] = state.n_hosts
-    row.spores[0] = state.n_spores
-    row.clock[0] = state.clock
-    uniforms = np.array([[rng.uniform01()] for _ in range(3)])
-    removal, host_type, offspring = row.event(*uniforms)
-    state.counts.clear()
-    state.counts.update(
-        {k + 1: int(n) for k, n in enumerate(row.counts[:, 0].tolist()) if n}
-    )
-    state.n_hosts = int(row.hosts[0])
-    state.n_spores = int(row.spores[0])
-    state.clock = float(row.clock[0])
-    if removal[0]:
-        return EventRecord(state.clock, "removal", int(host_type[0]), None)
-    return EventRecord(state.clock, "release", int(host_type[0]), int(offspring[0]))
-
-
 def run_to_extinction(
     init: PopulationState,
     m: ModelParams,
@@ -649,23 +582,6 @@ def run_to_extinction(
     return _simulate(init, m, rng.seed, rng.index, 1, horizon, max_events)[0]
 
 
-def survival_indicator(
-    k: int,
-    t: float,
-    m: ModelParams,
-    rng: RandomStream,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> bool:
-    """One replicate from a single type-k host; True iff alive at time t."""
-    if k < 1:
-        raise ValueError("type must be >= 1")
-    if t < 0.0:
-        raise ValueError("horizon must be nonnegative")
-    init = PopulationState.from_counts({k: 1})
-    outcome = run_to_extinction(init, m, rng, horizon=t, max_events=max_events)
-    return outcome.censored
-
-
 def run_batch(
     init: PopulationState,
     m: ModelParams,
@@ -682,76 +598,8 @@ def run_batch(
     arrays of extinction times, censoring flags, event counts and peak host
     counts that also read as a sequence of :class:`SimOutcome`.
     ``threads`` is accepted for compatibility and has no effect: the engine
-    runs in the calling thread and its results depend on no schedule.  A :class:`BudgetError` names the
-    smallest replicate index whose events exceed ``max_events``.
+    runs in the calling thread and its results depend on no schedule.  A
+    :class:`BudgetError` names the smallest replicate index whose events
+    exceed ``max_events``.
     """
     return _simulate(init, m, master_seed, 0, replicates, horizon, max_events)
-
-
-def run_to_extinction_reference(
-    init: PopulationState,
-    m: ModelParams,
-    rng: RandomStream,
-    horizon: float | None = None,
-    max_events: int = 10**6,
-) -> SimOutcome:
-    """Naive per-clock engine: an oracle for the aggregated one.
-
-    Every host carries its own removal clock and every spore its own release
-    clock; all clocks are redrawn after each event (memorylessness makes the
-    resampling exact).  The clocks come from numpy's Philox4x64 generator
-    keyed (seed << 64) | index, the offspring from ``rng``.  O(hosts +
-    spores) work per event, intended only for small populations in tests.
-    """
-    hosts = []
-    for k, n in init.counts.items():
-        hosts.extend([k] * n)
-    t = init.clock
-    peak = len(hosts)
-    events = 0
-    gen = np.random.Generator(np.random.Philox(key=(rng.seed << 64) | rng.index))
-
-    while hosts:
-        n = len(hosts)
-        removal = gen.exponential(1.0 / m.rho, size=n) if m.rho > 0.0 else None
-        best = math.inf
-        best_host = -1
-        is_removal = False
-        if removal is not None:
-            idx = int(np.argmin(removal))
-            best = float(removal[idx])
-            best_host = idx
-            is_removal = True
-        for i, k in enumerate(hosts):
-            spore_clocks = gen.exponential(1.0 / m.beta, size=k)
-            w = float(spore_clocks.min())
-            if w < best:
-                best = w
-                best_host = i
-                is_removal = False
-
-        t_next = t + best
-        if horizon is not None and t_next > horizon:
-            return SimOutcome(
-                extinction_time=None, horizon=horizon, event_count=events, peak_hosts=peak
-            )
-        t = t_next
-        events += 1
-        if events > max_events:
-            raise BudgetError(f"reference engine budget {max_events} exhausted at t={t:g}")
-
-        if is_removal:
-            hosts.pop(best_host)
-        else:
-            k = hosts[best_host] - 1
-            if k:
-                hosts[best_host] = k
-            else:
-                hosts.pop(best_host)
-            j = sample_offspring(m.offspring, rng)
-            if j >= 1:
-                hosts.append(j)
-                if len(hosts) > peak:
-                    peak = len(hosts)
-
-    return SimOutcome(extinction_time=t, horizon=horizon, event_count=events, peak_hosts=peak)

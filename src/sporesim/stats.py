@@ -64,7 +64,6 @@ def estimate_qk(
     seed: int,
     n: int,
     max_events: int = DEFAULT_MAX_EVENTS,
-    threads: int = 1,
 ) -> EstimateWithCI:
     """Monte Carlo survival probability from one type-k host at horizon t.
 
@@ -72,9 +71,7 @@ def estimate_qk(
     fraction with a 95% Wilson interval.
     """
     init = PopulationState.from_counts({k: 1})
-    outcomes = run_batch(
-        init, m, seed, replicates=n, horizon=t, max_events=max_events, threads=threads
-    )
+    outcomes = run_batch(init, m, seed, replicates=n, horizon=t, max_events=max_events)
     survived = int(np.count_nonzero(outcomes.censored))
     low, high = wilson_interval(survived, n)
     return EstimateWithCI(point=survived / n, ci_low=low, ci_high=high, n=n, method="wilson-95")
@@ -87,7 +84,6 @@ def survival_curve_mc(
     seed: int,
     n: int,
     max_events: int = DEFAULT_MAX_EVENTS,
-    threads: int = 1,
 ) -> SurvivalCurve:
     """Whole Monte Carlo survival curve from one batch of extinction times.
 
@@ -97,9 +93,7 @@ def survival_curve_mc(
     ts = np.asarray(ts, dtype=float)
     horizon = float(ts[-1])
     init = PopulationState.from_counts({k: 1})
-    outcomes = run_batch(
-        init, m, seed, replicates=n, horizon=horizon, max_events=max_events, threads=threads
-    )
+    outcomes = run_batch(init, m, seed, replicates=n, horizon=horizon, max_events=max_events)
     # survivors at t: extinction times beyond t (censored ones are inf)
     alive = n - np.searchsorted(np.sort(outcomes.extinction_times), ts, side="right")
     qs = np.empty_like(ts)
@@ -188,7 +182,6 @@ def gumbel_experiment(
     seed: int,
     replicates: int,
     max_events: int = DEFAULT_MAX_EVENTS,
-    threads: int = 1,
 ) -> GumbelReport:
     """Extinction times of a large initial population against the Gumbel law.
 
@@ -209,7 +202,7 @@ def gumbel_experiment(
         raise ValueError("initial counts must contain at least one host")
 
     outcomes = run_batch(
-        init, m, seed, replicates=replicates, horizon=None, max_events=max_events, threads=threads
+        init, m, seed, replicates=replicates, horizon=None, max_events=max_events
     )
     times = outcomes.extinction_times
     center = math.log(C * init.n_spores)

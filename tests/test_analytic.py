@@ -12,19 +12,19 @@ from sporesim import (
     ModelParams,
     OffspringDistribution,
     TruncatedSystem,
-    backward_rhs,
-    closed_form_linear_fractional,
-    closed_form_mu0,
     estimate_constant,
-    linear_fractional_constant,
     solve_survival,
-    truncation_lower_bound_check,
 )
 from sporesim.analytic import (
     NonConvergenceError,
     SolverError,
+    backward_rhs,
+    closed_form_linear_fractional,
+    closed_form_mu0,
+    linear_fractional_constant,
     survival_ratios,
     tail_ratio_check,
+    truncation_lower_bound_check,
 )
 
 NO_OFFSPRING = OffspringDistribution.table([1.0])

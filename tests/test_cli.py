@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -413,14 +416,20 @@ def test_rng_tag_documented_and_recorded(tmp_path):
         assert artifacts
         for path in artifacts:
             if path.suffix == ".json":
-                tag = json.loads(path.read_text())["metadata"]["rng_algorithm"]
+                metadata = json.loads(path.read_text())["metadata"]
             else:
-                (tag,) = [
-                    line.removeprefix("# rng_algorithm=")
+                metadata = dict(
+                    line.removeprefix("# ").split("=", 1)
                     for line in path.read_text().splitlines()
-                    if line.startswith("# rng_algorithm=")
-                ]
-            assert tag == RNG_ALGORITHM, path.name
+                    if line.startswith("# ")
+                )
+                metadata["config"] = json.loads(metadata["config"])
+            assert metadata["rng_algorithm"] == RNG_ALGORITHM, path.name
+            # the embedded config reruns as it stands; --seed gives a
+            # deterministic experiment no seed
+            parse_config(json.dumps(metadata["config"]))
+            if kind in ("constant", "oracle", "slope"):
+                assert metadata["master_seed"] is None, path.name
 
 
 class TestShippedConfigs:
@@ -428,3 +437,54 @@ class TestShippedConfigs:
         for path in sorted(Path(__file__).parent.parent.glob("configs/*.json")):
             cfg = parse_config(path.read_text(encoding="utf-8"))
             assert cfg.kind in ("survival", "constant", "gumbel", "oracle", "slope")
+
+
+@pytest.mark.parametrize(
+    "experiment, batch_slice, spans",
+    [
+        (
+            '"type": "gumbel", "z": {"1": 40, "3": 20}, "replicates": 20',
+            [{"1": 40, "3": 20}, 4, None],
+            {"stats.gumbel_experiment", "stats.check_growth_condition", "cli.emit_json"},
+        ),
+        (
+            '"type": "survival", "k": [1, 3], "t_max": 2.0, "method": "mc", "replicates": 200',
+            [{"3": 1}, 100, 2.0],
+            {"stats.survival_curve_mc"},
+        ),
+    ],
+    ids=["gumbel", "survival-mc"],
+)
+def test_traced_benchmark_run(tmp_path, experiment, batch_slice, spans):
+    # perfbench/trace.py calls library names that no end-to-end run reaches:
+    # set_seed on every experiment, run_experiment and run_batch with
+    # threads=, stats.run_batch, and the package-level PopulationState,
+    # RandomStream, sample_offspring and run_batch
+    repo = Path(__file__).parent.parent
+    cfg = write_config(tmp_path, '{%s, "experiment": {%s}}' % (LF_MODEL_BLOCK, experiment))
+    trace_file = tmp_path / "trace.json"
+    path = [str(repo / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [
+            sys.executable, str(repo / "perfbench" / "trace.py"), "--config", str(cfg),
+            "--seed", "7", "--out-dir", str(tmp_path / "out"), "--trace-file", str(trace_file),
+            "--slice", json.dumps(batch_slice),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span["name"] for span in json.loads(trace_file.read_text())["spans"]}
+    assert names >= {
+        "cli.import",
+        "cli.parse_config",
+        "cli.run_experiment",
+        "cli.build_metadata",
+        "cli.emit_csv",
+        "simulator.run_batch",
+        "probe.run_batch",
+        "probe.sample_offspring",
+        *spans,
+    }, names

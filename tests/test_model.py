@@ -10,9 +10,8 @@ from sporesim import (
     OffspringDistribution,
     RandomStream,
     sample_offspring,
-    truncation_level,
-    validate,
 )
+from sporesim.model import truncation_level, validate
 
 
 def brute_force_moments(pmf, kmax=200, tail_tol=1e-12):

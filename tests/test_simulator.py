@@ -8,23 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp, kstest
 
-from sporesim import (
+from naive_engine import run_to_extinction_reference
+from sporesim import simulator
+from sporesim.analytic import TruncatedSystem, closed_form_linear_fractional, solve_survival
+from sporesim.model import ModelParams, OffspringDistribution
+from sporesim.simulator import (
     BudgetError,
-    ModelParams,
-    OffspringDistribution,
     PopulationState,
     RandomStream,
-    TruncatedSystem,
-    closed_form_linear_fractional,
+    event_uniforms,
+    philox4x32,
     run_batch,
     run_to_extinction,
-    run_to_extinction_reference,
-    solve_survival,
-    step,
-    survival_indicator,
 )
-from sporesim import simulator
-from sporesim.simulator import event_uniforms, philox4x32
 from sporesim.stats import wilson_interval
 
 NO_OFFSPRING = OffspringDistribution.table([1.0])
@@ -45,13 +41,28 @@ def philox4x32_scalar(counter, key):
     return c0, c1, c2, c3
 
 
+def kernel_events(m, counts, draw):
+    """The engine's transition kernel applied to one population (a one-column
+    ``_Rows``) until it dies out, three uniforms from ``draw()`` per event:
+    yields the population and the event's (removal, host type, offspring)."""
+    row = simulator._Rows(m, 1, max(counts))
+    for k, n in counts.items():
+        row.counts[k - 1, 0] = n
+    row.hosts[0] = sum(counts.values())
+    row.spores[0] = sum(k * n for k, n in counts.items())
+    while row.hosts[0]:
+        drawn = row.event(*(np.array([draw()]) for _ in range(3)))
+        yield row, *(int(a[0]) for a in drawn)
+
+
 class FamilyWords:
-    """Stub stream for step(): serves one family's uniforms, event after
-    event, computed with the scalar Philox from the v3 layout: event e reads
-    blocks with counters (2e + b, family, replicate low and high 32 bits) for
-    b = 0, 1 under the seed's two 32-bit halves as key.  Block 0's 64-bit
-    words (x1 << 32) | x0 and (x3 << 32) | x2 give the waiting-time and
-    type-choice uniforms, block 1's (x1 << 32) | x0 the offspring uniform."""
+    """Stub stream for kernel_events(): serves one family's uniforms, event
+    after event, computed with the scalar Philox from the v3 layout: event e
+    reads blocks with counters (2e + b, family, replicate low and high 32
+    bits) for b = 0, 1 under the seed's two 32-bit halves as key.  Block 0's
+    64-bit words (x1 << 32) | x0 and (x3 << 32) | x2 give the waiting-time
+    and type-choice uniforms, block 1's (x1 << 32) | x0 the offspring
+    uniform."""
 
     def __init__(self, seed: int, replicate: int, family: int):
         self.key = (seed & MASK32, seed >> 32)
@@ -128,7 +139,6 @@ class TestRandomStream:
         rng = RandomStream(3, 0)
         us = [rng.uniform01() for _ in range(1000)]
         assert all(0.0 <= u < 1.0 for u in us)
-        assert all(rng.exponential(2.0) >= 0.0 for _ in range(100))
         with pytest.raises(ValueError):
             RandomStream(-1)
         with pytest.raises(ValueError):
@@ -147,7 +157,6 @@ class TestPopulationState:
         assert st.counts == {1: 2, 3: 1}
         assert st.n_hosts == 3
         assert st.n_spores == 5
-        st.check_consistency()
 
     def test_rejects_bad_types(self):
         with pytest.raises(ValueError):
@@ -155,41 +164,24 @@ class TestPopulationState:
         with pytest.raises(ValueError):
             PopulationState.from_counts({2: -1})
 
-    def test_copy_is_independent(self):
-        st = PopulationState.from_counts({2: 1})
-        cp = st.copy()
-        cp.counts[2] = 5
-        assert st.counts == {2: 1}
-
-    def test_total_rate(self):
-        m = ModelParams(2.0, 0.5, NO_OFFSPRING)
-        st = PopulationState.from_counts({1: 2, 3: 1})
-        assert st.total_rate(m) == 0.5 * 3 + 2.0 * 5
-
 
 class TestStep:
+    """The transition kernel, one event at a time on one population."""
+
     def test_single_spore_release_empties(self):
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
-        st = PopulationState.from_counts({1: 1})
-        ev = step(st, m, RandomStream(1, 0))
-        assert ev.kind == "release"
-        assert ev.host_type == 1
-        assert ev.offspring == 0
-        assert st.extinct
-        assert st.clock > 0.0
+        [(row, removal, host_type, offspring)] = kernel_events(
+            m, {1: 1}, RandomStream(1, 0).uniform01
+        )
+        assert (removal, host_type, offspring) == (0, 1, 0)
+        assert row.hosts[0] == 0.0
+        assert row.clock[0] > 0.0
 
     def test_forced_transition_two_to_one(self):
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
-        st = PopulationState.from_counts({2: 1})
-        before = st.n_spores
-        step(st, m, RandomStream(2, 0))
-        assert st.counts == {1: 1}
-        assert (before, st.n_spores) == (2, 1)
-
-    def test_extinct_state_rejected(self):
-        m = ModelParams(1.0, 0.0, NO_OFFSPRING)
-        with pytest.raises(ValueError):
-            step(PopulationState(), m, RandomStream(0, 0))
+        row, *_ = next(kernel_events(m, {2: 1}, RandomStream(2, 0).uniform01))
+        assert row.counts[:, 0].tolist() == [1.0, 0.0]
+        assert row.spores[0] == 1.0
 
     def test_removal_probability(self):
         # {1:2}, rho=1, beta=1: P(first event is removal) = 2/(2+2) = 1/2.
@@ -201,29 +193,35 @@ class TestStep:
         rows.counts[0] = rows.hosts[:] = rows.spores[:] = 2.0
         removal = rows.event(*event_uniforms(5, 0, 0, np.arange(n)))[0]
         for i in (0, 1, n - 1):
-            st = PopulationState.from_counts({1: 2})
-            assert (step(st, m, RandomStream(5, i)).kind == "removal") == removal[i]
+            _, first, *_ = next(kernel_events(m, {1: 2}, RandomStream(5, i).uniform01))
+            assert first == removal[i]
         removals = int(removal.sum())
         assert abs(removals / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
     def test_bookkeeping_and_spore_conservation(self):
-        # random mixed runs: cached totals stay exact, spore deltas match events
+        # random mixed runs: totals stay exact, spore deltas match events
         models = [
             ModelParams(1.0, 0.7, TWO_POINT),
             ModelParams(0.5, 1.0, OffspringDistribution.poisson(1.5)),
             ModelParams(2.0, 0.2, OffspringDistribution.geometric(0.6)),
         ]
         for j, m in enumerate(models):
-            st = PopulationState.from_counts({1: 3, 4: 2})
-            rng = RandomStream(100 + j, 0)
-            while not st.extinct and st.clock < 50.0:
-                spores_before = st.n_spores
-                ev = step(st, m, rng)
-                st.check_consistency()
-                if ev.kind == "removal":
-                    assert st.n_spores == spores_before - ev.host_type
+            spores_before = 1 * 3 + 4 * 2
+            for row, removal, host_type, offspring in kernel_events(
+                m, {1: 3, 4: 2}, RandomStream(100 + j, 0).uniform01
+            ):
+                counts = row.counts[:, 0]
+                assert row.hosts[0] == counts.sum()
+                assert row.spores[0] == (np.arange(1, len(counts) + 1) * counts).sum()
+                assert counts.min() >= 0.0
+                if removal:
+                    assert offspring == 0
+                    assert row.spores[0] == spores_before - host_type
                 else:
-                    assert st.n_spores == spores_before - 1 + ev.offspring
+                    assert row.spores[0] == spores_before - 1 + offspring
+                spores_before = row.spores[0]
+                if row.clock[0] >= 50.0:
+                    break
 
 
 class TestRunToExtinction:
@@ -252,8 +250,8 @@ class TestRunToExtinction:
         assert a == b
 
     def test_matches_iterated_step_bitwise(self):
-        # step() is the engine's kernel: fed each family's Philox words, it
-        # reproduces run_to_extinction bit for bit (time = latest family)
+        # the engine's kernel, fed each family's Philox words one event at a
+        # time, reproduces run_to_extinction bit for bit (time = latest family)
         cases = [
             ModelParams(1.0, 0.5, TWO_POINT),
             ModelParams(0.7, 0.0, OffspringDistribution.poisson(0.8)),
@@ -266,28 +264,22 @@ class TestRunToExtinction:
             clocks = []
             events = 0
             for family, k in enumerate(founders):
-                st = PopulationState.from_counts({k: 1})
-                rng = FamilyWords(50, j, family)
-                while not st.extinct:
-                    step(st, m, rng)
+                for row, *_ in kernel_events(m, {k: 1}, FamilyWords(50, j, family).uniform01):
                     events += 1
-                clocks.append(st.clock)
+                clocks.append(row.clock[0])
             assert max(clocks) == fast.extinction_time
             assert events == fast.event_count
 
     def test_random_stream_steps_reproduce_one_host_run(self):
         # a fresh RandomStream(seed, r) serves family 0 of replicate r
         m = ModelParams(1.2, 0.3, OffspringDistribution.geometric(0.7))
+        init = PopulationState.from_counts({3: 1})
         for r in range(5):
-            init = PopulationState.from_counts({3: 1})
-            st = init.copy()
-            rng = RandomStream(51, r)
             events = 0
-            while not st.extinct:
-                step(st, m, rng)
+            for row, *_ in kernel_events(m, {3: 1}, RandomStream(51, r).uniform01):
                 events += 1
             fast = run_to_extinction(init, m, RandomStream(51, r))
-            assert (st.clock, events) == (fast.extinction_time, fast.event_count)
+            assert (row.clock[0], events) == (fast.extinction_time, fast.event_count)
 
     def test_input_not_mutated(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
@@ -321,11 +313,11 @@ class TestRunToExtinction:
 class TestSurvivalIndicator:
     def test_horizon_zero_always_true(self):
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
-        assert all(survival_indicator(1, 0.0, m, RandomStream(1, i)) for i in range(20))
+        init = PopulationState.from_counts({1: 1})
+        assert run_batch(init, m, 1, replicates=20, horizon=0.0).censored.all()
 
     def test_matches_closed_form_k1(self):
-        # rho=1, beta=1, no offspring, k=1, t=1 -> P(survive) = e^{-2}; replicate
-        # i is survival_indicator(1, 1.0, m, RandomStream(21, i))
+        # rho=1, beta=1, no offspring, k=1, t=1 -> P(survive) = e^{-2}
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
         n = 10**5
         init = PopulationState.from_counts({1: 1})
@@ -414,7 +406,7 @@ class TestDistributionalProperties:
             init = PopulationState.from_counts(counts)
             agg = [o.extinction_time for o in run_batch(init, m, seed, replicates=n)]
             ref = [
-                run_to_extinction_reference(init, m, RandomStream(seed + 50, i)).extinction_time
+                run_to_extinction_reference(init, m, seed + 50, i).extinction_time
                 for i in range(n)
             ]
             _, p = ks_2samp(agg, ref)

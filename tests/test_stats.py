@@ -4,24 +4,18 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from sporesim import (
-    ModelParams,
-    OffspringDistribution,
-    closed_form_mu0,
-    estimate_qk,
-    fit_decay_rate,
-    gumbel_cdf,
-    gumbel_experiment,
-    ks_distance,
-    survival_curve_mc,
-    wilson_interval,
-)
-from sporesim.analytic import SurvivalCurve
+from sporesim import ModelParams, OffspringDistribution, estimate_qk, gumbel_experiment
+from sporesim.analytic import SurvivalCurve, closed_form_mu0
 from sporesim.stats import (
     GUMBEL_MEDIAN,
     WindowError,
     check_growth_condition,
+    fit_decay_rate,
+    gumbel_cdf,
     gumbel_quantile,
+    ks_distance,
+    survival_curve_mc,
+    wilson_interval,
 )
 
 NO_OFFSPRING = OffspringDistribution.table([1.0])
@@ -224,13 +218,6 @@ class TestGumbelExperiment:
         for p, emp, pred in rep.quantiles:
             assert pred == pytest.approx(gumbel_quantile(p))
         assert 0.0 <= rep.ks <= 1.0
-
-    def test_deterministic_and_thread_invariant(self):
-        z = {1: 100, 2: 10}
-        a = gumbel_experiment(z, LF_MODEL, C=1.0 / 3.0, seed=33, replicates=60, threads=1)
-        b = gumbel_experiment(z, LF_MODEL, C=1.0 / 3.0, seed=33, replicates=60, threads=3)
-        assert a.ks == b.ks
-        assert np.array_equal(a.extinction_times, b.extinction_times)
 
     def test_rejects_bad_inputs(self):
         super_m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.0, 0.0, 1.0]))
