@@ -12,13 +12,13 @@ Experiments are described by a JSON config with three blocks::
 Experiment types: survival (per-k curves, ODE and/or Monte Carlo), constant
 (leading-constant extraction), gumbel (extinction-time limit law), oracle
 (closed-form comparison table), slope (decay-rate fit against the model
-value).  Each type is declared once, as an `Experiment` entry of the
-`EXPERIMENTS` registry: its keys in resolution order, each a `Key` with a
-type check, a bound and a default (which may depend on earlier keys and on
-the model); whether it needs a subcritical model; whether a run with the
-resolved settings is randomized; and the function that computes its
-artifacts.  One walker resolves every type from its entry, so adding a type
-means adding one entry.
+value).  Every block is declared once, as its keys in resolution order, each
+a `Key` with a type check, a bound and a default (which may depend on earlier
+keys and, for experiment keys, on the model): `CONFIG` (the top level),
+`MODEL`, `OUTPUT`, and the unions `OFFSPRING` on `kind` and `EXPERIMENTS` on
+`type`.  An `Experiment` also says whether it needs a subcritical model, whether
+a run with the resolved settings is randomized, and what computes its
+artifacts.  One walker resolves every block into the resolved config.
 
 Unknown keys are rejected anywhere; every artifact embeds the fully
 resolved config (defaults filled), its hash, the RNG algorithm tag, and the
@@ -79,16 +79,27 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"config error at '{path}': {message}")
         self.path = path
+        self.message = message
+
+
+class ModelError(ConfigError):
+    """A model the experiment cannot handle: reported at 'model', unprefixed."""
 
 
 @dataclass
 class ExperimentConfig:
+    """A config's model, and the config resolved: every default filled in."""
+
     params: ModelParams
-    kind: str
-    settings: dict
-    out_dir: str
-    out_format: str
     resolved: dict = field(repr=False)
+
+    @property
+    def settings(self) -> dict:
+        return self.resolved["experiment"]
+
+    @property
+    def kind(self) -> str:
+        return self.settings["type"]
 
     @property
     def randomized(self) -> bool:
@@ -99,32 +110,24 @@ class ExperimentConfig:
         return self.settings.get("seed")
 
     def set_seed(self, seed: int) -> None:
-        """Record ``seed`` as the master seed, after the seed key's range
-        check.  An experiment whose schema has no seed key draws no random
-        numbers and records none, so its resolved config stays valid."""
+        """Record ``seed`` as the master seed of a randomized run, after the
+        seed key's range check; a run that draws no random numbers records none."""
         seed = _checked("experiment.seed", SEED.check, int(seed), self.settings, self.params)
-        if SEED not in EXPERIMENTS[self.kind].keys:
-            return
-        self.settings["seed"] = seed
-        self.resolved["experiment"]["seed"] = seed
+        if self.randomized:
+            self.settings["seed"] = seed
 
 
 def _checked(path: str, check, *args):
-    """check(*args), with its ValueError turned into a ConfigError at path."""
+    """check(*args), with its ValueError turned into a ConfigError at path,
+    and path prefixed to a nested block's ConfigError."""
     try:
         return check(*args)
+    except ModelError:
+        raise
+    except ConfigError as e:
+        raise ConfigError(f"{path}.{e.path}" if e.path else path, e.message) from e
     except ValueError as e:
         raise ConfigError(path, str(e)) from e
-
-
-def _require_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> None:
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
 def _number(value) -> float:
@@ -139,48 +142,32 @@ def _integer(value) -> int:
     return value
 
 
-def _parse_offspring(obj, path: str) -> OffspringDistribution:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    kind = obj.get("kind")
-    if kind == "table":
-        _require_keys(obj, path, ("kind", "probs"))
-        probs = obj["probs"]
-        if not isinstance(probs, list) or not probs:
-            raise ConfigError(f"{path}.probs", "expected a nonempty list of numbers")
-        try:
-            return OffspringDistribution.table(probs)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{path}.probs", str(e)) from e
-    if kind in ("poisson", "geometric"):
-        _require_keys(obj, path, ("kind", "param"))
-        param = _checked(f"{path}.param", _number, obj["param"])
-        return _checked(f"{path}.param", lambda: OffspringDistribution(kind=kind, param=param))
-    raise ConfigError(f"{path}.kind", f"expected one of table/poisson/geometric, got {kind!r}")
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("expected a string")
+    return value
 
 
-def _parse_model(obj, path: str = "model") -> ModelParams:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    _require_keys(obj, path, ("beta", "rho", "offspring"))
-    beta = _checked(f"{path}.beta", _number, obj["beta"])
-    rho = _checked(f"{path}.rho", _number, obj["rho"])
-    offspring = _parse_offspring(obj["offspring"], f"{path}.offspring")
-    return _checked(path, lambda: ModelParams(beta=beta, rho=rho, offspring=offspring))
+def _probs(value) -> list[float]:
+    """Table probabilities as OffspringDistribution keeps them: renormalized."""
+    if not isinstance(value, list) or not value:
+        raise ValueError("expected a nonempty list of numbers")
+    return list(OffspringDistribution.table([_number(p) for p in value]).probs)
 
 
 def _types(value) -> list[int]:
-    if not isinstance(value, list) or not value or not all(
-        isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in value
-    ):
+    if not isinstance(value, list) or not value or min(map(_integer, value)) < 1:
         raise ValueError("expected a nonempty list of integers >= 1")
     return sorted(set(value))
 
 
-def _method(value) -> str:
-    if value not in ("ode", "mc", "both"):
-        raise ValueError(f"expected ode/mc/both, got {value!r}")
-    return value
+def _one_of(*options):
+    def parse(value):
+        if value not in options:
+            raise ValueError(f"expected one of {options}, got {value!r}")
+        return value
+
+    return parse
 
 
 def _optional_number(value) -> float | None:
@@ -188,14 +175,12 @@ def _optional_number(value) -> float | None:
 
 
 def _time_window(value) -> list[float]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-        or not 0.0 <= value[0] < value[1] < math.inf
-    ):
+    if not isinstance(value, list) or len(value) != 2:
         raise ValueError("expected [t_lo, t_hi] with 0 <= t_lo < t_hi")
-    return [float(value[0]), float(value[1])]
+    lo, hi = map(_number, value)
+    if not 0.0 <= lo < hi:
+        raise ValueError("expected [t_lo, t_hi] with 0 <= t_lo < t_hi")
+    return [lo, hi]
 
 
 def _initial_counts(value) -> dict[str, int]:
@@ -204,10 +189,11 @@ def _initial_counts(value) -> dict[str, int]:
         raise ValueError("expected a nonempty map of type -> host count")
     counts: dict[int, int] = {}
     for key, n in value.items():
-        try:
-            k = int(key)
-        except ValueError:
-            raise ValueError(f"type key {key!r} is not an integer") from None
+        # only canonical keys: "01", " 1" or "1_0" would alias (or silently
+        # rename) a type and drop its hosts when keyed on int(key)
+        if not key.isdecimal() or str(int(key)) != key:
+            raise ValueError(f"type key {key!r} is not a canonical decimal integer")
+        k = int(key)
         if k < 1:
             raise ValueError(f"type {key!r} must be >= 1")
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -258,22 +244,32 @@ OMITTED = object()  # Key default: an absent key stays out of the resolved confi
 
 @dataclass(frozen=True)
 class Key:
-    """One experiment key.  `parse(value)` type-checks and normalizes the
-    value, `bound(value, settings of the earlier keys, model)` rejects it when
-    out of range; both raise ValueError with the message.  `default` is a
-    value, a function (settings of the earlier keys, model) -> value,
-    REQUIRED or OMITTED."""
+    """One config key.  `parse(value)` type-checks and normalizes the value,
+    `bound(value, settings of the earlier keys, context)` rejects it when out
+    of range; both raise ValueError with the message.  `default` is a value,
+    a function (settings of the earlier keys, context) -> value, REQUIRED or
+    OMITTED.  The context is the model for experiment keys, a dict at the top
+    level (where the model block leaves its ModelParams), else None."""
 
     name: str
     parse: Callable[[object], object]
     default: object = REQUIRED
-    bound: Callable[[object, dict, ModelParams], None] | None = None
+    bound: Callable[[object, dict, ModelParams | None], None] | None = None
 
-    def check(self, value, s: dict, m: ModelParams):
+    def check(self, value, s: dict, ctx):
         value = self.parse(value)
         if self.bound is not None:
-            self.bound(value, s, m)
+            self.bound(value, s, ctx)
         return value
+
+
+@dataclass(frozen=True)
+class Block(Key):
+    """A key holding a nested block: `parse(value, settings of the earlier
+    keys, context)` resolves it, raising ConfigErrors with paths relative to it."""
+
+    def check(self, value, s: dict, ctx):
+        return self.parse(value, s, ctx)
 
 
 SEED = Key("seed", _integer, OMITTED, _SEED_RANGE)
@@ -295,39 +291,81 @@ class Experiment:
     model_check: Callable[[ModelParams], None] | None = None
 
 
-def _parse_experiment(obj, m: ModelParams, path: str = "experiment") -> tuple[str, dict]:
+def _resolve(obj, keys: tuple[Key, ...], ctx=None) -> dict:
+    """The block `obj` resolved against `keys`: every key in order, given or
+    defaulted, then checked against the settings resolved before it and
+    `ctx`.  Error paths are relative to the block."""
     if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    kind = obj.get("type")
-    if not isinstance(kind, str) or kind not in EXPERIMENTS:
-        raise ConfigError(f"{path}.type", f"expected one of {tuple(EXPERIMENTS)}, got {kind!r}")
+        raise ConfigError("", "expected an object")
+    names = {key.name for key in keys}
+    for name in obj:
+        if name not in names:
+            raise ConfigError(name, "unknown key")
+    s: dict = {}
+    for key in keys:
+        if key.name in obj:
+            value = obj[key.name]
+        elif key.default is REQUIRED:
+            raise ConfigError(key.name, "missing required key")
+        elif key.default is OMITTED:
+            continue
+        elif callable(key.default):
+            value = key.default(s, ctx)
+        else:
+            value = key.default
+        s[key.name] = _checked(key.name, key.check, value, s, ctx)
+    return s
+
+
+def _tag(obj, tag: str, variants: dict) -> str:
+    """The variant a tagged-union block names in its `tag` key."""
+    if not isinstance(obj, dict):
+        raise ConfigError("", "expected an object")
+    return _checked(tag, _one_of(*variants), obj.get(tag))
+
+
+def _offspring(obj, s: dict, ctx) -> dict:
+    kind = _tag(obj, "kind", OFFSPRING)
+    return _resolve(obj, (Key("kind", str), *OFFSPRING[kind]))
+
+
+def _model(obj, s: dict, top: dict) -> dict:
+    """The model block; its ModelParams, built once, is left in `top`."""
+    model = _resolve(obj, MODEL)
+    law = OffspringDistribution(**model["offspring"])
+    top["params"] = ModelParams(**{**model, "offspring": law})  # beta, rho: ValueError at 'model'
+    return model
+
+
+def _experiment(obj, s: dict, top: dict) -> dict:
+    """The experiment block, a union on `type`, against the model in `top`."""
+    m = top["params"]
+    kind = _tag(obj, "type", EXPERIMENTS)
     spec = EXPERIMENTS[kind]
-    _require_keys(
-        obj,
-        path,
-        ("type", *(key.name for key in spec.keys if key.default is REQUIRED)),
-        tuple(key.name for key in spec.keys if key.default is not REQUIRED),
-    )
     if spec.subcritical and not m.subcritical:
-        raise ConfigError(
+        raise ModelError(
             "model",
             f"experiment '{kind}' requires a subcritical model: "
             f"rho + beta*(1 - mean offspring) must be positive, got {m.decay_rate:g}",
         )
     if spec.model_check is not None:
-        _checked(path, spec.model_check, m)
-    s: dict = {"type": kind}
-    for key in spec.keys:
-        if key.name in obj:
-            value = obj[key.name]
-        elif key.default is OMITTED:
-            continue
-        elif callable(key.default):
-            value = key.default(s, m)
-        else:
-            value = key.default
-        s[key.name] = _checked(f"{path}.{key.name}", key.check, value, s, m)
-    return kind, s
+        spec.model_check(m)
+    return _resolve(obj, (Key("type", str), *spec.keys), m)
+
+
+_PARAM = Key("param", _number, REQUIRED, lambda p, s, _: OffspringDistribution(s["kind"], param=p))
+OFFSPRING: dict[str, tuple[Key, ...]] = {
+    "table": (Key("probs", _probs),),
+    "poisson": (_PARAM,),
+    "geometric": (_PARAM,),
+}
+MODEL = (Key("beta", _number), Key("rho", _number), Block("offspring", _offspring))
+OUTPUT = (Key("dir", _string, "."), Key("format", _one_of("csv"), "csv"))
+CONFIG = (
+    Block("model", _model),
+    Block("experiment", _experiment),
+    Block("output", lambda obj, s, top: _resolve(obj, OUTPUT), {}),
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -340,43 +378,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError("", f"invalid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError("", "top level must be an object")
-    _require_keys(raw, "", ("model", "experiment"), ("output",))
-
-    m = _parse_model(raw["model"])
-    kind, settings = _parse_experiment(raw["experiment"], m)
-
-    out = raw.get("output", {})
-    if not isinstance(out, dict):
-        raise ConfigError("output", "expected an object")
-    _require_keys(out, "output", (), ("dir", "format"))
-    out_dir = out.get("dir", ".")
-    if not isinstance(out_dir, str):
-        raise ConfigError("output.dir", "expected a string")
-    out_format = out.get("format", "csv")
-    if out_format != "csv":
-        raise ConfigError("output.format", f"only 'csv' is supported, got {out_format!r}")
-
-    offspring = raw["model"]["offspring"]
-    resolved_offspring = (
-        {"kind": "table", "probs": list(m.offspring.probs)}
-        if offspring["kind"] == "table"
-        else {"kind": offspring["kind"], "param": m.offspring.param}
-    )
-    resolved = {
-        "model": {"beta": m.beta, "rho": m.rho, "offspring": resolved_offspring},
-        "experiment": dict(settings),
-        "output": {"dir": out_dir, "format": out_format},
-    }
-    return ExperimentConfig(
-        params=m,
-        kind=kind,
-        settings=settings,
-        out_dir=out_dir,
-        out_format=out_format,
-        resolved=resolved,
-    )
+    top: dict = {}
+    resolved = _resolve(raw, CONFIG, top)
+    return ExperimentConfig(params=top["params"], resolved=resolved)
 
 
 def _canonical_json(obj) -> str:
@@ -395,8 +399,6 @@ def build_metadata(cfg: ExperimentConfig) -> dict:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -615,7 +617,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("k", _types),
             Key("t_max", _number, REQUIRED, _POSITIVE),
             Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _POSITIVE),
-            Key("method", _method, "ode"),
+            Key("method", _one_of("ode", "mc", "both"), "ode"),
             Key("K", _integer, lambda s, m: max(max(s["k"]), 20), _COVERS_K),
             Key("tol", _number, 1e-9, _POSITIVE),
             Key("replicates", _integer, 100_000, _POSITIVE),
@@ -703,9 +705,10 @@ def run_experiment(
     if cfg.randomized and cfg.seed is None:
         raise ConfigError(
             "experiment.seed",
-            "randomized experiments need an explicit seed (or run with --ephemeral)",
+            "randomized experiments need an explicit seed "
+            "(config key, --seed, or opt out with --ephemeral)",
         )
-    directory = Path(out_dir if out_dir is not None else cfg.out_dir)
+    directory = Path(out_dir if out_dir is not None else cfg.resolved["output"]["dir"])
     metadata = build_metadata(cfg)
     artifacts, ok, summary = EXPERIMENTS[cfg.kind].run(cfg.params, cfg.settings, directory)
 
@@ -766,13 +769,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.seed is not None:
             cfg.set_seed(args.seed)
-        if cfg.randomized and cfg.seed is None:
-            if not args.ephemeral:
-                raise ConfigError(
-                    "experiment.seed",
-                    "randomized experiments need an explicit seed "
-                    "(config key, --seed, or opt out with --ephemeral)",
-                )
+        if args.ephemeral and cfg.seed is None:
             cfg.set_seed(secrets.randbits(63))
 
         result = run_experiment(cfg, out_dir=args.out_dir)
@@ -780,10 +777,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {path}")
         print(result.summary)
         return EXIT_OK if result.ok else EXIT_NUMERICAL
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as e:
+    except (OSError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetError as e:

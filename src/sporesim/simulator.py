@@ -200,8 +200,8 @@ class RandomStream:
 
 @dataclass
 class PopulationState:
-    """The initial population of a replicate: sparse per-type host counts,
-    their totals and a start clock.
+    """The initial population of a replicate: sparse per-type host counts
+    and their totals.  Every replicate starts at time 0.
 
     Entries with zero hosts are never retained and type 0 never appears.
     The engines read a state and never mutate it.
@@ -210,10 +210,9 @@ class PopulationState:
     counts: dict[int, int] = field(default_factory=dict)
     n_hosts: int = 0
     n_spores: int = 0
-    clock: float = 0.0
 
     @classmethod
-    def from_counts(cls, counts: dict[int, int], clock: float = 0.0) -> "PopulationState":
+    def from_counts(cls, counts: dict[int, int]) -> "PopulationState":
         clean: dict[int, int] = {}
         for k, n in counts.items():
             k = int(k)
@@ -226,7 +225,6 @@ class PopulationState:
             counts=clean,
             n_hosts=sum(clean.values()),
             n_spores=sum(k * n for k, n in clean.items()),
-            clock=float(clock),
         )
 
     @property
@@ -443,7 +441,7 @@ def _simulate(
     types = sorted(init.counts)
     founders = np.repeat(np.array(types, dtype=np.intp), [init.counts[k] for k in types])
     n_families = len(founders)
-    times = np.full(replicates, init.clock)
+    times = np.zeros(replicates)
     censored = np.zeros(replicates, dtype=bool)
     events = np.zeros(replicates, dtype=np.uint64)
     peaks = np.zeros(replicates)
@@ -476,7 +474,7 @@ def _simulate(
             pool.counts[k - 1, slots] = 1.0
             pool.hosts[slots] = 1.0
             pool.spores[slots] = k
-            pool.clock[slots] = init.clock
+            pool.clock[slots] = 0.0
             replicate[slots] = r
             key[slots] = r.astype(np.uint64) + np.uint64(first)
             family[slots] = f

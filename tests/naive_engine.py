@@ -26,7 +26,7 @@ def run_to_extinction_reference(init, m, seed, index, horizon=None, max_events=1
     hosts = []
     for k, n in init.counts.items():
         hosts.extend([k] * n)
-    t = init.clock
+    t = 0.0
     peak = len(hosts)
     events = 0
     gen = np.random.Generator(np.random.Philox(key=(seed << 64) | index))

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sporesim.cli import (
     EXIT_BUDGET,
@@ -13,11 +15,13 @@ from sporesim.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
+    build_metadata,
     emit_csv,
     main,
     parse_config,
     run_experiment,
 )
+from sporesim.model import ModelParams, OffspringDistribution
 from sporesim.simulator import RNG_ALGORITHM
 
 MINIMAL_SURVIVAL = """
@@ -42,6 +46,18 @@ POISSON_MODEL_BLOCK = (
 )
 
 CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
+
+# config_hash of every shipped config: a parser change that moves a resolved
+# byte fails here
+SHIPPED_CONFIG_HASHES = {
+    "constant_linear_fractional": "b85c792e52c618380c689d52eff89bccb48084365ea01b386b5345751f6650ee",
+    "gumbel_linear_fractional": "e5d1420627716c6ccad7f13e3e76299914886e83fb210f5f84a7fd822f0139e0",
+    "oracle_linear_fractional": "bd7844d0cb09765ed49c8bf274ff6521b64336e2c6a9b94b8daa896c59a368a5",
+    "oracle_pure_death": "6346e34b86bf46deb8741e644bfae65b6055e9aa11ebdfe1d9f1af9eb15ace8e",
+    "slope_linear_fractional": "331e9989406b235535503c004926984d73b86a740283d72b3898640c73d53cce",
+    "survival_linear_fractional": "c649c8389ef787050128528fa76de84aa9cdfd283b0d81dd7342bd5eec7830ea",
+    "survival_poisson_mix": "708f3beed919abd36622a3fb5fc6305549ea190403b3981404375930a196aa4f",
+}
 
 # the smallest config of each experiment type: every optional key defaulted
 MINIMAL_CONFIGS = {
@@ -115,7 +131,100 @@ OUT_OF_RANGE = {
     "oracle-t_max-0": (PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "t_max": 0', [], "t_max"),
     "constant-t_max-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 0', [], "t_max"),
     "oracle-no-closed-form": (POISSON_MODEL_BLOCK, '"type": "oracle"', [], ""),
+    "gumbel-z-aliased-keys": (
+        LF_MODEL_BLOCK,
+        '"type": "gumbel", "z": {"1": 5, "01": 3, " 2": 1, "1_0": 1}, "seed": 1',
+        [],
+        "z",
+    ),
+    "gumbel-z-key-None": (LF_MODEL_BLOCK, '"type": "gumbel", "z": {"None": 1}, "seed": 1', [], "z"),
 }
+
+
+@st.composite
+def in_range_configs(draw):
+    """A config every key of which is in range, for any experiment type and
+    offspring kind; each optional key is given or left to its default."""
+    kind = draw(st.sampled_from(["survival", "constant", "gumbel", "oracle", "slope"]))
+    beta = draw(st.floats(0.1, 5.0))
+    if kind == "oracle":  # a model some closed form covers
+        p0 = draw(st.floats(0.0, 1.0).filter(lambda p: p != 0.5))
+        probs = draw(st.sampled_from([[1.0], [p0, 0.0, 1.0 - p0]]))
+        offspring = {"kind": "table", "probs": probs}
+    else:
+        law_kind = draw(st.sampled_from(["table", "poisson", "geometric"]))
+        if law_kind == "table":
+            weights = draw(
+                st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(
+                    lambda w: sum(w) > 0.01
+                )
+            )
+            # off sum 1 by less than the renormalization tolerance, or not
+            drift = draw(st.sampled_from([1.0, 1.0 + 5e-10]))
+            offspring = {"kind": "table", "probs": [w / sum(weights) * drift for w in weights]}
+        elif law_kind == "poisson":
+            offspring = {"kind": "poisson", "param": draw(st.floats(0.01, 5.0))}
+        else:
+            offspring = {"kind": "geometric", "param": draw(st.floats(0.05, 0.95))}
+    law = OffspringDistribution(**offspring)
+    # subcritical by a margin, with rho >= 0
+    rho = 0.0 if kind == "oracle" and len(law.probs) == 3 else (
+        max(0.0, beta * (law.mean - 1.0)) + draw(st.floats(0.01, 2.0))
+    )
+    m = ModelParams(beta, rho, law)
+    cap = min(m.decay_rate, beta)
+
+    e: dict = {"type": kind}
+
+    def maybe(name, strategy):
+        if draw(st.booleans()):
+            e[name] = draw(strategy)
+
+    if kind in ("survival", "oracle"):
+        if kind == "survival" or draw(st.booleans()):
+            e["k"] = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+        if kind == "survival" or draw(st.booleans()):
+            e["t_max"] = draw(st.floats(0.1, 50.0))
+        maybe("dt", st.floats(1e-3, 1.0))
+        maybe("K", st.integers(max(e.get("k", [1, 2, 5])), 40))
+        maybe("tol", st.floats(1e-12, 1e-3))
+    if kind == "survival":
+        maybe("method", st.sampled_from(["ode", "mc", "both"]))
+    if kind == "oracle":
+        maybe("match_tol", st.floats(1e-12, 1e-3))
+    if kind in ("constant", "gumbel"):
+        maybe("a", st.floats(0.05, 0.95).map(lambda f: f * cap))
+    if kind == "constant":
+        a = e.get("a", cap / 2.0)
+        maybe("epsilon", st.floats(0.05, 0.9).map(lambda f: f * (cap - a)))
+        maybe("solver_tol", st.floats(1e-12, 1e-3))
+        maybe("t_max", st.floats(1.0, 1e3))
+    if kind in ("constant", "slope"):
+        maybe("K", st.integers(1, 40))
+        maybe("tol", st.floats(1e-12, 1e-3))
+    if kind == "slope":
+        maybe(
+            "window",
+            st.tuples(st.floats(0.0, 100.0), st.floats(0.1, 100.0)).map(
+                lambda w: [w[0], w[0] + w[1]]
+            ),
+        )
+        maybe("dt", st.floats(1e-3, 1.0))
+    if kind == "gumbel":
+        e["z"] = draw(
+            st.dictionaries(
+                st.integers(1, 50).map(str), st.integers(0, 1000), min_size=1, max_size=4
+            ).filter(lambda z: any(z.values()))
+        )
+        maybe("C", st.one_of(st.none(), st.floats(1e-6, 1.0)))
+    if kind in ("survival", "gumbel"):
+        maybe("replicates", st.integers(1, 10**6))
+        maybe("max_events", st.integers(1, 2**31 - 1))
+        maybe("seed", st.integers(0, 2**64 - 1))
+    config = {"model": {"beta": beta, "rho": rho, "offspring": offspring}, "experiment": e}
+    if draw(st.booleans()):
+        config["output"] = {"dir": draw(st.sampled_from([".", "out/run"]))}
+    return config
 
 
 def write_config(tmp_path: Path, text: str) -> Path:
@@ -171,9 +280,10 @@ class TestParseConfig:
             parse_config("{not json")
 
     def test_seed_recorded_when_set(self):
-        cfg = parse_config(MINIMAL_SURVIVAL)
+        cfg = parse_config(MINIMAL_SURVIVAL.replace('"t_max": 5.0', '"t_max": 5.0, "method": "mc"'))
         cfg.set_seed(99)
         assert cfg.resolved["experiment"]["seed"] == 99
+        assert cfg.settings is cfg.resolved["experiment"]  # one copy, written once
 
     @pytest.mark.parametrize(
         "text",
@@ -186,6 +296,14 @@ class TestParseConfig:
         assert parse_config(resolved_text).resolved == cfg.resolved
         path = write_config(tmp_path, resolved_text)
         assert main(["validate", "--config", str(path)]) == EXIT_OK
+
+    @settings(max_examples=150, deadline=None)
+    @given(in_range_configs())
+    def test_resolved_config_round_trips_property(self, config):
+        cfg = parse_config(json.dumps(config))
+        again = parse_config(json.dumps(cfg.resolved))
+        assert again.resolved == cfg.resolved
+        assert build_metadata(again)["config_hash"] == build_metadata(cfg)["config_hash"]
 
     def test_K_must_cover_requested_k(self):
         text = MINIMAL_SURVIVAL.replace('"t_max": 5.0', '"t_max": 5.0, "K": 1')
@@ -299,6 +417,18 @@ class TestMain:
         assert main(["validate", "--config", str(cfg)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "resolved:" in out
+
+    @pytest.mark.parametrize("probs", ['["0.6", "0", "0.4"]', "[true]"], ids=["strings", "bool"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_number_probs_rejected(self, tmp_path, capsys, command, probs):
+        out = tmp_path / "out"
+        text = MINIMAL_SURVIVAL.replace("[0.6, 0.0, 0.4]", probs).replace(
+            '"t_max": 5.0}', '"t_max": 5.0}, "output": {"dir": "%s"}' % out
+        )
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert "'model.offspring.probs'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(
@@ -425,11 +555,13 @@ def test_rng_tag_documented_and_recorded(tmp_path):
                 )
                 metadata["config"] = json.loads(metadata["config"])
             assert metadata["rng_algorithm"] == RNG_ALGORITHM, path.name
-            # the embedded config reruns as it stands; --seed gives a
-            # deterministic experiment no seed
+            # the embedded config reruns as it stands; --seed gives a run
+            # that draws no random numbers no seed
             parse_config(json.dumps(metadata["config"]))
-            if kind in ("constant", "oracle", "slope"):
-                assert metadata["master_seed"] is None, path.name
+            if kind != "gumbel":  # the minimal survival config solves the ODE only
+                # a CSV writes the missing seed as the text None, JSON as null
+                expected = "None" if path.suffix == ".csv" else None
+                assert metadata["master_seed"] == expected, path.name
 
 
 class TestShippedConfigs:
@@ -437,6 +569,15 @@ class TestShippedConfigs:
         for path in sorted(Path(__file__).parent.parent.glob("configs/*.json")):
             cfg = parse_config(path.read_text(encoding="utf-8"))
             assert cfg.kind in ("survival", "constant", "gumbel", "oracle", "slope")
+
+    def test_config_hashes_pinned(self):
+        hashes = {
+            path.stem: build_metadata(parse_config(path.read_text(encoding="utf-8")))[
+                "config_hash"
+            ]
+            for path in CONFIGS
+        }
+        assert hashes == SHIPPED_CONFIG_HASHES
 
 
 @pytest.mark.parametrize(

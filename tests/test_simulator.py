@@ -285,7 +285,7 @@ class TestRunToExtinction:
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts({1: 2})
         run_to_extinction(init, m, RandomStream(8, 0))
-        assert init.counts == {1: 2} and init.clock == 0.0
+        assert init.counts == {1: 2} and (init.n_hosts, init.n_spores) == (2, 2)
 
     def test_budget_error(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
