@@ -35,6 +35,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import secrets
 import sys
 from dataclasses import asdict, dataclass, field
@@ -374,13 +375,38 @@ def parse_config(text: str) -> ExperimentConfig:
     Raises ConfigError with the JSON path of the offending key; the returned
     config has every default filled in and recorded.
     """
+    repeated: dict[int, str] = {}  # id of an object -> its first repeated key
+
+    def pairs(items: list) -> dict:
+        obj: dict = {}
+        for key, value in items:
+            if key in obj:
+                repeated.setdefault(id(obj), key)
+            obj[key] = value
+        return obj
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=pairs)
     except json.JSONDecodeError as e:
         raise ConfigError("", f"invalid JSON: {e}") from e
+    if repeated:
+        _reject_repeated(raw, repeated, "")
     top: dict = {}
     resolved = _resolve(raw, CONFIG, top)
     return ExperimentConfig(params=top["params"], resolved=resolved)
+
+
+def _reject_repeated(obj, repeated: dict[int, str], path: str) -> None:
+    """Raise a ConfigError at the first key given twice in one object: JSON
+    keeps only a repeated key's last value, silently."""
+    if isinstance(obj, dict):
+        if id(obj) in repeated:
+            raise ConfigError(f"{path}{repeated[id(obj)]}", "key given more than once")
+        for key, value in obj.items():
+            _reject_repeated(value, repeated, f"{path}{key}.")
+    elif isinstance(obj, list):
+        for value in obj:
+            _reject_repeated(value, repeated, path)
 
 
 def _canonical_json(obj) -> str:
@@ -404,31 +430,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_atomic(path: Path, kind: str, write: Callable) -> None:
+    """Call ``write(f)`` on a new temporary file in ``path``'s directory,
+    then rename it to ``path``: a reader never sees a partial artifact, and a
+    failed write leaves whatever ``path`` held before."""
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        try:
+            with open(tmp, "x", newline="\n", encoding="utf-8") as f:
+                write(f)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # gone once renamed
+    except OSError as e:
+        raise OSError(f"cannot write {kind} artifact {path}: {e}") from e
+
+
 def emit_csv(path: Path, metadata: dict, header: list[str], rows) -> None:
     """Write `# key=value` provenance comments, a header row, then data rows.
 
     Floats carry 17 significant digits (lossless round-trip); newline is LF.
+    The config is canonical JSON and a missing value is written `null`, as
+    in the JSON artifacts.
     """
-    try:
-        with open(path, "w", newline="\n", encoding="utf-8") as f:
-            for key, value in metadata.items():
-                if key == "config":
-                    value = _canonical_json(value)
-                f.write(f"# {key}={value}\n")
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(_fmt(x) for x in row) + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write CSV artifact {path}: {e}") from e
+
+    def write(f) -> None:
+        for key, value in metadata.items():
+            if key == "config" or value is None:
+                value = _canonical_json(value)
+            f.write(f"# {key}={value}\n")
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(x) for x in row) + "\n")
+
+    _write_atomic(path, "CSV", write)
 
 
 def emit_json(path: Path, metadata: dict, payload: dict) -> None:
-    try:
-        with open(path, "w", newline="\n", encoding="utf-8") as f:
-            json.dump({"metadata": metadata, **payload}, f, indent=2, sort_keys=True)
-            f.write("\n")
-    except OSError as e:
-        raise OSError(f"cannot write JSON artifact {path}: {e}") from e
+    def write(f) -> None:
+        json.dump({"metadata": metadata, **payload}, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+    _write_atomic(path, "JSON", write)
 
 
 def _is_linear_fractional(m: ModelParams) -> bool:

@@ -29,6 +29,9 @@ _RENORM_TOL = 1e-9
 # _TABLE_TAIL, or at _TABLE_MAX entries
 _TABLE_TAIL = 2.0**-32
 _TABLE_MAX = 1 << 16
+# tables up to this length are searched by one comparison per entry, which
+# takes a third of the time of searchsorted's binary search at 3 entries
+_LINEAR_SEARCH = 4
 # largest Poisson mean whose pmf recursion starts from a normal float exp(-mean)
 _POISSON_MAX_MEAN = 700.0
 
@@ -188,7 +191,13 @@ class OffspringDistribution:
     def quantiles(self, u: np.ndarray) -> np.ndarray:
         """:meth:`quantile` of every entry of u, as an integer array."""
         cum = self.cumulative
-        j = np.searchsorted(cum, u, side="right")
+        if len(cum) <= _LINEAR_SEARCH:
+            # the number of entries <= u, one comparison per entry
+            j = np.zeros(np.shape(u), dtype=np.intp)
+            for c in self._cumulative_list:
+                j += u >= c
+        else:
+            j = np.searchsorted(cum, u, side="right")
         above = j == len(cum)
         if above.any():
             j[above] = [self._tail_quantile(x) for x in u[above].tolist()]

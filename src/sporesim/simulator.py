@@ -22,25 +22,39 @@ embedded jump chain:
   host, J drawn from the offspring law by inverse CDF (nothing is created
   when J = 0).
 
-Random numbers (tag ``philox4x32-u01/v3``): event e (from 0) of family f
-in replicate r reads two Philox4x32-10 blocks, with key (seed mod 2^32,
+Random numbers (tag ``philox4x32-u01/v4``): event e (from 0) of family f
+in replicate r has two Philox4x32-10 blocks, with key (seed mod 2^32,
 seed >> 32) and counters (2e + b, f, r mod 2^32, r >> 32) for b = 0, 1.
-A block's 32-bit output words (x0, x1, x2, x3) make the 64-bit words
-(x1 << 32) | x0 and (x3 << 32) | x2, and a word w becomes the uniform
-(w >> 11) * 2^-53, 53 bits as in numpy's ``Generator.random``.  Block 0
-gives the waiting-time and type-choice uniforms, block 1 the offspring
-uniform and a spare word.
+Each of the event's three uniforms has 53 bits, u = w * 2^-53, as in
+numpy's ``Generator.random``.  Block 0, with output words (x0, x1, x2, x3),
+holds the waiting-time word ((x1 << 32) | x0) >> 11 and the high 32 bits of
+the type-choice word (x2) and of the offspring word (x3); the low 21 bits of
+those two are x0 >> 11 and x1 >> 11 of block 1, whose other words are
+spare.  :func:`event_uniforms` is the one definition of the three uniforms.
+
+The engine computes block 1 only where it matters.  The kernel's decisions
+are monotone in each uniform, because floating-point rounding is: the kind
+and type come from x = u * total via ``x < removal rate`` and a count of
+running sums <= x, the offspring count from the inverse CDF.  A 32-bit
+prefix h places u in [h * 2^-32, h * 2^-32 + (2^21 - 1) * 2^-53], both ends
+exact in float64.  Where the decision is the same at both ends it is the
+decision at u; only where a boundary falls inside that cell (about one
+event in 2^32 per boundary) does the engine read the event's uniforms in
+full.  Its results are bit for bit those of the kernel fed
+:func:`event_uniforms`.
 No two draws share a counter: event budgets are capped at
 :data:`MAX_EVENTS` = 2^31 - 1 and families per replicate at 2^32 - 1.
 Every draw is a pure function of (seed, replicate, family, event):
 results depend neither on how many families are advanced together nor on
-any thread count.  (``v2`` read one Philox4x64-10 block per event.)
+any thread count.  (``v3`` read the three uniforms as whole 64-bit words,
+two from block 0 and one from block 1; ``v2`` read one Philox4x64-10 block
+per event.)
 
 :func:`run_batch` advances a pool of families together, one event per
 family per step, refilling freed slots in (replicate, family) order.  Once
 no family is left to start the pool only shrinks, and the engine computes
-each live family's Philox blocks several events ahead in one call, as many
-events as fit in one full-pool step.  A batch's results are arrays, a
+each live family's block 0 several events ahead in one call, as many events
+as fit in one full-pool step.  A batch's results are arrays, a
 :class:`BatchOutcomes`; a :class:`SimOutcome` per replicate is built only
 when one is indexed or iterated.  :func:`run_to_extinction` is the same
 engine on one replicate.
@@ -57,7 +71,7 @@ import numpy as np
 
 from .model import ModelParams
 
-RNG_ALGORITHM = "philox4x32-u01/v3"
+RNG_ALGORITHM = "philox4x32-u01/v4"
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +96,8 @@ _MASK64 = (1 << 64) - 1
 
 # event e reads the Philox counters 2e and 2e + 1, which must stay below 2^32
 MAX_EVENTS = (1 << 31) - 1
+# a uniform lies within this much above its 32-bit prefix h * 2^-32
+_PREFIX_SLACK = ((1 << 21) - 1) * 2.0**-53
 
 _PHILOX_M = np.array([0xD2511F53, 0xCD9E8D57], dtype=np.uint64)
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
@@ -140,24 +156,41 @@ def philox4x32(counter, key: tuple[int, int]) -> tuple[np.ndarray, ...]:
 
 
 def _u01(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) from 64-bit words (hi << 32) | lo, as (w >> 11) * 2^-53."""
+    """Uniforms in [0, 1) with 53 bits: (hi << 21 | lo >> 11) * 2^-53."""
     return ((hi << _SHIFT21) | (lo >> _SHIFT11)) * 2.0**-53
+
+
+def _counters(event, family, replicate, blocks: int) -> tuple[np.ndarray, ...]:
+    """The Philox counter words of block 0, or of blocks 0 and 1 stacked on
+    a leading axis, of the given events; the family and replicate words are
+    left unbroadcast."""
+    e, f, r = (np.asarray(a, dtype=np.uint64) for a in (event, family, replicate))
+    e = e * np.uint64(2)
+    if blocks == 2:
+        e = np.broadcast_to(e, np.broadcast_shapes(e.shape, f.shape, r.shape))
+        e = np.stack((e, e + np.uint64(1)))
+    return e, f, r & _LOW32, r >> _SHIFT32
 
 
 def event_uniforms(seed: int, event, family, replicate) -> tuple[np.ndarray, ...]:
     """The waiting-time, type-choice and offspring uniforms of event(s)
     ``event`` of family ``family`` in replicate ``replicate`` (broadcastable
     integer arrays), under the engine's counter layout."""
-    e, f, r = np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.uint64) for a in (event, family, replicate))
-    )
-    e = e * np.uint64(2)
     x0, x1, x2, x3 = philox4x32(
-        (np.stack((e, e + np.uint64(1))), f, r & _LOW32, r >> _SHIFT32),
-        (seed & _MASK32, seed >> 32),
+        _counters(event, family, replicate, 2), (seed & _MASK32, seed >> 32)
     )
-    wait, offspring = _u01(x0, x1)  # word pair 0 of blocks 0 and 1
-    return wait, _u01(x2[0], x3[0]), offspring  # pair 1 of block 1 is spare
+    # block 1's x0 and x1 hold the low bits of the type-choice and offspring words
+    return _u01(x0[0], x1[0]), _u01(x0[1], x2[0]), _u01(x1[1], x3[0])
+
+
+def event_prefixes(seed: int, event, family, replicate) -> tuple[np.ndarray, ...]:
+    """Block 0 alone: the waiting-time uniform of :func:`event_uniforms`,
+    and its type-choice and offspring uniforms' 32-bit prefixes h * 2^-32
+    (each uniform lies in [h * 2^-32, h * 2^-32 + (2^21 - 1) * 2^-53])."""
+    x0, x1, x2, x3 = philox4x32(
+        _counters(event, family, replicate, 1), (seed & _MASK32, seed >> 32)
+    )
+    return _u01(x0, x1), x2 * 2.0**-32, x3 * 2.0**-32
 
 
 def _stream_uniforms(seed: int, index: int):
@@ -327,6 +360,42 @@ class BatchOutcomes(Sequence):
         return f"BatchOutcomes({len(self)} replicates, horizon={self.horizon})"
 
 
+def _decide(m: ModelParams, counts, removal_rate, total, u_pick, u_offspring):
+    """The next event of the populations whose host counts are the columns
+    of ``counts`` (all alive), drawn from a type-choice and an offspring
+    uniform each.  Returns (removal mask, removal rate subtracted from x,
+    running sums, row of the host's type, offspring quantile: the offspring
+    count of a release)."""
+    # one uniform across the combined rate picks kind and type: the type is
+    # the first whose cumulative weight (removal rho*n_k, release beta*k*n_k,
+    # in ascending type order) exceeds x.  The running sums are one cumsum
+    # down the types, up to the highest type any population holds.
+    x = u_pick * total
+    top = int(np.flatnonzero(counts.any(axis=1))[-1]) + 1
+    release_weight = m.beta * np.arange(1, top + 1, dtype=float)[:, None]
+    if m.rho:
+        removal = x < removal_rate
+        shift = np.where(removal, 0.0, removal_rate)
+        x -= shift
+        acc = np.where(removal, m.rho, release_weight)
+        acc *= counts[:top]
+    else:  # every event is a release: the same sums, without two costly np.where
+        removal = np.zeros(len(x), dtype=bool)
+        shift = 0.0
+        acc = release_weight * counts[:top]
+    if len(x) < _ROW_SUMS:
+        np.cumsum(acc, axis=0, out=acc)
+    else:  # same sums, faster when rows are long
+        for k in range(1, top):
+            acc[k] += acc[k - 1]
+    col = np.count_nonzero(acc <= x, axis=0)
+    edge = col == top
+    if edge.any():  # x landed on the top edge by rounding: last occupied type
+        occupied = counts[::-1, edge] > 0.0
+        col[edge] = len(counts) - 1 - np.argmax(occupied, axis=0)
+    return removal, shift, acc, col, m.offspring.quantiles(u_offspring)
+
+
 class _Rows:
     """Populations as columns of host counts, and the transition kernel that
     applies one exact event to every population at once.
@@ -334,6 +403,8 @@ class _Rows:
     Row k-1 of ``counts`` holds the type-k hosts of each population; counts
     and totals are integers stored as floats (exact below 2^53).  ``counts``
     stays C-contiguous: the kernel scatters its updates through a flat view.
+    ``undecided`` counts the events that the prefixes of their uniforms did
+    not decide.
     """
 
     def __init__(self, m: ModelParams, n: int, width: int):
@@ -342,6 +413,13 @@ class _Rows:
         self.hosts = np.zeros(n)
         self.spores = np.zeros(n)
         self.clock = np.zeros(n)
+        self.lanes = np.arange(n)
+        # an offspring prefix u decides the count j drawn at it when
+        # u + slack stays below P(J <= j): below these bounds (rounded down),
+        # and below 0 past the table's top
+        bound = np.append(m.offspring.cumulative, 0.0) - _PREFIX_SLACK
+        self.below = np.nextafter(bound, -np.inf)
+        self.undecided = 0
 
     def widen(self, width: int) -> None:
         counts = np.zeros((width, len(self.hosts)))
@@ -353,57 +431,65 @@ class _Rows:
         self.hosts = self.hosts[mask]
         self.spores = self.spores[mask]
         self.clock = self.clock[mask]
+        self.lanes = self.lanes[: len(self.hosts)]
 
-    def event(
-        self, u_wait: np.ndarray, u_pick: np.ndarray, u_offspring: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def event(self, u_wait, u_pick, u_offspring, full=None):
         """Apply one event to every population (all must be alive), drawn
-        from three uniforms each.  Returns (removal mask, host type,
-        offspring count; 0 for removals)."""
+        from three uniforms each.  Returns (removal mask, row of the host's
+        type, offspring count; 0 for removals).
+
+        With ``full``, ``u_pick`` and ``u_offspring`` are 32-bit prefixes
+        (:func:`event_prefixes`), and ``full(lanes)`` returns the two
+        uniforms in full for the populations ``lanes``.  It is called, before
+        anything changes, only for the populations whose event the prefixes
+        leave undecided.
+        """
         m = self.m
         n = len(self.hosts)
         removal_rate = m.rho * self.hosts
         total = removal_rate + m.beta * self.spores
+        removal, shift, acc, col, j = _decide(
+            m, self.counts, removal_rate, total, u_pick, u_offspring
+        )
+        lanes = self.lanes
+        here = col * n + lanes
+        if full is not None:
+            # every step of _decide is monotone in each uniform, so the event
+            # drawn at a prefix u is the event at any uniform in
+            # [u, u + slack] unless it differs at u + slack: in kind when x
+            # reaches the removal rate, in type when x reaches the next
+            # running sum, in offspring count when the uniform reaches the
+            # next cumulative probability.  An edge lane reads its own total
+            # and so counts as undecided.
+            x = u_pick + _PREFIX_SLACK
+            x *= total
+            x -= shift  # removals subtract 0
+            undecided = acc.reshape(-1).take(here, mode="clip") <= x
+            if m.rho:
+                undecided |= removal & (x >= removal_rate)
+            undecided |= self.below.take(j, mode="clip") <= u_offspring
+            if undecided.any():
+                redo = np.flatnonzero(undecided)
+                removal[redo], _, _, col[redo], j[redo] = _decide(
+                    m, self.counts[:, redo], removal_rate[redo], total[redo], *full(redo)
+                )
+                here[redo] = col[redo] * n + redo
+                self.undecided += len(redo)
+
         wait = np.log1p(-u_wait)
         wait /= total
         self.clock -= wait
-
-        # one uniform across the combined rate picks kind and type: the type
-        # is the first whose cumulative weight (removal rho*n_k, release
-        # beta*k*n_k, in ascending type order) exceeds x.  The running sums
-        # are one cumsum down the types, up to the highest type any
-        # population holds.
-        x = u_pick * total
-        removal = x < removal_rate
-        x -= np.where(removal, 0.0, removal_rate)
-        top = int(np.flatnonzero(self.counts.any(axis=1))[-1]) + 1
-        release_weight = m.beta * np.arange(1, top + 1, dtype=float)
-        acc = np.where(removal, m.rho, release_weight[:, None])
-        acc *= self.counts[:top]
-        if n < _ROW_SUMS:
-            np.cumsum(acc, axis=0, out=acc)
-        else:  # same sums, faster when rows are long
-            for k in range(1, top):
-                acc[k] += acc[k - 1]
-        col = np.count_nonzero(acc <= x, axis=0)
-        edge = col == top
-        if edge.any():  # x landed on the top edge by rounding: last occupied type
-            occupied = self.counts[::-1, edge] > 0.0
-            col[edge] = len(self.counts) - 1 - np.argmax(occupied, axis=0)
-
         # scatter updates on the flat counts (ufunc.at on flat indices is the
         # fastest scatter numpy offers here): entry (k-1)*n + i is n_k of
         # population i.  Offsets one type below 1 wrap around to the last
         # row and add 0 there.
-        lanes = np.arange(n)
-        here = col * n + lanes
         np.subtract.at(self.counts.reshape(-1), here, 1.0)
         release = ~removal
         np.add.at(self.counts.reshape(-1), here - n, (release & (col > 0)).astype(float))
         self.hosts -= removal | (col == 0)
         self.spores -= np.where(removal, col + 1, 1)
 
-        j = np.where(release, m.offspring.quantiles(u_offspring), 0)
+        j = np.where(release, j, 0)
         born = j > 0
         if born.any():
             top = int(j.max())
@@ -412,7 +498,7 @@ class _Rows:
             np.add.at(self.counts.reshape(-1), (j - 1) * n + lanes, born.astype(float))
             self.hosts += born
             self.spores += j
-        return removal, col + 1, j
+        return removal, col, j
 
 
 def _simulate(
@@ -446,7 +532,7 @@ def _simulate(
     events = np.zeros(replicates, dtype=np.uint64)
     peaks = np.zeros(replicates)
     failed = replicates  # smallest replicate over budget, if any
-    steps = drain_steps = calls = computed = consumed = 0
+    steps = drain_steps = calls = computed = consumed = undecided = 0
 
     if n_families:
         width = max(int(founders[-1]), m.offspring.quantile(1.0 - 2.0**-20), 1)
@@ -460,9 +546,10 @@ def _simulate(
         end = math.inf if horizon is None else horizon
         started = 0  # families started so far
         limit = replicates * n_families  # families to start
-        # uniforms computed ahead: ahead[w][e, lane[i]] is uniform w of live
-        # family i's e-th event after the buffer was computed; row is the
-        # next e to read, depth the buffer's length (both 0: compute first)
+        # block 0 computed ahead: ahead[w][e, lane[i]] is the waiting time
+        # (w = 0) or a prefix (w = 1, 2) of live family i's e-th event after
+        # the buffer was computed; row is the next e to read, depth the
+        # buffer's length (both 0: compute first)
         depth = row = 0
 
         def start(slots: np.ndarray) -> None:
@@ -481,6 +568,9 @@ def _simulate(
             done_events[slots] = 0
             peak[slots] = 1.0
 
+        def full(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return event_uniforms(seed, done_events[lanes], family[lanes], key[lanes])[1:]
+
         start(np.arange(size))
         while len(replicate):
             live = len(replicate)
@@ -494,17 +584,20 @@ def _simulate(
                 # every Philox counter below 2^32
                 ahead_events = done_events + np.arange(depth, dtype=np.uint64)[:, None]
                 np.minimum(ahead_events, max_events, out=ahead_events)
-                ahead = event_uniforms(seed, ahead_events, family, key)
+                ahead = event_prefixes(seed, ahead_events, family, key)
                 lane = np.arange(live)
                 row = 0
                 computed += depth * live
                 calls += 1
-            uniforms = [u[row, lane] for u in ahead]
+            if len(lane) == ahead[0].shape[1]:  # no family has left since
+                uniforms = [u[row] for u in ahead]
+            else:
+                uniforms = [u[row].take(lane) for u in ahead]
             row += 1
             steps += 1
             drain_steps += live < size
             consumed += live
-            pool.event(*uniforms)
+            pool.event(*uniforms, full)
             cut = pool.clock > end  # the event falls past the horizon
             done_events += ~cut
             np.maximum(peak, pool.hosts, out=peak, where=~cut)
@@ -540,13 +633,15 @@ def _simulate(
                 replicate, key, family, done_events, peak, lane = (
                     a[keep] for a in (replicate, key, family, done_events, peak, lane)
                 )
+        undecided = pool.undecided
 
     logger.debug(
         "batch of %d replicates, %d families: %d engine steps, %d in the drain; "
-        "%d Philox block pairs computed in %d calls, %d consumed; %d events, at most %d per "
-        "replicate; peak hosts at most %d", replicates, replicates * n_families, steps,
-        drain_steps, computed, calls, consumed, int(events.sum()), int(events.max()),
-        int(peaks.max()),
+        "%d Philox blocks 0 computed in %d calls, %d consumed; %d events left undecided by "
+        "their prefixes, refined from %d blocks; %d events, at most %d per replicate; peak "
+        "hosts at most %d",
+        replicates, replicates * n_families, steps, drain_steps, computed, calls, consumed,
+        undecided, 2 * undecided, int(events.sum()), int(events.max()), int(peaks.max()),
     )
     if failed < replicates:
         index = first + failed

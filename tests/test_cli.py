@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sporesim import cli
 from sporesim.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -138,6 +139,11 @@ OUT_OF_RANGE = {
         "z",
     ),
     "gumbel-z-key-None": (LF_MODEL_BLOCK, '"type": "gumbel", "z": {"None": 1}, "seed": 1', [], "z"),
+    # JSON keeps a repeated key's last value: "1": 5 would silently vanish
+    "gumbel-z-repeated-key": (
+        LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 5, "3": 2, "1": 3}, "seed": 1', [], "z.1"
+    ),
+    "gumbel-seed-repeated": (LF_MODEL_BLOCK, LF_GUMBEL + ', "seed": 1, "seed": 2', [], "seed"),
 }
 
 
@@ -465,6 +471,52 @@ class TestMain:
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", str(cfg)]) == EXIT_BUDGET
 
+    def test_failed_write_keeps_older_artifacts_whole(self, tmp_path, monkeypatch):
+        # artifacts are renamed into place once written: a write failing
+        # partway through the second artifact leaves no temporary file and
+        # that artifact's older bytes, and rolls back the first
+        text = (
+            '{%s, "experiment": {"type": "gumbel", "z": {"1": 10}, "replicates": 3, "seed": 1}}'
+            % LF_MODEL_BLOCK
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        older = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(older) == ["extinction_times.csv", "gumbel.json"]
+        values = 0
+
+        def fmt_then_fail(value):
+            nonlocal values
+            values += 1
+            if values > 2:
+                raise OSError("no space left on device")
+            return str(value)
+
+        monkeypatch.setattr(cli, "_fmt", fmt_then_fail)
+        args = ["run", "--config", str(cfg), "--out-dir", str(out), "--seed", "2"]
+        assert main(args) == EXIT_CONFIG
+        assert values > 2
+        left = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert left == {"extinction_times.csv": older["extinction_times.csv"]}
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"model": {}, "model": {}}', "model"),
+            (
+                '{"model": {"beta": 1.0, "rho": 0.0, "offspring": {"kind": "poisson", '
+                '"kind": "table", "probs": [1.0]}}}',
+                "model.offspring.kind",
+            ),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_key_rejected_at_its_path(self, tmp_path, capsys, text, path):
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"'{path}': key given more than once" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # constant extraction with an unreachable settling threshold
         text = (
@@ -559,8 +611,8 @@ def test_rng_tag_documented_and_recorded(tmp_path):
             # that draws no random numbers no seed
             parse_config(json.dumps(metadata["config"]))
             if kind != "gumbel":  # the minimal survival config solves the ODE only
-                # a CSV writes the missing seed as the text None, JSON as null
-                expected = "None" if path.suffix == ".csv" else None
+                # a missing seed is null in CSV provenance and JSON alike
+                expected = "null" if path.suffix == ".csv" else None
                 assert metadata["master_seed"] == expected, path.name
 
 

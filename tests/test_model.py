@@ -196,12 +196,17 @@ class TestSampling:
         "d",
         [
             OffspringDistribution.table([0.6, 0.0, 0.4]),
+            OffspringDistribution.table([1.0]),
+            OffspringDistribution.table([0.25, 0.25, 0.0, 0.5]),
+            OffspringDistribution.table([0.1, 0.2, 0.3, 0.0, 0.4]),
             OffspringDistribution.poisson(2.0),
             OffspringDistribution.geometric(0.3),
         ],
-        ids=["table", "poisson", "geometric"],
+        ids=["table", "table-1", "table-4", "table-5", "poisson", "geometric"],
     )
     def test_scalar_and_vector_quantiles_agree(self, d):
+        # tables of up to four entries are searched by comparisons, longer
+        # ones by searchsorted: both are the scalar bisection
         top = float(d.cumulative[-1])
         u = np.concatenate(
             [

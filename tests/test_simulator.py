@@ -51,23 +51,23 @@ def kernel_events(m, counts, draw):
     row.hosts[0] = sum(counts.values())
     row.spores[0] = sum(k * n for k, n in counts.items())
     while row.hosts[0]:
-        drawn = row.event(*(np.array([draw()]) for _ in range(3)))
-        yield row, *(int(a[0]) for a in drawn)
+        removal, col, offspring = row.event(*(np.array([draw()]) for _ in range(3)))
+        yield row, bool(removal[0]), int(col[0]) + 1, int(offspring[0])
 
 
 class FamilyWords:
     """Stub stream for kernel_events(): serves one family's uniforms, event
-    after event, computed with the scalar Philox from the v3 layout: event e
-    reads blocks with counters (2e + b, family, replicate low and high 32
-    bits) for b = 0, 1 under the seed's two 32-bit halves as key.  Block 0's
-    64-bit words (x1 << 32) | x0 and (x3 << 32) | x2 give the waiting-time
-    and type-choice uniforms, block 1's (x1 << 32) | x0 the offspring
-    uniform."""
+    after event from ``event``, computed with the scalar Philox from the v4
+    layout: event e reads blocks x and y with counters (2e + b, family,
+    replicate low and high 32 bits) for b = 0, 1 under the seed's two 32-bit
+    halves as key.  The waiting-time word is ((x1 << 32) | x0) >> 11, the
+    type-choice word (x2 << 21) | (y0 >> 11) and the offspring word
+    (x3 << 21) | (y1 >> 11); a 53-bit word w is the uniform w * 2^-53."""
 
-    def __init__(self, seed: int, replicate: int, family: int):
+    def __init__(self, seed: int, replicate: int, family: int, event: int = 0):
         self.key = (seed & MASK32, seed >> 32)
         self.counter = (family, replicate & MASK32, replicate >> 32)
-        self.event = 0
+        self.event = event
         self.words: list[float] = []
 
     def uniform01(self) -> float:
@@ -76,8 +76,12 @@ class FamilyWords:
                 philox4x32_scalar((2 * self.event + b, *self.counter), self.key) for b in (0, 1)
             )
             self.event += 1
-            pairs = ((x[1] << 32) | x[0], (x[3] << 32) | x[2], (y[1] << 32) | y[0])
-            self.words = [(w >> 11) * 2.0**-53 for w in pairs]
+            words = (
+                ((x[1] << 32) | x[0]) >> 11,
+                (x[2] << 21) | (y[0] >> 11),
+                (x[3] << 21) | (y[1] >> 11),
+            )
+            self.words = [w * 2.0**-53 for w in words]
         return self.words.pop(0)
 
 
@@ -369,6 +373,36 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             run_batch(PopulationState.from_counts({1: 2**32}), m, 1, replicates=1)
 
+    def test_refinement_read_at_the_last_events(self):
+        # the engine reads event e's block 0 ahead and, where its prefixes
+        # leave the event undecided, both blocks in full; at the last events
+        # a budget allows, counter 2e + 1 is still a 32-bit word
+        seed, family, replicate = 2**40 + 5, 7, 2**33 + 3
+        for e in (simulator.MAX_EVENTS - 1, simulator.MAX_EVENTS):
+            spec = FamilyWords(seed, replicate, family, event=e)
+            wait, pick, offspring = (spec.uniform01() for _ in range(3))
+            assert [float(u) for u in event_uniforms(seed, e, family, replicate)] == [
+                wait, pick, offspring
+            ]
+            ahead = [float(u) for u in simulator.event_prefixes(seed, e, family, replicate)]
+            assert ahead[0] == wait
+            for prefix, u in zip(ahead[1:], (pick, offspring)):
+                assert prefix <= u <= prefix + simulator._PREFIX_SLACK
+                assert prefix == int(u * 2**32) * 2.0**-32
+            # one host of type 1, rho chosen so the removal/release split
+            # falls inside the pick prefix's cell: the kernel must refine
+            split = ahead[1] + simulator._PREFIX_SLACK / 2
+            m = ModelParams(1.0, split / (1.0 - split), TWO_POINT)
+            eager, lazy = kernel_pool(m, [{1: 1}]), kernel_pool(m, [{1: 1}])
+            drawn = eager.event(*(np.array([u]) for u in (wait, pick, offspring)))
+            refined = lazy.event(
+                *(np.array([u]) for u in ahead),
+                lambda lanes: event_uniforms(seed, [e], family, replicate)[1:],
+            )
+            assert lazy.undecided == 1
+            assert all(np.array_equal(a, b) for a, b in zip(drawn, refined))
+            assert lazy.clock[0] == eager.clock[0] and lazy.hosts[0] == eager.hosts[0]
+
     def test_subcritical_all_extinct(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts({1: 100})
@@ -432,16 +466,190 @@ def test_outcome_event_counts_match_total_releases():
         assert out.peak_hosts == 1
 
 
+LOW21 = 2**21 - 1
+
+
+def word_uniform(hi: int, lo: int) -> float:
+    """The uniform of the 53-bit word with high 32 bits ``hi`` (block 0)
+    and low 21 bits ``lo`` (block 1)."""
+    return ((hi << 21) | lo) * 2.0**-53
+
+
+def kernel_pool(m, columns):
+    """A ``_Rows`` holding one population per dict type -> host count."""
+    width = max(max(c) for c in columns)
+    rows = simulator._Rows(m, len(columns), width)
+    for i, column in enumerate(columns):
+        for k, n in column.items():
+            rows.counts[k - 1, i] = n
+    rows.hosts[:] = rows.counts.sum(axis=0)
+    rows.spores[:] = (np.arange(1, width + 1)[:, None] * rows.counts).sum(axis=0)
+    return rows
+
+
+def lazy_against_eager(m, columns, picks, offsprings):
+    """One event on each population of ``columns``, its type-choice and
+    offspring words given as (hi, lo) pairs: the kernel fed the 32-bit
+    prefixes, reading words in full only where it asks, must leave the pool
+    bit for bit as the kernel fed the full uniforms.  Returns the lanes it
+    asked for."""
+    wait = np.linspace(0.1, 0.9, len(columns))
+    full = [np.array([word_uniform(hi, lo) for hi, lo in w]) for w in (picks, offsprings)]
+    prefix = [np.array([hi * 2.0**-32 for hi, _ in w]) for w in (picks, offsprings)]
+    asked = []
+
+    def read(lanes):
+        asked.extend(lanes.tolist())
+        return full[0][lanes], full[1][lanes]
+
+    eager, lazy = kernel_pool(m, columns), kernel_pool(m, columns)
+    drawn = eager.event(wait, *full)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, lazy.event(wait, *prefix, read)))
+    for name in ("counts", "hosts", "spores", "clock"):
+        assert np.array_equal(getattr(eager, name), getattr(lazy, name)), name
+    assert lazy.undecided == len(asked)
+    return asked
+
+
+def straddle(decision, u):
+    """The cell of 32-bit prefixes around uniform ``u`` and low words in it
+    on both sides of where ``decision`` (monotone) changes: (hi, [lo, ...])."""
+    hi = int(u * 2**32)
+    first = decision(word_uniform(hi, 0))
+    assert decision(word_uniform(hi, LOW21)) != first, "the cell does not straddle"
+    below, above = 0, LOW21  # decision(below) == first != decision(above)
+    while above - below > 1:
+        mid = (below + above) // 2
+        below, above = (mid, above) if decision(word_uniform(hi, mid)) == first else (below, mid)
+    return hi, sorted({0, below, above, LOW21})
+
+
+def first_event(m, column):
+    """(removal, host type row) of the event the kernel draws at uniform u
+    for the population ``column``."""
+
+    def decision(u):
+        removal, col, _ = kernel_pool(m, [column]).event(
+            np.array([0.5]), np.array([u]), np.array([0.0])
+        )
+        return bool(removal[0]), int(col[0])
+
+    return decision
+
+
+class TestPrefixRefinement:
+    """The engine reads a type-choice or offspring uniform in full only where
+    its 32-bit prefix cannot decide the event: crafted prefixes whose cell
+    holds a boundary are refined, and the result is the eager kernel's."""
+
+    MIXED = {1: 2, 3: 1}  # rho = 0.5, beta = 1: removal rate 1.5, total 6.5
+
+    @pytest.mark.parametrize(
+        "u",
+        [1.5 / 6.5, 1.0 / 6.5, 3.5 / 6.5],
+        ids=["removal-release-split", "removal-type-boundary", "release-type-boundary"],
+    )
+    def test_pick_straddling_a_boundary(self, u):
+        m = ModelParams(1.0, 0.5, TWO_POINT)
+        hi, los = straddle(first_event(m, self.MIXED), u)
+        columns = [self.MIXED] * len(los)
+        asked = lazy_against_eager(m, columns, [(hi, lo) for lo in los], [(0, 0)] * len(los))
+        assert asked == list(range(len(los)))
+
+    def test_kind_boundary_below_the_last_running_sum(self):
+        # rho = 0.3 and types 1, 2 held 5 and 1 times: the removal rate is
+        # 0.3 * 6 = 1.7999999999999998, but the removal running sums end at
+        # 1.5 + 0.3 = 1.8.  In this cell (found by search over beta) the
+        # scaled uniform's upper end lies between the two, so only the kind
+        # check, not the running sum after the chosen type, sees that the
+        # removal may be a release
+        m = ModelParams(1.4559579657493849, 0.3, TWO_POINT)
+        column = {1: 5, 2: 1}
+        hi = 644690695
+        removal_rate, total = 0.3 * 6.0, 0.3 * 6.0 + m.beta * 7.0
+        x = (hi * 2.0**-32 + simulator._PREFIX_SLACK) * total
+        assert removal_rate <= x < 1.5 + 0.3
+        assert hi == straddle(first_event(m, column), removal_rate / total)[0]
+        asked = lazy_against_eager(m, [column] * 2, [(hi, 0), (hi, LOW21)], [(0, 0)] * 2)
+        assert asked == [0, 1]
+
+    def test_pick_on_the_top_edge(self):
+        # beta = 0.3, types 1, 2, 3 held 1, 2, 3 times: at u = 1 - 2^-53 the
+        # scaled uniform 4.2 passes the last running sum 4.199999999999999
+        m = ModelParams(0.3, 0.0, TWO_POINT)
+        column = {1: 1, 2: 2, 3: 3}
+        x = word_uniform(2**32 - 1, LOW21) * (0.3 * 14.0)
+        assert x >= np.cumsum(0.3 * np.array([1.0, 4.0, 9.0]))[-1]
+        asked = lazy_against_eager(
+            m, [column] * 2, [(2**32 - 1, 0), (2**32 - 1, LOW21)], [(0, 0)] * 2
+        )
+        assert asked == [0, 1]
+
+    def test_offspring_straddling_a_table_step(self):
+        m = ModelParams(1.0, 0.0, TWO_POINT)  # P(J <= 0) = 0.6
+        hi, los = straddle(m.offspring.quantile, 0.6)
+        columns = [{1: 1}] * len(los)
+        asked = lazy_against_eager(m, columns, [(0, 0)] * len(los), [(hi, lo) for lo in los])
+        assert asked == list(range(len(los)))
+
+    def test_offspring_straddling_the_poisson_tail(self):
+        # the sampling table ends where the tail mass is below 2^-32: a
+        # uniform past its top continues the recursion, in full
+        m = ModelParams(1.0, 0.0, OffspringDistribution.poisson(2.0))
+        top = m.offspring.cumulative[-1]
+        hi, los = straddle(m.offspring.quantile, top)
+        words = [(hi, lo) for lo in los] + [(hi + 1, 0)]  # the next cell lies past the top
+        columns = [{1: 1}] * len(words)
+        asked = lazy_against_eager(m, columns, [(0, 0)] * len(words), words)
+        assert asked == list(range(len(words)))
+        assert m.offspring.quantile(word_uniform(hi + 1, 0)) >= len(m.offspring.cumulative)
+
+    def test_decided_prefixes_read_nothing(self):
+        m = ModelParams(1.0, 0.5, OffspringDistribution.poisson(2.0))
+        rng = np.random.default_rng(8)
+        his = rng.integers(0, 2**32, (2, 64)).tolist()
+        los = rng.integers(0, LOW21, (2, 64)).tolist()
+        words = [list(zip(hi, lo)) for hi, lo in zip(his, los)]
+        assert lazy_against_eager(m, [self.MIXED] * 64, *words) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rates=st.tuples(st.sampled_from([0.0, 0.5, 1.3]), st.floats(0.1, 3.0)),
+        column=st.dictionaries(st.integers(1, 6), st.integers(1, 4), min_size=1, max_size=4),
+        law=st.sampled_from(
+            [TWO_POINT, OffspringDistribution.poisson(2.0), OffspringDistribution.geometric(0.4)]
+        ),
+        near=st.tuples(st.integers(0, 100), st.integers(0, 100)),
+        shift=st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+        lows=st.tuples(st.integers(0, LOW21), st.integers(0, LOW21)),
+    )
+    def test_lazy_matches_eager_next_to_boundaries(self, rates, column, law, near, shift, lows):
+        rho, beta = rates
+        m = ModelParams(beta, rho, law)
+        types = np.array(sorted(column), dtype=float)
+        n = np.array([column[k] for k in sorted(column)], dtype=float)
+        removal_rate = rho * n.sum()
+        total = removal_rate + beta * (types * n).sum()
+        # where the kind, the type and the offspring count change, in u
+        picks = [removal_rate, *np.cumsum(rho * n), *(removal_rate + np.cumsum(beta * types * n))]
+        bounds = (np.array(picks) / total, law.cumulative)
+        words = []
+        for b, i, d, lo in zip(bounds, near, shift, lows):
+            hi = int(b[i % len(b)] * 2**32) + d
+            words.append([(min(max(hi, 0), 2**32 - 1), lo)])
+        lazy_against_eager(m, [column], *words)
+
+
 class TestBatchEngine:
     @pytest.mark.parametrize("cells", [7, simulator.POOL_CELLS])
     def test_replicate_equals_single_run(self, monkeypatch, cells):
         # the pool size changes which families run together, never a result
         monkeypatch.setattr(simulator, "POOL_CELLS", cells)
         mixed = PopulationState.from_counts({1: 4, 3: 2})
-        # long-lived families of a wide law: replicate 93 takes 75 events,
-        # so the drain computes blocks ahead at several depths (1, 10, 62
-        # and 250 events at the default pool size), and the type scan
-        # reaches type 57
+        # long-lived families of a wide law: replicate 197 takes 357
+        # events, so the drain computes blocks ahead at several depths (1,
+        # 8, 50, 125 and 250 events at the default pool size), and the type
+        # scan reaches type 44
         one = PopulationState.from_counts({1: 1})
         wide = ModelParams(1.0, 9.0, OffspringDistribution.geometric(0.1))
         for init, m, horizon, n in (
@@ -517,17 +725,21 @@ class TestBatchEngine:
         (record,) = [r for r in caplog.records if r.name == "sporesim.simulator"]
         found = re.search(
             r"batch of 256 replicates, 256 families: (\d+) engine steps, (\d+) in the drain; "
-            r"(\d+) Philox block pairs computed in (\d+) calls, (\d+) consumed; (\d+) events, "
-            r"at most (\d+) per replicate; peak hosts at most (\d+)",
+            r"(\d+) Philox blocks 0 computed in (\d+) calls, (\d+) consumed; (\d+) events left "
+            r"undecided by their prefixes, refined from (\d+) blocks; (\d+) events, at most "
+            r"(\d+) per replicate; peak hosts at most (\d+)",
             record.getMessage(),
         )
         assert found, record.getMessage()
-        steps, drain, computed, calls, consumed, events, most, peak = map(int, found.groups())
+        counts = map(int, found.groups())
+        steps, drain, computed, calls, consumed, undecided, refined, events, most, peak = counts
         assert events == batch.event_counts.sum()
-        assert most == batch.event_counts.max() == 75
+        assert most == batch.event_counts.max() == 357
         assert peak == batch.peak_hosts.max()
         assert consumed == events  # no horizon: every block read is an event
         assert computed > consumed  # blocks computed ahead for families that died first
+        # a prefix leaves an event undecided about once in 2^32 per boundary
+        assert refined == 2 * undecided and undecided <= consumed // 100
         assert steps >= most and 0 < drain < steps
         assert calls < steps  # drain steps read blocks computed by earlier calls
         assert calls >= 3  # the drain computes ahead at several depths
