@@ -20,7 +20,13 @@ u_k = e^{sigma*t} q_k, sigma = max(decay rate, 0), with a step end on every
 grid point.  u_k stays O(k) for subcritical models, so absolute error control
 on u gives *relative* accuracy on q deep into the tail (where q underflows
 any absolute tolerance), and |q error| = e^{-sigma*t} |u error| <= tol.
-:func:`backward_rhs` is the one right-hand side, in q (sigma = 0) or in u.
+:func:`backward_rhs` is the one right-hand side, in q (sigma = 0) or in u;
+the integrator evaluates the same formula in place, through preallocated
+buffers, with the same operations in the same order, so its rows are bit for
+bit those of the allocating form.  Each pass yields its grid rows as it
+reaches them: two passes at different tolerances advance together and are
+compared row by row, a pass that loses is dropped where it loses, and a
+caller may stop both at a grid row (:func:`estimate_constant` stops at t*).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -115,10 +122,38 @@ class ConstantEstimate:
             raise ValueError(f"leading constant must lie in (0, 1], got {self.c_hat!r}")
 
 
+def _rhs_kernel(sys: TruncatedSystem, sigma: float, q: np.ndarray, tmp: np.ndarray):
+    """The backward system's right-hand side at the vector ``q`` as an
+    in-place kernel ``f(out, t)``: writes the derivative at (t, q) to ``out``,
+    through the scratch vector ``tmp``, and returns ``out``.  The per-solve
+    constants (sigma - rho) - beta k and p~_1 .. p~_K and the shifted views
+    are made here once."""
+    release = sys.release_rates
+    linear = sigma - sys.params.rho - release
+    ptail = sys.offspring_table[1:]
+    q_below, tmp_above = q[:-1], tmp[1:]
+
+    def f(out: np.ndarray, t: float) -> np.ndarray:
+        w = float(ptail.dot(q))
+        c = 1.0 - math.exp(-sigma * t) * w
+        # tmp = q_{k-1} * c + w with q_0 = 0, then release * tmp
+        np.multiply(q_below, c, out=tmp_above)
+        tmp[0] = 0.0 * c
+        np.add(tmp, w, out=tmp)
+        np.multiply(release, tmp, out=tmp)
+        np.multiply(linear, q, out=out)
+        return np.add(out, tmp, out=out)
+
+    return f
+
+
 def backward_rhs(
     q: np.ndarray, sys: TruncatedSystem, sigma: float = 0.0, t: float = 0.0
 ) -> np.ndarray:
-    """Derivative of (q_1 .. q_K) under the truncated backward system.
+    """Derivative of (q_1 .. q_K) under the truncated backward system:
+
+        (sigma - rho - beta k) q_k + beta k (q_{k-1} (1 - e^{-sigma t} w) + w),
+        w = sum_j p~_j q_j.
 
     Index i of the vector holds type i+1; q_0 is identically 0.  Component 1
     reduces exactly to q_1' = -(rho + beta) q_1 + beta * sum_j p~_j q_j.
@@ -128,13 +163,7 @@ def backward_rhs(
     q = np.asarray(q, dtype=float)
     if q.shape != (sys.K,):
         raise ValueError(f"expected shape ({sys.K},), got {q.shape}")
-    release = sys.release_rates
-    w = float(sys.offspring_table[1:] @ q)
-    shift = np.empty_like(q)
-    shift[0] = 0.0
-    shift[1:] = q[:-1]
-    decay = math.exp(-sigma * t)
-    return (sigma - sys.params.rho - release) * q + release * (shift * (1.0 - decay * w) + w)
+    return _rhs_kernel(sys, sigma, q, np.empty_like(q))(np.empty_like(q), t)
 
 
 # Dormand-Prince 5(4): nodes, stage rows (the last is the fifth-order step, its
@@ -152,72 +181,129 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 /
 _REFINE = 32.0  # local tolerance ratio of the two passes compared
 
 
-def _dopri5(
-    sys: TruncatedSystem, ts: np.ndarray, tau: float, sigma: float
-) -> tuple[np.ndarray, int, int]:
+class _Pass:
     """One adaptive Dormand-Prince pass for u from u(0) = 1, local error on u
-    <= tau per step, a step end on every grid point: (U, accepted, rejected)."""
-    u = np.ones(sys.K)
-    out = np.empty((len(ts), sys.K))
-    out[0] = u
-    ks = np.empty((7, sys.K))
-    ks[0] = backward_rhs(u, sys, sigma, 0.0)
-    h = float(ts[1] - ts[0])
-    t, accepted, rejected = 0.0, 0, 0
-    for m in range(1, len(ts)):
-        t_end = float(ts[m])
-        while t < t_end:
-            n = math.ceil((t_end - t) / h)
-            step = (t_end - t) / n
-            if step < 16.0 * math.ulp(t_end):
-                raise SolverError(f"step-size underflow at t={t:g} for local tolerance {tau:g}")
-            for i in range(1, 7):
-                y = u + step * (_DP_A[i - 1] @ ks[:i])
-                ks[i] = backward_rhs(y, sys, sigma, t + _DP_C[i] * step)
-            err = step * float(np.abs(_DP_E @ ks).max()) / tau
-            if err <= 1.0:
-                accepted += 1
-                t = t_end if n == 1 else t + step
-                u = y
-                ks[0] = ks[6]
-                h = step * (5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2))
-            else:
-                rejected += 1
-                h = step * (max(0.2, 0.9 * err**-0.2) if math.isfinite(err) else 0.2)
-        out[m] = u
-    return out, accepted, rejected
+    <= tau per step, a step end on every grid point.  Iterating it solves one
+    more grid row m into U[m] and yields m; ``rows``, ``accepted``,
+    ``rejected`` and ``rhs`` (right-hand-side evaluations) count its work so
+    far.
+
+    Every stage is computed in place, in buffers allocated once per pass,
+    with the operations of the allocating form u + step * (A_i @ ks[:i]) in
+    the same order, so the rows are those of that form bit for bit."""
+
+    def __init__(self, sys: TruncatedSystem, ts: np.ndarray, tau: float, sigma: float):
+        self.tau = tau
+        self.U = np.empty((len(ts), sys.K))
+        self.rows = self.accepted = self.rejected = self.rhs = 0
+        self._rows = self._integrate(sys, ts, sigma)
+
+    def __iter__(self) -> Iterator[int]:
+        return self._rows
+
+    def __next__(self) -> int:
+        return next(self._rows)
+
+    def _integrate(self, sys: TruncatedSystem, ts: np.ndarray, sigma: float) -> Iterator[int]:
+        tau, K = self.tau, sys.K
+        u, y, comb, e = np.ones(K), np.ones(K), np.empty(K), np.empty(K)
+        ks = np.empty((7, K))
+        f = _rhs_kernel(sys, sigma, y, np.empty(K))  # every stage is evaluated at y
+        stages = [(_DP_A[i - 1], ks[:i], ks[i], _DP_C[i]) for i in range(1, 7)]
+        self.U[0] = u
+        self.rows = 1
+        yield 0
+        f(ks[0], 0.0)
+        rhs = 1
+        h = float(ts[1] - ts[0])
+        t, accepted, rejected = 0.0, 0, 0
+        for m in range(1, len(ts)):
+            t_end = float(ts[m])
+            while t < t_end:
+                n = math.ceil((t_end - t) / h)
+                step = (t_end - t) / n
+                if step < 16.0 * math.ulp(t_end):
+                    raise SolverError(f"step-size underflow at t={t:g} for local tolerance {tau:g}")
+                for a, ks_before, k, c in stages:
+                    a.dot(ks_before, out=comb)
+                    np.multiply(comb, step, out=comb)
+                    np.add(u, comb, out=y)
+                    f(k, t + c * step)
+                    rhs += 1
+                _DP_E.dot(ks, out=e)
+                err = step * float(np.maximum.reduce(np.abs(e, out=e))) / tau
+                if err <= 1.0:
+                    accepted += 1
+                    t = t_end if n == 1 else t + step
+                    u[:] = y
+                    ks[0] = ks[6]
+                    h = step * (5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2))
+                else:
+                    rejected += 1
+                    h = step * (max(0.2, 0.9 * err**-0.2) if math.isfinite(err) else 0.2)
+            self.U[m] = u
+            self.rows, self.accepted, self.rejected, self.rhs = m + 1, accepted, rejected, rhs
+            yield m
 
 
 def _solve_scaled(
-    sys: TruncatedSystem, ts: np.ndarray, tol: float
+    sys: TruncatedSystem,
+    ts: np.ndarray,
+    tol: float,
+    stop: Callable[[np.ndarray, int], bool] | None = None,
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Integrate u = e^{sigma t} q over the grid to absolute accuracy tol.
 
-    Passes at local tolerances tau = tol/4 and tau/32 must agree within tol
-    at every grid point, else the finer one is compared with a pass at a 32
-    times tighter tolerance.  A tolerance below ulp(max|u|) / 32, which
-    rounding swamps, raises SolverError.  Returns (U, sigma, err): the finer
-    pass of the accepted pair and per grid point max_k of their difference.
+    Passes at local tolerances tau = tol/4 and tau/32 advance together, one
+    grid row at a time, and must agree within tol at every row.  At the first
+    row where they do not, the coarser pass is dropped there and the finer
+    one is compared with a new pass at a 32 times tighter tolerance, started
+    from t = 0.  A tolerance below ulp(max|u|) / 32, over the rows the coarser
+    pass has solved, is swamped by rounding and raises SolverError.  After
+    each agreed row m, ``stop(U, m)`` may end both passes there.  Returns
+    (U, sigma, err) over the rows solved: the finer pass of the accepted pair
+    and, per row, max_k of the difference of the pair.
     """
     sigma = max(sys.params.decay_rate, 0.0)
-    tau, u_max, coarse = tol / 4.0, 1.0, None
-    passes = accepted = rejected = 0
-    while True:
+    passes: list[_Pass] = []
+
+    def start(tau: float, u_max: float) -> _Pass:
+        check_precision(tau, u_max)
+        passes.append(_Pass(sys, ts, tau, sigma))
+        return passes[-1]
+
+    def check_precision(tau: float, u_max: float) -> None:
         if tau < math.ulp(u_max) / _REFINE:
             raise SolverError(f"tol={tol:g} is below double precision for |u| up to {u_max:.3g}")
-        fine, acc, rej = _dopri5(sys, ts, tau, sigma)
-        passes, accepted, rejected = passes + 1, accepted + acc, rejected + rej
-        if coarse is not None:
-            point_err = np.abs(fine - coarse).max(axis=1)
-            if point_err.max() <= tol:
-                break
-        coarse, u_max, tau = fine, float(np.abs(fine).max()), tau / _REFINE
+
+    u_max = 1.0
+    coarse = start(tol / 4.0, u_max)
+    fine = start(coarse.tau / _REFINE, u_max)
+    point_err, diff = np.empty(len(ts)), np.empty(sys.K)
+    m = 0
+    while True:
+        if coarse.rows == m:
+            next(coarse)
+            u_max = max(u_max, float(np.abs(coarse.U[m]).max()))
+            check_precision(fine.tau, u_max)
+        next(fine)
+        np.subtract(fine.U[m], coarse.U[m], out=diff)
+        point_err[m] = np.abs(diff, out=diff).max()
+        if point_err[m] > tol:
+            coarse, u_max = fine, float(np.abs(fine.U[: m + 1]).max())
+            fine, m = start(coarse.tau / _REFINE, u_max), 0
+            continue
+        if m == len(ts) - 1 or (stop is not None and stop(fine.U, m)):
+            break
+        m += 1
     logger.debug(
         "backward solve, K=%d on %d grid points: %d passes, %d accepted and %d rejected steps, "
-        "%d RHS evaluations, err %.3g", sys.K, len(ts), passes, accepted, rejected,
-        passes + 6 * (accepted + rejected), point_err.max(),
+        "%d RHS evaluations, err %.3g; grid rows reached per pass %s",
+        sys.K, len(ts), len(passes), sum(p.accepted for p in passes),
+        sum(p.rejected for p in passes), sum(p.rhs for p in passes), point_err[: m + 1].max(),
+        [p.rows for p in passes],
     )
-    return fine, sigma, point_err
+    return fine.U[: m + 1], sigma, point_err[: m + 1]
 
 
 def default_dt(t_max: float) -> float:
@@ -308,8 +394,9 @@ def estimate_constant(
 
     Tracks h(t) = e^{lambda t} q_1(t) (nonincreasing, positive) and stops at
     the first grid time t* >= 10/a where the relative change per unit time
-    drops below tol.  The system is re-solved at truncation 2K and the
-    change in the estimate is reported as a convergence diagnostic.
+    drops below tol; both solver passes stop there, so no row past t* is
+    solved.  The system is re-solved at truncation 2K, stopped the same way,
+    and the change in the estimate is reported as a convergence diagnostic.
 
     Args:
         sys: Truncated backward system; its model must be subcritical.
@@ -333,22 +420,33 @@ def estimate_constant(
     if dt is None:
         dt = min(0.5, t_floor / 100.0)
 
-    def extract(system: TruncatedSystem) -> tuple[float, float, float]:
-        ts = _grid(t_max, dt)
-        U, _, _ = _solve_scaled(system, ts, solver_tol)
-        h = U[:, 0]  # e^{lambda t} q_1(t) exactly, since sigma = lambda here
-        rel = np.abs(np.diff(h)) / (h[1:] * np.diff(ts))
-        for i in range(1, len(ts)):
-            if ts[i] >= t_floor and rel[i - 1] < tol:
-                return float(h[i]), float(ts[i]), float(rel[i - 1])
-        raise NonConvergenceError(
-            f"e^(lambda t) q_1(t) did not settle to {tol:g}/unit time by t={t_max:g}",
-            tail=h[-10:],
-        )
+    ts = _grid(t_max, dt)
 
-    c_hat, t_star, last_rel = extract(sys)
-    c_double, _, _ = extract(TruncatedSystem(params=sys.params, K=2 * sys.K))
+    def rel_change(h: np.ndarray, i: int) -> float:
+        return abs(h[i] - h[i - 1]) / (h[i] * (ts[i] - ts[i - 1]))
+
+    def settled(U: np.ndarray, i: int) -> bool:
+        return i > 0 and ts[i] >= t_floor and rel_change(U[:, 0], i) < tol
+
+    def extract(system: TruncatedSystem) -> tuple[float, int, float]:
+        U, _, _ = _solve_scaled(system, ts, solver_tol, stop=settled)
+        h = U[:, 0]  # e^{lambda t} q_1(t) exactly, since sigma = lambda here
+        i = len(h) - 1
+        if not settled(U, i):
+            raise NonConvergenceError(
+                f"e^(lambda t) q_1(t) did not settle to {tol:g}/unit time by t={t_max:g}",
+                tail=h[-10:],
+            )
+        return float(h[i]), i, float(rel_change(h, i))
+
+    c_hat, row, last_rel = extract(sys)
+    c_double, row_double, _ = extract(TruncatedSystem(params=sys.params, K=2 * sys.K))
     change = abs(c_double - c_hat)
+    t_star = float(ts[row])
+    logger.debug(
+        "constant estimate, K=%d and 2K=%d: t*=%.6g at grid row %d of %d; rows solved %d at K "
+        "and %d at 2K", sys.K, 2 * sys.K, t_star, row, len(ts), row + 1, row_double + 1,
+    )
 
     # the solver can overshoot 1 by its own tolerance when C = 1 exactly
     if c_hat > 1.0:

@@ -54,7 +54,9 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
     denom = 1.0 + z2 / n
     center = (phat + z2 / (2.0 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # at s = 0 and s = n the bounds are 0 and 1 exactly, which rounding can
+    # miss by an ulp; clamping to the estimate keeps low <= s/n <= high
+    return min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
 
 
 def estimate_qk(

@@ -5,6 +5,7 @@ import signal
 
 import numpy as np
 import pytest
+from reference_dopri5 import dopri5
 from scipy.integrate import solve_ivp
 
 from sporesim import (
@@ -15,9 +16,13 @@ from sporesim import (
     estimate_constant,
     solve_survival,
 )
+from sporesim import analytic
 from sporesim.analytic import (
     NonConvergenceError,
     SolverError,
+    _grid,
+    _Pass,
+    _solve_scaled,
     backward_rhs,
     closed_form_linear_fractional,
     closed_form_mu0,
@@ -30,6 +35,8 @@ from sporesim.analytic import (
 NO_OFFSPRING = OffspringDistribution.table([1.0])
 TWO_POINT = OffspringDistribution.table([0.6, 0.0, 0.4])
 LF_MODEL = ModelParams(1.0, 0.0, TWO_POINT)
+POISSON_MODEL = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
+HALF_MODEL = ModelParams(1.0, 0.0, OffspringDistribution.table([0.5, 0.5]))
 
 
 def backward_jacobian(q: np.ndarray, sys: TruncatedSystem) -> np.ndarray:
@@ -221,22 +228,129 @@ class TestSolveSurvival:
             signal.signal(signal.SIGALRM, previous)
 
     def test_work_counters_logged(self, caplog):
-        sys = TruncatedSystem(ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), K=12)
+        sys = TruncatedSystem(POISSON_MODEL, K=12)
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
             curves = solve_survival(sys, t_max=5.0, tol=1e-10, dt=0.25)
         (record,) = [r for r in caplog.records if r.name == "sporesim.analytic"]
-        found = re.search(
-            r"K=12 on 21 grid points: (\d+) passes, (\d+) accepted and (\d+) rejected steps, "
-            r"(\d+) RHS evaluations, err (\S+)",
-            record.getMessage(),
-        )
-        assert found, record.getMessage()
-        passes, accepted, rejected, rhs = map(int, found.groups()[:4])
+        passes, accepted, rejected, rhs, err, rows = parse_solve_record(record, K=12, grid=21)
         assert passes >= 2 and accepted >= 20 * passes  # every grid point ends a step
+        # RHS evaluations are counted in the stage loop; for full passes they
+        # are one first stage per pass plus six per attempted step
+        assert rows == [21] * passes
         assert rhs == passes + 6 * (accepted + rejected)
-        err = float(found.group(5))
         assert 0.0 < err <= 1e-10
         assert 0.0 < curves[0].err.max() <= 1.01 * err  # err scaled to q by e^{-sigma t}
+
+
+def parse_solve_record(record, K, grid):
+    """(passes, accepted, rejected, RHS evaluations, err, rows per pass) of a
+    backward-solve debug record."""
+    found = re.search(
+        rf"K={K} on {grid} grid points: (\d+) passes, (\d+) accepted and (\d+) rejected "
+        r"steps, (\d+) RHS evaluations, err (\S+); grid rows reached per pass \[([\d, ]+)\]",
+        record.getMessage(),
+    )
+    assert found, record.getMessage()
+    passes, accepted, rejected, rhs = map(int, found.groups()[:4])
+    rows = [int(r) for r in found.group(6).split(",")]
+    assert len(rows) == passes
+    return passes, accepted, rejected, rhs, float(found.group(5)), rows
+
+
+def full_pass(sys: TruncatedSystem, ts: np.ndarray, tau: float) -> _Pass:
+    p = _Pass(sys, ts, tau, max(sys.params.decay_rate, 0.0))
+    for _ in p:
+        pass
+    return p
+
+
+class TestInPlacePass:
+    """The in-place stage loop against the allocating reference pass."""
+
+    @pytest.mark.parametrize(
+        "m, K, t_max, dt, tau",
+        [
+            # survival_poisson's solve: both passes of the accepted pair
+            pytest.param(POISSON_MODEL, 200, 10.0, None, 1e-9 / 4, id="poisson-K200-tol/4"),
+            pytest.param(POISSON_MODEL, 200, 10.0, None, 1e-9 / 128, id="poisson-K200-tol/128"),
+            # estimate_constant's grid for LF (a = 0.1): t_max = 300, dt = 0.5;
+            # K=40 rejects ~600 steps per pass where stability limits them
+            pytest.param(LF_MODEL, 2, 300.0, 0.5, 1e-9 / 4, id="lf-K2-tol/4"),
+            pytest.param(LF_MODEL, 2, 300.0, 0.5, 1e-9 / 128, id="lf-K2-tol/128"),
+            pytest.param(LF_MODEL, 40, 300.0, 0.5, 1e-9 / 4, id="lf-K40-tol/4"),
+            pytest.param(LF_MODEL, 40, 300.0, 0.5, 1e-9 / 128, id="lf-K40-tol/128"),
+            pytest.param(
+                ModelParams(1.0, 1.0, NO_OFFSPRING), 6, 2.0, None, 1e-9 / 128, id="death-K6"
+            ),
+        ],
+    )
+    def test_bit_identical_to_allocating_reference(self, m, K, t_max, dt, tau):
+        sys, ts = TruncatedSystem(m, K=K), _grid(t_max, dt)
+        U, accepted, rejected = dopri5(sys, ts, tau, max(m.decay_rate, 0.0))
+        p = full_pass(sys, ts, tau)
+        assert np.array_equal(p.U, U)
+        assert (p.accepted, p.rejected) == (accepted, rejected)
+        assert p.rows == len(ts) and p.rhs == 1 + 6 * (accepted + rejected)
+        if (K, tau) == (40, 1e-9 / 4):
+            assert rejected > 500
+
+    def test_step_underflow_matches_reference(self):
+        # rates of 1e200 overflow the stages to inf - inf: every step is
+        # rejected until the step size underflows, in both implementations
+        sys, ts = TruncatedSystem(ModelParams(1e200, 1.0, NO_OFFSPRING), K=6), _grid(1.0, 0.25)
+        sigma = sys.params.decay_rate
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="step-size underflow") as ref:
+                dopri5(sys, ts, 1e-10, sigma)
+            with pytest.raises(SolverError, match="step-size underflow") as ours:
+                full_pass(sys, ts, 1e-10)
+        assert str(ours.value) == str(ref.value)
+
+    def test_rows_yielded_in_order(self):
+        sys, ts = TruncatedSystem(LF_MODEL, K=3), _grid(2.0, 0.5)
+        p = _Pass(sys, ts, 1e-10, LF_MODEL.decay_rate)
+        assert next(p) == 0 and p.rows == 1 and p.rhs == 0
+        assert np.array_equal(p.U[0], np.ones(3))
+        assert list(p) == [1, 2, 3, 4] and p.rows == 5
+
+
+class TestPassComparison:
+    """Passes compared as they advance: a losing pass is dropped at its first
+    disagreement, and ``stop`` ends both passes at a grid row."""
+
+    def test_losing_pass_dropped_at_first_disagreement(self, monkeypatch, caplog):
+        # a fault injected into the first pass from row 7 on makes it lose
+        # there; the finer pass then becomes the coarse one against a third
+        tol, sys, ts = 1e-10, TruncatedSystem(POISSON_MODEL, K=12), _grid(5.0, 0.25)
+        first_tau = tol / 4.0
+
+        class FaultyFirstPass(_Pass):
+            def __next__(self):
+                m = super().__next__()
+                if self.tau == first_tau and m >= 7:
+                    self.U[m] += 1e-6
+                return m
+
+        monkeypatch.setattr(analytic, "_Pass", FaultyFirstPass)
+        with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
+            U, _, err = _solve_scaled(sys, ts, tol)
+        (record,) = [r for r in caplog.records if r.name == "sporesim.analytic"]
+        passes, _, _, _, _, rows = parse_solve_record(record, K=12, grid=21)
+        assert passes == 3 and rows == [8, 21, 21]
+        sigma = POISSON_MODEL.decay_rate
+        middle, _, _ = dopri5(sys, ts, first_tau / 32.0, sigma)
+        finest, _, _ = dopri5(sys, ts, first_tau / 1024.0, sigma)
+        assert np.array_equal(U, finest)
+        assert np.array_equal(err, np.abs(finest - middle).max(axis=1))
+
+    def test_stop_ends_both_passes_at_the_row(self, caplog):
+        sys, ts = TruncatedSystem(POISSON_MODEL, K=12), _grid(5.0, 0.25)
+        with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
+            full, _, full_err = _solve_scaled(sys, ts, 1e-10)
+            U, _, err = _solve_scaled(sys, ts, 1e-10, stop=lambda U, m: m == 6)
+        records = [r for r in caplog.records if r.name == "sporesim.analytic"]
+        assert parse_solve_record(records[1], K=12, grid=21)[5] == [7, 7]
+        assert np.array_equal(U, full[:7]) and np.array_equal(err, full_err[:7])
 
 
 class TestClosedForms:
@@ -313,6 +427,46 @@ class TestEstimateConstant:
                 TruncatedSystem(LF_MODEL, K=2), window, tol=1e-16, t_max=120.0
             )
         assert len(exc.value.tail) > 0
+
+    def test_nonconvergence_tail_is_finest_full_pass(self):
+        # without a settled row both passes run to the end of the grid, and
+        # the tail is the last 10 h(t) of the accepted pair's finer pass
+        sys = TruncatedSystem(LF_MODEL, K=2)
+        with pytest.raises(NonConvergenceError) as exc:
+            estimate_constant(sys, DecayWindow.for_model(LF_MODEL), tol=1e-16, t_max=120.0)
+        U, _, _ = _solve_scaled(sys, _grid(120.0, 0.5), 1e-9)
+        assert len(U) == 241
+        assert np.array_equal(exc.value.tail, U[-10:, 0])
+
+    @pytest.mark.parametrize(
+        "m, K, c_hat, t_star",
+        [
+            # values of the solver that ran both passes over the whole grid
+            # to 30/a; stopping at t* keeps them, since no pass comparison
+            # past t* forced a third pass
+            (LF_MODEL, 2, 0.3333333337618736, 100.33277870216308),
+            (LF_MODEL, 20, 0.3333333337618751, 100.33277870216308),
+            (HALF_MODEL, 2, 1.0, 40.0),
+        ],
+    )
+    def test_stops_at_t_star(self, caplog, m, K, c_hat, t_star):
+        with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
+            est = estimate_constant(TruncatedSystem(m, K=K), DecayWindow.for_model(m))
+        assert est.c_hat == c_hat and est.t_star == t_star
+        *solves, record = [r for r in caplog.records if r.name == "sporesim.analytic"]
+        found = re.search(
+            rf"constant estimate, K={K} and 2K={2 * K}: t\*=\S+ at grid row (\d+) of (\d+); "
+            r"rows solved (\d+) at K and (\d+) at 2K",
+            record.getMessage(),
+        )
+        assert found, record.getMessage()
+        row, grid, rows_k, rows_2k = map(int, found.groups())
+        a = DecayWindow.for_model(m).a  # default grid: dt = min(0.5, (10/a)/100) to 30/a
+        assert _grid(30.0 / a, min(0.5, 0.1 / a))[row] == t_star
+        assert rows_k <= row + 1 and rows_2k <= row + 1 and row + 1 < grid
+        # every pass of the K and 2K solves stopped there
+        for solve, size in zip(solves, (K, 2 * K)):
+            assert max(parse_solve_record(solve, K=size, grid=grid)[5]) <= row + 1
 
 
 class TestTruncationLowerBound:

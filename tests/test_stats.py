@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sporesim import ModelParams, OffspringDistribution, estimate_qk, gumbel_experiment
 from sporesim.analytic import SurvivalCurve, closed_form_mu0
 from sporesim.stats import (
     GUMBEL_MEDIAN,
+    EstimateWithCI,
     WindowError,
     check_growth_condition,
     fit_decay_rate,
@@ -56,12 +59,36 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
 
+    @pytest.mark.parametrize("n", [11, 22, 27, 6, 21, 31, 10_000])
+    def test_bounds_exact_at_all_or_none(self, n):
+        # unclamped, rounding put the lower bound at s = 0 near 1e-17 for
+        # n = 11, 22, 27 and the upper bound at s = n at 1 - 2^-53 for
+        # n = 6, 21, 31 and 10^4
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 10**9), data=st.data())
+    def test_interval_brackets_estimate(self, n, data):
+        s = data.draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)), label="s")
+        lo, hi = wilson_interval(s, n)
+        assert 0.0 <= lo <= s / n <= hi <= 1.0
+        EstimateWithCI(point=s / n, ci_low=lo, ci_high=hi, n=n, method="wilson-95")
+
 
 class TestEstimateQk:
     def test_horizon_zero_is_certain(self):
         est = estimate_qk(1, 0.0, LF_MODEL, seed=1, n=50)
         assert est.point == 1.0
         assert est.ci_high == 1.0
+
+    @pytest.mark.parametrize("n", [6, 10_000])
+    def test_all_survived_interval_brackets_estimate(self, n):
+        # these sample sizes used to round the upper bound below 1 and fail
+        # EstimateWithCI's own bracketing check
+        est = estimate_qk(1, 0.0, LF_MODEL, seed=1, n=n)
+        assert est.point == 1.0
+        assert est.ci_low < 1.0 and est.ci_high == 1.0
 
     def test_covers_pure_death_closed_form(self):
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
