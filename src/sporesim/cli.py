@@ -510,6 +510,7 @@ def _run_survival(m: ModelParams, s: dict, directory: Path):
             if c.k in s["k"]
             for t, q, e in zip(c.ts, c.qs, c.err)
         ]
+        del curves  # all K curves; the rows hold the few emitted, and the MC runs next
         artifacts.append((directory / "survival_ode.csv", "csv", (header, rows)))
     if s["method"] in ("mc", "both"):
         ts = _grid(s["t_max"], s["dt"])

@@ -51,10 +51,18 @@ two from block 0 and one from block 1; ``v2`` read one Philox4x64-10 block
 per event.)
 
 :func:`run_batch` advances a pool of families together, one event per
-family per step, refilling freed slots in (replicate, family) order.  Once
-no family is left to start the pool only shrinks, and the engine computes
-each live family's block 0 several events ahead in one call, as many events
-as fit in one full-pool step.  A batch's results are arrays, a
+family per step, refilling freed slots in (replicate, family) order.  The
+pool holds a row of host counts only for the types its families hold, in
+ascending type order, so a law with a long tail costs the rows its families
+reach, not the rows its range spans; a type without a row adds nothing to a
+running sum, so the sums are those over every type.  It runs
+``POOL_CELLS // (rows + LANE_ROWS)`` families, recomputed whenever the row
+count changes: a family costs its cell in each row plus its own vectors.
+Once no family is left to start the pool only shrinks, and the engine
+computes each live family's block 0 several events ahead in one call, as
+many events as fit in one full-pool step.  The last few families are
+finished one at a time in Python floats, with the same arithmetic on the
+same uniforms, read in full.  A batch's results are arrays, a
 :class:`BatchOutcomes`; a :class:`SimOutcome` per replicate is built only
 when one is indexed or iterated.  :func:`run_to_extinction` is the same
 engine on one replicate.
@@ -62,6 +70,7 @@ engine on one replicate.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from collections.abc import Sequence
@@ -77,9 +86,28 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_EVENTS = 10**9
 
-# families x type columns the batch engine holds at once; any value gives
-# the same results, it only trades memory against per-step overhead
-POOL_CELLS = 1 << 15
+# the batch engine's budget: a pool over R type rows runs
+# POOL_CELLS // (R + LANE_ROWS) families (at least one), recomputed when R
+# changes.  A family costs its cell in each row (counts and running sums)
+# plus its own vectors (clock, totals, Philox counters, blocks ahead), which
+# LANE_ROWS prices in rows.  The values keep the table law {0: 0.6, 2: 0.4}
+# over 3 rows at its 10,922 families and hold every pool near the bytes that
+# one takes: peaks measured by tracemalloc, numpy 2.4, were 2.6 MB for it,
+# 2.5 MB for Poisson(2) (up to 5,957 families, 8 to 11 rows) and 2.0 MB for
+# geometric(0.05) (up to 115 rows).  Any values give the same results; they
+# trade memory against per-step overhead
+POOL_CELLS = 1 << 16
+LANE_ROWS = 3
+
+# families in the pool's first step: they meet the types the law reaches in
+# a few events before the pool grows (at most doubling per step), so a pool
+# started over one row does not overshoot its budget once the rows arrive
+_FIRST_LANES = 1 << 10
+
+# families left in the drain at which each is finished alone in Python
+# floats: a numpy step costs ~170 us however few families it moves, an
+# event alone 4-15 us
+_ALONE = 8
 
 # populations from which the type scan adds its running sums row by row:
 # numpy's cumsum down axis 0 walks one column at a time, ~5 ns per entry,
@@ -360,56 +388,65 @@ class BatchOutcomes(Sequence):
         return f"BatchOutcomes({len(self)} replicates, horizon={self.horizon})"
 
 
-def _decide(m: ModelParams, counts, removal_rate, total, u_pick, u_offspring):
+def _decide(m: ModelParams, counts, weight, removal_rate, total, u_pick, u_offspring):
     """The next event of the populations whose host counts are the columns
-    of ``counts`` (all alive), drawn from a type-choice and an offspring
-    uniform each.  Returns (removal mask, removal rate subtracted from x,
-    running sums, row of the host's type, offspring quantile: the offspring
-    count of a release)."""
+    of ``counts`` (all alive), with release weights ``weight`` (beta times
+    each row's type), drawn from a type-choice and an offspring uniform
+    each.  Returns (removal mask, removal rate subtracted from x, running
+    sums, row of the host's type, offspring quantile: the offspring count of
+    a release)."""
     # one uniform across the combined rate picks kind and type: the type is
     # the first whose cumulative weight (removal rho*n_k, release beta*k*n_k,
     # in ascending type order) exceeds x.  The running sums are one cumsum
-    # down the types, up to the highest type any population holds.
+    # down the rows; a type without a row, or a row holding no host, adds
+    # 0.0 to the sums (s + 0.0 = s), so they are those over every type
     x = u_pick * total
-    top = int(np.flatnonzero(counts.any(axis=1))[-1]) + 1
-    release_weight = m.beta * np.arange(1, top + 1, dtype=float)[:, None]
+    rows = len(counts)
     if m.rho:
         removal = x < removal_rate
         shift = np.where(removal, 0.0, removal_rate)
         x -= shift
-        acc = np.where(removal, m.rho, release_weight)
-        acc *= counts[:top]
+        acc = np.where(removal, m.rho, weight)
+        acc *= counts
     else:  # every event is a release: the same sums, without two costly np.where
         removal = np.zeros(len(x), dtype=bool)
         shift = 0.0
-        acc = release_weight * counts[:top]
+        acc = weight * counts
     if len(x) < _ROW_SUMS:
         np.cumsum(acc, axis=0, out=acc)
     else:  # same sums, faster when rows are long
-        for k in range(1, top):
+        for k in range(1, rows):
             acc[k] += acc[k - 1]
-    col = np.count_nonzero(acc <= x, axis=0)
-    edge = col == top
+    row = np.count_nonzero(acc <= x, axis=0)
+    edge = row == rows
     if edge.any():  # x landed on the top edge by rounding: last occupied type
         occupied = counts[::-1, edge] > 0.0
-        col[edge] = len(counts) - 1 - np.argmax(occupied, axis=0)
-    return removal, shift, acc, col, m.offspring.quantiles(u_offspring)
+        row[edge] = rows - 1 - np.argmax(occupied, axis=0)
+    return removal, shift, acc, row, m.offspring.quantiles(u_offspring)
 
 
 class _Rows:
     """Populations as columns of host counts, and the transition kernel that
     applies one exact event to every population at once.
 
-    Row k-1 of ``counts`` holds the type-k hosts of each population; counts
-    and totals are integers stored as floats (exact below 2^53).  ``counts``
-    stays C-contiguous: the kernel scatters its updates through a flat view.
-    ``undecided`` counts the events that the prefixes of their uniforms did
-    not decide.
+    Row r of ``counts`` holds the hosts of type ``types[r]`` of each
+    population; ``types`` ascend, and ``row_of[k]`` is the row of type k,
+    -1 for type 0 (an update there adds 0.0 to the last row) and
+    ``len(types)`` for a type without a row, up to ``row_of[-1]``, which no
+    type has.  While ``dense`` (the types are 1 .. R) the row of type k is
+    k - 1.  A type gains a row when a host of it appears; a row no
+    population holds any more stays, adding 0.0 to the sums, until the next
+    :meth:`relayout` drops it.  Counts and totals are integers stored as
+    floats (exact below 2^53).  ``counts`` stays C-contiguous: the kernel
+    scatters its updates through a flat view.  ``undecided`` counts the
+    events that the prefixes of their uniforms did not decide.
     """
 
-    def __init__(self, m: ModelParams, n: int, width: int):
+    def __init__(self, m: ModelParams, n: int, types):
         self.m = m
-        self.counts = np.zeros((width, n))
+        self.counts = np.zeros((0, n))
+        self.types = np.zeros(0, dtype=np.intp)
+        self.relayout(types)
         self.hosts = np.zeros(n)
         self.spores = np.zeros(n)
         self.clock = np.zeros(n)
@@ -421,10 +458,42 @@ class _Rows:
         self.below = np.nextafter(bound, -np.inf)
         self.undecided = 0
 
-    def widen(self, width: int) -> None:
-        counts = np.zeros((width, len(self.hosts)))
-        counts[: len(self.counts)] = self.counts
+    def relayout(self, add=()) -> None:
+        """Rows for the types held and the types ``add`` (0 has none), in
+        ascending order; the rows no population holds are dropped."""
+        held = self.counts.any(axis=1)
+        add = np.asarray(add, dtype=np.intp)
+        top = max(self.types.max(initial=0), add.max(initial=0))
+        present = np.zeros(top + 1, dtype=bool)  # np.unique would import numpy.ma
+        present[self.types[held]] = True
+        present[add] = True
+        present[0] = False
+        types = np.flatnonzero(present)
+        counts = np.zeros((len(types), self.counts.shape[1]))
+        counts[np.searchsorted(types, self.types[held])] = self.counts[held]
         self.counts = counts
+        self.types = types
+        self.weight = self.m.beta * types.astype(float)[:, None]
+        self.row_of = np.full(top + 2, len(types))
+        self.row_of[0] = -1
+        self.row_of[types] = np.arange(len(types))
+        self.dense = types.max(initial=0) == len(types)  # types 1 .. R: row = type - 1
+
+    def rows(self, types: np.ndarray) -> np.ndarray:
+        """The rows of ``types``, adding the missing ones (type 0 maps to -1)."""
+        rows = types - 1 if self.dense else self.row_of.take(types, mode="clip")
+        if rows.max(initial=-1) < len(self.types):
+            return rows
+        self.relayout(types)
+        return self.rows(types)
+
+    def grow(self, extra: int) -> None:
+        """Append ``extra`` empty populations."""
+        self.counts = np.concatenate((self.counts, np.zeros((len(self.counts), extra))), axis=1)
+        self.hosts, self.spores, self.clock = (
+            np.concatenate((a, np.zeros(extra))) for a in (self.hosts, self.spores, self.clock)
+        )
+        self.lanes = np.arange(len(self.hosts))
 
     def keep(self, mask: np.ndarray) -> None:
         self.counts = np.ascontiguousarray(self.counts[:, mask])
@@ -435,8 +504,8 @@ class _Rows:
 
     def event(self, u_wait, u_pick, u_offspring, full=None):
         """Apply one event to every population (all must be alive), drawn
-        from three uniforms each.  Returns (removal mask, row of the host's
-        type, offspring count; 0 for removals).
+        from three uniforms each.  Returns (removal mask, the host's type,
+        offspring count; 0 for removals).
 
         With ``full``, ``u_pick`` and ``u_offspring`` are 32-bit prefixes
         (:func:`event_prefixes`), and ``full(lanes)`` returns the two
@@ -448,11 +517,11 @@ class _Rows:
         n = len(self.hosts)
         removal_rate = m.rho * self.hosts
         total = removal_rate + m.beta * self.spores
-        removal, shift, acc, col, j = _decide(
-            m, self.counts, removal_rate, total, u_pick, u_offspring
+        removal, shift, acc, row, j = _decide(
+            m, self.counts, self.weight, removal_rate, total, u_pick, u_offspring
         )
         lanes = self.lanes
-        here = col * n + lanes
+        here = row * n + lanes
         if full is not None:
             # every step of _decide is monotone in each uniform, so the event
             # drawn at a prefix u is the event at any uniform in
@@ -470,35 +539,114 @@ class _Rows:
             undecided |= self.below.take(j, mode="clip") <= u_offspring
             if undecided.any():
                 redo = np.flatnonzero(undecided)
-                removal[redo], _, _, col[redo], j[redo] = _decide(
-                    m, self.counts[:, redo], removal_rate[redo], total[redo], *full(redo)
+                removal[redo], _, _, row[redo], j[redo] = _decide(
+                    m, self.counts[:, redo], self.weight, removal_rate[redo], total[redo],
+                    *full(redo),
                 )
-                here[redo] = col[redo] * n + redo
+                here[redo] = row[redo] * n + redo
                 self.undecided += len(redo)
 
+        del acc  # the scatter below needs no running sums
         wait = np.log1p(-u_wait)
         wait /= total
         self.clock -= wait
         # scatter updates on the flat counts (ufunc.at on flat indices is the
-        # fastest scatter numpy offers here): entry (k-1)*n + i is n_k of
-        # population i.  Offsets one type below 1 wrap around to the last
-        # row and add 0 there.
+        # fastest scatter numpy offers here): entry r*n + i is the count of
+        # type types[r] in population i.  Row -1 (type 0) wraps around to
+        # the last row and adds 0 there.
         np.subtract.at(self.counts.reshape(-1), here, 1.0)
+        k = row + 1 if self.dense else self.types.take(row)
+        self.hosts -= removal | (k == 1)
+        self.spores -= np.where(removal, k, 1)
+        # a releasing host becomes type k - 1 and its spore founds a type-j
+        # host: none for removals, k - 1 = 0 or j = 0
         release = ~removal
-        np.add.at(self.counts.reshape(-1), here - n, (release & (col > 0)).astype(float))
-        self.hosts -= removal | (col == 0)
-        self.spores -= np.where(removal, col + 1, 1)
-
-        j = np.where(release, j, 0)
+        j *= release
         born = j > 0
+        if self.dense and j.max() <= len(self.types):  # no row to add: row = type - 1
+            down, new = here - n, j - 1
+        else:
+            down = k - 1
+            down *= release
+            rows = self.rows(np.concatenate((down, j)))
+            down, new = rows[:n] * n + lanes, rows[n:]
+        np.add.at(self.counts.reshape(-1), down, (release & (k > 1)).astype(float))
         if born.any():
-            top = int(j.max())
-            if top > len(self.counts):
-                self.widen(top)
-            np.add.at(self.counts.reshape(-1), (j - 1) * n + lanes, born.astype(float))
+            new *= n
+            new += lanes
+            np.add.at(self.counts.reshape(-1), new, born.astype(float))
             self.hosts += born
             self.spores += j
-        return removal, col, j
+        return removal, k, j
+
+
+def _run_alone(
+    pool: _Rows, i: int, seed: int, ids: tuple[int, int], done: int, peak: float, end: float,
+    max_events: int,
+):
+    """Population ``i`` of ``pool``, family and replicate ``ids`` with
+    ``done`` events done, to its end alone, one event at a time in Python
+    floats: the arithmetic of :meth:`_Rows.event`, with running sums over
+    the types it holds in ascending order (the types it does not hold add
+    0.0), on its uniforms in full.  Returns (clock, censored, events done,
+    peak hosts), the event past the budget included."""
+    m = pool.m
+    rho, beta = m.rho, m.beta
+    held = {k: n for k, n in zip(pool.types.tolist(), pool.counts[:, i].tolist()) if n}
+    order = sorted(held)
+    hosts, spores, clock = float(pool.hosts[i]), float(pool.spores[i]), float(pool.clock[i])
+
+    def add(k: int) -> None:
+        if k in held:
+            held[k] += 1.0
+        else:
+            held[k] = 1.0
+            bisect.insort(order, k)
+
+    chunk = 64  # events per draw, growing: a family that is nearly done reads few
+    while True:
+        stop = min(done + chunk, max_events + 1)
+        u = event_uniforms(seed, np.arange(done, stop, dtype=np.uint64), *ids)
+        for log_wait, u_pick, u_offspring in zip(
+            np.log1p(-u[0]).tolist(), u[1].tolist(), u[2].tolist()
+        ):
+            removal_rate = rho * hosts
+            total = removal_rate + beta * spores
+            x = u_pick * total
+            removal = x < removal_rate
+            if not removal:
+                x -= removal_rate
+            acc = 0.0
+            for k in order:  # past the last sum by rounding: the last type held
+                acc += (rho if removal else beta * k) * held[k]
+                if acc > x:
+                    break
+            clock -= log_wait / total
+            held[k] -= 1.0
+            if not held[k]:
+                del held[k]
+                order.remove(k)
+            if removal:
+                hosts -= 1.0
+                spores -= k
+            else:
+                spores -= 1.0
+                if k > 1:
+                    add(k - 1)
+                else:
+                    hosts -= 1.0
+                j = m.offspring.quantile(u_offspring)
+                if j:
+                    add(j)
+                    hosts += 1.0
+                    spores += j
+            if clock > end:
+                return clock, True, done, peak
+            done += 1
+            peak = max(peak, hosts)
+            if not hosts or done > max_events:
+                return clock, False, done, peak
+        chunk = min(4 * chunk, 1 << 12)
 
 
 def _simulate(
@@ -515,7 +663,11 @@ def _simulate(
     A pool of single-host families advances one event per family per step;
     slots freed by extinct or censored families are refilled with the next
     families in (replicate, family) order, where the families of a replicate
-    are its initial hosts in ascending type order.
+    are its initial hosts in ascending type order.  The pool holds
+    ``POOL_CELLS // (rows + LANE_ROWS)`` families for its current rows: it
+    starts from at most ``_FIRST_LANES``, at most doubles per step, and
+    shrinks by not refilling.  Once every family has started and at most
+    ``_ALONE`` are left, :func:`_run_alone` finishes each.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -532,17 +684,25 @@ def _simulate(
     events = np.zeros(replicates, dtype=np.uint64)
     peaks = np.zeros(replicates)
     failed = replicates  # smallest replicate over budget, if any
-    steps = drain_steps = calls = computed = consumed = undecided = 0
+    steps = drain_steps = calls = computed = consumed = undecided = resizes = 0
+    alone = alone_events = 0
+    lanes_at_start = rows_at_start = most_rows = 0
 
     if n_families:
-        width = max(int(founders[-1]), m.offspring.quantile(1.0 - 2.0**-20), 1)
-        size = min(replicates * n_families, max(1, POOL_CELLS // width))
-        pool = _Rows(m, size, width)
-        replicate = np.zeros(size, dtype=np.intp)
-        key = np.zeros(size, dtype=np.uint64)
-        family = np.zeros(size, dtype=np.uint64)
-        done_events = np.zeros(size, dtype=np.uint64)
-        peak = np.zeros(size)
+        pool = _Rows(m, 0, types)
+
+        def budget() -> int:
+            # families the budget allows over the pool's rows; the pool grows
+            # to it by starting families in new slots and shrinks by not
+            # refilling
+            return max(1, POOL_CELLS // (len(pool.types) + LANE_ROWS))
+
+        size = budget()
+        replicate = np.zeros(0, dtype=np.intp)
+        key = np.zeros(0, dtype=np.uint64)
+        family = np.zeros(0, dtype=np.uint64)
+        done_events = np.zeros(0, dtype=np.uint64)
+        peak = np.zeros(0)
         end = math.inf if horizon is None else horizon
         started = 0  # families started so far
         limit = replicates * n_families  # families to start
@@ -553,12 +713,20 @@ def _simulate(
         depth = row = 0
 
         def start(slots: np.ndarray) -> None:
-            nonlocal started
+            nonlocal started, replicate, key, family, done_events, peak
+            extra = int(slots.max(initial=-1)) + 1 - len(replicate)
+            if extra > 0:  # slots past the end are new
+                pool.grow(extra)
+                replicate, key, family, done_events, peak = (
+                    np.concatenate((a, np.zeros(extra, dtype=a.dtype)))
+                    for a in (replicate, key, family, done_events, peak)
+                )
             r, f = np.divmod(np.arange(started, started + len(slots)), n_families)
             started += len(slots)
             k = founders[f]
+            rows = pool.rows(k)
             pool.counts[:, slots] = 0.0
-            pool.counts[k - 1, slots] = 1.0
+            pool.counts[rows, slots] = 1.0
             pool.hosts[slots] = 1.0
             pool.spores[slots] = k
             pool.clock[slots] = 0.0
@@ -571,15 +739,35 @@ def _simulate(
         def full(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return event_uniforms(seed, done_events[lanes], family[lanes], key[lanes])[1:]
 
-        start(np.arange(size))
+        start(np.arange(min(size, limit, _FIRST_LANES)))
+        lanes_at_start, rows_at_start = len(replicate), len(pool.types)
         while len(replicate):
             live = len(replicate)
+            most_rows = max(most_rows, len(pool.types))
+            if started >= limit and live <= _ALONE:  # the last few: one at a time
+                for i, r in enumerate(replicate.tolist()):
+                    if r >= failed:
+                        continue
+                    e = int(done_events[i])
+                    clock, cut, done, family_peak = _run_alone(
+                        pool, i, seed, (int(family[i]), int(key[i])), e, float(peak[i]), end,
+                        max_events,
+                    )
+                    alone += 1
+                    alone_events += done - e
+                    times[r] = max(times[r], clock)
+                    censored[r] |= cut
+                    events[r] += done
+                    peaks[r] += family_peak
+                    if events[r] > max_events:
+                        failed = min(failed, r)
+                break
             if row == depth:
                 # as many events ahead as fit in one full-pool step: one
-                # while families are still being started (the pool is full,
-                # so slots refilled after this step get fresh blocks), more
-                # as the drain empties the pool
-                depth = size // live
+                # while families are still being started (slots refilled
+                # after this step get fresh blocks), more as the drain
+                # empties the pool
+                depth = 1 if started < limit else max(1, size // live)
                 # events past the budget are never read: clipping them keeps
                 # every Philox counter below 2^32
                 ahead_events = done_events + np.arange(depth, dtype=np.uint64)[:, None]
@@ -595,7 +783,7 @@ def _simulate(
                 uniforms = [u[row].take(lane) for u in ahead]
             row += 1
             steps += 1
-            drain_steps += live < size
+            drain_steps += started >= limit
             consumed += live
             pool.event(*uniforms, full)
             cut = pool.clock > end  # the event falls past the horizon
@@ -622,10 +810,18 @@ def _simulate(
                 finished |= replicate >= failed
 
             free = np.flatnonzero(finished)
-            refill = min(len(free), limit - started)
-            if refill > 0:
-                start(free[:refill])
-                free = free[refill:]
+            if started < limit:
+                resizes += budget() != size
+                size = budget()
+                # refill freed slots, then add slots, up to the budget; the
+                # pool at most doubles per step, so the row count its new
+                # families bring shrinks the budget before it is spent
+                refill = min(size - live, live) + len(free)
+                refill = min(refill, limit - started)
+                if refill > 0:
+                    added = np.arange(live, live + refill - len(free))  # new slots, if any
+                    start(np.concatenate((free, added))[:refill])
+                    free = free[refill:]
             if len(free):
                 keep = np.ones(len(replicate), dtype=bool)
                 keep[free] = False
@@ -639,9 +835,11 @@ def _simulate(
         "batch of %d replicates, %d families: %d engine steps, %d in the drain; "
         "%d Philox blocks 0 computed in %d calls, %d consumed; %d events left undecided by "
         "their prefixes, refined from %d blocks; %d events, at most %d per replicate; peak "
-        "hosts at most %d",
+        "hosts at most %d; pool of %d families over %d type rows at the start, at most %d "
+        "rows, %d re-sizes; %d families finished alone in %d events",
         replicates, replicates * n_families, steps, drain_steps, computed, calls, consumed,
         undecided, 2 * undecided, int(events.sum()), int(events.max()), int(peaks.max()),
+        lanes_at_start, rows_at_start, most_rows, resizes, alone, alone_events,
     )
     if failed < replicates:
         index = first + failed

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sporesim import cli
+from sporesim import cli, simulator
 from sporesim.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -584,6 +584,29 @@ class TestMain:
         )
         for name in ("gumbel.json", "extinction_times.csv"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CONFIGS[[c.stem for c in CONFIGS].index("survival_linear_fractional")],
+        '{%s, "experiment": {"type": "survival", "k": [1, 3, 10], "t_max": 5.0, '
+        '"method": "mc", "replicates": 5000}}' % POISSON_MODEL_BLOCK,
+    ],
+    ids=["survival-lf", "survival-poisson-mc"],
+)
+def test_artifacts_same_at_any_pool_budget(tmp_path, monkeypatch, config):
+    # the pool budget sets which families run together, never an artifact byte
+    text = config.read_text(encoding="utf-8") if isinstance(config, Path) else config
+    cfg = write_config(tmp_path, text)
+    artifacts = []
+    for cells in (simulator.POOL_CELLS, simulator.POOL_CELLS // 8):
+        monkeypatch.setattr(simulator, "POOL_CELLS", cells)
+        out = tmp_path / str(cells)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--seed", "1"]) == EXIT_OK
+        artifacts.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert "survival_mc.csv" in artifacts[0]
+    assert artifacts[0] == artifacts[1]
 
 
 def test_rng_tag_documented_and_recorded(tmp_path):

@@ -45,14 +45,15 @@ def kernel_events(m, counts, draw):
     """The engine's transition kernel applied to one population (a one-column
     ``_Rows``) until it dies out, three uniforms from ``draw()`` per event:
     yields the population and the event's (removal, host type, offspring)."""
-    row = simulator._Rows(m, 1, max(counts))
-    for k, n in counts.items():
-        row.counts[k - 1, 0] = n
-    row.hosts[0] = sum(counts.values())
-    row.spores[0] = sum(k * n for k, n in counts.items())
+    row = kernel_pool(m, [counts])
     while row.hosts[0]:
-        removal, col, offspring = row.event(*(np.array([draw()]) for _ in range(3)))
-        yield row, bool(removal[0]), int(col[0]) + 1, int(offspring[0])
+        removal, host_type, offspring = row.event(*(np.array([draw()]) for _ in range(3)))
+        yield row, bool(removal[0]), int(host_type[0]), int(offspring[0])
+
+
+def by_type(rows, i=0):
+    """Population i's host counts, {type: count} over the types it holds."""
+    return {int(k): float(n) for k, n in zip(rows.types, rows.counts[:, i]) if n}
 
 
 class FamilyWords:
@@ -184,7 +185,7 @@ class TestStep:
     def test_forced_transition_two_to_one(self):
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
         row, *_ = next(kernel_events(m, {2: 1}, RandomStream(2, 0).uniform01))
-        assert row.counts[:, 0].tolist() == [1.0, 0.0]
+        assert by_type(row) == {1: 1.0}
         assert row.spores[0] == 1.0
 
     def test_removal_probability(self):
@@ -193,7 +194,7 @@ class TestStep:
         # (event 0 of family 0), all in one call and one kernel step.
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
         n = 10**5
-        rows = simulator._Rows(m, n, 1)
+        rows = simulator._Rows(m, n, [1])
         rows.counts[0] = rows.hosts[:] = rows.spores[:] = 2.0
         removal = rows.event(*event_uniforms(5, 0, 0, np.arange(n)))[0]
         for i in (0, 1, n - 1):
@@ -216,7 +217,7 @@ class TestStep:
             ):
                 counts = row.counts[:, 0]
                 assert row.hosts[0] == counts.sum()
-                assert row.spores[0] == (np.arange(1, len(counts) + 1) * counts).sum()
+                assert row.spores[0] == (row.types * counts).sum()
                 assert counts.min() >= 0.0
                 if removal:
                     assert offspring == 0
@@ -475,15 +476,17 @@ def word_uniform(hi: int, lo: int) -> float:
     return ((hi << 21) | lo) * 2.0**-53
 
 
-def kernel_pool(m, columns):
-    """A ``_Rows`` holding one population per dict type -> host count."""
-    width = max(max(c) for c in columns)
-    rows = simulator._Rows(m, len(columns), width)
+def kernel_pool(m, columns, types=None):
+    """A ``_Rows`` holding one population per dict type -> host count, with
+    rows for ``types`` (default: the types the populations hold)."""
+    if types is None:
+        types = sorted(set().union(*columns))
+    rows = simulator._Rows(m, len(columns), types)
     for i, column in enumerate(columns):
         for k, n in column.items():
-            rows.counts[k - 1, i] = n
+            rows.counts[rows.row_of[k], i] = n
     rows.hosts[:] = rows.counts.sum(axis=0)
-    rows.spores[:] = (np.arange(1, width + 1)[:, None] * rows.counts).sum(axis=0)
+    rows.spores[:] = (rows.types[:, None] * rows.counts).sum(axis=0)
     return rows
 
 
@@ -525,14 +528,14 @@ def straddle(decision, u):
 
 
 def first_event(m, column):
-    """(removal, host type row) of the event the kernel draws at uniform u
+    """(removal, host type) of the event the kernel draws at uniform u
     for the population ``column``."""
 
     def decision(u):
-        removal, col, _ = kernel_pool(m, [column]).event(
+        removal, host_type, _ = kernel_pool(m, [column]).event(
             np.array([0.5]), np.array([u]), np.array([0.0])
         )
-        return bool(removal[0]), int(col[0])
+        return bool(removal[0]), int(host_type[0])
 
     return decision
 
@@ -647,16 +650,25 @@ class TestBatchEngine:
         monkeypatch.setattr(simulator, "POOL_CELLS", cells)
         mixed = PopulationState.from_counts({1: 4, 3: 2})
         # long-lived families of a wide law: replicate 197 takes 357
-        # events, so the drain computes blocks ahead at several depths (1,
-        # 8, 50, 125 and 250 events at the default pool size), and the type
-        # scan reaches type 44
+        # events, so the drain computes blocks ahead at several depths, and
+        # the type scan reaches type 44
         one = PopulationState.from_counts({1: 1})
         wide = ModelParams(1.0, 9.0, OffspringDistribution.geometric(0.1))
+        # a wider law still, from one type-30 host: its families hold up to
+        # 25 hosts over 35 of some hundred types, so rows are inserted
+        # between the types present and dropped as they empty
+        wider = ModelParams(1.0, 100.0, OffspringDistribution.geometric(0.01))
+        thirty = PopulationState.from_counts({30: 1})
+        # a start with a gap: rows 2 to 8 are inserted under the founders' 9
+        gapped = PopulationState.from_counts({1: 2, 9: 1})
+        poisson = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
         for init, m, horizon, n in (
             (mixed, ModelParams(1.0, 0.5, TWO_POINT), None, 64),
-            (mixed, ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), 1.5, 64),
+            (mixed, poisson, 1.5, 64),
             (one, wide, None, 256),
             (one, wide, 1.0, 256),
+            (thirty, wider, None, 64),
+            (gapped, poisson, None, 64),
         ):
             batch = run_batch(init, m, 123, replicates=n, horizon=horizon)
             longest = int(np.argmax(batch.event_counts))
@@ -667,30 +679,39 @@ class TestBatchEngine:
 
     def test_kernel_same_for_any_population_count(self):
         # one event on 300 populations at once (running sums added row by
-        # row) equals the event on each population alone (one cumsum)
+        # row) equals the event on each population alone (one cumsum) and
+        # the event on rows for every type up to 12.  Populations that hold
+        # types 1, 4 and 12 only run on rows for those three: the rows the
+        # offspring and the k -> k-1 moves need are inserted between them
         rng = np.random.default_rng(3)
         probs = rng.random(12)
         m = ModelParams(0.3, 0.7, OffspringDistribution.table((probs / probs.sum()).tolist()))
-        n, width = 300, 12
-        counts = rng.integers(0, 3, size=(width, n)).astype(float)
-        counts[rng.integers(0, width, size=n), np.arange(n)] += 1.0
-        u = rng.random((3, n))
+        n = 300
+        for held in (np.arange(1, 13), np.array([1, 4, 12])):
+            counts = rng.integers(0, 3, size=(len(held), n)).astype(float)
+            counts[rng.integers(0, len(held), size=n), np.arange(n)] += 1.0
+            u = rng.random((3, n))
 
-        def kernel(cols):
-            rows = simulator._Rows(m, len(cols), width)
-            rows.counts[:] = counts[:, cols]
-            rows.hosts[:] = rows.counts.sum(axis=0)
-            rows.spores[:] = (np.arange(1, width + 1)[:, None] * rows.counts).sum(axis=0)
-            drawn = rows.event(*u[:, cols])
-            return rows, drawn
+            def kernel(cols, types):
+                columns = [
+                    {int(k): c for k, c in zip(held, counts[:, i]) if c} for i in cols.tolist()
+                ]
+                rows = kernel_pool(m, columns, types)
+                return rows, rows.event(*u[:, cols])
 
-        together, drawn = kernel(np.arange(n))
-        assert 0 < drawn[0].sum() < n  # removals and releases
-        for i in range(n):
-            alone, one = kernel(np.array([i]))
-            assert all(a[0] == b[i] for a, b in zip(one, drawn))
-            assert np.array_equal(alone.counts[:, 0], together.counts[:, i])
-            assert alone.clock[0] == together.clock[i]
+            together, drawn = kernel(np.arange(n), held)
+            assert 0 < drawn[0].sum() < n  # removals and releases
+            dense, dense_drawn = kernel(np.arange(n), range(1, 13))
+            assert all(np.array_equal(a, b) for a, b in zip(drawn, dense_drawn))
+            for name in ("hosts", "spores", "clock"):
+                assert np.array_equal(getattr(together, name), getattr(dense, name)), name
+            for i in range(n):
+                alone, one = kernel(np.array([i]), held)
+                assert all(a[0] == b[i] for a, b in zip(one, drawn))
+                assert by_type(alone) == by_type(together, i) == by_type(dense, i)
+                assert alone.clock[0] == together.clock[i]
+        # rows were inserted between the types held, and none of those dropped
+        assert set(held) < set(together.types.tolist())
 
     def test_batch_outcomes_sequence(self):
         m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
@@ -717,7 +738,12 @@ class TestBatchEngine:
         assert batch.event_counts.tolist() == [o.event_count for o in singles]
         assert batch.peak_hosts.tolist() == [o.peak_hosts for o in singles]
 
-    def test_work_counters_logged(self, caplog):
+    def test_work_counters_logged(self, caplog, monkeypatch):
+        # a budget of 128 one-row families at the start: the batch needs a
+        # second round of families, and the pool re-sizes as its rows grow.
+        # Only the last family runs alone, so the drain steps many families
+        monkeypatch.setattr(simulator, "POOL_CELLS", 128 * (1 + simulator.LANE_ROWS))
+        monkeypatch.setattr(simulator, "_ALONE", 1)
         m = ModelParams(1.0, 9.0, OffspringDistribution.geometric(0.1))
         init = PopulationState.from_counts({1: 1})
         with caplog.at_level(logging.DEBUG, logger="sporesim.simulator"):
@@ -727,22 +753,85 @@ class TestBatchEngine:
             r"batch of 256 replicates, 256 families: (\d+) engine steps, (\d+) in the drain; "
             r"(\d+) Philox blocks 0 computed in (\d+) calls, (\d+) consumed; (\d+) events left "
             r"undecided by their prefixes, refined from (\d+) blocks; (\d+) events, at most "
-            r"(\d+) per replicate; peak hosts at most (\d+)",
+            r"(\d+) per replicate; peak hosts at most (\d+); pool of (\d+) families over "
+            r"(\d+) type rows at the start, at most (\d+) rows, (\d+) re-sizes; (\d+) families "
+            r"finished alone in (\d+) events",
             record.getMessage(),
         )
         assert found, record.getMessage()
         counts = map(int, found.groups())
-        steps, drain, computed, calls, consumed, undecided, refined, events, most, peak = counts
+        steps, drain, computed, calls, consumed, undecided, refined, events, most, peak = (
+            next(counts) for _ in range(10)
+        )
+        lanes, rows, most_rows, resizes, alone, alone_events = counts
+        assert (lanes, rows) == (128, 1)
+        assert lanes * (rows + simulator.LANE_ROWS) <= simulator.POOL_CELLS
+        assert most_rows > rows and resizes > 0
         assert events == batch.event_counts.sum()
         assert most == batch.event_counts.max() == 357
         assert peak == batch.peak_hosts.max()
-        assert consumed == events  # no horizon: every block read is an event
+        # no horizon: every block read in a step is an event, and the last
+        # families run alone on blocks of their own
+        assert consumed + alone_events == events
+        assert alone == 1 and alone_events > 0
         assert computed > consumed  # blocks computed ahead for families that died first
         # a prefix leaves an event undecided about once in 2^32 per boundary
         assert refined == 2 * undecided and undecided <= consumed // 100
-        assert steps >= most and 0 < drain < steps
+        assert steps + alone_events >= most and 0 < drain < steps
         assert calls < steps  # drain steps read blocks computed by earlier calls
         assert calls >= 3  # the drain computes ahead at several depths
+
+    def test_families_alone_equal_engine_steps(self, monkeypatch):
+        # the drain's last families, finished one at a time in Python
+        # floats, end bit for bit as engine steps would end them: at no
+        # family alone and at every family alone once all have started
+        one = PopulationState.from_counts({1: 1})
+        cases = [
+            (PopulationState.from_counts({1: 4, 3: 2}), ModelParams(1.0, 0.5, TWO_POINT), None),
+            (one, ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), 1.5),
+            (one, ModelParams(1.0, 9.0, OffspringDistribution.geometric(0.1)), None),
+            (
+                PopulationState.from_counts({30: 1}),
+                ModelParams(1.0, 100.0, OffspringDistribution.geometric(0.01)),
+                0.2,
+            ),
+            (PopulationState.from_counts({2: 3}), ModelParams(1.0, 0.0, NO_OFFSPRING), None),
+        ]
+        for init, m, horizon in cases:
+            batches = []
+            for alone in (0, 10**9):
+                monkeypatch.setattr(simulator, "_ALONE", alone)
+                batches.append(run_batch(init, m, 31, replicates=64, horizon=horizon))
+            steps, alone = batches
+            for name in ("extinction_times", "censored", "event_counts", "peak_hosts"):
+                assert np.array_equal(getattr(steps, name), getattr(alone, name)), name
+            if horizon is not None:
+                assert 0 < steps.censored.sum() < 64
+        # over budget: the same first replicate either way
+        m, init = ModelParams(1.0, 0.0, TWO_POINT), PopulationState.from_counts({1: 20})
+        counts = run_batch(init, m, 3, replicates=40).event_counts
+        budget = int(counts[:5].max())
+        for alone in (0, 10**9):
+            monkeypatch.setattr(simulator, "_ALONE", alone)
+            with pytest.raises(BudgetError) as exc:
+                run_batch(init, m, 3, replicates=40, max_events=budget)
+            assert exc.value.replicate == int(np.flatnonzero(counts > budget)[0])
+
+    def test_alone_breaks_ties_as_the_kernel(self, monkeypatch):
+        # a scaled uniform exactly on a running sum picks the next type, in
+        # a step and alone: types 1 and 2 held once have sums 1.0 and 3.0,
+        # and (1/3) * 3.0 rounds to 1.0; the release of the type-2 host
+        # leaves 3 hosts, that of the type-1 host would leave 2
+        m = ModelParams(1.0, 0.0, TWO_POINT)
+        u = (np.array([0.5]), np.array([1.0 / 3.0]), np.array([0.9]))
+        assert u[1][0] * 3.0 == 1.0
+        removal, host_type, offspring = kernel_pool(m, [{1: 1, 2: 1}]).event(*u)
+        assert (removal[0], host_type[0], offspring[0]) == (False, 2, 2)
+        monkeypatch.setattr(simulator, "event_uniforms", lambda seed, e, f, r: u)
+        clock, cut, done, peak = simulator._run_alone(
+            kernel_pool(m, [{1: 1, 2: 1}]), 0, 0, (0, 0), 0, 2.0, math.inf, 0
+        )
+        assert (cut, done, peak) == (False, 1, 3.0)
 
     def test_budget_error_replicate_independent_of_pool(self, monkeypatch):
         m = ModelParams(1.0, 0.0, TWO_POINT)
