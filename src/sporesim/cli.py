@@ -32,11 +32,9 @@ exhausted.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
-import secrets
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -67,6 +65,14 @@ from .stats import (
     gumbel_experiment,
     survival_curve_mc,
 )
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL (~3.6 MB resident) for one digest
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -419,22 +425,16 @@ def build_metadata(cfg: ExperimentConfig) -> dict:
         "tool_version": __version__,
         "rng_algorithm": RNG_ALGORITHM,
         "master_seed": cfg.seed,
-        "config_hash": hashlib.sha256(_canonical_json(cfg.resolved).encode()).hexdigest(),
+        "config_hash": sha256(_canonical_json(cfg.resolved).encode()).hexdigest(),
         "config": cfg.resolved,
     }
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 def _write_atomic(path: Path, kind: str, write: Callable) -> None:
     """Call ``write(f)`` on a new temporary file in ``path``'s directory,
     then rename it to ``path``: a reader never sees a partial artifact, and a
     failed write leaves whatever ``path`` held before."""
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         try:
             with open(tmp, "x", newline="\n", encoding="utf-8") as f:
@@ -446,12 +446,13 @@ def _write_atomic(path: Path, kind: str, write: Callable) -> None:
         raise OSError(f"cannot write {kind} artifact {path}: {e}") from e
 
 
-def emit_csv(path: Path, metadata: dict, header: list[str], rows) -> None:
+def emit_csv(path: Path, metadata: dict, header: list[str], rows: list[tuple]) -> None:
     """Write `# key=value` provenance comments, a header row, then data rows.
 
     Floats carry 17 significant digits (lossless round-trip); newline is LF.
     The config is canonical JSON and a missing value is written `null`, as
-    in the JSON artifacts.
+    in the JSON artifacts.  Each column holds one type: the first row's
+    types pick one format for every row, `%.17g` for a float, else `%s`.
     """
 
     def write(f) -> None:
@@ -460,8 +461,9 @@ def emit_csv(path: Path, metadata: dict, header: list[str], rows) -> None:
                 value = _canonical_json(value)
             f.write(f"# {key}={value}\n")
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+        if rows:
+            template = ",".join("%.17g" if isinstance(x, float) else "%s" for x in rows[0]) + "\n"
+            f.writelines(map(template.__mod__, rows))
 
     _write_atomic(path, "CSV", write)
 
@@ -814,7 +816,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg.set_seed(args.seed)
         if args.ephemeral and cfg.seed is None:
-            cfg.set_seed(secrets.randbits(63))
+            cfg.set_seed(int.from_bytes(os.urandom(8), "big") >> 1)
 
         result = run_experiment(cfg, out_dir=args.out_dir)
         for path in result.paths:

@@ -160,6 +160,27 @@ def ks_distance(sample, cdf: Callable[[float], float]) -> float:
     return d
 
 
+def sorted_quantile(xs: list[float], p: float) -> float:
+    """``np.quantile(xs, p)`` of a sorted sample, bit for bit, without the
+    import of numpy.ma that np.quantile makes: numpy's default rule puts the
+    quantile at virtual index (n - 1) p, between xs[i] = a and xs[i + 1] = b,
+    as a + d g for a fraction g < 1/2 and b - d (1 - g) above, d = b - a."""
+    pos = (len(xs) - 1) * p
+    i = math.floor(pos)
+    if i >= len(xs) - 1:
+        return xs[-1]
+    a, b = xs[i], xs[i + 1]
+    g = pos - i
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g)
+
+
+def sorted_median(xs: list[float]) -> float:
+    """``np.median(xs)`` of a sorted sample, bit for bit: the middle element,
+    or the mean of the middle two."""
+    h = len(xs) // 2
+    return xs[h] if len(xs) % 2 else (xs[h - 1] + xs[h]) / 2.0
+
+
 @dataclass(frozen=True)
 class GumbelReport:
     """Empirical extinction-time law against the predicted Gumbel limit."""
@@ -210,15 +231,15 @@ def gumbel_experiment(
     center = math.log(C * init.n_spores)
     w = lam * times - center
     ks = ks_distance(w, gumbel_cdf)
+    xs = sorted(w.tolist())
     ps = [i / 10.0 for i in range(1, 10)]
-    emp = np.quantile(w, ps)
-    quantiles = tuple((p, float(e), gumbel_quantile(p)) for p, e in zip(ps, emp))
+    quantiles = tuple((p, sorted_quantile(xs, p), gumbel_quantile(p)) for p in ps)
     return GumbelReport(
         location=center / lam,
         scale=1.0 / lam,
         n=replicates,
         ks=ks,
-        median_w=float(np.median(w)),
+        median_w=sorted_median(xs),
         quantiles=quantiles,
         extinction_times=times,
     )

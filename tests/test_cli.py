@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -341,6 +342,22 @@ class TestEmitCsv:
         parsed = [float(r[0]) for r in rows[1:]]
         assert parsed == values
 
+    def test_bytes_equal_per_value_formatting(self, tmp_path):
+        # one template per artifact writes what formatting each value alone did
+        rows = [
+            (1, 0.0, 1.0, 0.0, "ode"),
+            (3, 0.1 + 0.2, 1.0 / 3.0, 2.0**-1074, "monte_carlo"),
+            (10, 1e300, -0.0, float("inf"), "ode"),
+            (200, 123456.789e-30, float("nan"), 5e-324, "ode"),
+        ]
+        path = tmp_path / "rows.csv"
+        emit_csv(path, {}, ["k", "t", "q", "err", "source"], rows)
+        expected = "".join(
+            ",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) + "\n"
+            for row in rows
+        )
+        assert path.read_text() == "k,t,q,err,source\n" + expected
+
     def test_lf_newlines(self, tmp_path):
         path = tmp_path / "nl.csv"
         emit_csv(path, {}, ["x"], [(1,)])
@@ -484,19 +501,22 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
         older = {path.name: path.read_bytes() for path in out.iterdir()}
         assert sorted(older) == ["extinction_times.csv", "gumbel.json"]
-        values = 0
+        write_atomic = cli._write_atomic
+        failed = []
 
-        def fmt_then_fail(value):
-            nonlocal values
-            values += 1
-            if values > 2:
-                raise OSError("no space left on device")
-            return str(value)
+        def fail_after_writing_csv(path, kind, write):
+            def write_then_fail(f):
+                write(f)
+                if kind == "CSV":
+                    failed.append(path.name)
+                    raise OSError("no space left on device")
 
-        monkeypatch.setattr(cli, "_fmt", fmt_then_fail)
+            write_atomic(path, kind, write_then_fail)
+
+        monkeypatch.setattr(cli, "_write_atomic", fail_after_writing_csv)
         args = ["run", "--config", str(cfg), "--out-dir", str(out), "--seed", "2"]
         assert main(args) == EXIT_CONFIG
-        assert values > 2
+        assert failed == ["extinction_times.csv"]
         left = {path.name: path.read_bytes() for path in out.iterdir()}
         assert left == {"extinction_times.csv": older["extinction_times.csv"]}
 
@@ -704,3 +724,59 @@ def test_traced_benchmark_run(tmp_path, experiment, batch_slice, spans):
         "probe.sample_offspring",
         *spans,
     }, names
+
+
+# runs each (config, out-dir) pair of argv[1] through the CLI, then names the
+# modules it must not have loaded
+FOOTPRINT_PROBE = """
+import json, sys
+from sporesim.cli import main
+codes = [main(["run", "--config", cfg, "--out-dir", out]) for cfg, out in json.loads(sys.argv[1])]
+unwanted = [name for name in ("_hashlib", "hashlib", "numpy.ma") if name in sys.modules]
+print(json.dumps({"codes": codes, "unwanted": unwanted}))
+"""
+
+
+def test_cli_run_loads_neither_openssl_nor_masked_arrays(tmp_path):
+    # a CLI run is one fresh process: hashlib loads OpenSSL (~3.6 MB resident)
+    # for the config digest, and np.quantile and np.median import numpy.ma;
+    # the built-in SHA-256 must give hashlib's digest
+    runs = []
+    for name, experiment in (
+        ("gumbel", '"type": "gumbel", "z": {"1": 40, "3": 20}, "replicates": 20, "seed": 3'),
+        (
+            "survival",
+            '"type": "survival", "k": [1, 3], "t_max": 2.0, "method": "both", "K": 8, '
+            '"replicates": 200, "seed": 3',
+        ),
+    ):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text('{%s, "experiment": {%s}}' % (LF_MODEL_BLOCK, experiment))
+        runs.append((str(cfg), str(tmp_path / name)))
+    path = [str(Path(__file__).parent.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK] * 2, "unwanted": []}
+
+    artifacts = sorted(tmp_path.glob("*/*"))
+    assert [p.name for p in artifacts] == [
+        "extinction_times.csv", "gumbel.json", "survival_mc.csv", "survival_ode.csv"
+    ]
+    for artifact in artifacts:
+        if artifact.suffix == ".json":
+            metadata = json.loads(artifact.read_text())["metadata"]
+        else:
+            metadata = dict(
+                line.removeprefix("# ").split("=", 1)
+                for line in artifact.read_text().splitlines()
+                if line.startswith("# ")
+            )
+            metadata["config"] = json.loads(metadata["config"])
+        canonical = json.dumps(metadata["config"], sort_keys=True, separators=(",", ":"))
+        assert metadata["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()

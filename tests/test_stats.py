@@ -17,6 +17,8 @@ from sporesim.stats import (
     gumbel_cdf,
     gumbel_quantile,
     ks_distance,
+    sorted_median,
+    sorted_quantile,
     survival_curve_mc,
     wilson_interval,
 )
@@ -226,6 +228,23 @@ class TestFitDecayRate:
         )
         with pytest.raises(WindowError):
             fit_decay_rate(dead, (0.0, 5.0))
+
+
+class TestSortedQuantiles:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 500), ties=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_equal_numpy_bit_for_bit(self, n, ties, seed):
+        # magnitudes 1e-3..1e3 of either sign; with ties > 0, n draws from
+        # that many values
+        rng = np.random.default_rng(seed)
+        w = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        if ties:
+            w = rng.choice(w[:ties], size=n)
+        xs = sorted(w.tolist())
+        ps = [i / 10.0 for i in range(1, 10)]
+        ours = [sorted_quantile(xs, p) for p in ps] + [sorted_median(xs)]
+        theirs = np.quantile(w, ps).tolist() + [float(np.median(w))]
+        assert [x.hex() for x in ours] == [x.hex() for x in theirs]
 
 
 class TestGumbelExperiment:
