@@ -71,6 +71,7 @@ engine on one replicate.
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 import math
 from collections.abc import Sequence
@@ -113,6 +114,10 @@ _ALONE = 8
 # numpy's cumsum down axis 0 walks one column at a time, ~5 ns per entry,
 # while adding a row costs ~1.5 us however long it is
 _ROW_SUMS = 256
+# type rows below which the scan counts the running sums <= x as a uint8 sum
+# down the rows, 3-4x faster than count_nonzero; the count reaches the row
+# count, so from 256 rows on it would wrap
+_BYTE_ROWS = 256
 
 # RandomStream computes its uniforms in growing blocks of events, so a
 # fresh stream's first draw stays cheap; the block schedule never changes
@@ -155,6 +160,18 @@ class BudgetError(RuntimeError):
         self.replicate = replicate
 
 
+@functools.lru_cache(maxsize=8)
+def _round_keys(key: tuple[int, int], ndim: int) -> tuple[np.ndarray, ...]:
+    """Philox4x32-10's ten round keys for ``key``, each a read-only pair
+    shaped to broadcast over pairs of ``ndim``-dimensional words."""
+    keys = np.array(
+        [[(k + i * w) & _MASK32 for k, w in zip(key, _PHILOX_W)] for i in range(_PHILOX_ROUNDS)],
+        dtype=np.uint64,
+    ).reshape(_PHILOX_ROUNDS, 2, *(1,) * ndim)
+    keys.setflags(write=False)
+    return tuple(keys)
+
+
 def philox4x32(counter, key: tuple[int, int]) -> tuple[np.ndarray, ...]:
     """Philox4x32-10 blocks (Salmon et al., SC'11), elementwise.
 
@@ -162,17 +179,12 @@ def philox4x32(counter, key: tuple[int, int]) -> tuple[np.ndarray, ...]:
     two 32-bit integers; returns the four output words as uint64 arrays.
     Each 32x32 -> 64 product is one exact uint64 multiply.
     """
-    words = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    shape = np.broadcast_shapes(*map(np.shape, counter))
     # words 0 and 2, words 1 and 3, products; one allocation, not three
-    even, odd, scratch = np.empty((3, 2, *words[0].shape), dtype=np.uint64)
-    even[0], odd[0], even[1], odd[1] = words
-    ones = (1,) * words[0].ndim
-    m = _PHILOX_M.reshape(2, *ones)
-    keys = np.array(
-        [[(k + i * w) & _MASK32 for k, w in zip(key, _PHILOX_W)] for i in range(_PHILOX_ROUNDS)],
-        dtype=np.uint64,
-    ).reshape(_PHILOX_ROUNDS, 2, *ones)
-    for k in keys:
+    even, odd, scratch = np.empty((3, 2, *shape), dtype=np.uint64)
+    even[0], odd[0], even[1], odd[1] = counter
+    m = _PHILOX_M.reshape(2, *(1,) * len(shape))
+    for k in _round_keys(key, len(shape)):
         np.multiply(even, m, out=scratch)
         np.right_shift(scratch, _SHIFT32, out=even)  # high halves of both products
         scratch &= _LOW32  # low halves
@@ -394,7 +406,9 @@ def _decide(m: ModelParams, counts, weight, removal_rate, total, u_pick, u_offsp
     each row's type), drawn from a type-choice and an offspring uniform
     each.  Returns (removal mask, removal rate subtracted from x, running
     sums, row of the host's type, offspring quantile: the offspring count of
-    a release)."""
+    a release).  The row is the count of running sums <= x: a uint8 array
+    below ``_BYTE_ROWS`` = 256 rows, where the count fits a byte, an intp
+    array from there on."""
     # one uniform across the combined rate picks kind and type: the type is
     # the first whose cumulative weight (removal rho*n_k, release beta*k*n_k,
     # in ascending type order) exceeds x.  The running sums are one cumsum
@@ -417,7 +431,10 @@ def _decide(m: ModelParams, counts, weight, removal_rate, total, u_pick, u_offsp
     else:  # same sums, faster when rows are long
         for k in range(1, rows):
             acc[k] += acc[k - 1]
-    row = np.count_nonzero(acc <= x, axis=0)
+    if rows < _BYTE_ROWS:
+        row = (acc <= x).sum(axis=0, dtype=np.uint8)
+    else:
+        row = np.count_nonzero(acc <= x, axis=0)
     edge = row == rows
     if edge.any():  # x landed on the top edge by rounding: last occupied type
         occupied = counts[::-1, edge] > 0.0
@@ -495,8 +512,22 @@ class _Rows:
         )
         self.lanes = np.arange(len(self.hosts))
 
+    def found(self, slots: np.ndarray, types: np.ndarray) -> None:
+        """Start population ``slots[i]`` from one host of type ``types[i]``.
+        Each slot is new or held a population that has finished: one that
+        died out left its column empty, one that left with hosts (censored,
+        or past a failed replicate) is cleared here."""
+        rows = self.rows(types)
+        left = slots[self.hosts[slots] != 0.0]
+        if len(left):
+            self.counts[:, left] = 0.0
+        self.counts[rows, slots] = 1.0
+        self.hosts[slots] = 1.0
+        self.spores[slots] = types
+        self.clock[slots] = 0.0
+
     def keep(self, mask: np.ndarray) -> None:
-        self.counts = np.ascontiguousarray(self.counts[:, mask])
+        self.counts = np.compress(mask, self.counts, axis=1)  # C-contiguous
         self.hosts = self.hosts[mask]
         self.spores = self.spores[mask]
         self.clock = self.clock[mask]
@@ -521,7 +552,8 @@ class _Rows:
             m, self.counts, self.weight, removal_rate, total, u_pick, u_offspring
         )
         lanes = self.lanes
-        here = row * n + lanes
+        here = np.multiply(row, n, dtype=np.intp)
+        here += lanes
         if full is not None:
             # every step of _decide is monotone in each uniform, so the event
             # drawn at a prefix u is the event at any uniform in
@@ -543,7 +575,7 @@ class _Rows:
                     m, self.counts[:, redo], self.weight, removal_rate[redo], total[redo],
                     *full(redo),
                 )
-                here[redo] = row[redo] * n + redo
+                here[redo] = np.multiply(row[redo], n, dtype=np.intp) + redo
                 self.undecided += len(redo)
 
         del acc  # the scatter below needs no running sums
@@ -556,21 +588,25 @@ class _Rows:
         # the last row and adds 0 there.
         np.subtract.at(self.counts.reshape(-1), here, 1.0)
         k = row + 1 if self.dense else self.types.take(row)
-        self.hosts -= removal | (k == 1)
-        self.spores -= np.where(removal, k, 1)
         # a releasing host becomes type k - 1 and its spore founds a type-j
         # host: none for removals, k - 1 = 0 or j = 0
-        release = ~removal
-        j *= release
+        moved = k > 1
+        if m.rho:
+            self.hosts -= removal | ~moved
+            self.spores -= np.where(removal, k, 1)
+            release = ~removal
+            moved &= release
+            j *= release
+        else:  # every event is a release
+            self.hosts -= ~moved
+            self.spores -= 1.0
         born = j > 0
         if self.dense and j.max() <= len(self.types):  # no row to add: row = type - 1
             down, new = here - n, j - 1
         else:
-            down = k - 1
-            down *= release
-            rows = self.rows(np.concatenate((down, j)))
+            rows = self.rows(np.concatenate(((k - 1) * moved, j)))
             down, new = rows[:n] * n + lanes, rows[n:]
-        np.add.at(self.counts.reshape(-1), down, (release & (k > 1)).astype(float))
+        np.add.at(self.counts.reshape(-1), down, moved.astype(float))
         if born.any():
             new *= n
             new += lanes
@@ -723,13 +759,7 @@ def _simulate(
                 )
             r, f = np.divmod(np.arange(started, started + len(slots)), n_families)
             started += len(slots)
-            k = founders[f]
-            rows = pool.rows(k)
-            pool.counts[:, slots] = 0.0
-            pool.counts[rows, slots] = 1.0
-            pool.hosts[slots] = 1.0
-            pool.spores[slots] = k
-            pool.clock[slots] = 0.0
+            pool.found(slots, founders[f])
             replicate[slots] = r
             key[slots] = r.astype(np.uint64) + np.uint64(first)
             family[slots] = f
@@ -786,30 +816,36 @@ def _simulate(
             drain_steps += started >= limit
             consumed += live
             pool.event(*uniforms, full)
-            cut = pool.clock > end  # the event falls past the horizon
-            done_events += ~cut
-            np.maximum(peak, pool.hosts, out=peak, where=~cut)
-            finished = (pool.hosts == 0.0) | cut
+            if horizon is None:
+                done_events += 1
+                np.maximum(peak, pool.hosts, out=peak)
+                finished = pool.hosts == 0.0
+            else:
+                cut = pool.clock > end  # the event falls past the horizon
+                inside = ~cut
+                done_events += inside
+                np.maximum(peak, pool.hosts, out=peak, where=inside)
+                finished = (pool.hosts == 0.0) | cut
 
             over = done_events > max_events
             if over.any():
                 failed = min(failed, int(replicate[over].min()))
-            if finished.any():
-                idx = np.flatnonzero(finished)
-                r = replicate[idx]
-                np.maximum.at(times, r, pool.clock[idx])
-                np.logical_or.at(censored, r, cut[idx])
-                np.add.at(events, r, done_events[idx])
-                np.add.at(peaks, r, peak[idx])
+            free = np.flatnonzero(finished)
+            if len(free):
+                r = replicate[free]
+                np.maximum.at(times, r, pool.clock[free])
+                if horizon is not None:
+                    np.logical_or.at(censored, r, cut[free])
+                np.add.at(events, r, done_events[free])
+                np.add.at(peaks, r, peak[free])
                 over = events[r] > max_events
                 if over.any():
                     failed = min(failed, int(r[over].min()))
             if failed < replicates:
                 # only replicates below the first failure still matter
                 limit = min(limit, failed * n_families)
-                finished |= replicate >= failed
+                free = np.flatnonzero(finished | (replicate >= failed))
 
-            free = np.flatnonzero(finished)
             if started < limit:
                 resizes += budget() != size
                 size = budget()

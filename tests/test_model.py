@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from sporesim import (
@@ -11,7 +13,7 @@ from sporesim import (
     RandomStream,
     sample_offspring,
 )
-from sporesim.model import truncation_level, validate
+from sporesim.model import _GUIDE_CELLS, _LINEAR_SEARCH, truncation_level, validate
 
 
 def brute_force_moments(pmf, kmax=200, tail_tol=1e-12):
@@ -206,7 +208,7 @@ class TestSampling:
     )
     def test_scalar_and_vector_quantiles_agree(self, d):
         # tables of up to four entries are searched by comparisons, longer
-        # ones by searchsorted: both are the scalar bisection
+        # ones through a guide table: both are the scalar bisection
         top = float(d.cumulative[-1])
         u = np.concatenate(
             [
@@ -229,6 +231,71 @@ class TestSampling:
         expected = np.searchsorted(longer, u, side="right")
         assert np.all(expected > top)
         assert d.quantiles(u).tolist() == expected.tolist()
+
+
+def tables(min_size, max_size):
+    """Table laws with runs of zero probabilities and trailing zeros: some
+    reach a cumulative 1 (or round just past or below it) before the top."""
+    weights = st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=max_size
+    ).filter(any)
+    return st.builds(
+        lambda w, zeros: OffspringDistribution.table(
+            (np.array(w + [0.0] * zeros) / sum(w)).tolist()
+        ),
+        weights,
+        st.integers(0, 12),
+    ).filter(lambda d: min_size <= len(d.probs) <= max_size)
+
+
+LAWS = st.one_of(
+    tables(_LINEAR_SEARCH + 1, 300),
+    tables(1, _LINEAR_SEARCH),
+    st.floats(0.1, 50.0).map(OffspringDistribution.poisson),
+    st.floats(0.01, 0.9).map(OffspringDistribution.geometric),
+)
+CELL_EDGES = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
+
+
+class TestVectorQuantiles:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=LAWS,
+        prefixes=st.lists(st.integers(0, 2**32 - 1), max_size=50),
+        words=st.lists(st.integers(0, 2**53 - 1), max_size=50),
+    )
+    # its cumulative sum reaches 1 at j = 1 and passes it at j = 2: every
+    # u < 1 draws at most 1, u = 1 continues the recursion to 2
+    @example(d=OffspringDistribution.table([0.5, 0.5, 1e-13, 0.0, 0.0]), prefixes=[], words=[])
+    # cumulative values on cell edges: only cells holding one inside are split
+    @example(d=OffspringDistribution.table([0.25, 0.25, 0.0, 0.5, 0.0]), prefixes=[], words=[])
+    # short, with a repeated value and an entry at 1 before the top
+    @example(d=OffspringDistribution.table([0.6, 0.0, 0.4, 0.0]), prefixes=[], words=[])
+    def test_equal_scalar_quantile_bit_for_bit(self, d, prefixes, words):
+        cum = d.cumulative
+        top = float(cum[-1])
+        u = np.concatenate(
+            [
+                CELL_EDGES,
+                np.nextafter(CELL_EDGES, 0.0),
+                np.nextafter(CELL_EDGES, 2.0),
+                np.array(prefixes, dtype=float) * 2.0**-32,
+                np.array(words, dtype=float) * 2.0**-53,
+                [top, np.nextafter(top, 0.0), np.nextafter(1.0, 0.0), 1.0],
+            ]
+        )
+        expected = [d.quantile(x) for x in u.tolist()]
+        assert d.quantiles(u).tolist() == expected
+        if len(u) % 2:
+            u, expected = u[1:], expected[1:]
+        assert d.quantiles(u.reshape(2, -1)).tolist() == np.reshape(expected, (2, -1)).tolist()
+        if len(cum) > _LINEAR_SEARCH:
+            # searchsorted runs only for the cells where the count changes
+            # inside (a cumulative value lies strictly between the edges)
+            # and for u >= 1
+            inside = cum[(cum < 1.0) & (cum * _GUIDE_CELLS % 1.0 > 0.0)]
+            split = np.flatnonzero(d._guide < 0)
+            assert split.tolist() == sorted({*(inside * _GUIDE_CELLS).astype(int), _GUIDE_CELLS})
 
 
 class TestDecayWindow:

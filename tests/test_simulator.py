@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import re
@@ -643,6 +644,36 @@ class TestPrefixRefinement:
         lazy_against_eager(m, [column], *words)
 
 
+class TestDecide:
+    @pytest.mark.parametrize("rows", [255, 256, 300])
+    def test_row_is_the_count_of_running_sums_at_most_x(self, rows):
+        # a uint8 count of the running sums <= x runs below 256 rows only:
+        # lanes whose x passes the top (u = 2) count all rows, which would
+        # wrap a byte at 256
+        rng = np.random.default_rng(rows)
+        n = 64
+        m = ModelParams(0.7, 0.4, OffspringDistribution.poisson(2.0))
+        counts = rng.integers(0, 2, size=(rows, n)).astype(float)
+        counts[-1] += 1.0  # every population holds the top type
+        types = np.arange(1, rows + 1, dtype=float)[:, None]
+        hosts = counts.sum(axis=0)
+        removal_rate = m.rho * hosts
+        total = removal_rate + m.beta * (types * counts).sum(axis=0)
+        u = rng.random(n)
+        u[:8] = 2.0
+        u[8:12] = 0.0
+        removal, shift, acc, row, _ = simulator._decide(
+            m, counts, m.beta * types, removal_rate, total, u, rng.random(n)
+        )
+        assert 0 < removal.sum() < n
+        expected = np.count_nonzero(acc <= u * total - shift, axis=0)
+        top = expected == rows
+        assert top.sum() == 8
+        expected[top] = rows - 1  # x past the top sum: the last occupied row
+        assert row.tolist() == expected.tolist()
+        assert row.dtype == (np.uint8 if rows < 256 else np.intp)
+
+
 class TestBatchEngine:
     @pytest.mark.parametrize("cells", [7, simulator.POOL_CELLS])
     def test_replicate_equals_single_run(self, monkeypatch, cells):
@@ -845,6 +876,59 @@ class TestBatchEngine:
                 run_batch(init, m, 3, replicates=40, max_events=budget)
             assert exc.value.replicate == first
         run_batch(init, m, 3, replicates=first, max_events=budget)
+
+    # SHA-256 of a batch's arrays at seed 123, pinned before the engine's
+    # step operations were rewritten in cheaper numpy forms: a rewrite of
+    # the engine must leave every bit of them.  LF from a mixed start,
+    # Poisson(2) with removal to a horizon, and a wide geometric law
+    GEOMETRIC = OffspringDistribution.geometric(0.05)
+    GOLDEN = [
+        (
+            {1: 4, 3: 2}, ModelParams(1.0, 0.0, TWO_POINT), None, 4000,
+            "fda99281582bc98df356341bd66a4068d58ca746ef425691fe150b02e480f147",
+        ),
+        (
+            {1: 4, 3: 2}, ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), 1.5, 4000,
+            "86708dc2a3748b28ec571a0edfff6be08f839b8896b7334c5411346317547d22",
+        ),
+        (
+            {1: 1}, ModelParams(1.0, GEOMETRIC.mean + 1.0, GEOMETRIC), None, 1000,
+            "0817517ec68a010bdc60884325b956498087350fc3519dc571871e12ff632045",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "counts, m, horizon, n, digest", GOLDEN, ids=["lf", "poisson-horizon", "geometric"]
+    )
+    def test_golden_outcomes(self, counts, m, horizon, n, digest):
+        batch = run_batch(PopulationState.from_counts(counts), m, 123, n, horizon=horizon)
+        h = hashlib.sha256()
+        for a in (batch.extinction_times, batch.censored, batch.event_counts, batch.peak_hosts):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_refilled_columns_start_empty(self, monkeypatch):
+        # a small pool refills slots of censored families, whose columns
+        # still hold hosts, and of extinct ones: every refilled population
+        # starts from its one host and nothing else
+        monkeypatch.setattr(simulator, "POOL_CELLS", 64)
+        found = simulator._Rows.found
+        cleared = []
+
+        def checked(rows, slots, types):
+            empty = rows.hosts[slots] == 0.0
+            assert not rows.counts[:, slots[empty]].any()  # died out: left nothing
+            cleared.append(int((~empty).sum()))
+            found(rows, slots, types)
+            started = rows.counts[:, slots]
+            assert np.array_equal(started.sum(axis=0), np.ones(len(slots)))
+            assert np.array_equal(rows.types[started.argmax(axis=0)], types)
+
+        monkeypatch.setattr(simulator._Rows, "found", checked)
+        m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
+        batch = run_batch(PopulationState.from_counts({1: 4, 3: 2}), m, 123, 200, horizon=1.5)
+        assert 0 < batch.censored.sum() < 200
+        assert sum(cleared) > 0  # columns of censored families were refilled
 
     def test_peak_hosts_sums_family_peaks(self):
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
