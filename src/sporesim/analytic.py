@@ -39,7 +39,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import ModelParams, truncation_level
+from .model import ModelParams
 
 logger = logging.getLogger(__name__)
 
@@ -82,11 +82,6 @@ class TruncatedSystem:
     def release_rates(self) -> np.ndarray:
         return self.params.beta * np.arange(1, self.K + 1, dtype=float)
 
-    @cached_property
-    def truncated_mean(self) -> float:
-        j = np.arange(self.K + 1)
-        return float((j * self.offspring_table).sum())
-
 
 @dataclass(frozen=True)
 class SurvivalCurve:
@@ -97,14 +92,6 @@ class SurvivalCurve:
     qs: np.ndarray
     err: np.ndarray
     source: str  # "ode", "closed_form" or "monte_carlo"
-
-    def validate(self, tol: float = 1e-9) -> None:
-        assert self.ts.shape == self.qs.shape == self.err.shape
-        assert np.all(np.diff(self.ts) > 0.0), "time grid must be strictly increasing"
-        assert np.all((self.qs >= 0.0) & (self.qs <= 1.0)), "q must lie in [0, 1]"
-        assert np.all(np.diff(self.qs) <= tol), "q must be nonincreasing in t"
-        if self.ts[0] == 0.0:
-            assert self.qs[0] == 1.0, "q(0) must be 1"
 
 
 @dataclass(frozen=True)
@@ -461,133 +448,3 @@ def estimate_constant(
         k_doubling_change=change,
     )
 
-
-@dataclass(frozen=True)
-class TruncationBoundReport:
-    """Evidence that ln q_1(t) + (lambda + epsilon) t is bounded below."""
-
-    epsilon: float
-    decay_rate: float
-    min_value: float
-    t_at_min: float
-    c1_implied: float
-    stabilized: bool
-
-
-def truncation_lower_bound_check(
-    sys: TruncatedSystem,
-    epsilon: float,
-    t_max: float | None = None,
-    solver_tol: float = DEFAULT_SOLVER_TOL,
-    dt: float | None = None,
-) -> TruncationBoundReport:
-    """Check the crude lower bound q_1(t) >= c1 e^{-(lambda+epsilon) t}.
-
-    The truncation level must keep enough offspring mean: the truncated mean
-    has to exceed mean - epsilon/beta, which makes the truncated decay rate
-    smaller than lambda + epsilon.  The implied constant c1 (not pinned by
-    any formula) is reported as exp of the grid minimum of
-    ln q_1(t) + (lambda + epsilon) t, together with whether that minimum has
-    visibly stabilized inside the grid.
-    """
-    m = sys.params
-    lam = m.decay_rate
-    if lam <= 0.0:
-        raise ValueError("lower-bound check requires a subcritical model")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    k0 = truncation_level(m.offspring, epsilon, m.beta)
-    if sys.K < k0 or sys.truncated_mean <= m.offspring.mean - epsilon / m.beta:
-        raise ValueError(
-            f"truncation K={sys.K} keeps too little offspring mean for epsilon={epsilon:g}; "
-            f"need K >= {k0}"
-        )
-    if t_max is None:
-        t_max = max(20.0 / lam, 4.0 / epsilon)
-    ts = _grid(t_max, dt)
-    U, _, _ = _solve_scaled(sys, ts, solver_tol)
-    margin = np.log(U[:, 0]) + epsilon * ts  # = ln q_1 + (lambda + epsilon) t
-    i = int(np.argmin(margin))
-    return TruncationBoundReport(
-        epsilon=epsilon,
-        decay_rate=lam,
-        min_value=float(margin[i]),
-        t_at_min=float(ts[i]),
-        c1_implied=float(math.exp(margin[i])),
-        stabilized=bool(ts[i] <= 0.5 * t_max),
-    )
-
-
-def survival_ratios(curves: list[SurvivalCurve]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Ratios r_k(t) = q_k(t) / (k q_1(t)) on the curves' common grid."""
-    by_k = {c.k: c for c in curves}
-    if 1 not in by_k:
-        raise ValueError("needs the k=1 curve")
-    base = by_k[1]
-    q1 = base.qs
-    if np.any(q1 <= 0.0):
-        raise ValueError("k=1 curve hits zero inside the grid")
-    ratios = {}
-    for k, c in by_k.items():
-        if c.ts.shape != base.ts.shape or not np.array_equal(c.ts, base.ts):
-            raise ValueError("curves must share one time grid")
-        ratios[k] = c.qs / (k * q1)
-    return base.ts, ratios
-
-
-@dataclass(frozen=True)
-class TailRatioReport:
-    """Shape diagnostics for q_k(t) / (k q_1(t)) over a tail window."""
-
-    window: tuple[float, float]
-    max_ratio_excess: float  # max over k, t of r_k(t) - 1
-    contraction_ok: bool  # |r_k - 1| smaller at t + delta than at t
-    slopes: dict[int, float]  # log-linear decay rate of |r_k - 1| per k
-
-
-def tail_ratio_check(
-    curves: list[SurvivalCurve],
-    a: float,
-    window: tuple[float, float] | None = None,
-    delta: float = 5.0,
-    k_max: int = 10,
-) -> TailRatioReport:
-    """Measure how fast the per-spore survival ratio approaches 1.
-
-    Over the tail window (default [3/a, 6/a]): the worst excess of r_k above
-    1 anywhere on the grid, whether |r_k(t) - 1| contracts from t to
-    t + delta for every pair inside the window, and the fitted log-linear
-    slope of |r_k(t) - 1| for each 2 <= k <= k_max.
-    """
-    ts, ratios = survival_ratios(curves)
-    if window is None:
-        window = (3.0 / a, 6.0 / a)
-    lo, hi = window
-    in_win = (ts >= lo) & (ts <= hi)
-    if in_win.sum() < 4:
-        raise ValueError("tail window covers fewer than 4 grid points")
-
-    excess = max(float((r - 1.0).max()) for r in ratios.values())
-
-    contraction_ok = True
-    slopes: dict[int, float] = {}
-    dt = float(ts[1] - ts[0])
-    shift = round(delta / dt)
-    for k in sorted(ratios):
-        if k == 1 or k > k_max:
-            continue
-        dev = np.abs(ratios[k] - 1.0)
-        idx = np.where(in_win)[0]
-        for i in idx:
-            j = i + shift
-            if j < len(ts) and in_win[j] and dev[j] >= dev[i]:
-                contraction_ok = False
-        positive = in_win & (dev > 1e-13)
-        if positive.sum() >= 4:
-            slopes[k] = float(np.polyfit(ts[positive], np.log(dev[positive]), 1)[0])
-    return TailRatioReport(
-        window=(lo, hi),
-        max_ratio_excess=excess,
-        contraction_ok=contraction_ok,
-        slopes=slopes,
-    )

@@ -373,31 +373,6 @@ def validate(m: ModelParams, require_subcritical: bool = False) -> ValidationRep
     return ValidationReport(checks=tuple(checks))
 
 
-def truncation_level(d: OffspringDistribution, epsilon: float, beta: float) -> int:
-    """Smallest k0 >= 1 whose truncated mean exceeds mean - epsilon/beta.
-
-    Offspring counts above k0 mapped to zero still carry enough mean to keep
-    the truncated decay rate within epsilon of the true one.
-    """
-    if epsilon <= 0.0 or beta <= 0.0:
-        raise ValueError("epsilon and beta must be positive")
-    target = d.mean - epsilon / beta
-    if target < 0.0:
-        return 1
-    partial = 0.0
-    k = 0
-    limit = len(d.probs) - 1 if d.kind == "table" else 10_000_000
-    while k < limit:
-        k += 1
-        partial += k * d.pmf(k)
-        if partial > target and k >= 1:
-            return k
-    if d.kind == "table":
-        # full support reached; the complete mean always satisfies the bound
-        return max(1, len(d.probs) - 1)
-    raise RuntimeError("truncation level search did not terminate")
-
-
 def sample_offspring(d: OffspringDistribution, rng) -> int:
     """Draw one exact sample of J: inverse CDF on one uniform from rng."""
     return d.quantile(rng.uniform01())

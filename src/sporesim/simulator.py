@@ -64,8 +64,9 @@ many events as fit in one full-pool step.  The last few families are
 finished one at a time in Python floats, with the same arithmetic on the
 same uniforms, read in full.  A batch's results are arrays, a
 :class:`BatchOutcomes`; a :class:`SimOutcome` per replicate is built only
-when one is indexed or iterated.  :func:`run_to_extinction` is the same
-engine on one replicate.
+when one is indexed or iterated.  Replicate i of :func:`run_batch` draws
+only at the counters above that carry i, so for a given model, start and
+master seed it is the same in any batch that holds it.
 """
 
 from __future__ import annotations
@@ -249,9 +250,9 @@ class RandomStream:
     ``index`` under master seed ``seed``; :meth:`uniform01` serves its family
     0's uniforms in the engine's order (waiting time, type choice, offspring,
     event after event; two Philox4x32 blocks per event, laid out as the
-    module docstring says), so the engine's transition kernel fed a fresh
-    stream from a one-host start reproduces :func:`run_to_extinction` bit for
-    bit.
+    module docstring says).  So the engine's transition kernel fed a fresh
+    stream from a one-host start reproduces replicate ``index`` of
+    ``run_batch(init, m, seed, ...)`` bit for bit.
     """
 
     __slots__ = ("seed", "index", "_draws")
@@ -890,25 +891,6 @@ def _simulate(
     )
 
 
-def run_to_extinction(
-    init: PopulationState,
-    m: ModelParams,
-    rng: RandomStream,
-    horizon: float | None = None,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> SimOutcome:
-    """Run one replicate until the population dies out or passes ``horizon``.
-
-    The batch engine on the single replicate (``rng.seed``, ``rng.index``),
-    always from the start of that stream; ``rng`` itself is not advanced.
-    The input state is not mutated.  Raises :class:`BudgetError` when the
-    replicate needs more than ``max_events`` events, which converts
-    misconfigured (near- or supercritical) runs into a clean error instead
-    of a hang.
-    """
-    return _simulate(init, m, rng.seed, rng.index, 1, horizon, max_events)[0]
-
-
 def run_batch(
     init: PopulationState,
     m: ModelParams,
@@ -918,8 +900,11 @@ def run_batch(
     max_events: int = DEFAULT_MAX_EVENTS,
     threads: int = 1,
 ) -> BatchOutcomes:
-    """Independent replicates; replicate i equals
-    ``run_to_extinction(init, m, RandomStream(master_seed, i), ...)``.
+    """Independent replicates 0 .. ``replicates`` - 1 under ``master_seed``.
+
+    Replicate i's draws are a pure function of (``master_seed``, i, family,
+    event), as the module docstring lays out, so it is the same in any batch
+    that holds it.
 
     Results come in replicate-index order, as a :class:`BatchOutcomes`:
     arrays of extinction times, censoring flags, event counts and peak host

@@ -31,10 +31,10 @@ from sporesim.analytic import (
     closed_form_linear_fractional,
     closed_form_mu0,
     linear_fractional_constant,
-    tail_ratio_check,
 )
 from sporesim.cli import main, parse_config
 from sporesim.stats import GUMBEL_MEDIAN, fit_decay_rate
+from survival_checks import tail_ratio_check
 
 REPO = Path(__file__).parent.parent
 
@@ -208,7 +208,6 @@ def test_criterion_6_engine_equivalence():
     worst_p = 1.0
     for counts, seed in (({1: 3}, 9100), ({2: 1, 3: 1}, 9200)):
         init = PopulationState.from_counts(counts)
-        # replicate i is run_to_extinction(init, m, RandomStream(seed, i))
         agg = [o.extinction_time for o in run_batch(init, m, seed, replicates=n)]
         ref = [
             run_to_extinction_reference(init, m, seed + 1, i).extinction_time for i in range(n)

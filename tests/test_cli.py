@@ -61,6 +61,20 @@ SHIPPED_CONFIG_HASHES = {
     "survival_poisson_mix": "708f3beed919abd36622a3fb5fc6305549ea190403b3981404375930a196aa4f",
 }
 
+# SHA-256 of every artifact of the shipped configs at --seed 1, except the
+# ~11 s gumbel_linear_fractional (criterion 5 runs that path): an engine,
+# solver or emitter change that moves one byte fails here.  A deliberate
+# change updates this table and names the configs whose bytes moved
+SHIPPED_ARTIFACT_DIGESTS = {
+    "constant_linear_fractional/constant.json": "0373252883e8d999ace55676cbe369d19fd1f5bb7128ee52692f4d7f0e142237",
+    "oracle_linear_fractional/oracle.json": "2d047e08aa89cd2923ad20267bc0771b209afd3e6f89e05c1735b20ae959ab52",
+    "oracle_pure_death/oracle.json": "04951e277d4db0059dd50f12556e572046a1636b734558f69ef62d81f1e3d5ec",
+    "slope_linear_fractional/slope.json": "3fa79601c076a7354f98ca462bac3cec7fbf1cdd3bfe64fb92ff93cb3d93a24a",
+    "survival_linear_fractional/survival_mc.csv": "e845c541fee277deb4770b2360c4a09400c7b449f736acc942d300f44b3d3f84",
+    "survival_linear_fractional/survival_ode.csv": "16b8f03acced04c88e34fb4a188dc7b29816bb83c56218d8f129cd59fbe577a4",
+    "survival_poisson_mix/survival_ode.csv": "baf0a23b78e4f0ea109826731c3f856670b9e318b899354c948caf599825ea98",
+}
+
 # the smallest config of each experiment type: every optional key defaulted
 MINIMAL_CONFIGS = {
     "survival": MINIMAL_SURVIVAL,
@@ -673,6 +687,20 @@ class TestShippedConfigs:
             for path in CONFIGS
         }
         assert hashes == SHIPPED_CONFIG_HASHES
+
+    def test_artifact_digests_pinned(self, tmp_path):
+        digests = {}
+        for path in CONFIGS:
+            if path.stem == "gumbel_linear_fractional":
+                continue
+            out = tmp_path / path.stem
+            args = ["run", "--config", str(path), "--seed", "1", "--out-dir", str(out)]
+            assert main(args) == EXIT_OK
+            for artifact in out.iterdir():
+                digests[f"{path.stem}/{artifact.name}"] = hashlib.sha256(
+                    artifact.read_bytes()
+                ).hexdigest()
+        assert digests == SHIPPED_ARTIFACT_DIGESTS
 
 
 @pytest.mark.parametrize(

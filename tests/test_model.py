@@ -13,7 +13,8 @@ from sporesim import (
     RandomStream,
     sample_offspring,
 )
-from sporesim.model import _GUIDE_CELLS, _LINEAR_SEARCH, truncation_level, validate
+from sporesim.model import _GUIDE_CELLS, _LINEAR_SEARCH, validate
+from survival_checks import truncation_level
 
 
 def brute_force_moments(pmf, kmax=200, tail_tol=1e-12):

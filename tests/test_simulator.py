@@ -20,7 +20,6 @@ from sporesim.simulator import (
     event_uniforms,
     philox4x32,
     run_batch,
-    run_to_extinction,
 )
 from sporesim.stats import wilson_interval
 
@@ -40,6 +39,12 @@ def philox4x32_scalar(counter, key):
         c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & MASK32
         k0, k1 = (k0 + 0x9E3779B9) & MASK32, (k1 + 0xBB67AE85) & MASK32
     return c0, c1, c2, c3
+
+
+def run_one(init, m, seed, index, horizon=None, max_events=simulator.DEFAULT_MAX_EVENTS):
+    """Replicate ``index`` under master seed ``seed`` on its own: the engine
+    on a batch of that one replicate."""
+    return simulator._simulate(init, m, seed, index, 1, horizon, max_events)[0]
 
 
 def kernel_events(m, counts, draw):
@@ -233,7 +238,7 @@ class TestStep:
 class TestRunToExtinction:
     def test_exponential_mean_single_clock(self):
         # {1:1}, rho=0, beta=1, no offspring: extinction ~ Exp(1); replicate
-        # i is run_to_extinction on RandomStream(10, i)
+        # i is run_one(init, m, 10, i)
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
         init = PopulationState.from_counts({1: 1})
         n = 10**5
@@ -251,13 +256,13 @@ class TestRunToExtinction:
     def test_deterministic(self):
         m = ModelParams(1.0, 0.5, TWO_POINT)
         init = PopulationState.from_counts({2: 3})
-        a = run_to_extinction(init, m, RandomStream(77, 4))
-        b = run_to_extinction(init, m, RandomStream(77, 4))
+        a = run_one(init, m, 77, 4)
+        b = run_one(init, m, 77, 4)
         assert a == b
 
     def test_matches_iterated_step_bitwise(self):
         # the engine's kernel, fed each family's Philox words one event at a
-        # time, reproduces run_to_extinction bit for bit (time = latest family)
+        # time, reproduces run_one bit for bit (time = latest family)
         cases = [
             ModelParams(1.0, 0.5, TWO_POINT),
             ModelParams(0.7, 0.0, OffspringDistribution.poisson(0.8)),
@@ -266,7 +271,7 @@ class TestRunToExtinction:
         founders = [1, 1, 1, 1, 3]
         for j, m in enumerate(cases):
             init = PopulationState.from_counts({1: 4, 3: 1})
-            fast = run_to_extinction(init, m, RandomStream(50, j))
+            fast = run_one(init, m, 50, j)
             clocks = []
             events = 0
             for family, k in enumerate(founders):
@@ -284,34 +289,34 @@ class TestRunToExtinction:
             events = 0
             for row, *_ in kernel_events(m, {3: 1}, RandomStream(51, r).uniform01):
                 events += 1
-            fast = run_to_extinction(init, m, RandomStream(51, r))
+            fast = run_one(init, m, 51, r)
             assert (row.clock[0], events) == (fast.extinction_time, fast.event_count)
 
     def test_input_not_mutated(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts({1: 2})
-        run_to_extinction(init, m, RandomStream(8, 0))
+        run_one(init, m, 8, 0)
         assert init.counts == {1: 2} and (init.n_hosts, init.n_spores) == (2, 2)
 
     def test_budget_error(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts({1: 100})
         with pytest.raises(BudgetError):
-            run_to_extinction(init, m, RandomStream(9, 0), max_events=10)
+            run_one(init, m, 9, 0, max_events=10)
 
     def test_horizon_censoring(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts({1: 5})
-        out = run_to_extinction(init, m, RandomStream(13, 0), horizon=0.0)
+        out = run_one(init, m, 13, 0, horizon=0.0)
         assert out.censored
         assert out.event_count == 0
-        full = run_to_extinction(init, m, RandomStream(13, 0))
-        cens = run_to_extinction(init, m, RandomStream(13, 0), horizon=full.extinction_time / 2)
+        full = run_one(init, m, 13, 0)
+        cens = run_one(init, m, 13, 0, horizon=full.extinction_time / 2)
         assert cens.censored
 
     def test_empty_initial_state(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
-        out = run_to_extinction(PopulationState(), m, RandomStream(1, 0))
+        out = run_one(PopulationState(), m, 1, 0)
         assert out.extinction_time == 0.0
         assert out.event_count == 0
 
@@ -346,7 +351,7 @@ class TestRunBatch:
         m = ModelParams(1.0, 0.5, TWO_POINT)
         init = PopulationState.from_counts({1: 3})
         batch = run_batch(init, m, master_seed=33, replicates=1)
-        direct = run_to_extinction(init, m, RandomStream(33, 0))
+        direct = run_one(init, m, 33, 0)
         assert batch == [direct]
 
     def test_thread_count_invariant(self):
@@ -461,9 +466,7 @@ def test_outcome_event_counts_match_total_releases():
     # with no removal and no offspring, a type-k host takes exactly k events
     m = ModelParams(1.0, 0.0, NO_OFFSPRING)
     for k in (1, 2, 5):
-        out = run_to_extinction(
-            PopulationState.from_counts({k: 1}), m, RandomStream(800, k)
-        )
+        out = run_one(PopulationState.from_counts({k: 1}), m, 800, k)
         assert out.event_count == k
         assert out.peak_hosts == 1
 
@@ -704,9 +707,7 @@ class TestBatchEngine:
             batch = run_batch(init, m, 123, replicates=n, horizon=horizon)
             longest = int(np.argmax(batch.event_counts))
             for i in sorted({0, 1, 17, n - 1, longest}):
-                assert batch[i] == run_to_extinction(
-                    init, m, RandomStream(123, i), horizon=horizon
-                )
+                assert batch[i] == run_one(init, m, 123, i, horizon=horizon)
 
     def test_kernel_same_for_any_population_count(self):
         # one event on 300 populations at once (running sums added row by
@@ -749,9 +750,7 @@ class TestBatchEngine:
         init = PopulationState.from_counts({2: 1})
         n = 40
         batch = run_batch(init, m, 77, replicates=n, horizon=1.0)
-        singles = [
-            run_to_extinction(init, m, RandomStream(77, i), horizon=1.0) for i in range(n)
-        ]
+        singles = [run_one(init, m, 77, i, horizon=1.0) for i in range(n)]
         assert len(batch) == n
         assert list(batch) == singles
         assert batch[-1] == singles[-1] and batch[-n] == singles[0]
@@ -932,7 +931,7 @@ class TestBatchEngine:
 
     def test_peak_hosts_sums_family_peaks(self):
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
-        out = run_to_extinction(PopulationState.from_counts({2: 3}), m, RandomStream(1, 0))
+        out = run_one(PopulationState.from_counts({2: 3}), m, 1, 0)
         assert out.peak_hosts == 3
         assert out.event_count == 6
 

@@ -22,6 +22,7 @@ from sporesim.stats import (
     survival_curve_mc,
     wilson_interval,
 )
+from survival_checks import validate_curve
 
 NO_OFFSPRING = OffspringDistribution.table([1.0])
 TWO_POINT = OffspringDistribution.table([0.6, 0.0, 0.4])
@@ -117,7 +118,7 @@ class TestSurvivalCurveMC:
     def test_basic_shape(self):
         ts = np.linspace(0.0, 4.0, 9)
         curve = survival_curve_mc(2, ts, LF_MODEL, seed=5, n=2000)
-        curve.validate()
+        validate_curve(curve)
         assert curve.source == "monte_carlo"
         assert curve.qs[0] == 1.0
         assert np.all(curve.err > 0.0)
