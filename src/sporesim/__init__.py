@@ -7,7 +7,7 @@ imported from its submodule (``sporesim.simulator``, ``sporesim.analytic``,
 ``sporesim.model``, ``sporesim.stats``, ``sporesim.cli``)."""
 
 from .analytic import TruncatedSystem, estimate_constant, solve_survival
-from .model import DecayWindow, ModelParams, OffspringDistribution, sample_offspring
+from .model import ModelParams, OffspringDistribution, sample_offspring
 from .simulator import PopulationState, RandomStream, run_batch
 from .stats import estimate_qk, gumbel_experiment
 

@@ -39,7 +39,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, tail_exponent
 
 logger = logging.getLogger(__name__)
 
@@ -371,11 +371,10 @@ def linear_fractional_constant(p0: float, p2: float) -> float:
 
 def estimate_constant(
     sys: TruncatedSystem,
-    window,
+    a: float | None = None,
     tol: float = 1e-8,
     solver_tol: float = DEFAULT_SOLVER_TOL,
     t_max: float | None = None,
-    dt: float | None = None,
 ) -> ConstantEstimate:
     """Extract C = lim e^{lambda t} q_1(t) from the solved backward system.
 
@@ -387,27 +386,21 @@ def estimate_constant(
 
     Args:
         sys: Truncated backward system; its model must be subcritical.
-        window: DecayWindow supplying the tail exponent a.
+        a: Tail exponent in (0, min(lambda, beta)); default min(lambda, beta)/2.
         tol: Relative-settling threshold per unit time.
         solver_tol: Absolute tolerance handed to the ODE solver.
-        t_max: Integration end; default 30/a.
-        dt: Output grid spacing; default min(0.5, (10/a)/100).
+        t_max: Integration end; default 30/a.  The output grid spacing is
+            min(0.5, (10/a)/100).
 
     Raises:
         NonConvergenceError: h(t) not settled before t_max (carries the
             trailing h values).
     """
-    lam = sys.params.decay_rate
-    if lam <= 0.0:
-        raise ValueError("constant extraction requires a subcritical model")
-    a = window.a
+    a = tail_exponent(sys.params, a)
     t_floor = 10.0 / a
     if t_max is None:
         t_max = 30.0 / a
-    if dt is None:
-        dt = min(0.5, t_floor / 100.0)
-
-    ts = _grid(t_max, dt)
+    ts = _grid(t_max, min(0.5, t_floor / 100.0))
 
     def rel_change(h: np.ndarray, i: int) -> float:
         return abs(h[i] - h[i - 1]) / (h[i] * (ts[i] - ts[i - 1]))

@@ -55,7 +55,7 @@ from .analytic import (
     linear_fractional_constant,
     solve_survival,
 )
-from .model import DecayWindow, ModelParams, OffspringDistribution, validate
+from .model import ModelParams, OffspringDistribution, tail_exponent, validate
 from .simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS, RNG_ALGORITHM, BudgetError
 from .stats import (
     GUMBEL_MEDIAN,
@@ -238,11 +238,7 @@ _LEADING_CONSTANT = _bound(
 
 
 def _window_a(a, s: dict, m: ModelParams) -> None:
-    DecayWindow.for_model(m, a=a)
-
-
-def _window_epsilon(epsilon, s: dict, m: ModelParams) -> None:
-    DecayWindow(a=s["a"], epsilon=epsilon).check(m)
+    tail_exponent(m, a)
 
 
 REQUIRED = object()  # Key default: the key must be given
@@ -280,6 +276,7 @@ class Block(Key):
 
 
 SEED = Key("seed", _integer, OMITTED, _SEED_RANGE)
+TAIL_EXPONENT = Key("a", _number, lambda s, m: tail_exponent(m), _window_a)
 
 
 @dataclass(frozen=True)
@@ -492,11 +489,17 @@ def _resolve_gumbel_constant(m: ModelParams, s: dict) -> tuple[float, str]:
         return linear_fractional_constant(m.offspring.probs[0], m.offspring.probs[2]), (
             "linear_fractional"
         )
-    window = DecayWindow.for_model(m, a=s["a"])
+    # a table law is exact at its support; an unbounded one starts at K = 20
+    # and doubles K, up to 160, while e^(lambda t) q_1(t) does not settle
     support = m.offspring.max_support
-    K = support if support is not None else 20
-    est = estimate_constant(TruncatedSystem(m, K=max(K, 2)), window)
-    return est.c_hat, "backward_system"
+    K = max(support, 2) if support is not None else 20
+    while True:
+        try:
+            return estimate_constant(TruncatedSystem(m, K=K), s["a"]).c_hat, "backward_system"
+        except NonConvergenceError:
+            if support is not None or K >= 160:
+                raise
+            K *= 2
 
 
 def _run_survival(m: ModelParams, s: dict, directory: Path):
@@ -535,15 +538,14 @@ def _run_survival(m: ModelParams, s: dict, directory: Path):
 
 
 def _run_constant(m: ModelParams, s: dict, directory: Path):
-    window = DecayWindow(a=s["a"], epsilon=s["epsilon"])
     est = estimate_constant(
         TruncatedSystem(m, K=s["K"]),
-        window,
+        s["a"],
         tol=s["tol"],
         solver_tol=s["solver_tol"],
         t_max=s["t_max"],
     )
-    payload = {**asdict(est), "decay_rate": m.decay_rate, "a": window.a, "epsilon": window.epsilon}
+    payload = {**asdict(est), "decay_rate": m.decay_rate, "a": s["a"]}
     summary = f"c_hat = {est.c_hat:.6g} at t* = {est.t_star:.4g}"
     return [(directory / "constant.json", "json", payload)], True, summary
 
@@ -620,8 +622,7 @@ def _run_oracle(m: ModelParams, s: dict, directory: Path):
         err = float(np.abs(c1.qs - exact).max())
         cases.append(_match_case("linear_fractional_q1_vs_ode", err, s["match_tol"]))
         if p2 < p0:
-            window = DecayWindow.for_model(m)
-            est = estimate_constant(TruncatedSystem(m, K=max(s["K"], 2)), window)
+            est = estimate_constant(TruncatedSystem(m, K=max(s["K"], 2)))
             expected = linear_fractional_constant(p0, p2)
             cases.append(
                 {
@@ -675,13 +676,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "constant": Experiment(
         keys=(
-            Key("a", _number, lambda s, m: DecayWindow.for_model(m).a, _window_a),
-            Key(
-                "epsilon",
-                _number,
-                lambda s, m: DecayWindow.for_model(m, a=s["a"]).epsilon,
-                _window_epsilon,
-            ),
+            TAIL_EXPONENT,
             Key("K", _integer, 20, _POSITIVE),
             Key("tol", _number, 1e-8, _POSITIVE),
             Key("solver_tol", _number, 1e-9, _POSITIVE),
@@ -695,7 +690,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("z", _initial_counts),
             Key("replicates", _integer, 2000, _POSITIVE),
             Key("max_events", _integer, DEFAULT_MAX_EVENTS, _EVENT_BUDGET),
-            Key("a", _number, lambda s, m: DecayWindow.for_model(m).a, _window_a),
+            TAIL_EXPONENT,
             Key("C", _optional_number, None, _LEADING_CONSTANT),
             SEED,
         ),

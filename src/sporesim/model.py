@@ -274,39 +274,17 @@ class ModelParams:
         return self.decay_rate > 0.0
 
 
-@dataclass(frozen=True)
-class DecayWindow:
-    """Tail-control exponent ``a`` and slack ``epsilon``.
-
-    Valid when 0 < a < min(lambda, beta) and 0 < epsilon < min(lambda, beta) - a.
-    Defaults pick the midpoints a = min(lambda, beta)/2, epsilon = min/4 for
-    robustness; any admissible pair is accepted.
-    """
-
-    a: float
-    epsilon: float
-
-    @classmethod
-    def for_model(
-        cls, m: ModelParams, a: float | None = None, epsilon: float | None = None
-    ) -> "DecayWindow":
-        cap = min(m.decay_rate, m.beta)
-        if cap <= 0.0:
-            raise ValueError("decay window requires a subcritical model (decay rate > 0)")
-        if a is None:
-            a = cap / 2.0
-        if epsilon is None:
-            epsilon = min(cap / 4.0, (cap - a) / 2.0)
-        window = cls(a=float(a), epsilon=float(epsilon))
-        window.check(m)
-        return window
-
-    def check(self, m: ModelParams) -> None:
-        cap = min(m.decay_rate, m.beta)
-        if not 0.0 < self.a < cap:
-            raise ValueError(f"a = {self.a!r} must lie in (0, {cap!r})")
-        if not 0.0 < self.epsilon < cap - self.a:
-            raise ValueError(f"epsilon = {self.epsilon!r} must lie in (0, {cap - self.a!r})")
+def tail_exponent(m: ModelParams, a: float | None = None) -> float:
+    """The tail exponent ``a`` of the growth condition and of the settling
+    time 10/a of the constant's estimate.  It must lie in (0, min(lambda, beta));
+    the default is the midpoint min(lambda, beta)/2."""
+    cap = min(m.decay_rate, m.beta)
+    if cap <= 0.0:
+        raise ValueError("decay window requires a subcritical model (decay rate > 0)")
+    a = cap / 2.0 if a is None else float(a)
+    if not 0.0 < a < cap:
+        raise ValueError(f"a = {a!r} must lie in (0, {cap!r})")
+    return a
 
 
 @dataclass(frozen=True)

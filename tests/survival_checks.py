@@ -6,7 +6,8 @@ solutions: the shape q_k / (k q_1) -> 1 (acceptance criterion 3), the crude
 lower bound q_1(t) >= c1 e^{-(lambda + epsilon) t} under truncation, the
 truncation level and truncated mean that bound needs, and the invariants
 every survival curve must satisfy.  No experiment reports them, so they live
-with the tests.
+with the tests.  At rho = 0 the leading constant C also has a quadrature
+with no truncation, the reference for the solver's estimate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from sporesim.analytic import (
     _grid,
     _solve_scaled,
 )
-from sporesim.model import OffspringDistribution
+from sporesim.model import ModelParams, OffspringDistribution
 
 
 def validate_curve(curve: SurvivalCurve, tol: float = 1e-9) -> None:
@@ -35,6 +36,36 @@ def validate_curve(curve: SurvivalCurve, tol: float = 1e-9) -> None:
     assert np.all(np.diff(curve.qs) <= tol), "q must be nonincreasing in t"
     if curve.ts[0] == 0.0:
         assert curve.qs[0] == 1.0, "q(0) must be 1"
+
+
+def rho_zero_constant(m: ModelParams, cutoff: float = 1e-4) -> float:
+    """C = exp int_0^1 (lambda/F(s) - 1/s) ds, with no truncation, at rho = 0.
+
+    At rho = 0 the spores of a host found independent families, so
+    q_k = 1 - (1 - q_1)^k and q_1' = -F(q_1) with
+    F(s) = beta s - beta (1 - G(1 - s)), G the pgf of the offspring law;
+    F(s) = lambda s + O(s^2), and integrating dt = -dq / F(q) gives C.  The
+    integrand is smooth on [0, 1] but cancels near 0, so [0, cutoff] is one
+    midpoint rule and scipy's quad takes the rest.
+    """
+    from scipy.integrate import quad
+
+    if m.rho != 0.0:
+        raise ValueError("the quadrature holds at rho = 0 only")
+    d, beta, lam = m.offspring, m.beta, m.decay_rate
+
+    def one_minus_pgf(s: float) -> float:  # 1 - G(1 - s)
+        if d.kind == "table":
+            return 1.0 - sum(p * (1.0 - s) ** j for j, p in enumerate(d.probs))
+        if d.kind == "poisson":
+            return -math.expm1(-d.param * s)
+        return (1.0 - d.param) * s / (d.param + (1.0 - d.param) * s)
+
+    def integrand(s: float) -> float:
+        return lam / (beta * s - beta * one_minus_pgf(s)) - 1.0 / s
+
+    body, _ = quad(integrand, cutoff, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return math.exp(cutoff * integrand(cutoff / 2.0) + body)
 
 
 def truncated_mean(sys: TruncatedSystem) -> float:

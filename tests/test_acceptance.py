@@ -16,7 +16,6 @@ from scipy.stats import ks_2samp
 
 from naive_engine import run_to_extinction_reference
 from sporesim import (
-    DecayWindow,
     ModelParams,
     OffspringDistribution,
     PopulationState,
@@ -33,6 +32,7 @@ from sporesim.analytic import (
     linear_fractional_constant,
 )
 from sporesim.cli import main, parse_config
+from sporesim.model import tail_exponent
 from sporesim.stats import GUMBEL_MEDIAN, fit_decay_rate
 from survival_checks import tail_ratio_check
 
@@ -97,7 +97,7 @@ def test_criterion_2_linear_fractional_oracle():
     exact = np.array([closed_form_linear_fractional(t, 1.0, 0.6, 0.4) for t in c1.ts])
     curve_err = float(np.abs(c1.qs - exact).max())
 
-    est = estimate_constant(sys2, DecayWindow.for_model(LF_MODEL))
+    est = estimate_constant(sys2)
     const_err = abs(est.c_hat - linear_fractional_constant(0.6, 0.4))
 
     tail = solve_survival(sys2, t_max=200.0, tol=1e-9, dt=0.5)
@@ -126,7 +126,7 @@ def test_criterion_3_tail_shape():
     worst_slope_gap = math.inf
     for law in laws:
         m = ModelParams(1.0, 0.0, law)
-        a = DecayWindow.for_model(m).a
+        a = tail_exponent(m)
         curves = solve_survival(
             TruncatedSystem(m, K=12), t_max=6.0 / a + 6.0, tol=1e-9, dt=0.25
         )

@@ -9,7 +9,6 @@ from reference_dopri5 import dopri5
 from scipy.integrate import solve_ivp
 
 from sporesim import (
-    DecayWindow,
     ModelParams,
     OffspringDistribution,
     TruncatedSystem,
@@ -17,6 +16,7 @@ from sporesim import (
     solve_survival,
 )
 from sporesim import analytic
+from sporesim.model import tail_exponent
 from sporesim.analytic import (
     NonConvergenceError,
     SolverError,
@@ -29,6 +29,7 @@ from sporesim.analytic import (
     linear_fractional_constant,
 )
 from survival_checks import (
+    rho_zero_constant,
     survival_ratios,
     tail_ratio_check,
     truncated_mean,
@@ -246,6 +247,26 @@ class TestSolveSurvival:
         assert 0.0 < curves[0].err.max() <= 1.01 * err  # err scaled to q by e^{-sigma t}
 
 
+    @pytest.mark.parametrize(
+        "law, K",
+        [
+            (TWO_POINT, 10),
+            (OffspringDistribution.poisson(0.5), 30),
+            (OffspringDistribution.geometric(0.6), 40),
+        ],
+        ids=["lf", "poisson", "geometric"],
+    )
+    def test_rho_zero_spores_found_independent_families(self, law, K):
+        # at rho = 0 a type-k host is k independent type-1 families, in the
+        # truncated system too: q_k = 1 - (1 - q_1)^k
+        tol = 1e-9
+        sys = TruncatedSystem(ModelParams(1.0, 0.0, law), K=K)
+        curves = solve_survival(sys, t_max=20.0, tol=tol)
+        q1 = curves[0].qs
+        for k in (2, 5, 10):
+            assert np.abs(curves[k - 1].qs - (1.0 - (1.0 - q1) ** k)).max() <= tol
+
+
 def parse_solve_record(record, K, grid):
     """(passes, accepted, rejected, RHS evaluations, err, rows per pass) of a
     backward-solve debug record."""
@@ -398,16 +419,15 @@ class TestClosedForms:
 
 class TestEstimateConstant:
     def test_linear_fractional_value(self):
-        window = DecayWindow.for_model(LF_MODEL)
-        est = estimate_constant(TruncatedSystem(LF_MODEL, K=2), window)
+        est = estimate_constant(TruncatedSystem(LF_MODEL, K=2))
         assert abs(est.c_hat - 1.0 / 3.0) < 1e-4
-        assert est.t_star >= 10.0 / window.a
+        assert est.t_star >= 10.0 / tail_exponent(LF_MODEL)
         assert est.k_doubling_change < 1e-6
 
     def test_range_for_zero_two_free_law(self):
         # {p0 = p1 = 1/2}: q_1(t) = e^{-t/2} exactly, so the constant is 1
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.5, 0.5]))
-        est = estimate_constant(TruncatedSystem(m, K=2), DecayWindow.for_model(m))
+        est = estimate_constant(TruncatedSystem(m, K=2))
         assert 0.0 < est.c_hat <= 1.0
         assert est.c_hat == pytest.approx(1.0, abs=1e-7)
 
@@ -422,14 +442,11 @@ class TestEstimateConstant:
     def test_requires_subcritical(self):
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError):
-            estimate_constant(TruncatedSystem(m, K=2), DecayWindow(a=0.1, epsilon=0.05))
+            estimate_constant(TruncatedSystem(m, K=2), a=0.1)
 
     def test_nonconvergence_reported(self):
-        window = DecayWindow.for_model(LF_MODEL)
         with pytest.raises(NonConvergenceError) as exc:
-            estimate_constant(
-                TruncatedSystem(LF_MODEL, K=2), window, tol=1e-16, t_max=120.0
-            )
+            estimate_constant(TruncatedSystem(LF_MODEL, K=2), tol=1e-16, t_max=120.0)
         assert len(exc.value.tail) > 0
 
     def test_nonconvergence_tail_is_finest_full_pass(self):
@@ -437,7 +454,7 @@ class TestEstimateConstant:
         # the tail is the last 10 h(t) of the accepted pair's finer pass
         sys = TruncatedSystem(LF_MODEL, K=2)
         with pytest.raises(NonConvergenceError) as exc:
-            estimate_constant(sys, DecayWindow.for_model(LF_MODEL), tol=1e-16, t_max=120.0)
+            estimate_constant(sys, tol=1e-16, t_max=120.0)
         U, _, _ = _solve_scaled(sys, _grid(120.0, 0.5), 1e-9)
         assert len(U) == 241
         assert np.array_equal(exc.value.tail, U[-10:, 0])
@@ -455,7 +472,7 @@ class TestEstimateConstant:
     )
     def test_stops_at_t_star(self, caplog, m, K, c_hat, t_star):
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
-            est = estimate_constant(TruncatedSystem(m, K=K), DecayWindow.for_model(m))
+            est = estimate_constant(TruncatedSystem(m, K=K))
         assert est.c_hat == c_hat and est.t_star == t_star
         *solves, record = [r for r in caplog.records if r.name == "sporesim.analytic"]
         found = re.search(
@@ -465,12 +482,31 @@ class TestEstimateConstant:
         )
         assert found, record.getMessage()
         row, grid, rows_k, rows_2k = map(int, found.groups())
-        a = DecayWindow.for_model(m).a  # default grid: dt = min(0.5, (10/a)/100) to 30/a
+        a = tail_exponent(m)  # default grid: dt = min(0.5, (10/a)/100) to 30/a
         assert _grid(30.0 / a, min(0.5, 0.1 / a))[row] == t_star
         assert rows_k <= row + 1 and rows_2k <= row + 1 and row + 1 < grid
         # every pass of the K and 2K solves stopped there
         for solve, size in zip(solves, (K, 2 * K)):
             assert max(parse_solve_record(solve, K=size, grid=grid)[5]) <= row + 1
+
+
+    @pytest.mark.parametrize(
+        "law, K",
+        [
+            (TWO_POINT, 2),
+            (OffspringDistribution.poisson(0.5), 40),
+            (OffspringDistribution.geometric(0.6), 40),
+        ],
+        ids=["lf", "poisson", "geometric"],
+    )
+    def test_matches_rho_zero_quadrature(self, law, K):
+        # at rho = 0, C has a quadrature with no truncation
+        m = ModelParams(1.0, 0.0, law)
+        est = estimate_constant(TruncatedSystem(m, K=K))
+        assert abs(est.c_hat - rho_zero_constant(m)) <= 2e-9
+
+    def test_rho_zero_quadrature_on_closed_form(self):
+        assert rho_zero_constant(LF_MODEL) == pytest.approx(1.0 / 3.0, abs=1e-11)
 
 
 class TestTruncationLowerBound:
@@ -500,27 +536,26 @@ class TestTruncationLowerBound:
 
 @pytest.fixture(scope="module")
 def lf_curves():
-    window = DecayWindow.for_model(LF_MODEL)  # a = 0.1
+    a = tail_exponent(LF_MODEL)  # 0.1
     curves = solve_survival(
-        TruncatedSystem(LF_MODEL, K=12), t_max=6.0 / window.a + 5.0, tol=1e-9, dt=0.25
+        TruncatedSystem(LF_MODEL, K=12), t_max=6.0 / a + 5.0, tol=1e-9, dt=0.25
     )
-    return window, curves
+    return a, curves
 
 
 class TestTailShape:
     def test_ratios_bounded_and_contracting(self, lf_curves):
-        window, curves = lf_curves
-        report = tail_ratio_check(curves, a=window.a)
+        a, curves = lf_curves
+        report = tail_ratio_check(curves, a=a)
         assert report.max_ratio_excess <= 1e-6
         assert report.contraction_ok
         for k, slope in report.slopes.items():
-            assert slope <= -window.a, (k, slope)
+            assert slope <= -a, (k, slope)
 
     def test_deviation_dominated_by_fitted_envelope(self, lf_curves):
         # fit the envelope constant on the first half of the tail window and
         # require c * k * e^{-a t} to dominate on the second half
-        window, curves = lf_curves
-        a = window.a
+        a, curves = lf_curves
         ts, ratios = survival_ratios(curves)
         lo, hi = 3.0 / a, 6.0 / a
         mid = (lo + hi) / 2.0

@@ -25,6 +25,7 @@ from sporesim.cli import (
 )
 from sporesim.model import ModelParams, OffspringDistribution
 from sporesim.simulator import RNG_ALGORITHM
+from survival_checks import rho_zero_constant
 
 MINIMAL_SURVIVAL = """
 {
@@ -52,7 +53,7 @@ CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
 # config_hash of every shipped config: a parser change that moves a resolved
 # byte fails here
 SHIPPED_CONFIG_HASHES = {
-    "constant_linear_fractional": "b85c792e52c618380c689d52eff89bccb48084365ea01b386b5345751f6650ee",
+    "constant_linear_fractional": "95cdb69566a329fb38393ab6f0c468d2ebb4945002482f88d57e5273ff17b446",
     "gumbel_linear_fractional": "e5d1420627716c6ccad7f13e3e76299914886e83fb210f5f84a7fd822f0139e0",
     "oracle_linear_fractional": "bd7844d0cb09765ed49c8bf274ff6521b64336e2c6a9b94b8daa896c59a368a5",
     "oracle_pure_death": "6346e34b86bf46deb8741e644bfae65b6055e9aa11ebdfe1d9f1af9eb15ace8e",
@@ -66,7 +67,7 @@ SHIPPED_CONFIG_HASHES = {
 # solver or emitter change that moves one byte fails here.  A deliberate
 # change updates this table and names the configs whose bytes moved
 SHIPPED_ARTIFACT_DIGESTS = {
-    "constant_linear_fractional/constant.json": "0373252883e8d999ace55676cbe369d19fd1f5bb7128ee52692f4d7f0e142237",
+    "constant_linear_fractional/constant.json": "ea60c4b698a26116ac4fe257c6c6736e854f7fc81dc978ee6c80fb3d95a33206",
     "oracle_linear_fractional/oracle.json": "2d047e08aa89cd2923ad20267bc0771b209afd3e6f89e05c1735b20ae959ab52",
     "oracle_pure_death/oracle.json": "04951e277d4db0059dd50f12556e572046a1636b734558f69ef62d81f1e3d5ec",
     "slope_linear_fractional/slope.json": "3fa79601c076a7354f98ca462bac3cec7fbf1cdd3bfe64fb92ff93cb3d93a24a",
@@ -216,8 +217,6 @@ def in_range_configs(draw):
     if kind in ("constant", "gumbel"):
         maybe("a", st.floats(0.05, 0.95).map(lambda f: f * cap))
     if kind == "constant":
-        a = e.get("a", cap / 2.0)
-        maybe("epsilon", st.floats(0.05, 0.9).map(lambda f: f * (cap - a)))
         maybe("solver_tol", st.floats(1e-12, 1e-3))
         maybe("t_max", st.floats(1.0, 1e3))
     if kind in ("constant", "slope"):
@@ -572,6 +571,28 @@ class TestMain:
         assert main(["run", "--config", str(cfg)]) == EXIT_NUMERICAL
         assert "double precision" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gumbel_constant_of_unbounded_law_settles(self, tmp_path):
+        # geometric(0.6) does not settle at the first truncation, K = 20; the
+        # retry at K = 40 lands on the quadrature with no truncation
+        text = (
+            '{"model": {"beta": 1.0, "rho": 0.0, '
+            '"offspring": {"kind": "geometric", "param": 0.6}}, '
+            '"experiment": {"type": "gumbel", "z": {"1": 100}, "replicates": 20, '
+            '"seed": 3, "C": null}}'
+        )
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "g")]) == EXIT_OK
+        report = json.loads((tmp_path / "g" / "gumbel.json").read_text())
+        assert report["C_source"] == "backward_system"
+        model = ModelParams(1.0, 0.0, OffspringDistribution.geometric(0.6))
+        assert abs(report["C"] - rho_zero_constant(model)) <= 2e-9
+
+    def test_constant_epsilon_is_unknown_key(self, tmp_path, capsys):
+        text = '{%s, "experiment": {"type": "constant", "epsilon": 0.05}}' % LF_MODEL_BLOCK
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "experiment.epsilon" in capsys.readouterr().err
 
     def test_seed_override_recorded(self, tmp_path):
         text = (

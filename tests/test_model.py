@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from sporesim import (
-    DecayWindow,
     ModelParams,
     OffspringDistribution,
     RandomStream,
     sample_offspring,
 )
-from sporesim.model import _GUIDE_CELLS, _LINEAR_SEARCH, validate
+from sporesim.model import _GUIDE_CELLS, _LINEAR_SEARCH, tail_exponent, validate
 from survival_checks import truncation_level
 
 
@@ -299,26 +299,28 @@ class TestVectorQuantiles:
             assert split.tolist() == sorted({*(inside * _GUIDE_CELLS).astype(int), _GUIDE_CELLS})
 
 
-class TestDecayWindow:
+class TestTailExponent:
     def test_defaults_midpoints(self):
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.6, 0.0, 0.4]))
-        w = DecayWindow.for_model(m)
         cap = min(m.decay_rate, m.beta)
-        assert w.a == pytest.approx(cap / 2)
-        assert w.epsilon == pytest.approx(cap / 4)
-        w.check(m)
+        assert tail_exponent(m) == cap / 2.0
+        assert tail_exponent(m, 0.15) == 0.15
+        # an integer a from a config resolves to a float
+        wide = ModelParams(4.0, 1.0, OffspringDistribution.table([1.0]))  # cap = 4
+        assert type(tail_exponent(wide, 1)) is float
 
     def test_invalid_rejected(self):
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.6, 0.0, 0.4]))
-        with pytest.raises(ValueError):
-            DecayWindow.for_model(m, a=0.3)  # >= min(lambda, beta) = 0.2
-        with pytest.raises(ValueError):
-            DecayWindow.for_model(m, a=0.1, epsilon=0.15)  # >= cap - a
+        cap = min(m.decay_rate, m.beta)  # 0.2 less a rounding error
+        for a in (0.3, cap, 0.0, -0.1, math.nan):
+            message = f"a = {float(a)!r} must lie in (0, {cap!r})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                tail_exponent(m, a)
 
     def test_supercritical_rejected(self):
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
-            DecayWindow.for_model(m)
+        with pytest.raises(ValueError, match="requires a subcritical model"):
+            tail_exponent(m)
 
 
 class TestTruncationLevel:
