@@ -1,4 +1,4 @@
-"""Offspring laws, process parameters, and validation of the standing assumptions.
+"""Offspring laws and process parameters, checked against the standing assumptions when built.
 
 The population consists of hosts, each carrying k >= 1 spores.  A spore is
 released at rate ``beta`` and spawns a new host whose spore count J is drawn
@@ -41,6 +41,10 @@ _LINEAR_SEARCH = 4
 _GUIDE_CELLS = 1 << 12
 # largest Poisson mean whose pmf recursion starts from a normal float exp(-mean)
 _POISSON_MAX_MEAN = 700.0
+# smallest geometric success probability whose sampling table ends by the
+# tail rule, below _TABLE_MAX entries (the cut starts near 3.39e-4); the
+# mean stays below 2,000
+_GEOMETRIC_MIN_SUCCESS = 5e-4
 
 KINDS = ("table", "poisson", "geometric")
 
@@ -53,7 +57,7 @@ class OffspringDistribution:
 
     * ``table``: finite support, explicit probabilities ``probs = (p_0 .. p_J)``.
     * ``poisson``: mean ``param > 0``, support {0, 1, 2, ...}.
-    * ``geometric``: success probability ``param in (0, 1)``, support
+    * ``geometric``: success probability ``param in [5e-4, 1)``, support
       {0, 1, 2, ...} with P(J = j) = (1 - param)^j * param.
 
     All kinds have finite mean and second moment and are sampled by inverse
@@ -86,8 +90,11 @@ class OffspringDistribution:
                 raise ValueError(f"{self.kind} offspring law takes no probability table")
             if not math.isfinite(self.param) or self.param <= 0.0:
                 raise ValueError(f"{self.kind} offspring law needs a positive parameter")
-            if self.kind == "geometric" and self.param >= 1.0:
-                raise ValueError("geometric success probability must lie in (0, 1)")
+            if self.kind == "geometric" and not _GEOMETRIC_MIN_SUCCESS <= self.param < 1.0:
+                raise ValueError(
+                    f"geometric success probability must lie in [{_GEOMETRIC_MIN_SUCCESS:g}, 1): "
+                    "below it the sampling table is cut before its tail mass falls to 2^-32"
+                )
             if self.kind == "poisson" and self.param > _POISSON_MAX_MEAN:
                 raise ValueError(
                     f"poisson mean must be at most {_POISSON_MAX_MEAN:g}: exp(-mean) "
@@ -285,70 +292,6 @@ def tail_exponent(m: ModelParams, a: float | None = None) -> float:
     if not 0.0 < a < cap:
         raise ValueError(f"a = {a!r} must lie in (0, {cap!r})")
     return a
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    required: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks if c.required)
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        """Names of non-required checks that did not pass (informational)."""
-        return tuple(c.name for c in self.checks if not c.required and not c.passed)
-
-    def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else ("FAIL" if c.required else "flag")
-            lines.append(f"[{status}] {c.name}: {c.detail}")
-        return "\n".join(lines)
-
-
-def validate(m: ModelParams, require_subcritical: bool = False) -> ValidationReport:
-    """Check the standing assumptions and report each one.
-
-    A zero mean offspring count is flagged rather than failed: the process is
-    then a pure death process with an exact closed-form survival probability,
-    but the exponential-tail machinery does not apply.
-    """
-    mu, m2 = m.offspring.mean, m.offspring.second_moment
-    lam = m.decay_rate
-    checks = [
-        CheckResult("beta_positive", m.beta > 0.0, True, f"beta = {m.beta:g}"),
-        CheckResult("rho_nonnegative", m.rho >= 0.0, True, f"rho = {m.rho:g}"),
-        CheckResult(
-            "second_moment_finite",
-            math.isfinite(m2),
-            True,
-            f"sum k^2 p_k = {m2:g}",
-        ),
-        CheckResult(
-            "mean_offspring_positive",
-            mu > 0.0,
-            False,
-            f"mean offspring = {mu:g}"
-            + ("" if mu > 0.0 else " (pure death process; closed form available)"),
-        ),
-        CheckResult(
-            "subcritical",
-            lam > 0.0,
-            require_subcritical,
-            f"decay rate = {lam:g}",
-        ),
-    ]
-    return ValidationReport(checks=tuple(checks))
 
 
 def sample_offspring(d: OffspringDistribution, rng) -> int:

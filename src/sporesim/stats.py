@@ -27,22 +27,6 @@ class WindowError(ValueError):
     """Fit window contains unusable (nonpositive or too few) curve points."""
 
 
-@dataclass(frozen=True)
-class EstimateWithCI:
-    point: float
-    ci_low: float
-    ci_high: float
-    n: int
-    method: str
-
-    def __post_init__(self) -> None:
-        if not self.ci_low <= self.point <= self.ci_high:
-            raise ValueError("interval must bracket the point estimate")
-
-    def covers(self, value: float) -> bool:
-        return self.ci_low <= value <= self.ci_high
-
-
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion; valid at 0 and n."""
     if n < 1:
@@ -57,26 +41,6 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
     # at s = 0 and s = n the bounds are 0 and 1 exactly, which rounding can
     # miss by an ulp; clamping to the estimate keeps low <= s/n <= high
     return min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
-
-
-def estimate_qk(
-    k: int,
-    t: float,
-    m: ModelParams,
-    seed: int,
-    n: int,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> EstimateWithCI:
-    """Monte Carlo survival probability from one type-k host at horizon t.
-
-    Replicate i runs on stream (seed, i); the point estimate is the survival
-    fraction with a 95% Wilson interval.
-    """
-    init = PopulationState.from_counts({k: 1})
-    outcomes = run_batch(init, m, seed, replicates=n, horizon=t, max_events=max_events)
-    survived = int(np.count_nonzero(outcomes.censored))
-    low, high = wilson_interval(survived, n)
-    return EstimateWithCI(point=survived / n, ci_low=low, ci_high=high, n=n, method="wilson-95")
 
 
 def survival_curve_mc(

@@ -21,7 +21,6 @@ from sporesim import (
     PopulationState,
     TruncatedSystem,
     estimate_constant,
-    estimate_qk,
     gumbel_experiment,
     run_batch,
     solve_survival,
@@ -33,7 +32,7 @@ from sporesim.analytic import (
 )
 from sporesim.cli import main, parse_config
 from sporesim.model import tail_exponent
-from sporesim.stats import GUMBEL_MEDIAN, fit_decay_rate
+from sporesim.stats import GUMBEL_MEDIAN, fit_decay_rate, wilson_interval
 from survival_checks import tail_ratio_check
 
 REPO = Path(__file__).parent.parent
@@ -63,8 +62,10 @@ def test_criterion_1_pure_death_oracle():
         for ik, k in enumerate(ks):
             for it, t in enumerate(ts):
                 seed = 10_000 + 100 * (ip * 9 + ik * 3 + it)
-                est = estimate_qk(k, t, m, seed=seed, n=10**5)
-                covered += est.covers(closed_form_mu0(k, t, beta, rho))
+                init = PopulationState.from_counts({k: 1})
+                survived = int(run_batch(init, m, seed, replicates=10**5, horizon=t).censored.sum())
+                low, high = wilson_interval(survived, 10**5)
+                covered += low <= closed_form_mu0(k, t, beta, rho) <= high
                 cells += 1
 
     ode_worst = 0.0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -451,8 +452,9 @@ class TestMain:
     def test_validate_ok(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_SURVIVAL)
         assert main(["validate", "--config", str(cfg)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "resolved:" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["decay rate: 0.2", "experiment: survival"]
+        assert lines[2].startswith("resolved: ")
 
     @pytest.mark.parametrize("probs", ['["0.6", "0", "0.4"]', "[true]"], ids=["strings", "bool"])
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -464,6 +466,26 @@ class TestMain:
         cfg = write_config(tmp_path, text)
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
         assert "'model.offspring.probs'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param", ["1e-12", "1e-200"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_geometric_param_below_table_bound_rejected(self, tmp_path, capsys, command, param):
+        # such a law's sampling table would be cut at 2^16 entries, leaving
+        # a tail search with no end, and at 1e-200 param^2 underflows to 0
+        out = tmp_path / "out"
+        text = MINIMAL_SURVIVAL.replace(
+            '"kind": "table", "probs": [0.6, 0.0, 0.4]', '"kind": "geometric", "param": ' + param
+        ).replace(
+            '"t_max": 5.0}',
+            '"t_max": 5.0, "method": "mc", "seed": 1, "replicates": 10}, '
+            '"output": {"dir": "%s"}' % out,
+        )
+        cfg = write_config(tmp_path, text)
+        start = time.perf_counter()
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert "'model.offspring.param'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):

@@ -13,7 +13,7 @@ from sporesim import (
     RandomStream,
     sample_offspring,
 )
-from sporesim.model import _GUIDE_CELLS, _LINEAR_SEARCH, tail_exponent, validate
+from sporesim.model import _GUIDE_CELLS, _LINEAR_SEARCH, _TABLE_MAX, _TABLE_TAIL, tail_exponent
 from survival_checks import truncation_level
 
 
@@ -99,6 +99,14 @@ class TestNormalization:
         with pytest.raises(ValueError, match="poisson mean"):
             OffspringDistribution.poisson(800.0)
 
+    def test_geometric_success_whose_table_is_cut_rejected(self):
+        # below the bound the table would stop at _TABLE_MAX entries with its
+        # tail mass above 2^-32, leaving quantile a tail search with no end
+        with pytest.raises(ValueError, match="geometric success probability"):
+            OffspringDistribution.geometric(1e-12)
+        cum = OffspringDistribution.geometric(5e-4).cumulative
+        assert len(cum) <= _TABLE_MAX and 1.0 - cum[-1] <= _TABLE_TAIL
+
 
 class TestDecayRate:
     def test_two_point_table(self):
@@ -123,25 +131,6 @@ class TestDecayRate:
             rho = float(rng.uniform(0.0, 2.0))
             m = ModelParams(beta, rho, d)
             assert m.decay_rate == pytest.approx(rho + beta - beta * d.mean, abs=1e-13)
-
-
-class TestValidate:
-    def test_supercritical_fails_when_required(self):
-        m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.0, 0.0, 1.0]))
-        assert m.decay_rate == -1.0
-        report = validate(m, require_subcritical=True)
-        assert not report.ok
-        assert validate(m).ok  # without the requirement it passes
-
-    def test_subcritical_passes(self):
-        m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.6, 0.0, 0.4]))
-        assert validate(m, require_subcritical=True).ok
-
-    def test_zero_mean_flagged_not_failed(self):
-        m = ModelParams(1.0, 1.0, OffspringDistribution.table([1.0]))
-        report = validate(m)
-        assert report.ok
-        assert "mean_offspring_positive" in report.flags
 
     def test_params_rejected_at_construction(self):
         d = OffspringDistribution.table([1.0])

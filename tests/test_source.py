@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "sporesim").glob("*.py"))
@@ -14,3 +15,22 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_readme_library_example_names_exist():
+    # parsed, not run: every sp.<name> of the README's Python blocks must
+    # still be a public attribute of the package
+    import sporesim
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    used = {
+        node.attr
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sp"
+    }
+    assert blocks and used, "README has no Python block using sp.<name>"
+    assert sorted(name for name in used if not hasattr(sporesim, name)) == []

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from sporesim import ModelParams, OffspringDistribution, estimate_qk, gumbel_experiment
+from sporesim import ModelParams, OffspringDistribution, gumbel_experiment, survival_curve_mc
 from sporesim.analytic import SurvivalCurve, closed_form_mu0
 from sporesim.stats import (
     GUMBEL_MEDIAN,
-    EstimateWithCI,
     WindowError,
     check_growth_condition,
     fit_decay_rate,
@@ -19,7 +18,6 @@ from sporesim.stats import (
     ks_distance,
     sorted_median,
     sorted_quantile,
-    survival_curve_mc,
     wilson_interval,
 )
 from survival_checks import validate_curve
@@ -76,42 +74,52 @@ class TestWilson:
         s = data.draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)), label="s")
         lo, hi = wilson_interval(s, n)
         assert 0.0 <= lo <= s / n <= hi <= 1.0
-        EstimateWithCI(point=s / n, ci_low=lo, ci_high=hi, n=n, method="wilson-95")
+
+
+def survival_at(k, t, m, seed, n):
+    """survival_curve_mc at the one time t: (estimate, Wilson interval)."""
+    q = survival_curve_mc(k, np.array([t]), m, seed=seed, n=n).qs[0]
+    return q, wilson_interval(round(q * n), n)
 
 
 class TestEstimateQk:
+    """survival_curve_mc as an estimate of q_k at a single time."""
+
     def test_horizon_zero_is_certain(self):
-        est = estimate_qk(1, 0.0, LF_MODEL, seed=1, n=50)
-        assert est.point == 1.0
-        assert est.ci_high == 1.0
+        q, (low, high) = survival_at(1, 0.0, LF_MODEL, seed=1, n=50)
+        assert q == 1.0
+        assert high == 1.0
 
     @pytest.mark.parametrize("n", [6, 10_000])
     def test_all_survived_interval_brackets_estimate(self, n):
-        # these sample sizes used to round the upper bound below 1 and fail
-        # EstimateWithCI's own bracketing check
-        est = estimate_qk(1, 0.0, LF_MODEL, seed=1, n=n)
-        assert est.point == 1.0
-        assert est.ci_low < 1.0 and est.ci_high == 1.0
+        # these sample sizes used to round the upper bound below 1
+        curve = survival_curve_mc(1, np.array([0.0]), LF_MODEL, seed=1, n=n)
+        low, high = wilson_interval(n, n)
+        assert curve.qs[0] == 1.0
+        assert low < 1.0 and high == 1.0
+        assert curve.err[0] == (high - low) / 2.0
 
     def test_covers_pure_death_closed_form(self):
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
-        est = estimate_qk(1, 1.0, m, seed=2, n=10**5)
-        assert est.covers(math.exp(-2.0))
+        q, (low, high) = survival_at(1, 1.0, m, seed=2, n=10**5)
+        assert low <= math.exp(-2.0) <= high
 
     def test_interval_coverage_rate(self):
         # 200 repetitions against a known truth: at least 90% of the 95%
         # intervals must cover
         m = ModelParams(1.0, 0.5, NO_OFFSPRING)
         truth = closed_form_mu0(1, 1.0, 1.0, 0.5)
-        covered = sum(
-            estimate_qk(1, 1.0, m, seed=3000 + rep, n=500).covers(truth) for rep in range(200)
-        )
+        covered = 0
+        for rep in range(200):
+            q, (low, high) = survival_at(1, 1.0, m, seed=3000 + rep, n=500)
+            covered += low <= truth <= high
         assert covered >= 180
 
     def test_seed_deterministic(self):
-        a = estimate_qk(2, 1.0, LF_MODEL, seed=17, n=200)
-        b = estimate_qk(2, 1.0, LF_MODEL, seed=17, n=200)
-        assert a == b
+        ts = np.array([1.0])
+        a = survival_curve_mc(2, ts, LF_MODEL, seed=17, n=200)
+        b = survival_curve_mc(2, ts, LF_MODEL, seed=17, n=200)
+        assert np.array_equal(a.qs, b.qs) and np.array_equal(a.err, b.err)
 
 
 class TestSurvivalCurveMC:
