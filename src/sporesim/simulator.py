@@ -91,7 +91,7 @@ DEFAULT_MAX_EVENTS = 10**9
 # the batch engine's budget: a pool over R type rows runs
 # POOL_CELLS // (R + LANE_ROWS) families (at least one), recomputed when R
 # changes.  A family costs its cell in each row (counts and running sums)
-# plus its own vectors (clock, totals, Philox counters, blocks ahead), which
+# plus its own vectors (_Rows._VECTORS, and its blocks computed ahead), which
 # LANE_ROWS prices in rows.  The values keep the table law {0: 0.6, 2: 0.4}
 # over 3 rows at its 10,922 families and hold every pool near the bytes that
 # one takes: peaks measured by tracemalloc, numpy 2.4, were 2.6 MB for it,
@@ -107,7 +107,7 @@ LANE_ROWS = 3
 _FIRST_LANES = 1 << 10
 
 # families left in the drain at which each is finished alone in Python
-# floats: a numpy step costs ~170 us however few families it moves, an
+# floats: a numpy step costs ~110 us however few families it moves, an
 # event alone 4-15 us
 _ALONE = 8
 
@@ -458,17 +458,28 @@ class _Rows:
     floats (exact below 2^53).  ``counts`` stays C-contiguous: the kernel
     scatters its updates through a flat view.  ``undecided`` counts the
     events that the prefixes of their uniforms did not decide.
+
+    The rest of a population's record is one entry in each vector of
+    ``_VECTORS``: host and spore totals, clock, replicate index in the batch,
+    Philox family and replicate words, events done, peak hosts, and its
+    column in the blocks computed ahead.  Only :meth:`grow`, :meth:`found`
+    and :meth:`keep` create, extend or filter them.
     """
+
+    _VECTORS = (
+        ("hosts", float), ("spores", float), ("clock", float), ("replicate", np.intp),
+        ("family", np.uint64), ("key", np.uint64), ("done", np.uint64), ("peak", float),
+        ("column", np.intp),
+    )
 
     def __init__(self, m: ModelParams, n: int, types):
         self.m = m
-        self.counts = np.zeros((0, n))
+        self.counts = np.zeros((0, 0))
         self.types = np.zeros(0, dtype=np.intp)
         self.relayout(types)
-        self.hosts = np.zeros(n)
-        self.spores = np.zeros(n)
-        self.clock = np.zeros(n)
-        self.lanes = np.arange(n)
+        for name, dtype in self._VECTORS:
+            setattr(self, name, np.zeros(0, dtype=dtype))
+        self.grow(n)
         # an offspring prefix u decides the count j drawn at it when
         # u + slack stays below P(J <= j): below these bounds (rounded down),
         # and below 0 past the table's top
@@ -508,16 +519,20 @@ class _Rows:
     def grow(self, extra: int) -> None:
         """Append ``extra`` empty populations."""
         self.counts = np.concatenate((self.counts, np.zeros((len(self.counts), extra))), axis=1)
-        self.hosts, self.spores, self.clock = (
-            np.concatenate((a, np.zeros(extra))) for a in (self.hosts, self.spores, self.clock)
-        )
+        for name, dtype in self._VECTORS:
+            setattr(self, name, np.concatenate((getattr(self, name), np.zeros(extra, dtype))))
         self.lanes = np.arange(len(self.hosts))
 
-    def found(self, slots: np.ndarray, types: np.ndarray) -> None:
-        """Start population ``slots[i]`` from one host of type ``types[i]``.
-        Each slot is new or held a population that has finished: one that
+    def found(self, slots: np.ndarray, types: np.ndarray, replicate, family, key) -> None:
+        """Start population ``slots[i]`` from one host of type ``types[i]``,
+        as family ``family[i]`` of replicate ``replicate[i]``, whose Philox
+        replicate word is ``key[i]``.  Each slot is new (past the end: the
+        pool grows to it) or held a population that has finished: one that
         died out left its column empty, one that left with hosts (censored,
         or past a failed replicate) is cleared here."""
+        extra = int(slots.max(initial=-1)) + 1 - len(self.hosts)
+        if extra > 0:
+            self.grow(extra)
         rows = self.rows(types)
         left = slots[self.hosts[slots] != 0.0]
         if len(left):
@@ -526,12 +541,17 @@ class _Rows:
         self.hosts[slots] = 1.0
         self.spores[slots] = types
         self.clock[slots] = 0.0
+        self.replicate[slots] = replicate
+        self.family[slots] = family
+        self.key[slots] = key
+        self.done[slots] = 0
+        self.peak[slots] = 1.0
 
     def keep(self, mask: np.ndarray) -> None:
+        """Keep the populations where ``mask`` is set, in order."""
         self.counts = np.compress(mask, self.counts, axis=1)  # C-contiguous
-        self.hosts = self.hosts[mask]
-        self.spores = self.spores[mask]
-        self.clock = self.clock[mask]
+        for name, _ in self._VECTORS:
+            setattr(self, name, getattr(self, name)[mask])
         self.lanes = self.lanes[: len(self.hosts)]
 
     def event(self, u_wait, u_pick, u_offspring, full=None):
@@ -617,21 +637,19 @@ class _Rows:
         return removal, k, j
 
 
-def _run_alone(
-    pool: _Rows, i: int, seed: int, ids: tuple[int, int], done: int, peak: float, end: float,
-    max_events: int,
-):
-    """Population ``i`` of ``pool``, family and replicate ``ids`` with
-    ``done`` events done, to its end alone, one event at a time in Python
-    floats: the arithmetic of :meth:`_Rows.event`, with running sums over
-    the types it holds in ascending order (the types it does not hold add
-    0.0), on its uniforms in full.  Returns (clock, censored, events done,
-    peak hosts), the event past the budget included."""
+def _run_alone(pool: _Rows, i: int, seed: int, end: float, max_events: int):
+    """Population ``i`` of ``pool`` to its end alone, one event at a time in
+    Python floats: the arithmetic of :meth:`_Rows.event`, with running sums
+    over the types it holds in ascending order (the types it does not hold
+    add 0.0), on its uniforms in full.  Returns (clock, censored, events
+    done, peak hosts), the event past the budget included."""
     m = pool.m
     rho, beta = m.rho, m.beta
     held = {k: n for k, n in zip(pool.types.tolist(), pool.counts[:, i].tolist()) if n}
     order = sorted(held)
     hosts, spores, clock = float(pool.hosts[i]), float(pool.spores[i]), float(pool.clock[i])
+    ids = int(pool.family[i]), int(pool.key[i])
+    done, peak = int(pool.done[i]), float(pool.peak[i])
 
     def add(k: int) -> None:
         if k in held:
@@ -735,55 +753,34 @@ def _simulate(
             return max(1, POOL_CELLS // (len(pool.types) + LANE_ROWS))
 
         size = budget()
-        replicate = np.zeros(0, dtype=np.intp)
-        key = np.zeros(0, dtype=np.uint64)
-        family = np.zeros(0, dtype=np.uint64)
-        done_events = np.zeros(0, dtype=np.uint64)
-        peak = np.zeros(0)
         end = math.inf if horizon is None else horizon
         started = 0  # families started so far
         limit = replicates * n_families  # families to start
-        # block 0 computed ahead: ahead[w][e, lane[i]] is the waiting time
-        # (w = 0) or a prefix (w = 1, 2) of live family i's e-th event after
-        # the buffer was computed; row is the next e to read, depth the
+        # block 0 computed ahead: ahead[w][e, pool.column[i]] is the waiting
+        # time (w = 0) or a prefix (w = 1, 2) of live family i's e-th event
+        # after the buffer was computed; row is the next e to read, depth the
         # buffer's length (both 0: compute first)
         depth = row = 0
 
         def start(slots: np.ndarray) -> None:
-            nonlocal started, replicate, key, family, done_events, peak
-            extra = int(slots.max(initial=-1)) + 1 - len(replicate)
-            if extra > 0:  # slots past the end are new
-                pool.grow(extra)
-                replicate, key, family, done_events, peak = (
-                    np.concatenate((a, np.zeros(extra, dtype=a.dtype)))
-                    for a in (replicate, key, family, done_events, peak)
-                )
+            nonlocal started
             r, f = np.divmod(np.arange(started, started + len(slots)), n_families)
             started += len(slots)
-            pool.found(slots, founders[f])
-            replicate[slots] = r
-            key[slots] = r.astype(np.uint64) + np.uint64(first)
-            family[slots] = f
-            done_events[slots] = 0
-            peak[slots] = 1.0
+            pool.found(slots, founders[f], r, f, r.astype(np.uint64) + np.uint64(first))
 
         def full(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return event_uniforms(seed, done_events[lanes], family[lanes], key[lanes])[1:]
+            return event_uniforms(seed, pool.done[lanes], pool.family[lanes], pool.key[lanes])[1:]
 
         start(np.arange(min(size, limit, _FIRST_LANES)))
-        lanes_at_start, rows_at_start = len(replicate), len(pool.types)
-        while len(replicate):
-            live = len(replicate)
+        lanes_at_start, rows_at_start = len(pool.hosts), len(pool.types)
+        while live := len(pool.hosts):
             most_rows = max(most_rows, len(pool.types))
             if started >= limit and live <= _ALONE:  # the last few: one at a time
-                for i, r in enumerate(replicate.tolist()):
+                for i, r in enumerate(pool.replicate.tolist()):
                     if r >= failed:
                         continue
-                    e = int(done_events[i])
-                    clock, cut, done, family_peak = _run_alone(
-                        pool, i, seed, (int(family[i]), int(key[i])), e, float(peak[i]), end,
-                        max_events,
-                    )
+                    e = int(pool.done[i])
+                    clock, cut, done, family_peak = _run_alone(pool, i, seed, end, max_events)
                     alone += 1
                     alone_events += done - e
                     times[r] = max(times[r], clock)
@@ -801,51 +798,51 @@ def _simulate(
                 depth = 1 if started < limit else max(1, size // live)
                 # events past the budget are never read: clipping them keeps
                 # every Philox counter below 2^32
-                ahead_events = done_events + np.arange(depth, dtype=np.uint64)[:, None]
+                ahead_events = pool.done + np.arange(depth, dtype=np.uint64)[:, None]
                 np.minimum(ahead_events, max_events, out=ahead_events)
-                ahead = event_prefixes(seed, ahead_events, family, key)
-                lane = np.arange(live)
+                ahead = event_prefixes(seed, ahead_events, pool.family, pool.key)
+                pool.column[:] = pool.lanes
                 row = 0
                 computed += depth * live
                 calls += 1
-            if len(lane) == ahead[0].shape[1]:  # no family has left since
+            if live == ahead[0].shape[1]:  # no family has left since
                 uniforms = [u[row] for u in ahead]
             else:
-                uniforms = [u[row].take(lane) for u in ahead]
+                uniforms = [u[row].take(pool.column) for u in ahead]
             row += 1
             steps += 1
             drain_steps += started >= limit
             consumed += live
             pool.event(*uniforms, full)
             if horizon is None:
-                done_events += 1
-                np.maximum(peak, pool.hosts, out=peak)
+                pool.done += 1
+                np.maximum(pool.peak, pool.hosts, out=pool.peak)
                 finished = pool.hosts == 0.0
             else:
                 cut = pool.clock > end  # the event falls past the horizon
                 inside = ~cut
-                done_events += inside
-                np.maximum(peak, pool.hosts, out=peak, where=inside)
+                pool.done += inside
+                np.maximum(pool.peak, pool.hosts, out=pool.peak, where=inside)
                 finished = (pool.hosts == 0.0) | cut
 
-            over = done_events > max_events
+            over = pool.done > max_events
             if over.any():
-                failed = min(failed, int(replicate[over].min()))
+                failed = min(failed, int(pool.replicate[over].min()))
             free = np.flatnonzero(finished)
             if len(free):
-                r = replicate[free]
+                r = pool.replicate[free]
                 np.maximum.at(times, r, pool.clock[free])
                 if horizon is not None:
                     np.logical_or.at(censored, r, cut[free])
-                np.add.at(events, r, done_events[free])
-                np.add.at(peaks, r, peak[free])
+                np.add.at(events, r, pool.done[free])
+                np.add.at(peaks, r, pool.peak[free])
                 over = events[r] > max_events
                 if over.any():
                     failed = min(failed, int(r[over].min()))
             if failed < replicates:
                 # only replicates below the first failure still matter
                 limit = min(limit, failed * n_families)
-                free = np.flatnonzero(finished | (replicate >= failed))
+                free = np.flatnonzero(finished | (pool.replicate >= failed))
 
             if started < limit:
                 resizes += budget() != size
@@ -860,12 +857,9 @@ def _simulate(
                     start(np.concatenate((free, added))[:refill])
                     free = free[refill:]
             if len(free):
-                keep = np.ones(len(replicate), dtype=bool)
+                keep = np.ones(live, dtype=bool)
                 keep[free] = False
                 pool.keep(keep)
-                replicate, key, family, done_events, peak, lane = (
-                    a[keep] for a in (replicate, key, family, done_events, peak, lane)
-                )
         undecided = pool.undecided
 
     logger.debug(

@@ -35,6 +35,7 @@ from survival_checks import (
     truncated_mean,
     truncation_lower_bound_check,
     validate_curve,
+    volterra_survival,
 )
 
 NO_OFFSPRING = OffspringDistribution.table([1.0])
@@ -265,6 +266,58 @@ class TestSolveSurvival:
         q1 = curves[0].qs
         for k in (2, 5, 10):
             assert np.abs(curves[k - 1].qs - (1.0 - (1.0 - q1) ** k)).max() <= tol
+
+
+class TestVolterraReference:
+    """``solve_survival`` at rho > 0 against the scalar Volterra equation for
+    w = sum_j p_j q_j, a reference that needs no truncation of the law."""
+
+    KS = (1, 3, 10)
+
+    def test_reference_on_closed_forms(self):
+        # the reference itself on exact curves: LF at rho = 0 (a table pgf)
+        # and pure death at rho > 0.  Measured: gaps at most 7.6e-11 and
+        # 4.0e-10, each 15x under its estimate (1.1e-9 and 6.0e-9), as an
+        # h^4 error term predicts
+        for m, exact in (
+            (LF_MODEL, lambda k, t: closed_form_linear_fractional(t, 1.0, 0.6, 0.4)),
+            (ModelParams(1.0, 1.0, NO_OFFSPRING), lambda k, t: closed_form_mu0(k, t, 1.0, 1.0)),
+        ):
+            ks = [1] if m is LF_MODEL else [1, 3]
+            ts, ref = volterra_survival(m, 5.0, 125, ks)
+            for k in ks:
+                q, err = ref[k]
+                assert np.all(np.abs(q - [exact(k, t) for t in ts]) <= err)
+                assert err.max() <= 1e-8
+
+    @pytest.mark.parametrize(
+        "law",
+        [OffspringDistribution.poisson(2.0), OffspringDistribution.geometric(0.4)],
+        ids=["poisson-2", "geometric-0.4"],
+    )
+    def test_truncation_gap_falls_to_the_reference_error(self, law):
+        # on t <= 5 at steps 0.02, 0.01 and 0.005 the reference's estimated
+        # error reaches 3.5e-10 to 5.3e-10 (k = 1) and 2.3e-9 to 3.0e-9
+        # (k = 10).  Measured gaps max_t |q_k - reference| over k = 1, 3, 10:
+        # Poisson(2), whose mass above 20 is 6e-15, 2.0e-10 at every K;
+        # geometric(0.4), whose mass above 20 is 2.2e-5, 3.8e-5 at
+        # K = 20, 1.9e-9 at K = 40 and 1.5e-10 at K = 80.  So the gap may not
+        # grow with K once at the reference's error, must lie inside that
+        # error at every point at K = 80, and at K = 20 must stand 1000x
+        # above it for geometric(0.4), whose truncated tail the solver loses
+        m = ModelParams(0.5, 1.0, law)
+        ts, ref = volterra_survival(m, 5.0, 250, self.KS)
+        err = max(e.max() for _, e in ref.values())
+        gaps = {}
+        for K in (20, 40, 80):
+            curves = solve_survival(TruncatedSystem(m, K=K), t_max=5.0, dt=0.02)
+            assert np.array_equal(curves[0].ts, ts)
+            gap = {k: np.abs(curves[k - 1].qs - ref[k][0]) for k in self.KS}
+            gaps[K] = max(g.max() for g in gap.values())
+        assert all(np.all(gap[k] <= ref[k][1]) for k in self.KS)  # K = 80
+        assert gaps[40] <= max(gaps[20], err) and gaps[80] <= max(gaps[40], err)
+        if law.kind == "geometric":
+            assert gaps[20] > 1000.0 * err
 
 
 def parse_solve_record(record, K, grid):

@@ -77,6 +77,36 @@ SHIPPED_ARTIFACT_DIGESTS = {
     "survival_poisson_mix/survival_ode.csv": "baf0a23b78e4f0ea109826731c3f856670b9e318b899354c948caf599825ea98",
 }
 
+# the configs of the benchmark's two simulating workloads, copied from
+# perfbench/workloads.py, and the SHA-256 of their artifacts at --seed 7:
+# the shipped digests above skip the gumbel path, so these pin it
+BENCH_LF_MODEL = {"beta": 1.0, "rho": 0.0, "offspring": {"kind": "table", "probs": [0.6, 0.0, 0.4]}}
+BENCH_POISSON_MODEL = {"beta": 0.5, "rho": 1.0, "offspring": {"kind": "poisson", "param": 2.0}}
+BENCHMARK_CONFIGS = {
+    "gumbel_lf_mixed": {
+        "model": BENCH_LF_MODEL,
+        "experiment": {"type": "gumbel", "z": {"1": 4000, "3": 2000}, "replicates": 50},
+    },
+    "survival_poisson": {
+        "model": BENCH_POISSON_MODEL,
+        "experiment": {
+            "type": "survival",
+            "k": [1, 3, 10],
+            "t_max": 10.0,
+            "method": "both",
+            "K": 200,
+            "tol": 1e-9,
+            "replicates": 50_000,
+        },
+    },
+}
+BENCHMARK_ARTIFACT_DIGESTS = {
+    "gumbel_lf_mixed/extinction_times.csv": "4d4045cdab348f10cc6fece1336c89b8ab3587cdb152344ef11c972de6d17dce",
+    "gumbel_lf_mixed/gumbel.json": "f70ba0e71e4e35ff76b4c2f6dfc4791643f9f2bda22801f9c4d2396b20ef036f",
+    "survival_poisson/survival_mc.csv": "ddab071d4a8b5e7e1f79e967131721dbfbf6e2e638200d9c89b46d9a7163a8ef",
+    "survival_poisson/survival_ode.csv": "417f9b3d6c70c0557e058c3d94b45e3665913c251cfd2a8a117416502989845c",
+}
+
 # the smallest config of each experiment type: every optional key defaulted
 MINIMAL_CONFIGS = {
     "survival": MINIMAL_SURVIVAL,
@@ -744,6 +774,20 @@ class TestShippedConfigs:
                     artifact.read_bytes()
                 ).hexdigest()
         assert digests == SHIPPED_ARTIFACT_DIGESTS
+
+    def test_benchmark_workload_digests_pinned(self, tmp_path):
+        digests = {}
+        for name, config in BENCHMARK_CONFIGS.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            out = tmp_path / name
+            args = ["run", "--config", str(cfg), "--seed", "7", "--out-dir", str(out)]
+            assert main(args) == EXIT_OK
+            for artifact in out.iterdir():
+                digests[f"{name}/{artifact.name}"] = hashlib.sha256(
+                    artifact.read_bytes()
+                ).hexdigest()
+        assert digests == BENCHMARK_ARTIFACT_DIGESTS
 
 
 @pytest.mark.parametrize(

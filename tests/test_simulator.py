@@ -858,9 +858,9 @@ class TestBatchEngine:
         removal, host_type, offspring = kernel_pool(m, [{1: 1, 2: 1}]).event(*u)
         assert (removal[0], host_type[0], offspring[0]) == (False, 2, 2)
         monkeypatch.setattr(simulator, "event_uniforms", lambda seed, e, f, r: u)
-        clock, cut, done, peak = simulator._run_alone(
-            kernel_pool(m, [{1: 1, 2: 1}]), 0, 0, (0, 0), 0, 2.0, math.inf, 0
-        )
+        pool = kernel_pool(m, [{1: 1, 2: 1}])
+        pool.peak[0] = 2.0
+        clock, cut, done, peak = simulator._run_alone(pool, 0, 0, math.inf, 0)
         assert (cut, done, peak) == (False, 1, 3.0)
 
     def test_budget_error_replicate_independent_of_pool(self, monkeypatch):
@@ -909,25 +909,39 @@ class TestBatchEngine:
     def test_refilled_columns_start_empty(self, monkeypatch):
         # a small pool refills slots of censored families, whose columns
         # still hold hosts, and of extinct ones: every refilled population
-        # starts from its one host and nothing else
+        # starts from its one host and nothing else, with no events done,
+        # a peak of 1, and the next family in (replicate, family) order
         monkeypatch.setattr(simulator, "POOL_CELLS", 64)
         found = simulator._Rows.found
+        founders = np.array([1, 1, 1, 1, 3, 3])  # the families of {1: 4, 3: 2}
         cleared = []
+        started = 0  # families started so far
 
-        def checked(rows, slots, types):
-            empty = rows.hosts[slots] == 0.0
-            assert not rows.counts[:, slots[empty]].any()  # died out: left nothing
+        def checked(rows, slots, types, replicate, family, key):
+            old = slots[slots < len(rows.hosts)]  # the others are new slots
+            empty = rows.hosts[old] == 0.0
+            assert not rows.counts[:, old[empty]].any()  # died out: left nothing
             cleared.append(int((~empty).sum()))
-            found(rows, slots, types)
-            started = rows.counts[:, slots]
-            assert np.array_equal(started.sum(axis=0), np.ones(len(slots)))
-            assert np.array_equal(rows.types[started.argmax(axis=0)], types)
+            found(rows, slots, types, replicate, family, key)
+            cells = rows.counts[:, slots]
+            assert np.array_equal(cells.sum(axis=0), np.ones(len(slots)))
+            assert np.array_equal(rows.types[cells.argmax(axis=0)], types)
+            assert not rows.done[slots].any()
+            assert np.array_equal(rows.peak[slots], np.ones(len(slots)))
+            nonlocal started
+            r, f = np.divmod(np.arange(started, started + len(slots)), len(founders))
+            started += len(slots)
+            assert np.array_equal(rows.replicate[slots], r)
+            assert np.array_equal(rows.family[slots], f)
+            assert np.array_equal(rows.key[slots], r)  # run_batch starts at replicate 0
+            assert np.array_equal(types, founders[f])
 
         monkeypatch.setattr(simulator._Rows, "found", checked)
         m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
         batch = run_batch(PopulationState.from_counts({1: 4, 3: 2}), m, 123, 200, horizon=1.5)
         assert 0 < batch.censored.sum() < 200
         assert sum(cleared) > 0  # columns of censored families were refilled
+        assert started == 200 * len(founders)  # every family started once
 
     def test_peak_hosts_sums_family_peaks(self):
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
