@@ -321,20 +321,24 @@ def solve_survival(
     two adaptive passes at local tolerances tau and tau/32; output clamped to
     [0, 1].  Each curve's ``err`` is the measured difference
     e^{-sigma t} max_k |U_tau - U_tau/32| of the accepted pair per grid point.
+    The curves' ``qs`` are read-only columns of one matrix and they share
+    one read-only ``err``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     ts = _grid(t_max, dt)
-    U, sigma, u_err = _solve_scaled(sys, ts, tol)
+    Q, sigma, err = _solve_scaled(sys, ts, tol)
     scale = np.exp(-sigma * ts)
-    Q = U * scale[:, None]
+    Q *= scale[:, None]  # the accepted pass's rows, scaled in place
     negatives = int((Q < 0.0).sum())
     if negatives:
         logger.warning("clamped %d negative survival values to 0", negatives)
     np.clip(Q, 0.0, 1.0, out=Q)
-    err = u_err * scale
+    err *= scale
+    Q.setflags(write=False)
+    err.setflags(write=False)
     return [
-        SurvivalCurve(k=k, ts=ts, qs=Q[:, k - 1].copy(), err=err.copy(), source="ode")
+        SurvivalCurve(k=k, ts=ts, qs=Q[:, k - 1], err=err, source="ode")
         for k in range(1, sys.K + 1)
     ]
 

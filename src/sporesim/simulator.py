@@ -64,7 +64,7 @@ many events as fit in one full-pool step.  The last few families are
 finished one at a time in Python floats, with the same arithmetic on the
 same uniforms, read in full.  A batch's results are arrays, a
 :class:`BatchOutcomes`; a :class:`SimOutcome` per replicate is built only
-when one is indexed or iterated.  Replicate i of :func:`run_batch` draws
+when the batch is iterated.  Replicate i of :func:`run_batch` draws
 only at the counters above that carry i, so for a given model, start and
 master seed it is the same in any batch that holds it.
 """
@@ -75,7 +75,6 @@ import bisect
 import functools
 import logging
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,20 +110,18 @@ _FIRST_LANES = 1 << 10
 # event alone 4-15 us
 _ALONE = 8
 
-# populations from which the type scan adds its running sums row by row:
-# numpy's cumsum down axis 0 walks one column at a time, ~5 ns per entry,
-# while adding a row costs ~1.5 us however long it is
+# populations from which the type scan adds its running sums row by row
+# instead of by numpy's cumsum down axis 0.  Measured (numpy 2.4, Python
+# 3.11, 2-vCPU Xeon): at 3 rows the row loop is faster at every population
+# count, at 11 rows cumsum is faster below ~120 populations, and at 115 rows
+# and 16 populations cumsum takes ~7 us against the loop's ~66 us.  The cut
+# keeps a wide law's drain, few populations over many rows, off the loop
 _ROW_SUMS = 256
 # type rows below which the scan counts the running sums <= x as a uint8 sum
 # down the rows, 3-4x faster than count_nonzero; the count reaches the row
 # count, so from 256 rows on it would wrap
 _BYTE_ROWS = 256
 
-# RandomStream computes its uniforms in growing blocks of events, so a
-# fresh stream's first draw stays cheap; the block schedule never changes
-# the draw sequence, only how far ahead it is computed
-_FIRST_BLOCK = 43
-_MAX_BLOCK = 1024
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
@@ -235,12 +232,11 @@ def event_prefixes(seed: int, event, family, replicate) -> tuple[np.ndarray, ...
 
 
 def _stream_uniforms(seed: int, index: int):
-    """Family 0's uniforms of replicate ``index``, in the engine's order."""
-    start, n = 0, _FIRST_BLOCK
-    while start < MAX_EVENTS:
-        events = np.arange(start, min(start + n, MAX_EVENTS), dtype=np.uint64)
+    """Family 0's uniforms of replicate ``index``, in the engine's order,
+    computed 1,024 events at a time."""
+    for start in range(0, MAX_EVENTS, 1024):
+        events = np.arange(start, min(start + 1024, MAX_EVENTS), dtype=np.uint64)
         yield from np.stack(event_uniforms(seed, events, 0, index), axis=1).ravel().tolist()
-        start, n = start + n, min(n * 8, _MAX_BLOCK)
 
 
 class RandomStream:
@@ -334,14 +330,13 @@ class SimOutcome:
             raise ValueError("extinction time must be nonnegative")
 
 
-class BatchOutcomes(Sequence):
-    """The outcomes of one batch as read-only arrays, in replicate order;
-    a ``Sequence[SimOutcome]``.
+class BatchOutcomes:
+    """The outcomes of one batch as read-only arrays, in replicate order.
 
     ``extinction_times`` holds ``inf`` where the replicate was censored.
-    The :class:`SimOutcome` objects are built once, the first time a
-    replicate is indexed or the batch iterated.  A batch equals another
-    batch, or a list, holding the same outcomes.
+    Iterating the batch yields a :class:`SimOutcome` per replicate, built
+    once, the first time it is iterated.  A batch equals another batch
+    holding the same outcomes.
     """
 
     _ARRAYS = ("extinction_times", "censored", "event_counts", "peak_hosts")
@@ -364,7 +359,10 @@ class BatchOutcomes(Sequence):
         self.horizon = horizon
         self._outcomes: list[SimOutcome] | None = None
 
-    def _list(self) -> list[SimOutcome]:
+    def __len__(self) -> int:
+        return len(self.censored)
+
+    def __iter__(self):
         if self._outcomes is None:
             self._outcomes = [
                 SimOutcome(None if c else t, self.horizon, e, p)
@@ -375,27 +373,14 @@ class BatchOutcomes(Sequence):
                     self.peak_hosts.tolist(),
                 )
             ]
-        return self._outcomes
-
-    def __len__(self) -> int:
-        return len(self.censored)
-
-    def __getitem__(self, i):
-        return self._list()[i]
-
-    def __iter__(self):
-        return iter(self._list())
+        return iter(self._outcomes)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, BatchOutcomes):
-            return self.horizon == other.horizon and all(
-                np.array_equal(getattr(self, a), getattr(other, a)) for a in self._ARRAYS
-            )
-        if isinstance(other, Sequence):
-            return self._list() == list(other)
-        return NotImplemented
-
-    __hash__ = None
+        if not isinstance(other, BatchOutcomes):
+            return NotImplemented
+        return self.horizon == other.horizon and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in self._ARRAYS
+        )
 
     def __repr__(self) -> str:
         return f"BatchOutcomes({len(self)} replicates, horizon={self.horizon})"
@@ -902,7 +887,7 @@ def run_batch(
 
     Results come in replicate-index order, as a :class:`BatchOutcomes`:
     arrays of extinction times, censoring flags, event counts and peak host
-    counts that also read as a sequence of :class:`SimOutcome`.
+    counts, which iterate as :class:`SimOutcome` objects.
     ``threads`` is accepted for compatibility and has no effect: the engine
     runs in the calling thread and its results depend on no schedule.  A
     :class:`BudgetError` names the smallest replicate index whose events

@@ -209,7 +209,7 @@ def test_criterion_6_engine_equivalence():
     worst_p = 1.0
     for counts, seed in (({1: 3}, 9100), ({2: 1, 3: 1}, 9200)):
         init = PopulationState.from_counts(counts)
-        agg = [o.extinction_time for o in run_batch(init, m, seed, replicates=n)]
+        agg = run_batch(init, m, seed, replicates=n).extinction_times
         ref = [
             run_to_extinction_reference(init, m, seed + 1, i).extinction_time for i in range(n)
         ]

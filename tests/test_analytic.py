@@ -136,6 +136,8 @@ class TestSolveSurvival:
         sys = TruncatedSystem(ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), K=15)
         for c in solve_survival(sys, t_max=8.0, tol=1e-9):
             validate_curve(c, tol=1e-9)
+            # the curves share one matrix and one error vector: none writes
+            assert not c.qs.flags.writeable and not c.err.flags.writeable
 
     def test_matches_independent_integrator(self):
         # cross-check the scaled adaptive solver against scipy run directly on
@@ -318,6 +320,23 @@ class TestVolterraReference:
         assert gaps[40] <= max(gaps[20], err) and gaps[80] <= max(gaps[40], err)
         if law.kind == "geometric":
             assert gaps[20] > 1000.0 * err
+
+    def test_finite_support_loses_nothing_to_truncation(self):
+        # probs (0.5, 0.2, 0.0, 0.3), beta 0.5, rho 1 (lambda = 0.95): the
+        # support ends at 3, so every K >= 3 keeps the whole law.  On t <= 5
+        # at step 0.02 the reference's estimated error reaches 3.0e-10 (k = 1)
+        # to 1.4e-9 (k = 10).  Measured gaps |q_k - reference|: 2.0e-11
+        # (k = 1), 3.9e-11 (k = 3) and 9.6e-11 (k = 10) at every K, at most
+        # 0.07 of the reference's error at each point.  So each gap must stay
+        # under 2e-10 and under a quarter of that error at every point
+        m = ModelParams(0.5, 1.0, OffspringDistribution.table([0.5, 0.2, 0.0, 0.3]))
+        ts, ref = volterra_survival(m, 5.0, 250, self.KS)
+        for K in (3, 10, 20, 40):
+            curves = solve_survival(TruncatedSystem(m, K=K), t_max=5.0, dt=0.02)
+            assert np.array_equal(curves[0].ts, ts)
+            for k in (k for k in self.KS if k <= K):
+                gap = np.abs(curves[k - 1].qs - ref[k][0])
+                assert gap.max() <= 2e-10 and np.all(gap <= 0.25 * ref[k][1]), (K, k)
 
 
 def parse_solve_record(record, K, grid):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -105,6 +106,37 @@ BENCHMARK_ARTIFACT_DIGESTS = {
     "gumbel_lf_mixed/gumbel.json": "f70ba0e71e4e35ff76b4c2f6dfc4791643f9f2bda22801f9c4d2396b20ef036f",
     "survival_poisson/survival_mc.csv": "ddab071d4a8b5e7e1f79e967131721dbfbf6e2e638200d9c89b46d9a7163a8ef",
     "survival_poisson/survival_ode.csv": "417f9b3d6c70c0557e058c3d94b45e3665913c251cfd2a8a117416502989845c",
+}
+# the work the same runs do, as the engine's and the solver's debug records
+# report it: a change that alters the work a workload does shows here
+BENCHMARK_WORK = {
+    "gumbel_lf_mixed": [
+        "sporesim.simulator: batch of 50 replicates, 300000 families: 448 engine steps, 234 in "
+        "the drain; 2540317 Philox blocks 0 computed in 239 calls, 2508831 consumed; 0 events "
+        "left undecided by their prefixes, refined from 0 blocks; 2509268 events, at most 51922 "
+        "per replicate; peak hosts at most 11634; pool of 1024 families over 2 type rows at the "
+        "start, at most 3 rows, 3 re-sizes; 8 families finished alone in 437 events",
+    ],
+    "survival_poisson": [
+        "sporesim.analytic: backward solve, K=200 on 401 grid points: 2 passes, 2893 accepted "
+        "and 21 rejected steps, 17486 RHS evaluations, err 2.69e-10; grid rows reached per pass "
+        "[401, 401]",
+        "sporesim.simulator: batch of 50000 replicates, 50000 families: 101 engine steps, 83 in "
+        "the drain; 128167 Philox blocks 0 computed in 27 calls, 118591 consumed; 0 events left "
+        "undecided by their prefixes, refined from 0 blocks; 118694 events, at most 144 per "
+        "replicate; peak hosts at most 28; pool of 1024 families over 1 type rows at the start, "
+        "at most 10 rows, 4 re-sizes; 8 families finished alone in 174 events",
+        "sporesim.simulator: batch of 50000 replicates, 50000 families: 145 engine steps, 95 in "
+        "the drain; 304218 Philox blocks 0 computed in 63 calls, 295931 consumed; 0 events left "
+        "undecided by their prefixes, refined from 0 blocks; 295891 events, at most 191 per "
+        "replicate; peak hosts at most 22; pool of 1024 families over 1 type rows at the start, "
+        "at most 10 rows, 4 re-sizes; 8 families finished alone in 165 events",
+        "sporesim.simulator: batch of 50000 replicates, 50000 families: 296 engine steps, 129 in "
+        "the drain; 898361 Philox blocks 0 computed in 194 calls, 889224 consumed; 0 events left "
+        "undecided by their prefixes, refined from 0 blocks; 888551 events, at most 225 per "
+        "replicate; peak hosts at most 31; pool of 1024 families over 1 type rows at the start, "
+        "at most 11 rows, 3 re-sizes; 8 families finished alone in 167 events",
+    ],
 }
 
 # the smallest config of each experiment type: every optional key defaulted
@@ -775,19 +807,27 @@ class TestShippedConfigs:
                 ).hexdigest()
         assert digests == SHIPPED_ARTIFACT_DIGESTS
 
-    def test_benchmark_workload_digests_pinned(self, tmp_path):
-        digests = {}
+    def test_benchmark_workload_digests_pinned(self, tmp_path, caplog):
+        digests, work = {}, {}
         for name, config in BENCHMARK_CONFIGS.items():
             cfg = tmp_path / f"{name}.json"
             cfg.write_text(json.dumps(config), encoding="utf-8")
             out = tmp_path / name
             args = ["run", "--config", str(cfg), "--seed", "7", "--out-dir", str(out)]
-            assert main(args) == EXIT_OK
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="sporesim"):
+                assert main(args) == EXIT_OK
+            work[name] = [
+                f"{r.name}: {r.getMessage()}"
+                for r in caplog.records
+                if r.name in ("sporesim.simulator", "sporesim.analytic")
+            ]
             for artifact in out.iterdir():
                 digests[f"{name}/{artifact.name}"] = hashlib.sha256(
                     artifact.read_bytes()
                 ).hexdigest()
         assert digests == BENCHMARK_ARTIFACT_DIGESTS
+        assert work == BENCHMARK_WORK
 
 
 @pytest.mark.parametrize(

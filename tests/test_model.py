@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from family_draws import family_uniforms
 from sporesim import (
     ModelParams,
     OffspringDistribution,
@@ -148,37 +149,30 @@ class TestSampling:
 
     def test_table_frequency(self):
         d = OffspringDistribution.table([0.6, 0.0, 0.4])
-        rng = RandomStream(12345, 0)
         n = 10**6
-        hits = sum(1 for _ in range(n) if sample_offspring(d, rng) == 2)
+        hits = int((d.quantiles(family_uniforms(12345, 0, n)) == 2).sum())
         se = math.sqrt(0.4 * 0.6 / n)
         assert abs(hits / n - 0.4) < 3 * se
 
     def test_poisson_mean(self):
         d = OffspringDistribution.poisson(2.0)
-        rng = RandomStream(54321, 0)
         n = 10**6
-        total = sum(sample_offspring(d, rng) for _ in range(n))
+        total = int(d.quantiles(family_uniforms(54321, 0, n)).sum())
         assert abs(total / n - 2.0) < 3 * math.sqrt(2.0 / n)
 
     def test_table_chi_square(self):
         d = OffspringDistribution.table([0.5, 0.2, 0.2, 0.1])
-        rng = RandomStream(777, 3)
         n = 10**6
-        counts = np.zeros(4, dtype=int)
-        for _ in range(n):
-            counts[sample_offspring(d, rng)] += 1
+        counts = np.bincount(d.quantiles(family_uniforms(777, 3, n)), minlength=4)
         _, p = chisquare(counts, np.array(d.probs) * n)
         assert p > 0.001
 
     def test_geometric_chi_square_binned(self):
         d = OffspringDistribution.geometric(0.4)
-        rng = RandomStream(778, 0)
         n = 200_000
         top = 12  # bin everything >= top together
-        counts = np.zeros(top + 1, dtype=int)
-        for _ in range(n):
-            counts[min(sample_offspring(d, rng), top)] += 1
+        draws = d.quantiles(family_uniforms(778, 0, n))
+        counts = np.bincount(np.minimum(draws, top), minlength=top + 1)
         expected = np.array([d.pmf(k) for k in range(top)] + [(1 - 0.4) ** top]) * n
         _, p = chisquare(counts, expected)
         assert p > 0.001

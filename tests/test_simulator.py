@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import logging
 import math
 import re
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp, kstest
 
+from family_draws import family_uniforms
 from naive_engine import run_to_extinction_reference
 from sporesim import simulator
 from sporesim.analytic import TruncatedSystem, closed_form_linear_fractional, solve_survival
@@ -41,19 +43,28 @@ def philox4x32_scalar(counter, key):
     return c0, c1, c2, c3
 
 
+ARRAYS = ("extinction_times", "censored", "event_counts", "peak_hosts")
+
+
 def run_one(init, m, seed, index, horizon=None, max_events=simulator.DEFAULT_MAX_EVENTS):
     """Replicate ``index`` under master seed ``seed`` on its own: the engine
-    on a batch of that one replicate."""
-    return simulator._simulate(init, m, seed, index, 1, horizon, max_events)[0]
+    on a batch of that one replicate, whose arrays hold one entry each."""
+    return simulator._simulate(init, m, seed, index, 1, horizon, max_events)
 
 
-def kernel_events(m, counts, draw):
+def outcome(batch, i=0):
+    """Replicate ``i``'s entries in the arrays of ``batch``, by array name."""
+    return {name: getattr(batch, name)[i].item() for name in ARRAYS}
+
+
+def kernel_events(m, counts, uniforms):
     """The engine's transition kernel applied to one population (a one-column
-    ``_Rows``) until it dies out, three uniforms from ``draw()`` per event:
-    yields the population and the event's (removal, host type, offspring)."""
+    ``_Rows``) until it dies out, three of ``uniforms`` per event: yields the
+    population and the event's (removal, host type, offspring)."""
+    draw = iter(uniforms)
     row = kernel_pool(m, [counts])
     while row.hosts[0]:
-        removal, host_type, offspring = row.event(*(np.array([draw()]) for _ in range(3)))
+        removal, host_type, offspring = row.event(*(np.array([next(draw)]) for _ in range(3)))
         yield row, bool(removal[0]), int(host_type[0]), int(offspring[0])
 
 
@@ -62,34 +73,24 @@ def by_type(rows, i=0):
     return {int(k): float(n) for k, n in zip(rows.types, rows.counts[:, i]) if n}
 
 
-class FamilyWords:
-    """Stub stream for kernel_events(): serves one family's uniforms, event
-    after event from ``event``, computed with the scalar Philox from the v4
-    layout: event e reads blocks x and y with counters (2e + b, family,
-    replicate low and high 32 bits) for b = 0, 1 under the seed's two 32-bit
-    halves as key.  The waiting-time word is ((x1 << 32) | x0) >> 11, the
-    type-choice word (x2 << 21) | (y0 >> 11) and the offspring word
-    (x3 << 21) | (y1 >> 11); a 53-bit word w is the uniform w * 2^-53."""
-
-    def __init__(self, seed: int, replicate: int, family: int, event: int = 0):
-        self.key = (seed & MASK32, seed >> 32)
-        self.counter = (family, replicate & MASK32, replicate >> 32)
-        self.event = event
-        self.words: list[float] = []
-
-    def uniform01(self) -> float:
-        if not self.words:
-            x, y = (
-                philox4x32_scalar((2 * self.event + b, *self.counter), self.key) for b in (0, 1)
-            )
-            self.event += 1
-            words = (
-                ((x[1] << 32) | x[0]) >> 11,
-                (x[2] << 21) | (y[0] >> 11),
-                (x[3] << 21) | (y[1] >> 11),
-            )
-            self.words = [w * 2.0**-53 for w in words]
-        return self.words.pop(0)
+def family_words(seed: int, replicate: int, family: int, event: int = 0):
+    """One family's uniforms, event after event from ``event``, computed
+    with the scalar Philox from the v4 layout: event e reads blocks x and y
+    with counters (2e + b, family, replicate low and high 32 bits) for
+    b = 0, 1 under the seed's two 32-bit halves as key.  The waiting-time
+    word is ((x1 << 32) | x0) >> 11, the type-choice word
+    (x2 << 21) | (y0 >> 11) and the offspring word (x3 << 21) | (y1 >> 11);
+    a 53-bit word w is the uniform w * 2^-53."""
+    key = (seed & MASK32, seed >> 32)
+    counter = (family, replicate & MASK32, replicate >> 32)
+    for e in itertools.count(event):
+        x, y = (philox4x32_scalar((2 * e + b, *counter), key) for b in (0, 1))
+        for w in (
+            ((x[1] << 32) | x[0]) >> 11,
+            (x[2] << 21) | (y[0] >> 11),
+            (x[3] << 21) | (y[1] >> 11),
+        ):
+            yield w * 2.0**-53
 
 
 class TestPhilox:
@@ -126,10 +127,8 @@ class TestPhilox:
         # the second case sets the high words of the key and the counter
         for seed, replicate in ((77, 9), (2**40 + 77, 2**33 + 9)):
             stream = RandomStream(seed, replicate)
-            family = FamilyWords(seed, replicate, 0)
-            assert [stream.uniform01() for _ in range(30)] == [
-                family.uniform01() for _ in range(30)
-            ]
+            family = family_words(seed, replicate, 0)
+            assert [stream.uniform01() for _ in range(30)] == list(itertools.islice(family, 30))
 
 
 class TestRandomStream:
@@ -156,7 +155,7 @@ class TestRandomStream:
             RandomStream(0, 1 << 64)
 
     def test_buffering_matches_raw_generator(self):
-        # the block refill schedule must not alter the draw sequence
+        # the stream's blocks of 1,024 events must not alter the draw sequence
         rng = RandomStream(5, 7)
         raw = np.stack(event_uniforms(5, np.arange(2500), 0, 7), axis=1).ravel()
         assert [rng.uniform01() for _ in range(3 * 2500)] == raw.tolist()
@@ -181,30 +180,28 @@ class TestStep:
 
     def test_single_spore_release_empties(self):
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
-        [(row, removal, host_type, offspring)] = kernel_events(
-            m, {1: 1}, RandomStream(1, 0).uniform01
-        )
+        [(row, removal, host_type, offspring)] = kernel_events(m, {1: 1}, family_uniforms(1, 0))
         assert (removal, host_type, offspring) == (0, 1, 0)
         assert row.hosts[0] == 0.0
         assert row.clock[0] > 0.0
 
     def test_forced_transition_two_to_one(self):
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
-        row, *_ = next(kernel_events(m, {2: 1}, RandomStream(2, 0).uniform01))
+        row, *_ = next(kernel_events(m, {2: 1}, family_uniforms(2, 0)))
         assert by_type(row) == {1: 1.0}
         assert row.spores[0] == 1.0
 
     def test_removal_probability(self):
         # {1:2}, rho=1, beta=1: P(first event is removal) = 2/(2+2) = 1/2.
-        # Population i draws the uniforms RandomStream(5, i) serves first
-        # (event 0 of family 0), all in one call and one kernel step.
+        # Population i draws event 0 of family 0 of replicate i under seed 5,
+        # all in one call and one kernel step.
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
         n = 10**5
         rows = simulator._Rows(m, n, [1])
         rows.counts[0] = rows.hosts[:] = rows.spores[:] = 2.0
         removal = rows.event(*event_uniforms(5, 0, 0, np.arange(n)))[0]
         for i in (0, 1, n - 1):
-            _, first, *_ = next(kernel_events(m, {1: 2}, RandomStream(5, i).uniform01))
+            _, first, *_ = next(kernel_events(m, {1: 2}, family_uniforms(5, i)))
             assert first == removal[i]
         removals = int(removal.sum())
         assert abs(removals / n - 0.5) < 3 * math.sqrt(0.25 / n)
@@ -219,7 +216,7 @@ class TestStep:
         for j, m in enumerate(models):
             spores_before = 1 * 3 + 4 * 2
             for row, removal, host_type, offspring in kernel_events(
-                m, {1: 3, 4: 2}, RandomStream(100 + j, 0).uniform01
+                m, {1: 3, 4: 2}, family_uniforms(100 + j, 0)
             ):
                 counts = row.counts[:, 0]
                 assert row.hosts[0] == counts.sum()
@@ -242,7 +239,7 @@ class TestRunToExtinction:
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
         init = PopulationState.from_counts({1: 1})
         n = 10**5
-        total = sum(o.extinction_time for o in run_batch(init, m, 10, replicates=n))
+        total = run_batch(init, m, 10, replicates=n).extinction_times.sum()
         assert abs(total / n - 1.0) < 3.0 / math.sqrt(n)
 
     def test_exponential_mean_competing_clocks(self):
@@ -250,7 +247,7 @@ class TestRunToExtinction:
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
         init = PopulationState.from_counts({1: 1})
         n = 10**5
-        total = sum(o.extinction_time for o in run_batch(init, m, 11, replicates=n))
+        total = run_batch(init, m, 11, replicates=n).extinction_times.sum()
         assert abs(total / n - 0.5) < 3 * 0.5 / math.sqrt(n)
 
     def test_deterministic(self):
@@ -275,22 +272,23 @@ class TestRunToExtinction:
             clocks = []
             events = 0
             for family, k in enumerate(founders):
-                for row, *_ in kernel_events(m, {k: 1}, FamilyWords(50, j, family).uniform01):
+                for row, *_ in kernel_events(m, {k: 1}, family_words(50, j, family)):
                     events += 1
                 clocks.append(row.clock[0])
-            assert max(clocks) == fast.extinction_time
-            assert events == fast.event_count
+            assert max(clocks) == fast.extinction_times[0]
+            assert events == fast.event_counts[0]
 
-    def test_random_stream_steps_reproduce_one_host_run(self):
-        # a fresh RandomStream(seed, r) serves family 0 of replicate r
+    def test_family_zero_steps_reproduce_one_host_run(self):
+        # family 0's uniforms of replicate r, fed to the kernel from a one-host
+        # start, give replicate r
         m = ModelParams(1.2, 0.3, OffspringDistribution.geometric(0.7))
         init = PopulationState.from_counts({3: 1})
         for r in range(5):
             events = 0
-            for row, *_ in kernel_events(m, {3: 1}, RandomStream(51, r).uniform01):
+            for row, *_ in kernel_events(m, {3: 1}, family_uniforms(51, r)):
                 events += 1
             fast = run_one(init, m, 51, r)
-            assert (row.clock[0], events) == (fast.extinction_time, fast.event_count)
+            assert (row.clock[0], events) == (fast.extinction_times[0], fast.event_counts[0])
 
     def test_input_not_mutated(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
@@ -308,17 +306,17 @@ class TestRunToExtinction:
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts({1: 5})
         out = run_one(init, m, 13, 0, horizon=0.0)
-        assert out.censored
-        assert out.event_count == 0
+        assert out.censored[0]
+        assert out.event_counts[0] == 0
         full = run_one(init, m, 13, 0)
-        cens = run_one(init, m, 13, 0, horizon=full.extinction_time / 2)
-        assert cens.censored
+        cens = run_one(init, m, 13, 0, horizon=full.extinction_times[0] / 2)
+        assert cens.censored[0]
 
     def test_empty_initial_state(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
         out = run_one(PopulationState(), m, 1, 0)
-        assert out.extinction_time == 0.0
-        assert out.event_count == 0
+        assert out.extinction_times[0] == 0.0
+        assert out.event_counts[0] == 0
 
 
 class TestSurvivalIndicator:
@@ -332,7 +330,7 @@ class TestSurvivalIndicator:
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
         n = 10**5
         init = PopulationState.from_counts({1: 1})
-        hits = sum(o.censored for o in run_batch(init, m, 21, replicates=n, horizon=1.0))
+        hits = run_batch(init, m, 21, replicates=n, horizon=1.0).censored.sum()
         p = math.exp(-2.0)
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -341,7 +339,7 @@ class TestSurvivalIndicator:
         m = ModelParams(1.0, 0.5, NO_OFFSPRING)
         n = 10**5
         init = PopulationState.from_counts({3: 1})
-        hits = sum(o.censored for o in run_batch(init, m, 22, replicates=n, horizon=1.0))
+        hits = run_batch(init, m, 22, replicates=n, horizon=1.0).censored.sum()
         p = math.exp(-0.5) * (1.0 - (1.0 - math.exp(-1.0)) ** 3)
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -351,8 +349,7 @@ class TestRunBatch:
         m = ModelParams(1.0, 0.5, TWO_POINT)
         init = PopulationState.from_counts({1: 3})
         batch = run_batch(init, m, master_seed=33, replicates=1)
-        direct = run_one(init, m, 33, 0)
-        assert batch == [direct]
+        assert batch == run_one(init, m, 33, 0)
 
     def test_thread_count_invariant(self):
         m = ModelParams(1.0, 0.5, TWO_POINT)
@@ -386,8 +383,7 @@ class TestRunBatch:
         # a budget allows, counter 2e + 1 is still a 32-bit word
         seed, family, replicate = 2**40 + 5, 7, 2**33 + 3
         for e in (simulator.MAX_EVENTS - 1, simulator.MAX_EVENTS):
-            spec = FamilyWords(seed, replicate, family, event=e)
-            wait, pick, offspring = (spec.uniform01() for _ in range(3))
+            wait, pick, offspring = itertools.islice(family_words(seed, replicate, family, e), 3)
             assert [float(u) for u in event_uniforms(seed, e, family, replicate)] == [
                 wait, pick, offspring
             ]
@@ -414,7 +410,7 @@ class TestRunBatch:
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts({1: 100})
         outs = run_batch(init, m, master_seed=55, replicates=200)
-        assert all(not o.censored for o in outs)
+        assert not outs.censored.any()
 
 
 class TestDistributionalProperties:
@@ -429,7 +425,7 @@ class TestDistributionalProperties:
         for k in (1, 2, 4, 8):
             init = PopulationState.from_counts({k: 1})
             outs = run_batch(init, m, master_seed=600 + k, replicates=n, horizon=t)
-            p = sum(o.censored for o in outs) / n
+            p = outs.censored.sum() / n
             freq[k] = p
             se[k] = math.sqrt(p * (1 - p) / n)
         ks = sorted(freq)
@@ -445,7 +441,7 @@ class TestDistributionalProperties:
         n = 4000
         for counts, seed in (({1: 3}, 700), ({2: 1, 3: 1}, 701)):
             init = PopulationState.from_counts(counts)
-            agg = [o.extinction_time for o in run_batch(init, m, seed, replicates=n)]
+            agg = run_batch(init, m, seed, replicates=n).extinction_times
             ref = [
                 run_to_extinction_reference(init, m, seed + 50, i).extinction_time
                 for i in range(n)
@@ -467,8 +463,8 @@ def test_outcome_event_counts_match_total_releases():
     m = ModelParams(1.0, 0.0, NO_OFFSPRING)
     for k in (1, 2, 5):
         out = run_one(PopulationState.from_counts({k: 1}), m, 800, k)
-        assert out.event_count == k
-        assert out.peak_hosts == 1
+        assert out.event_counts[0] == k
+        assert out.peak_hosts[0] == 1
 
 
 LOW21 = 2**21 - 1
@@ -707,7 +703,7 @@ class TestBatchEngine:
             batch = run_batch(init, m, 123, replicates=n, horizon=horizon)
             longest = int(np.argmax(batch.event_counts))
             for i in sorted({0, 1, 17, n - 1, longest}):
-                assert batch[i] == run_one(init, m, 123, i, horizon=horizon)
+                assert outcome(batch, i) == outcome(run_one(init, m, 123, i, horizon=horizon))
 
     def test_kernel_same_for_any_population_count(self):
         # one event on 300 populations at once (running sums added row by
@@ -746,27 +742,31 @@ class TestBatchEngine:
         assert set(held) < set(together.types.tolist())
 
     def test_batch_outcomes_sequence(self):
+        # a batch has a length, iterates as one SimOutcome per replicate
+        # (built once) and equals a batch of the same outcomes
         m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
         init = PopulationState.from_counts({2: 1})
         n = 40
         batch = run_batch(init, m, 77, replicates=n, horizon=1.0)
         singles = [run_one(init, m, 77, i, horizon=1.0) for i in range(n)]
         assert len(batch) == n
-        assert list(batch) == singles
-        assert batch[-1] == singles[-1] and batch[-n] == singles[0]
-        with pytest.raises(IndexError):
-            batch[n]
-        assert batch == singles and singles == batch
-        assert batch != singles[:-1]
+        for name in ARRAYS:
+            together = np.concatenate([getattr(one, name) for one in singles])
+            assert np.array_equal(getattr(batch, name), together), name
+        assert 0 < batch.censored.sum() < n
+        outcomes = list(batch)
+        assert [next(iter(one)) for one in singles] == outcomes
+        assert all(a is b for a, b in zip(batch, outcomes))
+        assert [o.censored for o in outcomes] == batch.censored.tolist()
+        assert [o.horizon for o in outcomes] == [1.0] * n
+        assert [
+            math.inf if o.censored else o.extinction_time for o in outcomes
+        ] == batch.extinction_times.tolist()
+        assert [o.event_count for o in outcomes] == batch.event_counts.tolist()
+        assert [o.peak_hosts for o in outcomes] == batch.peak_hosts.tolist()
         assert batch == run_batch(init, m, 77, replicates=n, horizon=1.0)
         assert batch != run_batch(init, m, 78, replicates=n, horizon=1.0)
-        assert 0 < batch.censored.sum() < n
-        assert batch.censored.tolist() == [o.extinction_time is None for o in batch]
-        assert batch.extinction_times.tolist() == [
-            math.inf if o.censored else o.extinction_time for o in singles
-        ]
-        assert batch.event_counts.tolist() == [o.event_count for o in singles]
-        assert batch.peak_hosts.tolist() == [o.peak_hosts for o in singles]
+        assert batch != run_batch(init, m, 77, replicates=n, horizon=2.0)
 
     def test_work_counters_logged(self, caplog, monkeypatch):
         # a budget of 128 one-row families at the start: the batch needs a
@@ -833,7 +833,7 @@ class TestBatchEngine:
                 monkeypatch.setattr(simulator, "_ALONE", alone)
                 batches.append(run_batch(init, m, 31, replicates=64, horizon=horizon))
             steps, alone = batches
-            for name in ("extinction_times", "censored", "event_counts", "peak_hosts"):
+            for name in ARRAYS:
                 assert np.array_equal(getattr(steps, name), getattr(alone, name)), name
             if horizon is not None:
                 assert 0 < steps.censored.sum() < 64
@@ -846,6 +846,18 @@ class TestBatchEngine:
             with pytest.raises(BudgetError) as exc:
                 run_batch(init, m, 3, replicates=40, max_events=budget)
             assert exc.value.replicate == int(np.flatnonzero(counts > budget)[0])
+
+    def test_unreached_horizon_changes_nothing(self):
+        # at a horizon no replicate reaches, the step that censors ends every
+        # family as the step without a horizon does
+        for counts, m in (
+            ({1: 3, 3: 1}, ModelParams(1.0, 0.0, TWO_POINT)),
+            ({2: 1}, ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))),
+        ):
+            init = PopulationState.from_counts(counts)
+            free, far = (run_batch(init, m, 123, 2000, horizon=h) for h in (None, 1e300))
+            for name in ARRAYS:
+                assert np.array_equal(getattr(free, name), getattr(far, name)), name
 
     def test_alone_breaks_ties_as_the_kernel(self, monkeypatch):
         # a scaled uniform exactly on a running sum picks the next type, in
@@ -866,9 +878,9 @@ class TestBatchEngine:
     def test_budget_error_replicate_independent_of_pool(self, monkeypatch):
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts({1: 20})
-        counts = [o.event_count for o in run_batch(init, m, 3, replicates=40)]
-        budget = max(counts[:5])
-        first = next(i for i, c in enumerate(counts) if c > budget)
+        counts = run_batch(init, m, 3, replicates=40).event_counts
+        budget = int(counts[:5].max())
+        first = int(np.flatnonzero(counts > budget)[0])
         for cells in (5, simulator.POOL_CELLS):
             monkeypatch.setattr(simulator, "POOL_CELLS", cells)
             with pytest.raises(BudgetError) as exc:
@@ -946,8 +958,8 @@ class TestBatchEngine:
     def test_peak_hosts_sums_family_peaks(self):
         m = ModelParams(1.0, 0.0, NO_OFFSPRING)
         out = run_one(PopulationState.from_counts({2: 3}), m, 1, 0)
-        assert out.peak_hosts == 3
-        assert out.event_count == 6
+        assert out.peak_hosts[0] == 3
+        assert out.event_counts[0] == 6
 
 
 class TestExactExtinctionLaw:
@@ -961,7 +973,7 @@ class TestExactExtinctionLaw:
         # q_k = 1 - (1 - q_1)^k and the law is (1 - q_1)^{sum k z_k}
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts(self.Z)
-        times = [o.extinction_time for o in run_batch(init, m, 901, replicates=200)]
+        times = run_batch(init, m, 901, replicates=200).extinction_times
         spores = init.n_spores
 
         def cdf(ts):
@@ -973,7 +985,7 @@ class TestExactExtinctionLaw:
     def test_poisson_with_removal(self):
         m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
         init = PopulationState.from_counts(self.Z)
-        times = [o.extinction_time for o in run_batch(init, m, 902, replicates=200)]
+        times = run_batch(init, m, 902, replicates=200).extinction_times
         t_max = 45.0
         assert max(times) < t_max
         curves = solve_survival(TruncatedSystem(m, K=20), t_max=t_max, tol=1e-10, dt=0.1)
