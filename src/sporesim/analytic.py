@@ -20,13 +20,11 @@ u_k = e^{sigma*t} q_k, sigma = max(decay rate, 0), with a step end on every
 grid point.  u_k stays O(k) for subcritical models, so absolute error control
 on u gives *relative* accuracy on q deep into the tail (where q underflows
 any absolute tolerance), and |q error| = e^{-sigma*t} |u error| <= tol.
-:func:`backward_rhs` is the one right-hand side, in q (sigma = 0) or in u;
-the integrator evaluates the same formula in place, through preallocated
-buffers, with the same operations in the same order, so its rows are bit for
-bit those of the allocating form.  Each pass yields its grid rows as it
-reaches them: two passes at different tolerances advance together and are
-compared row by row, a pass that loses is dropped where it loses, and a
-caller may stop both at a grid row (:func:`estimate_constant` stops at t*).
+:func:`_rhs_kernel` is the one right-hand side, in q (sigma = 0) or in u,
+evaluated in place through preallocated buffers.  Each pass yields its grid
+rows as it reaches them: two passes at different tolerances advance together
+and are compared row by row, a pass that loses is dropped where it loses, and
+a caller may stop both at a grid row (:func:`estimate_constant` stops at t*).
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ class SurvivalCurve:
     ts: np.ndarray
     qs: np.ndarray
     err: np.ndarray
-    source: str  # "ode", "closed_form" or "monte_carlo"
+    source: str  # "ode" or "monte_carlo"
 
 
 @dataclass(frozen=True)
@@ -111,10 +109,18 @@ class ConstantEstimate:
 
 def _rhs_kernel(sys: TruncatedSystem, sigma: float, q: np.ndarray, tmp: np.ndarray):
     """The backward system's right-hand side at the vector ``q`` as an
-    in-place kernel ``f(out, t)``: writes the derivative at (t, q) to ``out``,
-    through the scratch vector ``tmp``, and returns ``out``.  The per-solve
-    constants (sigma - rho) - beta k and p~_1 .. p~_K and the shifted views
-    are made here once."""
+    in-place kernel ``f(out, t)``: writes the derivative of (q_1 .. q_K) at
+    (t, q) to ``out``, through the scratch vector ``tmp``, and returns ``out``:
+
+        (sigma - rho - beta k) q_k + beta k (q_{k-1} (1 - e^{-sigma t} w) + w),
+        w = sum_j p~_j q_j.
+
+    Index i of the vector holds type i+1; q_0 is identically 0.  Component 1
+    reduces exactly to q_1' = -(rho + beta) q_1 + beta * sum_j p~_j q_j.
+    With sigma > 0 ``q`` holds u = e^{sigma t} q at time t and the result is
+    u', in which only e^{-sigma t} times the offspring sum can underflow.
+    The per-solve constants (sigma - rho) - beta k and p~_1 .. p~_K and the
+    shifted views are made here once."""
     release = sys.release_rates
     linear = sigma - sys.params.rho - release
     ptail = sys.offspring_table[1:]
@@ -132,25 +138,6 @@ def _rhs_kernel(sys: TruncatedSystem, sigma: float, q: np.ndarray, tmp: np.ndarr
         return np.add(out, tmp, out=out)
 
     return f
-
-
-def backward_rhs(
-    q: np.ndarray, sys: TruncatedSystem, sigma: float = 0.0, t: float = 0.0
-) -> np.ndarray:
-    """Derivative of (q_1 .. q_K) under the truncated backward system:
-
-        (sigma - rho - beta k) q_k + beta k (q_{k-1} (1 - e^{-sigma t} w) + w),
-        w = sum_j p~_j q_j.
-
-    Index i of the vector holds type i+1; q_0 is identically 0.  Component 1
-    reduces exactly to q_1' = -(rho + beta) q_1 + beta * sum_j p~_j q_j.
-    With sigma > 0 it holds u = e^{sigma t} q at time t and the result is
-    u', in which only e^{-sigma t} times the offspring sum can underflow.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (sys.K,):
-        raise ValueError(f"expected shape ({sys.K},), got {q.shape}")
-    return _rhs_kernel(sys, sigma, q, np.empty_like(q))(np.empty_like(q), t)
 
 
 # Dormand-Prince 5(4): nodes, stage rows (the last is the fifth-order step, its
@@ -293,20 +280,36 @@ def _solve_scaled(
     return fine.U[: m + 1], sigma, point_err[: m + 1]
 
 
+# the most points an output grid holds: each costs K values per solver pass
+MAX_GRID_POINTS = 10**7
+
+
 def default_dt(t_max: float) -> float:
     """Output grid spacing used when none is given: t_max/400 clamped to [1e-3, 0.5]."""
     return min(0.5, max(t_max / 400.0, 1e-3))
 
 
-def _grid(t_max: float, dt: float | None) -> np.ndarray:
+def constant_dt(a: float) -> float:
+    """Output grid spacing of :func:`estimate_constant`: (10/a)/100, at most 0.5."""
+    return min(0.5, 10.0 / a / 100.0)
+
+
+def grid_intervals(t_max: float, dt: float | None) -> int:
+    """Intervals of the output grid over [0, t_max] at spacing dt (None: default_dt);
+    ValueError unless both are positive and it has at most MAX_GRID_POINTS points."""
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     if dt is None:
         dt = default_dt(t_max)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    n = max(1, math.ceil(t_max / dt))
-    return np.linspace(0.0, t_max, n + 1)
+    if not t_max / dt <= MAX_GRID_POINTS - 1:
+        raise ValueError(f"t_max/dt = {t_max:g}/{dt:g} gives over {MAX_GRID_POINTS:g} grid points")
+    return max(1, math.ceil(t_max / dt))
+
+
+def _grid(t_max: float, dt: float | None) -> np.ndarray:
+    return np.linspace(0.0, t_max, grid_intervals(t_max, dt) + 1)
 
 
 def solve_survival(
@@ -404,7 +407,7 @@ def estimate_constant(
     t_floor = 10.0 / a
     if t_max is None:
         t_max = 30.0 / a
-    ts = _grid(t_max, min(0.5, t_floor / 100.0))
+    ts = _grid(t_max, constant_dt(a))
 
     def rel_change(h: np.ndarray, i: int) -> float:
         return abs(h[i] - h[i - 1]) / (h[i] * (ts[i] - ts[i - 1]))

@@ -50,8 +50,10 @@ from .analytic import (
     _grid,
     closed_form_linear_fractional,
     closed_form_mu0,
+    constant_dt,
     default_dt,
     estimate_constant,
+    grid_intervals,
     linear_fractional_constant,
     solve_survival,
 )
@@ -239,6 +241,19 @@ _LEADING_CONSTANT = _bound(
 
 def _window_a(a, s: dict, m: ModelParams) -> None:
     tail_exponent(m, a)
+
+
+# bounds of the keys that fix an output grid: see analytic.grid_intervals
+def _spacing(dt, s: dict, m: ModelParams) -> None:
+    grid_intervals(s["t_max"], dt)
+
+
+def _window_spacing(dt, s: dict, m: ModelParams) -> None:
+    grid_intervals(s["window"][1], dt)
+
+
+def _constant_span(t_max, s: dict, m: ModelParams) -> None:
+    grid_intervals(t_max, constant_dt(s["a"]))
 
 
 REQUIRED = object()  # Key default: the key must be given
@@ -663,7 +678,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         keys=(
             Key("k", _types),
             Key("t_max", _number, REQUIRED, _POSITIVE),
-            Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _POSITIVE),
+            Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _spacing),
             Key("method", _one_of("ode", "mc", "both"), "ode"),
             Key("K", _integer, lambda s, m: max(max(s["k"]), 20), _COVERS_K),
             Key("tol", _number, 1e-9, _POSITIVE),
@@ -680,7 +695,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("K", _integer, 20, _POSITIVE),
             Key("tol", _number, 1e-8, _POSITIVE),
             Key("solver_tol", _number, 1e-9, _POSITIVE),
-            Key("t_max", _number, lambda s, m: 30.0 / s["a"], _POSITIVE),
+            Key("t_max", _number, lambda s, m: 30.0 / s["a"], _constant_span),
         ),
         run=_run_constant,
         subcritical=True,
@@ -702,7 +717,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         keys=(
             Key("k", _types, [1, 2, 5]),
             Key("t_max", _number, 5.0, _POSITIVE),
-            Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _POSITIVE),
+            Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _spacing),
             Key("K", _integer, lambda s, m: max(max(s["k"]), 4), _COVERS_K),
             Key("tol", _number, 1e-9, _POSITIVE),
             Key("match_tol", _number, 1e-7, _POSITIVE),
@@ -719,7 +734,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             ),
             Key("K", _integer, 20, _POSITIVE),
             Key("tol", _number, 1e-9, _POSITIVE),
-            Key("dt", _number, lambda s, m: default_dt(s["window"][1]), _POSITIVE),
+            Key("dt", _number, lambda s, m: default_dt(s["window"][1]), _window_spacing),
         ),
         run=_run_slope,
         subcritical=True,
@@ -798,7 +813,10 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:  # not an OSError
+            raise ConfigError("", f"not UTF-8 text: {e}") from e
         cfg = parse_config(text)
 
         if args.command == "validate":

@@ -121,30 +121,10 @@ class OffspringDistribution:
             return self.param
         return (1.0 - self.param) / self.param
 
-    @cached_property
-    def second_moment(self) -> float:
-        if self.kind == "table":
-            return float(sum(j * j * p for j, p in enumerate(self.probs)))
-        if self.kind == "poisson":
-            m = self.param
-            return m + m * m
-        p = self.param
-        return (1.0 - p) * (2.0 - p) / (p * p)
-
     @property
     def max_support(self) -> int | None:
         """Largest attainable value, or None for unbounded support."""
         return len(self.probs) - 1 if self.kind == "table" else None
-
-    def pmf(self, j: int) -> float:
-        if j < 0:
-            return 0.0
-        if self.kind == "table":
-            return self.probs[j] if j < len(self.probs) else 0.0
-        if self.kind == "poisson":
-            m = self.param
-            return math.exp(-m + j * math.log(m) - math.lgamma(j + 1))
-        return (1.0 - self.param) ** j * self.param
 
     def pmf_table(self, kmax: int) -> np.ndarray:
         """Probabilities (p_0 .. p_kmax) as an array; entries above the table

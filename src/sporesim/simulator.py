@@ -457,14 +457,14 @@ class _Rows:
         ("column", np.intp),
     )
 
-    def __init__(self, m: ModelParams, n: int, types):
+    def __init__(self, m: ModelParams, types):
         self.m = m
         self.counts = np.zeros((0, 0))
         self.types = np.zeros(0, dtype=np.intp)
         self.relayout(types)
         for name, dtype in self._VECTORS:
             setattr(self, name, np.zeros(0, dtype=dtype))
-        self.grow(n)
+        self.lanes = np.arange(0)
         # an offspring prefix u decides the count j drawn at it when
         # u + slack stays below P(J <= j): below these bounds (rounded down),
         # and below 0 past the table's top
@@ -729,7 +729,7 @@ def _simulate(
     lanes_at_start = rows_at_start = most_rows = 0
 
     if n_families:
-        pool = _Rows(m, 0, types)
+        pool = _Rows(m, types)
 
         def budget() -> int:
             # families the budget allows over the pool's rows; the pool grows

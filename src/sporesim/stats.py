@@ -27,17 +27,17 @@ class WindowError(ValueError):
     """Fit window contains unusable (nonpositive or too few) curve points."""
 
 
-def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; valid at 0 and n."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion; valid at 0 and n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= successes <= n:
         raise ValueError("successes must lie in [0, n]")
     phat = successes / n
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / n
     center = (phat + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
+    half = WILSON_Z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
     # at s = 0 and s = n the bounds are 0 and 1 exactly, which rounding can
     # miss by an ulp; clamping to the estimate keeps low <= s/n <= high
     return min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
@@ -182,8 +182,6 @@ def gumbel_experiment(
         raise ValueError("extinction-time experiment requires a subcritical model")
     if not 0.0 < C <= 1.0:
         raise ValueError("leading constant must lie in (0, 1]")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
     init = PopulationState.from_counts(z)
     if init.extinct:
         raise ValueError("initial counts must contain at least one host")

@@ -2,8 +2,9 @@
 `sporesim.analytic._Pass` must reproduce bit for bit.
 
 Each stage builds fresh arrays, u + step * (A_i @ ks[:i]), and calls
-`backward_rhs`; the step-size control is the production one.  Returns the
-whole pass at once: (U, accepted, rejected).
+`backward_rhs`, the production right-hand side on fresh buffers; the
+step-size control is the production one.  Returns the whole pass at once:
+(U, accepted, rejected).
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ import math
 
 import numpy as np
 
-from sporesim.analytic import _DP_A, _DP_C, _DP_E, SolverError, TruncatedSystem, backward_rhs
+from sporesim.analytic import _DP_A, _DP_C, _DP_E, SolverError, TruncatedSystem, _rhs_kernel
+
+
+def backward_rhs(q, sys: TruncatedSystem, sigma: float = 0.0, t: float = 0.0) -> np.ndarray:
+    """The derivative at (t, q) in a new array: `_rhs_kernel` on fresh buffers."""
+    q = np.asarray(q, dtype=float)
+    return _rhs_kernel(sys, sigma, q, np.empty_like(q))(np.empty_like(q), t)
 
 
 def dopri5(

@@ -163,18 +163,17 @@ def truncation_level(d: OffspringDistribution, epsilon: float, beta: float) -> i
     target = d.mean - epsilon / beta
     if target < 0.0:
         return 1
-    partial = 0.0
-    k = 0
-    limit = len(d.probs) - 1 if d.kind == "table" else 10_000_000
-    while k < limit:
-        k += 1
-        partial += k * d.pmf(k)
-        if partial > target and k >= 1:
-            return k
+    # partial means sum_{j <= k} j p_j over the sampling table, which is a
+    # table law's whole support
+    top = len(d.cumulative) - 1
+    partial = np.cumsum(np.arange(top + 1) * d.pmf_table(top))
+    reached = np.flatnonzero(partial[1:] > target)
+    if len(reached):
+        return int(reached[0]) + 1
     if d.kind == "table":
         # full support reached; the complete mean always satisfies the bound
-        return max(1, len(d.probs) - 1)
-    raise RuntimeError("truncation level search did not terminate")
+        return max(1, top)
+    raise RuntimeError("no truncation level within the sampling table")
 
 
 @dataclass(frozen=True)

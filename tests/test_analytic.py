@@ -5,8 +5,9 @@ import signal
 
 import numpy as np
 import pytest
-from reference_dopri5 import dopri5
+from reference_dopri5 import backward_rhs, dopri5
 from scipy.integrate import solve_ivp
+from scipy.stats import poisson
 
 from sporesim import (
     ModelParams,
@@ -18,14 +19,15 @@ from sporesim import (
 from sporesim import analytic
 from sporesim.model import tail_exponent
 from sporesim.analytic import (
+    MAX_GRID_POINTS,
     NonConvergenceError,
     SolverError,
     _grid,
     _Pass,
     _solve_scaled,
-    backward_rhs,
     closed_form_linear_fractional,
     closed_form_mu0,
+    grid_intervals,
     linear_fractional_constant,
 )
 from survival_checks import (
@@ -86,11 +88,6 @@ class TestBackwardRhs:
             expected = -(0.6 + 0.8) * q[0] + 0.8 * float(ptail @ q)
             assert backward_rhs(q, sys)[0] == pytest.approx(expected, abs=1e-14)
 
-    def test_shape_checked(self):
-        sys = TruncatedSystem(LF_MODEL, K=2)
-        with pytest.raises(ValueError):
-            backward_rhs(np.ones(3), sys)
-
 
 class TestTruncatedSystem:
     def test_table_law_unchanged_when_support_fits(self):
@@ -102,8 +99,9 @@ class TestTruncatedSystem:
     def test_poisson_tail_mass_moves_to_zero(self):
         d = OffspringDistribution.poisson(2.0)
         sys = TruncatedSystem(ModelParams(0.5, 1.0, d), K=6)
-        tail = 1.0 - sum(d.pmf(j) for j in range(7))
-        assert sys.offspring_table[0] == pytest.approx(d.pmf(0) + tail, abs=1e-12)
+        # p_0 plus the mass above K = 6
+        expected = poisson.pmf(0, 2.0) + poisson.sf(6, 2.0)
+        assert sys.offspring_table[0] == pytest.approx(expected, abs=1e-12)
         assert sys.offspring_table.sum() == pytest.approx(1.0, abs=1e-12)
         assert truncated_mean(sys) < d.mean
 
@@ -203,6 +201,15 @@ class TestSolveSurvival:
     def test_invalid_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt"):
             solve_survival(TruncatedSystem(LF_MODEL, K=2), t_max=1.0, dt=dt)
+
+    def test_grid_size_rule(self):
+        # MAX_GRID_POINTS points at most, counted without building the grid
+        assert grid_intervals(MAX_GRID_POINTS - 1.0, 1.0) == MAX_GRID_POINTS - 1
+        for t_max, dt in ((float(MAX_GRID_POINTS), 1.0), (1.0, 1e-300), (1e300, None)):
+            with pytest.raises(ValueError, match="grid points"):
+                grid_intervals(t_max, dt)
+        with pytest.raises(ValueError, match="grid points"):
+            solve_survival(TruncatedSystem(LF_MODEL, K=2), t_max=1e300)
 
     def test_err_is_measured_pass_difference(self):
         # err carries the difference of the accepted pair of passes per grid

@@ -223,6 +223,22 @@ OUT_OF_RANGE = {
         LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 5, "3": 2, "1": 3}, "seed": 1', [], "z.1"
     ),
     "gumbel-seed-repeated": (LF_MODEL_BLOCK, LF_GUMBEL + ', "seed": 1, "seed": 2', [], "seed"),
+    # grids past MAX_GRID_POINTS, reported at the key that fixes the grid
+    "survival-grid-t_max-1e300": (
+        LF_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": 1e300', [], "dt"
+    ),
+    "survival-grid-dt-1e-300": (
+        LF_MODEL_BLOCK, LF_SURVIVAL_MC + ', "dt": 1e-300, "seed": 1', [], "dt"
+    ),
+    "oracle-grid-t_max-1e300": (
+        PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "t_max": 1e300', [], "dt"
+    ),
+    "slope-grid-window-1e300": (
+        LF_MODEL_BLOCK, '"type": "slope", "window": [0, 1e300]', [], "dt"
+    ),
+    "constant-grid-t_max-1e300": (
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 1e300', [], "t_max"
+    ),
 }
 
 
@@ -559,6 +575,13 @@ class TestMain:
 
     def test_missing_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_utf8_config_rejected(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: config error at '': not UTF-8 text")
 
     def test_missing_seed_and_ephemeral(self, tmp_path, capsys):
         text = (

@@ -197,7 +197,8 @@ class TestStep:
         # all in one call and one kernel step.
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
         n = 10**5
-        rows = simulator._Rows(m, n, [1])
+        rows = simulator._Rows(m, [1])
+        rows.grow(n)
         rows.counts[0] = rows.hosts[:] = rows.spores[:] = 2.0
         removal = rows.event(*event_uniforms(5, 0, 0, np.arange(n)))[0]
         for i in (0, 1, n - 1):
@@ -481,7 +482,8 @@ def kernel_pool(m, columns, types=None):
     rows for ``types`` (default: the types the populations hold)."""
     if types is None:
         types = sorted(set().union(*columns))
-    rows = simulator._Rows(m, len(columns), types)
+    rows = simulator._Rows(m, types)
+    rows.grow(len(columns))
     for i, column in enumerate(columns):
         for k, n in column.items():
             rows.counts[rows.row_of[k], i] = n
@@ -1013,7 +1015,7 @@ def test_inverse_cdf_offspring_chi_square(law):
     n = 10**6
     u = np.random.Generator(np.random.Philox(key=4242)).random(n)
     draws = law.quantiles(u)
-    pmf = np.array([law.pmf(j) for j in range(int(draws.max()) + 1)])
+    pmf = law.pmf_table(int(draws.max()))
     top = int(np.flatnonzero(n * pmf >= 5.0).max())  # lump the sparse tail
     observed = np.bincount(np.minimum(draws, top + 1), minlength=top + 2)
     expected = n * np.append(pmf[: top + 1], max(0.0, 1.0 - pmf[: top + 1].sum()))

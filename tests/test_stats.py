@@ -282,6 +282,8 @@ class TestGumbelExperiment:
             gumbel_experiment({1: 10}, LF_MODEL, C=1.5, seed=1, replicates=2)
         with pytest.raises(ValueError):
             gumbel_experiment({}, LF_MODEL, C=0.5, seed=1, replicates=2)
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            gumbel_experiment({1: 10}, LF_MODEL, C=0.5, seed=1, replicates=0)
 
     def test_medium_population_close_to_limit(self):
         # moderate size keeps this fast; the acceptance suite runs the
