@@ -280,8 +280,12 @@ def _solve_scaled(
     return fine.U[: m + 1], sigma, point_err[: m + 1]
 
 
-# the most points an output grid holds: each costs K values per solver pass
-MAX_GRID_POINTS = 10**7
+# The memory rule: no size a run allocates by passes MAX_SIZE values.  The
+# sizes are grid points times K (a solver pass holds that many floats, and a
+# survival artifact up to twice that many rows), so grid points alone; the
+# largest host type (the engine indexes its rows by type); and replicates.
+# At this bound every experiment type runs within 2 GiB of address space.
+MAX_SIZE = 1 << 22
 
 
 def default_dt(t_max: float) -> float:
@@ -296,15 +300,15 @@ def constant_dt(a: float) -> float:
 
 def grid_intervals(t_max: float, dt: float | None) -> int:
     """Intervals of the output grid over [0, t_max] at spacing dt (None: default_dt);
-    ValueError unless both are positive and it has at most MAX_GRID_POINTS points."""
+    ValueError unless both are positive and it has at most MAX_SIZE points."""
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     if dt is None:
         dt = default_dt(t_max)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not t_max / dt <= MAX_GRID_POINTS - 1:
-        raise ValueError(f"t_max/dt = {t_max:g}/{dt:g} gives over {MAX_GRID_POINTS:g} grid points")
+    if not t_max / dt <= MAX_SIZE - 1:
+        raise ValueError(f"t_max/dt = {t_max:g}/{dt:g} gives over {MAX_SIZE} (2**22) grid points")
     return max(1, math.ceil(t_max / dt))
 
 

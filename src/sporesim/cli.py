@@ -11,14 +11,14 @@ Experiments are described by a JSON config with three blocks::
 
 Experiment types: survival (per-k curves, ODE and/or Monte Carlo), constant
 (leading-constant extraction), gumbel (extinction-time limit law), oracle
-(closed-form comparison table), slope (decay-rate fit against the model
-value).  Every block is declared once, as its keys in resolution order, each
-a `Key` with a type check, a bound and a default (which may depend on earlier
-keys and, for experiment keys, on the model): `CONFIG` (the top level),
-`MODEL`, `OUTPUT`, and the unions `OFFSPRING` on `kind` and `EXPERIMENTS` on
-`type`.  An `Experiment` also says whether it needs a subcritical model, whether
-a run with the resolved settings is randomized, and what computes its
-artifacts.  One walker resolves every block into the resolved config.
+(closed-form comparison table).  Every block is declared once, as its keys
+in resolution order, each a `Key` with a type check, a bound and a default
+(which may depend on earlier keys and, for experiment keys, on the model):
+`CONFIG` (the top level), `MODEL`, `OUTPUT`, and the unions `OFFSPRING` on
+`kind` and `EXPERIMENTS` on `type`.  An `Experiment` also says whether it
+needs a subcritical model, whether a run with the resolved settings is
+randomized, and what computes its artifacts.  One walker resolves every
+block into the resolved config.
 
 Unknown keys are rejected anywhere; every artifact embeds the fully
 resolved config (defaults filled), its hash, the RNG algorithm tag, and the
@@ -44,6 +44,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
+    MAX_SIZE,
     NonConvergenceError,
     SolverError,
     TruncatedSystem,
@@ -61,9 +62,7 @@ from .model import ModelParams, OffspringDistribution, tail_exponent
 from .simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS, RNG_ALGORITHM, BudgetError
 from .stats import (
     GUMBEL_MEDIAN,
-    WindowError,
     check_growth_condition,
-    fit_decay_rate,
     gumbel_experiment,
     survival_curve_mc,
 )
@@ -165,8 +164,8 @@ def _probs(value) -> list[float]:
 
 
 def _types(value) -> list[int]:
-    if not isinstance(value, list) or not value or min(map(_integer, value)) < 1:
-        raise ValueError("expected a nonempty list of integers >= 1")
+    if not (isinstance(value, list) and value and all(1 <= _integer(k) <= MAX_SIZE for k in value)):
+        raise ValueError("expected a nonempty list of integers in [1, 2**22]")
     return sorted(set(value))
 
 
@@ -183,15 +182,6 @@ def _optional_number(value) -> float | None:
     return None if value is None else _number(value)
 
 
-def _time_window(value) -> list[float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError("expected [t_lo, t_hi] with 0 <= t_lo < t_hi")
-    lo, hi = map(_number, value)
-    if not 0.0 <= lo < hi:
-        raise ValueError("expected [t_lo, t_hi] with 0 <= t_lo < t_hi")
-    return [lo, hi]
-
-
 def _initial_counts(value) -> dict[str, int]:
     """Sparse map type -> host count; zero counts dropped, types sorted."""
     if not isinstance(value, dict) or not value:
@@ -203,8 +193,8 @@ def _initial_counts(value) -> dict[str, int]:
         if not key.isdecimal() or str(int(key)) != key:
             raise ValueError(f"type key {key!r} is not a canonical decimal integer")
         k = int(key)
-        if k < 1:
-            raise ValueError(f"type {key!r} must be >= 1")
+        if not 1 <= k <= MAX_SIZE:
+            raise ValueError(f"type {key!r} must lie in [1, 2**22]")
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"host count of type {key!r} must be a nonnegative integer")
         if n:
@@ -227,33 +217,35 @@ def _bound(ok, message: str):
 
 
 _POSITIVE = _bound(lambda x, s, m: x > 0, "must be positive")
-_COVERS_K = _bound(
-    lambda K, s, m: K >= max(s["k"]), "truncation level K must cover every requested k"
-)
 _EVENT_BUDGET = _bound(
     lambda x, s, m: 1 <= x <= MAX_EVENTS, f"must lie in [1, {MAX_EVENTS}] (2**31 - 1)"
 )
+_REPLICATES = _bound(lambda n, s, m: 1 <= n <= MAX_SIZE, f"must lie in [1, {MAX_SIZE}] (2**22)")
 _SEED_RANGE = _bound(lambda seed, s, m: 0 <= seed < 1 << 64, "must lie in [0, 2**64)")
 _LEADING_CONSTANT = _bound(
     lambda C, s, m: C is None or 0.0 < C <= 1.0, "leading constant must lie in (0, 1]"
 )
 
 
-def _window_a(a, s: dict, m: ModelParams) -> None:
-    tail_exponent(m, a)
-
-
-# bounds of the keys that fix an output grid: see analytic.grid_intervals
+# bounds of the keys that fix an output grid, and of K over it: see analytic.MAX_SIZE
 def _spacing(dt, s: dict, m: ModelParams) -> None:
     grid_intervals(s["t_max"], dt)
 
 
-def _window_spacing(dt, s: dict, m: ModelParams) -> None:
-    grid_intervals(s["window"][1], dt)
+def _grid_cells(K: int, t_max: float, dt: float) -> None:
+    points = grid_intervals(t_max, dt) + 1
+    if K * points > MAX_SIZE:
+        raise ValueError(f"K = {K} over {points} grid points gives over {MAX_SIZE} (2**22) values")
+
+
+def _solver_K(K, s: dict, m: ModelParams) -> None:
+    if K < max(s["k"]):
+        raise ValueError("truncation level K must cover every requested k")
+    _grid_cells(K, s["t_max"], s["dt"])
 
 
 def _constant_span(t_max, s: dict, m: ModelParams) -> None:
-    grid_intervals(t_max, constant_dt(s["a"]))
+    _grid_cells(s["K"], t_max, constant_dt(s["a"]))
 
 
 REQUIRED = object()  # Key default: the key must be given
@@ -291,7 +283,9 @@ class Block(Key):
 
 
 SEED = Key("seed", _integer, OMITTED, _SEED_RANGE)
-TAIL_EXPONENT = Key("a", _number, lambda s, m: tail_exponent(m), _window_a)
+TAIL_EXPONENT = Key(
+    "a", _number, lambda s, m: tail_exponent(m), lambda a, s, m: tail_exponent(m, a)
+)
 
 
 @dataclass(frozen=True)
@@ -655,24 +649,6 @@ def _run_oracle(m: ModelParams, s: dict, directory: Path):
     return [(directory / "oracle.json", "json", payload)], ok, summary
 
 
-def _run_slope(m: ModelParams, s: dict, directory: Path):
-    lo, hi = s["window"]
-    curves = solve_survival(
-        TruncatedSystem(m, K=s["K"]), t_max=hi, tol=s["tol"], dt=s["dt"]
-    )
-    lam_fit, stderr = fit_decay_rate(curves[0], (lo, hi))
-    lam = m.decay_rate
-    payload = {
-        "lambda_fit": lam_fit,
-        "stderr": stderr,
-        "lambda_model": lam,
-        "rel_error": abs(lam_fit - lam) / lam,
-        "window": [lo, hi],
-    }
-    summary = f"fitted rate {lam_fit:.6g} vs model {lam:.6g}"
-    return [(directory / "slope.json", "json", payload)], True, summary
-
-
 EXPERIMENTS: dict[str, Experiment] = {
     "survival": Experiment(
         keys=(
@@ -680,9 +656,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("t_max", _number, REQUIRED, _POSITIVE),
             Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _spacing),
             Key("method", _one_of("ode", "mc", "both"), "ode"),
-            Key("K", _integer, lambda s, m: max(max(s["k"]), 20), _COVERS_K),
+            Key("K", _integer, lambda s, m: max(max(s["k"]), 20), _solver_K),
             Key("tol", _number, 1e-9, _POSITIVE),
-            Key("replicates", _integer, 100_000, _POSITIVE),
+            Key("replicates", _integer, 100_000, _REPLICATES),
             Key("max_events", _integer, DEFAULT_MAX_EVENTS, _EVENT_BUDGET),
             SEED,
         ),
@@ -703,7 +679,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "gumbel": Experiment(
         keys=(
             Key("z", _initial_counts),
-            Key("replicates", _integer, 2000, _POSITIVE),
+            Key("replicates", _integer, 2000, _REPLICATES),
             Key("max_events", _integer, DEFAULT_MAX_EVENTS, _EVENT_BUDGET),
             TAIL_EXPONENT,
             Key("C", _optional_number, None, _LEADING_CONSTANT),
@@ -718,26 +694,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("k", _types, [1, 2, 5]),
             Key("t_max", _number, 5.0, _POSITIVE),
             Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _spacing),
-            Key("K", _integer, lambda s, m: max(max(s["k"]), 4), _COVERS_K),
+            Key("K", _integer, lambda s, m: max(max(s["k"]), 4), _solver_K),
             Key("tol", _number, 1e-9, _POSITIVE),
             Key("match_tol", _number, 1e-7, _POSITIVE),
         ),
         run=_run_oracle,
         model_check=_oracle_covers,
-    ),
-    "slope": Experiment(
-        keys=(
-            Key(
-                "window",
-                _time_window,
-                lambda s, m: [20.0 / m.decay_rate, 40.0 / m.decay_rate],
-            ),
-            Key("K", _integer, 20, _POSITIVE),
-            Key("tol", _number, 1e-9, _POSITIVE),
-            Key("dt", _number, lambda s, m: default_dt(s["window"][1]), _window_spacing),
-        ),
-        run=_run_slope,
-        subcritical=True,
     ),
 }
 
@@ -841,7 +803,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (SolverError, NonConvergenceError, WindowError) as e:
+    except (SolverError, NonConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

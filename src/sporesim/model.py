@@ -267,7 +267,9 @@ def tail_exponent(m: ModelParams, a: float | None = None) -> float:
     the default is the midpoint min(lambda, beta)/2."""
     cap = min(m.decay_rate, m.beta)
     if cap <= 0.0:
-        raise ValueError("decay window requires a subcritical model (decay rate > 0)")
+        raise ValueError(
+            f"a tail exponent requires a subcritical model, got decay rate {m.decay_rate:g}"
+        )
     a = cap / 2.0 if a is None else float(a)
     if not 0.0 < a < cap:
         raise ValueError(f"a = {a!r} must lie in (0, {cap!r})")

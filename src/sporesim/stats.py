@@ -1,4 +1,4 @@
-"""Monte Carlo estimation, distribution comparison, and tail fitting.
+"""Monte Carlo estimation and distribution comparison.
 
 Estimates of the survival probability come with Wilson score intervals so
 that all-extinct and all-survived cells deep in the tail stay informative.
@@ -21,10 +21,6 @@ from .model import ModelParams
 from .simulator import DEFAULT_MAX_EVENTS, PopulationState, run_batch
 
 WILSON_Z = 1.96  # 95% score interval
-
-
-class WindowError(ValueError):
-    """Fit window contains unusable (nonpositive or too few) curve points."""
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -205,30 +201,3 @@ def gumbel_experiment(
         quantiles=quantiles,
         extinction_times=times,
     )
-
-
-def fit_decay_rate(
-    curve: SurvivalCurve, window: tuple[float, float]
-) -> tuple[float, float]:
-    """Least-squares slope of -ln q over a time window: (rate, stderr).
-
-    Scaling the curve by a constant shifts the log without tilting it, so
-    the fitted rate is scale-invariant.
-    """
-    lo, hi = window
-    mask = (curve.ts >= lo) & (curve.ts <= hi)
-    if mask.sum() < 3:
-        raise WindowError(f"window [{lo:g}, {hi:g}] covers fewer than 3 grid points")
-    q = curve.qs[mask]
-    if np.any(q <= 0.0):
-        raise WindowError(f"curve is not positive throughout [{lo:g}, {hi:g}]")
-    x = curve.ts[mask]
-    y = -np.log(q)
-    n = len(x)
-    xbar = x.mean()
-    sxx = float(((x - xbar) ** 2).sum())
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    var = float((resid**2).sum()) / (n - 2) if n > 2 else 0.0
-    stderr = math.sqrt(var / sxx)
-    return float(slope), stderr

@@ -7,7 +7,8 @@ lower bound q_1(t) >= c1 e^{-(lambda + epsilon) t} under truncation, the
 truncation level and truncated mean that bound needs, and the invariants
 every survival curve must satisfy.  No experiment reports them, so they live
 with the tests.  At rho = 0 the leading constant C also has a quadrature
-with no truncation, the reference for the solver's estimate.
+with no truncation, the reference for the solver's estimate, and the
+least-squares slope of -ln q_1 is acceptance criterion 2's check of lambda.
 """
 
 from __future__ import annotations
@@ -305,3 +306,34 @@ def tail_ratio_check(
         contraction_ok=contraction_ok,
         slopes=slopes,
     )
+
+
+class WindowError(ValueError):
+    """Fit window contains unusable (nonpositive or too few) curve points."""
+
+
+def fit_decay_rate(
+    curve: SurvivalCurve, window: tuple[float, float]
+) -> tuple[float, float]:
+    """Least-squares slope of -ln q over a time window: (rate, stderr).
+
+    Scaling the curve by a constant shifts the log without tilting it, so
+    the fitted rate is scale-invariant.
+    """
+    lo, hi = window
+    mask = (curve.ts >= lo) & (curve.ts <= hi)
+    if mask.sum() < 3:
+        raise WindowError(f"window [{lo:g}, {hi:g}] covers fewer than 3 grid points")
+    q = curve.qs[mask]
+    if np.any(q <= 0.0):
+        raise WindowError(f"curve is not positive throughout [{lo:g}, {hi:g}]")
+    x = curve.ts[mask]
+    y = -np.log(q)
+    n = len(x)
+    xbar = x.mean()
+    sxx = float(((x - xbar) ** 2).sum())
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    var = float((resid**2).sum()) / (n - 2) if n > 2 else 0.0
+    stderr = math.sqrt(var / sxx)
+    return float(slope), stderr

@@ -32,8 +32,8 @@ from sporesim.analytic import (
 )
 from sporesim.cli import main, parse_config
 from sporesim.model import tail_exponent
-from sporesim.stats import GUMBEL_MEDIAN, fit_decay_rate, wilson_interval
-from survival_checks import tail_ratio_check
+from sporesim.stats import GUMBEL_MEDIAN, wilson_interval
+from survival_checks import fit_decay_rate, tail_ratio_check
 
 REPO = Path(__file__).parent.parent
 

@@ -19,7 +19,7 @@ from sporesim import (
 from sporesim import analytic
 from sporesim.model import tail_exponent
 from sporesim.analytic import (
-    MAX_GRID_POINTS,
+    MAX_SIZE,
     NonConvergenceError,
     SolverError,
     _grid,
@@ -203,9 +203,9 @@ class TestSolveSurvival:
             solve_survival(TruncatedSystem(LF_MODEL, K=2), t_max=1.0, dt=dt)
 
     def test_grid_size_rule(self):
-        # MAX_GRID_POINTS points at most, counted without building the grid
-        assert grid_intervals(MAX_GRID_POINTS - 1.0, 1.0) == MAX_GRID_POINTS - 1
-        for t_max, dt in ((float(MAX_GRID_POINTS), 1.0), (1.0, 1e-300), (1e300, None)):
+        # MAX_SIZE points at most, counted without building the grid
+        assert grid_intervals(MAX_SIZE - 1.0, 1.0) == MAX_SIZE - 1
+        for t_max, dt in ((float(MAX_SIZE), 1.0), (1.0, 1e-300), (1e300, None)):
             with pytest.raises(ValueError, match="grid points"):
                 grid_intervals(t_max, dt)
         with pytest.raises(ValueError, match="grid points"):

@@ -25,7 +25,8 @@ from sporesim.cli import (
     parse_config,
     run_experiment,
 )
-from sporesim.model import ModelParams, OffspringDistribution
+from sporesim.analytic import MAX_SIZE, constant_dt, grid_intervals
+from sporesim.model import ModelParams, OffspringDistribution, tail_exponent
 from sporesim.simulator import RNG_ALGORITHM
 from survival_checks import rho_zero_constant
 
@@ -59,7 +60,6 @@ SHIPPED_CONFIG_HASHES = {
     "gumbel_linear_fractional": "e5d1420627716c6ccad7f13e3e76299914886e83fb210f5f84a7fd822f0139e0",
     "oracle_linear_fractional": "bd7844d0cb09765ed49c8bf274ff6521b64336e2c6a9b94b8daa896c59a368a5",
     "oracle_pure_death": "6346e34b86bf46deb8741e644bfae65b6055e9aa11ebdfe1d9f1af9eb15ace8e",
-    "slope_linear_fractional": "331e9989406b235535503c004926984d73b86a740283d72b3898640c73d53cce",
     "survival_linear_fractional": "c649c8389ef787050128528fa76de84aa9cdfd283b0d81dd7342bd5eec7830ea",
     "survival_poisson_mix": "708f3beed919abd36622a3fb5fc6305549ea190403b3981404375930a196aa4f",
 }
@@ -72,7 +72,6 @@ SHIPPED_ARTIFACT_DIGESTS = {
     "constant_linear_fractional/constant.json": "ea60c4b698a26116ac4fe257c6c6736e854f7fc81dc978ee6c80fb3d95a33206",
     "oracle_linear_fractional/oracle.json": "2d047e08aa89cd2923ad20267bc0771b209afd3e6f89e05c1735b20ae959ab52",
     "oracle_pure_death/oracle.json": "04951e277d4db0059dd50f12556e572046a1636b734558f69ef62d81f1e3d5ec",
-    "slope_linear_fractional/slope.json": "3fa79601c076a7354f98ca462bac3cec7fbf1cdd3bfe64fb92ff93cb3d93a24a",
     "survival_linear_fractional/survival_mc.csv": "e845c541fee277deb4770b2360c4a09400c7b449f736acc942d300f44b3d3f84",
     "survival_linear_fractional/survival_ode.csv": "16b8f03acced04c88e34fb4a188dc7b29816bb83c56218d8f129cd59fbe577a4",
     "survival_poisson_mix/survival_ode.csv": "baf0a23b78e4f0ea109826731c3f856670b9e318b899354c948caf599825ea98",
@@ -145,7 +144,6 @@ MINIMAL_CONFIGS = {
     "constant": '{%s, "experiment": {"type": "constant"}}' % LF_MODEL_BLOCK,
     "gumbel": '{%s, "experiment": {"type": "gumbel", "z": {"1": 10}}}' % LF_MODEL_BLOCK,
     "oracle": '{%s, "experiment": {"type": "oracle"}}' % LF_MODEL_BLOCK,
-    "slope": '{%s, "experiment": {"type": "slope"}}' % LF_MODEL_BLOCK,
 }
 
 LF_GUMBEL = '"type": "gumbel", "z": {"1": 10}'
@@ -185,16 +183,12 @@ OUT_OF_RANGE = {
         "z",
     ),
     "constant-K-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 0', [], "K"),
-    "slope-K-0": (LF_MODEL_BLOCK, '"type": "slope", "K": 0', [], "K"),
     "oracle-K-0": (LF_MODEL_BLOCK, '"type": "oracle", "K": 0', [], "K"),
     "oracle-K-below-k": (
         PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "k": [1, 5], "K": 2', [], "K"
     ),
     "survival-t_max-infinite": (
         LF_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": Infinity', [], "t_max"
-    ),
-    "slope-window-infinite": (
-        LF_MODEL_BLOCK, '"type": "slope", "window": [0, Infinity]', [], "window"
     ),
     "survival-dt-0": (LF_MODEL_BLOCK, LF_SURVIVAL_ODE + ', "dt": 0', [], "dt"),
     "survival-dt-negative": (LF_MODEL_BLOCK, LF_SURVIVAL_ODE + ', "dt": -1', [], "dt"),
@@ -223,7 +217,7 @@ OUT_OF_RANGE = {
         LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 5, "3": 2, "1": 3}, "seed": 1', [], "z.1"
     ),
     "gumbel-seed-repeated": (LF_MODEL_BLOCK, LF_GUMBEL + ', "seed": 1, "seed": 2', [], "seed"),
-    # grids past MAX_GRID_POINTS, reported at the key that fixes the grid
+    # grids past MAX_SIZE points, reported at the key that fixes the grid
     "survival-grid-t_max-1e300": (
         LF_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": 1e300', [], "dt"
     ),
@@ -233,12 +227,39 @@ OUT_OF_RANGE = {
     "oracle-grid-t_max-1e300": (
         PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "t_max": 1e300', [], "dt"
     ),
-    "slope-grid-window-1e300": (
-        LF_MODEL_BLOCK, '"type": "slope", "window": [0, 1e300]', [], "dt"
-    ),
     "constant-grid-t_max-1e300": (
         LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 1e300', [], "t_max"
     ),
+    # sizes past MAX_SIZE: replicates, the largest type, grid points, and grid
+    # points times K, that last one reported at the later key of the pair
+    "gumbel-replicates-10**12": (
+        LF_MODEL_BLOCK, LF_GUMBEL + ', "replicates": 1000000000000, "seed": 1', [], "replicates"
+    ),
+    "survival-mc-replicates-10**12": (
+        LF_MODEL_BLOCK,
+        LF_SURVIVAL_MC + ', "replicates": 1000000000000, "seed": 1',
+        [],
+        "replicates",
+    ),
+    "survival-K-10**9": (LF_MODEL_BLOCK, LF_SURVIVAL_ODE + ', "K": 1000000000', [], "K"),
+    "survival-k-10**9": (
+        LF_MODEL_BLOCK, '"type": "survival", "k": [1000000000], "t_max": 1.0', [], "k"
+    ),
+    "constant-K-10**9": (LF_MODEL_BLOCK, '"type": "constant", "K": 1000000000', [], "t_max"),
+    "gumbel-z-type-10**9": (
+        LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1000000000": 1}, "seed": 1', [], "z"
+    ),
+    "survival-grid-9999001-points": (
+        POISSON_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": 9999, "dt": 1e-3', [], "dt"
+    ),
+    "survival-grid-999001-points-K-20": (
+        POISSON_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": 999, "dt": 1e-3', [], "K"
+    ),
+    "oracle-grid-999001-points-K-5": (
+        PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "t_max": 999, "dt": 1e-3', [], "K"
+    ),
+    # a retired experiment type is an unknown one
+    "slope-retired": (LF_MODEL_BLOCK, '"type": "slope"', [], "type"),
 }
 
 
@@ -246,7 +267,7 @@ OUT_OF_RANGE = {
 def in_range_configs(draw):
     """A config every key of which is in range, for any experiment type and
     offspring kind; each optional key is given or left to its default."""
-    kind = draw(st.sampled_from(["survival", "constant", "gumbel", "oracle", "slope"]))
+    kind = draw(st.sampled_from(["survival", "constant", "gumbel", "oracle"]))
     beta = draw(st.floats(0.1, 5.0))
     if kind == "oracle":  # a model some closed form covers
         p0 = draw(st.floats(0.0, 1.0).filter(lambda p: p != 0.5))
@@ -283,11 +304,13 @@ def in_range_configs(draw):
 
     if kind in ("survival", "oracle"):
         if kind == "survival" or draw(st.booleans()):
-            e["k"] = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
-        if kind == "survival" or draw(st.booleans()):
             e["t_max"] = draw(st.floats(0.1, 50.0))
         maybe("dt", st.floats(1e-3, 1.0))
-        maybe("K", st.integers(max(e.get("k", [1, 2, 5])), 40))
+        # K and every type up to the most the grid allows: MAX_SIZE values
+        top = MAX_SIZE // (grid_intervals(e.get("t_max", 5.0), e.get("dt")) + 1)
+        if kind == "survival" or draw(st.booleans()):
+            e["k"] = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
+        maybe("K", st.integers(max(e.get("k", [1, 2, 5])), top))
         maybe("tol", st.floats(1e-12, 1e-3))
     if kind == "survival":
         maybe("method", st.sampled_from(["ode", "mc", "both"]))
@@ -298,26 +321,19 @@ def in_range_configs(draw):
     if kind == "constant":
         maybe("solver_tol", st.floats(1e-12, 1e-3))
         maybe("t_max", st.floats(1.0, 1e3))
-    if kind in ("constant", "slope"):
-        maybe("K", st.integers(1, 40))
+        a = e.get("a", tail_exponent(m))
+        points = grid_intervals(e.get("t_max", 30.0 / a), constant_dt(a)) + 1
+        maybe("K", st.integers(1, MAX_SIZE // points))
         maybe("tol", st.floats(1e-12, 1e-3))
-    if kind == "slope":
-        maybe(
-            "window",
-            st.tuples(st.floats(0.0, 100.0), st.floats(0.1, 100.0)).map(
-                lambda w: [w[0], w[0] + w[1]]
-            ),
-        )
-        maybe("dt", st.floats(1e-3, 1.0))
     if kind == "gumbel":
         e["z"] = draw(
             st.dictionaries(
-                st.integers(1, 50).map(str), st.integers(0, 1000), min_size=1, max_size=4
+                st.integers(1, MAX_SIZE).map(str), st.integers(0, 1000), min_size=1, max_size=4
             ).filter(lambda z: any(z.values()))
         )
         maybe("C", st.one_of(st.none(), st.floats(1e-6, 1.0)))
     if kind in ("survival", "gumbel"):
-        maybe("replicates", st.integers(1, 10**6))
+        maybe("replicates", st.integers(1, MAX_SIZE))
         maybe("max_events", st.integers(1, 2**31 - 1))
         maybe("seed", st.integers(0, 2**64 - 1))
     config = {"model": {"beta": beta, "rho": rho, "offspring": offspring}, "experiment": e}
@@ -514,16 +530,6 @@ class TestRunExperiment:
         result = run_experiment(cfg, out_dir=str(tmp_path / "s"))
         assert (tmp_path / "s" / "survival_ode.csv").exists()
         assert (tmp_path / "s" / "survival_mc.csv").exists()
-
-    def test_slope_artifact(self, tmp_path):
-        cfg = parse_config(
-            '{%s, "experiment": {"type": "slope", "window": [20.0, 40.0], '
-            '"K": 2, "dt": 0.25}}' % LF_MODEL_BLOCK
-        )
-        result = run_experiment(cfg, out_dir=str(tmp_path / "sl"))
-        report = json.loads((tmp_path / "sl" / "slope.json").read_text())
-        assert report["rel_error"] < 0.005
-        assert report["lambda_model"] == pytest.approx(0.2)
 
 
 class TestMain:
@@ -805,7 +811,7 @@ class TestShippedConfigs:
     def test_all_parse(self):
         for path in sorted(Path(__file__).parent.parent.glob("configs/*.json")):
             cfg = parse_config(path.read_text(encoding="utf-8"))
-            assert cfg.kind in ("survival", "constant", "gumbel", "oracle", "slope")
+            assert cfg.kind in ("survival", "constant", "gumbel", "oracle")
 
     def test_config_hashes_pinned(self):
         hashes = {

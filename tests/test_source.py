@@ -34,3 +34,18 @@ def test_readme_library_example_names_exist():
     }
     assert blocks and used, "README has no Python block using sp.<name>"
     assert sorted(name for name in used if not hasattr(sporesim, name)) == []
+
+
+def test_readme_experiment_table_matches_schema():
+    # a row per experiment type, no row for a retired one, and every key of
+    # a type named in backticks in its row
+    from sporesim.cli import EXPERIMENTS
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(\w+)` +\|(.*)\|$", readme, flags=re.M))
+    assert sorted(rows) == sorted(EXPERIMENTS)
+    missing = {
+        kind: [key.name for key in spec.keys if f"`{key.name}`" not in rows[kind]]
+        for kind, spec in EXPERIMENTS.items()
+    }
+    assert missing == {kind: [] for kind in EXPERIMENTS}

@@ -10,9 +10,7 @@ from sporesim import ModelParams, OffspringDistribution, gumbel_experiment, surv
 from sporesim.analytic import SurvivalCurve, closed_form_mu0
 from sporesim.stats import (
     GUMBEL_MEDIAN,
-    WindowError,
     check_growth_condition,
-    fit_decay_rate,
     gumbel_cdf,
     gumbel_quantile,
     ks_distance,
@@ -20,7 +18,7 @@ from sporesim.stats import (
     sorted_quantile,
     wilson_interval,
 )
-from survival_checks import validate_curve
+from survival_checks import WindowError, fit_decay_rate, validate_curve
 
 NO_OFFSPRING = OffspringDistribution.table([1.0])
 TWO_POINT = OffspringDistribution.table([0.6, 0.0, 0.4])
