@@ -380,6 +380,21 @@ def linear_fractional_constant(p0: float, p2: float) -> float:
     return 1.0 - p2 / p0
 
 
+def constant_levels(m: ModelParams, K: int | None = None) -> tuple[int, ...]:
+    """Truncation levels :func:`estimate_constant` may solve from K (None: a table
+    law's support, at least 2, else 20): K and 2K for a table law, else K, 2K, .. 16K."""
+    support = m.offspring.max_support
+    if K is None:
+        K = max(support, 2) if support is not None else 20
+    return (K, 2 * K) if support is not None else tuple(K << i for i in range(5))
+
+
+def check_settling_span(t_max: float, a: float) -> None:
+    """ValueError unless t_max reaches the settling time 10/a of :func:`estimate_constant`."""
+    if not t_max >= 10.0 / a:
+        raise ValueError(f"t_max = {t_max:g} ends before the settling time 10/a = {10.0 / a:g}")
+
+
 def estimate_constant(
     sys: TruncatedSystem,
     a: float | None = None,
@@ -392,25 +407,28 @@ def estimate_constant(
     Tracks h(t) = e^{lambda t} q_1(t) (nonincreasing, positive) and stops at
     the first grid time t* >= 10/a where the relative change per unit time
     drops below tol; both solver passes stop there, so no row past t* is
-    solved.  The system is re-solved at truncation 2K, stopped the same way,
-    and the change in the estimate is reported as a convergence diagnostic.
+    solved.  The levels of :func:`constant_levels` from sys.K are solved in
+    turn, and the first one that settles with its double gives the estimate;
+    the change to the double's is reported as a convergence diagnostic.
 
     Args:
-        sys: Truncated backward system; its model must be subcritical.
+        sys: Truncated backward system at the first level; its model must
+            be subcritical.
         a: Tail exponent in (0, min(lambda, beta)); default min(lambda, beta)/2.
         tol: Relative-settling threshold per unit time.
         solver_tol: Absolute tolerance handed to the ODE solver.
-        t_max: Integration end; default 30/a.  The output grid spacing is
-            min(0.5, (10/a)/100).
+        t_max: Integration end, at least 10/a; default 30/a.  The output
+            grid spacing is min(0.5, (10/a)/100).
 
     Raises:
-        NonConvergenceError: h(t) not settled before t_max (carries the
-            trailing h values).
+        NonConvergenceError: h(t) not settled before t_max at a level with
+            no pair left to try (carries that level's trailing h values).
     """
     a = tail_exponent(sys.params, a)
     t_floor = 10.0 / a
     if t_max is None:
         t_max = 30.0 / a
+    check_settling_span(t_max, a)
     ts = _grid(t_max, constant_dt(a))
 
     def rel_change(h: np.ndarray, i: int) -> float:
@@ -419,24 +437,35 @@ def estimate_constant(
     def settled(U: np.ndarray, i: int) -> bool:
         return i > 0 and ts[i] >= t_floor and rel_change(U[:, 0], i) < tol
 
-    def extract(system: TruncatedSystem) -> tuple[float, int, float]:
-        U, _, _ = _solve_scaled(system, ts, solver_tol, stop=settled)
+    def extract(K: int) -> tuple[float, int, float]:
+        U, _, _ = _solve_scaled(TruncatedSystem(sys.params, K=K), ts, solver_tol, stop=settled)
         h = U[:, 0]  # e^{lambda t} q_1(t) exactly, since sigma = lambda here
         i = len(h) - 1
         if not settled(U, i):
             raise NonConvergenceError(
-                f"e^(lambda t) q_1(t) did not settle to {tol:g}/unit time by t={t_max:g}",
+                f"e^(lambda t) q_1(t) did not settle to {tol:g}/unit time by t={t_max:g} "
+                f"at K={K}",
                 tail=h[-10:],
             )
         return float(h[i]), i, float(rel_change(h, i))
 
-    c_hat, row, last_rel = extract(sys)
-    c_double, row_double, _ = extract(TruncatedSystem(params=sys.params, K=2 * sys.K))
-    change = abs(c_double - c_hat)
+    levels, found = constant_levels(sys.params, sys.K), {}
+    for K in levels:
+        try:
+            found[K] = extract(K)
+        except NonConvergenceError:
+            if K >= levels[-2]:  # no pair left to try
+                raise
+        else:
+            if K // 2 in found:
+                break
+    (c_hat, row, last_rel), (c_double, row_double, _) = found[K // 2], found[K]
     t_star = float(ts[row])
+    unsettled = ", ".join(str(L) for L in levels if L < K and L not in found)
     logger.debug(
         "constant estimate, K=%d and 2K=%d: t*=%.6g at grid row %d of %d; rows solved %d at K "
-        "and %d at 2K", sys.K, 2 * sys.K, t_star, row, len(ts), row + 1, row_double + 1,
+        "and %d at 2K%s", K // 2, K, t_star, row, len(ts), row + 1, row_double + 1,
+        f"; unsettled at K = {unsettled}" if unsettled else "",
     )
 
     # the solver can overshoot 1 by its own tolerance when C = 1 exactly
@@ -447,8 +476,7 @@ def estimate_constant(
     return ConstantEstimate(
         c_hat=c_hat,
         t_star=t_star,
-        K=sys.K,
+        K=K // 2,
         last_rel_change=last_rel,
-        k_doubling_change=change,
+        k_doubling_change=abs(c_double - c_hat),
     )
-

@@ -49,9 +49,11 @@ from .analytic import (
     SolverError,
     TruncatedSystem,
     _grid,
+    check_settling_span,
     closed_form_linear_fractional,
     closed_form_mu0,
     constant_dt,
+    constant_levels,
     default_dt,
     estimate_constant,
     grid_intervals,
@@ -245,7 +247,8 @@ def _solver_K(K, s: dict, m: ModelParams) -> None:
 
 
 def _constant_span(t_max, s: dict, m: ModelParams) -> None:
-    _grid_cells(s["K"], t_max, constant_dt(s["a"]))
+    check_settling_span(t_max, s["a"])
+    _grid_cells(constant_levels(m, s["K"])[-1], t_max, constant_dt(s["a"]))
 
 
 REQUIRED = object()  # Key default: the key must be given
@@ -498,17 +501,8 @@ def _resolve_gumbel_constant(m: ModelParams, s: dict) -> tuple[float, str]:
         return linear_fractional_constant(m.offspring.probs[0], m.offspring.probs[2]), (
             "linear_fractional"
         )
-    # a table law is exact at its support; an unbounded one starts at K = 20
-    # and doubles K, up to 160, while e^(lambda t) q_1(t) does not settle
-    support = m.offspring.max_support
-    K = max(support, 2) if support is not None else 20
-    while True:
-        try:
-            return estimate_constant(TruncatedSystem(m, K=K), s["a"]).c_hat, "backward_system"
-        except NonConvergenceError:
-            if support is not None or K >= 160:
-                raise
-            K *= 2
+    est = estimate_constant(TruncatedSystem(m, K=constant_levels(m)[0]), s["a"])
+    return est.c_hat, "backward_system"
 
 
 def _run_survival(m: ModelParams, s: dict, directory: Path):
@@ -668,7 +662,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "constant": Experiment(
         keys=(
             TAIL_EXPONENT,
-            Key("K", _integer, 20, _POSITIVE),
+            Key("K", _integer, lambda s, m: constant_levels(m)[0], _POSITIVE),
             Key("tol", _number, 1e-8, _POSITIVE),
             Key("solver_tol", _number, 1e-9, _POSITIVE),
             Key("t_max", _number, lambda s, m: 30.0 / s["a"], _constant_span),

@@ -587,6 +587,68 @@ class TestEstimateConstant:
     def test_rho_zero_quadrature_on_closed_form(self):
         assert rho_zero_constant(LF_MODEL) == pytest.approx(1.0 / 3.0, abs=1e-11)
 
+    def test_t_max_before_settling_time_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(analytic, "_solve_scaled", no_solve)
+        # LF: a = 0.1, so h(t) cannot settle before 10/a = 100
+        with pytest.raises(ValueError, match="settling time"):
+            estimate_constant(TruncatedSystem(LF_MODEL, K=2), t_max=99.9)
+
+    def test_walk_names_the_unsettled_levels(self, caplog):
+        # geometric(0.4), beta 0.5, rho 1: from K = 20 the levels 20 and 40
+        # do not settle, and 80 settles with its double
+        m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
+        with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
+            est = estimate_constant(TruncatedSystem(m, K=20))
+        *solves, record = [r for r in caplog.records if r.name == "sporesim.analytic"]
+        a = tail_exponent(m)
+        grid = len(_grid(30.0 / a, analytic.constant_dt(a)))
+        assert len(solves) == 4
+        for solve, K in zip(solves, (20, 40, 80, 160)):
+            parse_solve_record(solve, K=K, grid=grid)
+        assert record.getMessage().startswith("constant estimate, K=80 and 2K=160: ")
+        assert record.getMessage().endswith("; unsettled at K = 20, 40")
+        assert est.K == 80
+
+    def test_walk_gives_up_at_8K(self, caplog):
+        # the same law from K = 5: 5 .. 40 do not settle, and past 8K = 40
+        # no pair is left to try
+        m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
+        with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
+            with pytest.raises(NonConvergenceError, match="at K=40$"):
+                estimate_constant(TruncatedSystem(m, K=5))
+        solves = [r.getMessage() for r in caplog.records if r.name == "sporesim.analytic"]
+        assert [int(re.search(r"K=(\d+)", r).group(1)) for r in solves] == [5, 10, 20, 40]
+
+    def test_matches_volterra_tail_at_rho_positive(self):
+        # geometric(0.4), beta 0.5, rho 1 (lambda = 0.75) against h(t) =
+        # e^{lambda t} q_1(t) from the Volterra reference, which needs no K,
+        # with e(t) its error estimate scaled the same way.  h falls to C, so
+        # C <= h(t) + e(t) at every t.  Where the reference resolves them, h's
+        # drops over 2 time units shrink at least by half from one to the
+        # next (measured: by 0.20 to 0.24 on t in [4, 11]), and the tail of
+        # such a series is at most its last term: C >= h(t) - e(t) - d(t), with
+        # d(t) the last drop plus the reference's error at both ends.  The
+        # band is 1.3e-3 wide; the walk's own settling gap and K-doubling
+        # change are under 1e-8, inside it
+        m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
+        ts, ref = volterra_survival(m, 16.0, 200, [1])
+        q, err = ref[1]
+        scale = np.exp(m.decay_rate * ts)
+        h, e = scale * q, scale * err
+        lag = 25  # 2 time units at the reference's step 0.08
+        drop = h[lag:-lag] - h[2 * lag :] + e[lag:-lag] + e[2 * lag :]
+        prior = h[: -2 * lag] - h[lag:-lag] - e[: -2 * lag] - e[lag:-lag]
+        resolved = drop <= prior / 2
+        assert resolved.sum() >= 50
+        lower = (h[2 * lag :] - e[2 * lag :] - drop)[resolved].max()
+        upper = (h + e).min()
+        est = estimate_constant(TruncatedSystem(m, K=20))
+        assert est.k_doubling_change < 1e-8
+        assert lower <= est.c_hat <= upper
+
 
 class TestTruncationLowerBound:
     def test_linear_fractional_consistent_with_constant(self):

@@ -25,7 +25,7 @@ from sporesim.cli import (
     parse_config,
     run_experiment,
 )
-from sporesim.analytic import MAX_SIZE, constant_dt, grid_intervals
+from sporesim.analytic import MAX_SIZE, constant_dt, constant_levels, grid_intervals
 from sporesim.model import ModelParams, OffspringDistribution, tail_exponent
 from sporesim.simulator import RNG_ALGORITHM
 from survival_checks import rho_zero_constant
@@ -147,6 +147,13 @@ MINIMAL_CONFIGS = {
 }
 
 LF_GUMBEL = '"type": "gumbel", "z": {"1": 10}'
+# the CLI on argv[1:] in a process limited to 2 GiB of address space
+LIMITED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from sporesim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 LF_SURVIVAL_ODE = '"type": "survival", "k": [1], "t_max": 1.0'
 LF_SURVIVAL_MC = LF_SURVIVAL_ODE + ', "method": "mc"'
 
@@ -204,6 +211,10 @@ OUT_OF_RANGE = {
     ),
     "oracle-t_max-0": (PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "t_max": 0', [], "t_max"),
     "constant-t_max-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 0', [], "t_max"),
+    # LF: a = 0.1, so h(t) cannot settle before 10/a = 100
+    "constant-t_max-below-settling": (
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 99.9', [], "t_max"
+    ),
     "oracle-no-closed-form": (POISSON_MODEL_BLOCK, '"type": "oracle"', [], ""),
     "gumbel-z-aliased-keys": (
         LF_MODEL_BLOCK,
@@ -320,10 +331,13 @@ def in_range_configs(draw):
         maybe("a", st.floats(0.05, 0.95).map(lambda f: f * cap))
     if kind == "constant":
         maybe("solver_tol", st.floats(1e-12, 1e-3))
-        maybe("t_max", st.floats(1.0, 1e3))
         a = e.get("a", tail_exponent(m))
+        # from the settling time 10/a on, and K up to the most the grid
+        # allows at the largest level the walk may solve from K
+        maybe("t_max", st.floats(10.0 / a, 40.0 / a))
         points = grid_intervals(e.get("t_max", 30.0 / a), constant_dt(a)) + 1
-        maybe("K", st.integers(1, MAX_SIZE // points))
+        top = MAX_SIZE // (points * constant_levels(m, 1)[-1])
+        maybe("K", st.integers(1, top))
         maybe("tol", st.floats(1e-12, 1e-3))
     if kind == "gumbel":
         e["z"] = draw(
@@ -667,7 +681,7 @@ class TestMain:
         # constant extraction with an unreachable settling threshold
         text = (
             '{%s, "experiment": {"type": "constant", "K": 2, "tol": 1e-16, '
-            '"t_max": 60.0}, "output": {"dir": "%s"}}' % (LF_MODEL_BLOCK, tmp_path / "n")
+            '"t_max": 120.0}, "output": {"dir": "%s"}}' % (LF_MODEL_BLOCK, tmp_path / "n")
         )
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", str(cfg)]) == EXIT_NUMERICAL
@@ -700,6 +714,79 @@ class TestMain:
         assert report["C_source"] == "backward_system"
         model = ModelParams(1.0, 0.0, OffspringDistribution.geometric(0.6))
         assert abs(report["C"] - rho_zero_constant(model)) <= 2e-9
+
+    def test_constant_K_defaults_to_the_first_level(self):
+        # a table law's support, at least 2; an unbounded law's 20
+        for model, K in ((LF_MODEL_BLOCK, 2), (PURE_DEATH_MODEL_BLOCK, 2), (POISSON_MODEL_BLOCK, 20)):
+            cfg = parse_config('{%s, "experiment": {"type": "constant"}}' % model)
+            assert cfg.settings["K"] == K
+
+    def test_constant_of_unbounded_law_walks_from_K_20(self, tmp_path):
+        # geometric(0.6), beta 1, rho 0: K = 20 does not settle, so the walk
+        # accepts K = 40 and its double, and lands on the quadrature with no
+        # truncation, as the gumbel constant does
+        text = (
+            '{"model": {"beta": 1.0, "rho": 0.0, '
+            '"offspring": {"kind": "geometric", "param": 0.6}}, '
+            '"experiment": {"type": "constant"}}'
+        )
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == EXIT_OK
+        report = json.loads((tmp_path / "c" / "constant.json").read_text())
+        assert report["K"] == 40
+        assert report["metadata"]["config"]["experiment"]["K"] == 20
+        model = ModelParams(1.0, 0.0, OffspringDistribution.geometric(0.6))
+        assert abs(report["c_hat"] - rho_zero_constant(model)) <= 2e-9
+
+    def test_constant_and_gumbel_constant_are_one_estimate(self, tmp_path):
+        # geometric(0.4), beta 0.5, rho 1: both walk from K = 20 to K = 80
+        model = (
+            '"model": {"beta": 0.5, "rho": 1.0, '
+            '"offspring": {"kind": "geometric", "param": 0.4}}'
+        )
+        constant = write_config(tmp_path, '{%s, "experiment": {"type": "constant"}}' % model)
+        assert main(["run", "--config", str(constant), "--out-dir", str(tmp_path / "c")]) == 0
+        gumbel = tmp_path / "gumbel.json"
+        gumbel.write_text(
+            '{%s, "experiment": {"type": "gumbel", "z": {"1": 100}, "replicates": 5, '
+            '"seed": 3}}' % model
+        )
+        assert main(["run", "--config", str(gumbel), "--out-dir", str(tmp_path / "g")]) == 0
+        est = json.loads((tmp_path / "c" / "constant.json").read_text())
+        report = json.loads((tmp_path / "g" / "gumbel.json").read_text())
+        assert est["K"] == 80
+        assert est["c_hat"] == report["C"] == 0.3384517406300892
+
+    def test_constant_at_the_size_bound_runs_in_2_gib(self, tmp_path):
+        # geometric(0.4), beta 0.5, rho 1 (a = 0.25, spacing 0.4) from K = 40:
+        # the walk may solve up to 16K = 640 over the grid, and 640 x 6553
+        # points is the most under MAX_SIZE.  K = 40 does not settle and runs
+        # the whole grid; 80 and 160 settle at t* = 40.  The run needs its
+        # sizes within a 2 GiB address-space limit, in a child process
+        text = (
+            '{"model": {"beta": 0.5, "rho": 1.0, '
+            '"offspring": {"kind": "geometric", "param": 0.4}}, '
+            '"experiment": {"type": "constant", "K": 40, "t_max": %r}}'
+        )
+        for points, ok in ((6553, True), (6554, False)):
+            t_max = (points - 1) * constant_dt(0.25)
+            assert grid_intervals(t_max, constant_dt(0.25)) + 1 == points
+            assert (640 * points <= MAX_SIZE) == ok
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text % (6553 * constant_dt(0.25)))
+        assert exc.value.path == "experiment.t_max"
+        cfg = write_config(tmp_path, text % (6552 * constant_dt(0.25)))
+        out = tmp_path / "out"
+        path = [str(Path(__file__).parent.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_RUN, "run", "--config", str(cfg), "--out-dir", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads((out / "constant.json").read_text())["K"] == 80
 
     def test_constant_epsilon_is_unknown_key(self, tmp_path, capsys):
         text = '{%s, "experiment": {"type": "constant", "epsilon": 0.05}}' % LF_MODEL_BLOCK
