@@ -90,13 +90,15 @@ DEFAULT_MAX_EVENTS = 10**9
 # the batch engine's budget: a pool over R type rows runs
 # POOL_CELLS // (R + LANE_ROWS) families (at least one), recomputed when R
 # changes.  A family costs its cell in each row (counts and running sums)
-# plus its own vectors (_Rows._VECTORS, and its blocks computed ahead), which
-# LANE_ROWS prices in rows.  The values keep the table law {0: 0.6, 2: 0.4}
-# over 3 rows at its 10,922 families and hold every pool near the bytes that
-# one takes: peaks measured by tracemalloc, numpy 2.4, were 2.6 MB for it,
-# 2.5 MB for Poisson(2) (up to 5,957 families, 8 to 11 rows) and 2.0 MB for
-# geometric(0.05) (up to 115 rows).  Any values give the same results; they
-# trade memory against per-step overhead
+# plus its own vectors (_Rows._VECTORS, the sink row's cell, and its blocks
+# computed ahead), which LANE_ROWS prices in rows.  The values keep the table
+# law {0: 0.6, 2: 0.4} over 3 rows at its 10,922 families and hold every pool
+# near the bytes that one takes: run_batch peaks measured by tracemalloc,
+# numpy 2.4, were 2.5 MB for it (4 replicates from {1: 4000, 3: 2000}),
+# 2.8 MB for Poisson(2) (10^4 from {3: 1}: up to 5,461 families, 1 to 10
+# rows) and 1.8 MB for geometric(0.05) (5,000 from {1: 1}: up to 69 rows).
+# Any values give the same results; they trade memory against per-step
+# overhead
 POOL_CELLS = 1 << 16
 LANE_ROWS = 3
 
@@ -434,15 +436,22 @@ class _Rows:
 
     Row r of ``counts`` holds the hosts of type ``types[r]`` of each
     population; ``types`` ascend, and ``row_of[k]`` is the row of type k,
-    -1 for type 0 (an update there adds 0.0 to the last row) and
-    ``len(types)`` for a type without a row, up to ``row_of[-1]``, which no
-    type has.  While ``dense`` (the types are 1 .. R) the row of type k is
-    k - 1.  A type gains a row when a host of it appears; a row no
-    population holds any more stays, adding 0.0 to the sums, until the next
-    :meth:`relayout` drops it.  Counts and totals are integers stored as
-    floats (exact below 2^53).  ``counts`` stays C-contiguous: the kernel
-    scatters its updates through a flat view.  ``undecided`` counts the
+    -1 for type 0 and ``len(types)`` for a type without a row, up to
+    ``row_of[-1]``, which no type has.  While ``dense`` (the types are
+    1 .. R) the row of type k is k - 1.  A type gains a row when a host of it
+    appears; a row no population holds any more stays, adding 0.0 to the
+    sums, until the next :meth:`relayout` drops it.  Counts and totals are
+    integers stored as floats (exact below 2^53).  ``undecided`` counts the
     events that the prefixes of their uniforms did not decide.
+
+    ``counts`` is the C-contiguous view of rows 1 .. R of ``store``, whose
+    row 0 is a sink for type 0.  The kernel scatters its count updates
+    through a flat view of ``store``, where row r of ``counts`` is row r + 1,
+    so type 0 (a host that releases its last spore, or no offspring) lands on
+    the sink; it only ever gets 0.0 there and stays zero.  The sink keeps
+    every scatter index non-negative: ``ufunc.at`` takes a slower path when
+    any index is negative (numpy 2.4, ``add.at`` at 10,922 lanes, a third of
+    them negative: 16.1 us against 10.8).
 
     The rest of a population's record is one entry in each vector of
     ``_VECTORS``: host and spore totals, clock, replicate index in the batch,
@@ -459,7 +468,8 @@ class _Rows:
 
     def __init__(self, m: ModelParams, types):
         self.m = m
-        self.counts = np.zeros((0, 0))
+        self.store = np.zeros((1, 0))
+        self.counts = self.store[1:]
         self.types = np.zeros(0, dtype=np.intp)
         self.relayout(types)
         for name, dtype in self._VECTORS:
@@ -483,9 +493,9 @@ class _Rows:
         present[add] = True
         present[0] = False
         types = np.flatnonzero(present)
-        counts = np.zeros((len(types), self.counts.shape[1]))
-        counts[np.searchsorted(types, self.types[held])] = self.counts[held]
-        self.counts = counts
+        store = np.zeros((len(types) + 1, self.counts.shape[1]))
+        store[1 + np.searchsorted(types, self.types[held])] = self.counts[held]
+        self._hold(store)
         self.types = types
         self.weight = self.m.beta * types.astype(float)[:, None]
         self.row_of = np.full(top + 2, len(types))
@@ -501,9 +511,14 @@ class _Rows:
         self.relayout(types)
         return self.rows(types)
 
+    def _hold(self, store: np.ndarray) -> None:
+        """Hold ``store``, sink row included, and its view ``counts``."""
+        self.store = store
+        self.counts = store[1:]
+
     def grow(self, extra: int) -> None:
         """Append ``extra`` empty populations."""
-        self.counts = np.concatenate((self.counts, np.zeros((len(self.counts), extra))), axis=1)
+        self._hold(np.concatenate((self.store, np.zeros((len(self.store), extra))), axis=1))
         for name, dtype in self._VECTORS:
             setattr(self, name, np.concatenate((getattr(self, name), np.zeros(extra, dtype))))
         self.lanes = np.arange(len(self.hosts))
@@ -534,7 +549,7 @@ class _Rows:
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep the populations where ``mask`` is set, in order."""
-        self.counts = np.compress(mask, self.counts, axis=1)  # C-contiguous
+        self._hold(np.compress(mask, self.store, axis=1))  # C-contiguous
         for name, _ in self._VECTORS:
             setattr(self, name, getattr(self, name)[mask])
         self.lanes = self.lanes[: len(self.hosts)]
@@ -552,8 +567,12 @@ class _Rows:
         """
         m = self.m
         n = len(self.hosts)
-        removal_rate = m.rho * self.hosts
-        total = removal_rate + m.beta * self.spores
+        if m.rho:
+            removal_rate = m.rho * self.hosts
+            total = removal_rate + m.beta * self.spores
+        else:  # 0.0 + x = x: the same totals
+            removal_rate = 0.0
+            total = m.beta * self.spores
         removal, shift, acc, row, j = _decide(
             m, self.counts, self.weight, removal_rate, total, u_pick, u_offspring
         )
@@ -570,7 +589,8 @@ class _Rows:
             # and so counts as undecided.
             x = u_pick + _PREFIX_SLACK
             x *= total
-            x -= shift  # removals subtract 0
+            if m.rho:
+                x -= shift  # removals subtract 0
             undecided = acc.reshape(-1).take(here, mode="clip") <= x
             if m.rho:
                 undecided |= removal & (x >= removal_rate)
@@ -578,8 +598,8 @@ class _Rows:
             if undecided.any():
                 redo = np.flatnonzero(undecided)
                 removal[redo], _, _, row[redo], j[redo] = _decide(
-                    m, self.counts[:, redo], self.weight, removal_rate[redo], total[redo],
-                    *full(redo),
+                    m, self.counts[:, redo], self.weight,
+                    removal_rate[redo] if m.rho else 0.0, total[redo], *full(redo),
                 )
                 here[redo] = np.multiply(row[redo], n, dtype=np.intp) + redo
                 self.undecided += len(redo)
@@ -588,11 +608,11 @@ class _Rows:
         wait = np.log1p(-u_wait)
         wait /= total
         self.clock -= wait
-        # scatter updates on the flat counts (ufunc.at on flat indices is the
-        # fastest scatter numpy offers here): entry r*n + i is the count of
-        # type types[r] in population i.  Row -1 (type 0) wraps around to
-        # the last row and adds 0 there.
-        np.subtract.at(self.counts.reshape(-1), here, 1.0)
+        # scatter updates on the flat store (ufunc.at on flat indices is the
+        # fastest scatter numpy offers here): entry (r + 1)*n + i is the count
+        # of type types[r] in population i, and entries 0 .. n - 1 the sink,
+        # where type 0 adds 0
+        np.subtract.at(self.store.reshape(-1), here + n, 1.0)
         k = row + 1 if self.dense else self.types.take(row)
         # a releasing host becomes type k - 1 and its spore founds a type-j
         # host: none for removals, k - 1 = 0 or j = 0
@@ -608,15 +628,17 @@ class _Rows:
             self.spores -= 1.0
         born = j > 0
         if self.dense and j.max() <= len(self.types):  # no row to add: row = type - 1
-            down, new = here - n, j - 1
+            down, new = here, j
         else:
             rows = self.rows(np.concatenate(((k - 1) * moved, j)))
+            rows += 1  # the store's rows
             down, new = rows[:n] * n + lanes, rows[n:]
-        np.add.at(self.counts.reshape(-1), down, moved.astype(float))
+        flat = self.store.reshape(-1)  # rows() may have laid the store out anew
+        np.add.at(flat, down, moved.astype(float))
         if born.any():
-            new *= n
+            new = new * n
             new += lanes
-            np.add.at(self.counts.reshape(-1), new, born.astype(float))
+            np.add.at(flat, new, born.astype(float))
             self.hosts += born
             self.spores += j
         return removal, k, j
@@ -782,9 +804,12 @@ def _simulate(
                 # empties the pool
                 depth = 1 if started < limit else max(1, size // live)
                 # events past the budget are never read: clipping them keeps
-                # every Philox counter below 2^32
+                # every Philox counter below 2^32.  A family's events done
+                # never exceed the steps taken, so none lies past the budget
+                # before steps + depth does
                 ahead_events = pool.done + np.arange(depth, dtype=np.uint64)[:, None]
-                np.minimum(ahead_events, max_events, out=ahead_events)
+                if steps + depth > max_events:
+                    np.minimum(ahead_events, max_events, out=ahead_events)
                 ahead = event_prefixes(seed, ahead_events, pool.family, pool.key)
                 pool.column[:] = pool.lanes
                 row = 0
@@ -810,9 +835,10 @@ def _simulate(
                 np.maximum(pool.peak, pool.hosts, out=pool.peak, where=inside)
                 finished = (pool.hosts == 0.0) | cut
 
-            over = pool.done > max_events
-            if over.any():
-                failed = min(failed, int(pool.replicate[over].min()))
+            if steps > max_events:  # a family's events done never exceed the steps
+                over = pool.done > max_events
+                if over.any():
+                    failed = min(failed, int(pool.replicate[over].min()))
             free = np.flatnonzero(finished)
             if len(free):
                 r = pool.replicate[free]

@@ -878,17 +878,91 @@ class TestBatchEngine:
         assert (cut, done, peak) == (False, 1, 3.0)
 
     def test_budget_error_replicate_independent_of_pool(self, monkeypatch):
-        m = ModelParams(1.0, 0.0, TWO_POINT)
-        init = PopulationState.from_counts({1: 20})
-        counts = run_batch(init, m, 3, replicates=40).event_counts
-        budget = int(counts[:5].max())
-        first = int(np.flatnonzero(counts > budget)[0])
-        for cells in (5, simulator.POOL_CELLS):
-            monkeypatch.setattr(simulator, "POOL_CELLS", cells)
+        for counts, m, horizon in (
+            ({1: 20}, ModelParams(1.0, 0.0, TWO_POINT), None),
+            # one family per replicate: the family itself passes the budget
+            # while it runs, at rho = 0 and at rho > 0 to a horizon
+            ({1: 1}, ModelParams(1.0, 0.0, TWO_POINT), None),
+            ({2: 1}, ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), 3.0),
+        ):
+            init = PopulationState.from_counts(counts)
+            events = run_batch(init, m, 3, replicates=40, horizon=horizon).event_counts
+            budget = int(events[:5].max())
+            first = int(np.flatnonzero(events > budget)[0])
+            for cells in (5, simulator.POOL_CELLS):
+                monkeypatch.setattr(simulator, "POOL_CELLS", cells)
+                with pytest.raises(BudgetError) as exc:
+                    run_batch(init, m, 3, replicates=40, horizon=horizon, max_events=budget)
+                assert exc.value.replicate == first
+            run_batch(init, m, 3, replicates=first, horizon=horizon, max_events=budget)
+
+    def test_runaway_family_stops_at_the_budget(self, caplog, monkeypatch):
+        # a supercritical family never ends by itself: the engine step that
+        # takes it past the budget ends the batch
+        monkeypatch.setattr(simulator, "_ALONE", 0)
+        m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.2, 0.0, 0.8]))
+        with caplog.at_level(logging.DEBUG, logger="sporesim.simulator"):
             with pytest.raises(BudgetError) as exc:
-                run_batch(init, m, 3, replicates=40, max_events=budget)
-            assert exc.value.replicate == first
-        run_batch(init, m, 3, replicates=first, max_events=budget)
+                run_batch(PopulationState.from_counts({1: 1}), m, 0, 1, max_events=500)
+        assert exc.value.replicate == 0
+        (record,) = [r for r in caplog.records if r.name == "sporesim.simulator"]
+        assert ": 501 engine steps," in record.getMessage()
+
+    def test_scatter_indices_non_negative(self, monkeypatch):
+        # ufunc.at takes a slower path when any index is negative: every
+        # count update scatters at a non-negative flat index, type 0 into
+        # the sink row, on dense rows (LF), with removals to a horizon
+        # (Poisson) and on sparse rows (geometric)
+        scattered = []
+
+        def checked(ufunc):
+            class Checked:
+                def __getattr__(self, name):
+                    return getattr(ufunc, name)
+
+                def at(self, a, index, *values):
+                    assert np.min(index) >= 0
+                    scattered.append(ufunc.__name__)
+                    ufunc.at(a, index, *values)
+
+            return Checked()
+
+        class Numpy:
+            add, subtract = checked(np.add), checked(np.subtract)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(simulator, "np", Numpy())
+        for counts, m, horizon, n, _ in self.GOLDEN:
+            scattered.clear()
+            run_batch(PopulationState.from_counts(counts), m, 123, n // 10, horizon=horizon)
+            assert {"add", "subtract"} <= set(scattered)
+
+    def test_store_invariants_after_every_event(self, monkeypatch):
+        # a wide law on sparse rows: an event that brings a new type lays
+        # the store out anew inside the kernel, and the count updates after
+        # it must land in the new store
+        event = simulator._Rows.event
+        relaid = 0
+
+        def checked(rows, *args):
+            nonlocal relaid
+            store = rows.store
+            drawn = event(rows, *args)
+            relaid += rows.store is not store
+            assert not rows.store[0].any()  # the sink holds nothing
+            assert rows.counts.base is rows.store and rows.counts.flags.c_contiguous
+            assert rows.counts.shape == rows.store[1:].shape
+            assert rows.counts.ctypes.data == rows.store[1:].ctypes.data
+            assert np.array_equal(rows.hosts, rows.counts.sum(axis=0))
+            assert np.array_equal(rows.spores, rows.types @ rows.counts)
+            return drawn
+
+        monkeypatch.setattr(simulator._Rows, "event", checked)
+        counts, m, horizon, _, _ = self.GOLDEN[2]  # geometric(0.05)
+        run_batch(PopulationState.from_counts(counts), m, 123, 100, horizon=horizon)
+        assert relaid > 0
 
     # SHA-256 of a batch's arrays at seed 123, pinned before the engine's
     # step operations were rewritten in cheaper numpy forms: a rewrite of
