@@ -333,11 +333,13 @@ def in_range_configs(draw):
         maybe("solver_tol", st.floats(1e-12, 1e-3))
         a = e.get("a", tail_exponent(m))
         # from the settling time 10/a on, and K up to the most the grid
-        # allows at the largest level the walk may solve from K
+        # allows at the largest level the walk may solve from K; K is given
+        # whenever its default is over that, as at a small a for an unbounded law
         maybe("t_max", st.floats(10.0 / a, 40.0 / a))
         points = grid_intervals(e.get("t_max", 30.0 / a), constant_dt(a)) + 1
         top = MAX_SIZE // (points * constant_levels(m, 1)[-1])
-        maybe("K", st.integers(1, top))
+        if constant_levels(m)[0] > top or draw(st.booleans()):
+            e["K"] = draw(st.integers(1, top))
         maybe("tol", st.floats(1e-12, 1e-3))
     if kind == "gumbel":
         e["z"] = draw(
