@@ -119,23 +119,27 @@ def _rhs_kernel(sys: TruncatedSystem, sigma: float, q: np.ndarray, tmp: np.ndarr
     reduces exactly to q_1' = -(rho + beta) q_1 + beta * sum_j p~_j q_j.
     With sigma > 0 ``q`` holds u = e^{sigma t} q at time t and the result is
     u', in which only e^{-sigma t} times the offspring sum can underflow.
-    The per-solve constants (sigma - rho) - beta k and p~_1 .. p~_K and the
-    shifted views are made here once."""
+    The per-solve constants (sigma - rho) - beta k and p~_1 .. p~_K, the
+    shifted views, and the 0-d arrays through which the scalars w and c
+    reach the ufuncs (numpy converts a Python float operand on every call)
+    are made here once."""
     release = sys.release_rates
     linear = sigma - sys.params.rho - release
     ptail = sys.offspring_table[1:]
     q_below, tmp_above = q[:-1], tmp[1:]
+    w0, c0 = np.zeros(()), np.zeros(())
 
     def f(out: np.ndarray, t: float) -> np.ndarray:
         w = float(ptail.dot(q))
         c = 1.0 - math.exp(-sigma * t) * w
+        w0[()], c0[()] = w, c
         # tmp = q_{k-1} * c + w with q_0 = 0, then release * tmp
-        np.multiply(q_below, c, out=tmp_above)
+        np.multiply(q_below, c0, tmp_above)
         tmp[0] = 0.0 * c
-        np.add(tmp, w, out=tmp)
-        np.multiply(release, tmp, out=tmp)
-        np.multiply(linear, q, out=out)
-        return np.add(out, tmp, out=out)
+        np.add(tmp, w0, tmp)
+        np.multiply(release, tmp, tmp)
+        np.multiply(linear, q, out)
+        return np.add(out, tmp, out)
 
     return f
 
@@ -182,6 +186,7 @@ class _Pass:
         tau, K = self.tau, sys.K
         u, y, comb, e = np.ones(K), np.ones(K), np.empty(K), np.empty(K)
         ks = np.empty((7, K))
+        step0 = np.zeros(())  # the step as a 0-d operand, as in _rhs_kernel
         f = _rhs_kernel(sys, sigma, y, np.empty(K))  # every stage is evaluated at y
         stages = [(_DP_A[i - 1], ks[:i], ks[i], _DP_C[i]) for i in range(1, 7)]
         self.U[0] = u
@@ -198,10 +203,11 @@ class _Pass:
                 step = (t_end - t) / n
                 if step < 16.0 * math.ulp(t_end):
                     raise SolverError(f"step-size underflow at t={t:g} for local tolerance {tau:g}")
+                step0[()] = step
                 for a, ks_before, k, c in stages:
                     a.dot(ks_before, out=comb)
-                    np.multiply(comb, step, out=comb)
-                    np.add(u, comb, out=y)
+                    np.multiply(comb, step0, comb)
+                    np.add(u, comb, y)
                     f(k, t + c * step)
                     rhs += 1
                 _DP_E.dot(ks, out=e)

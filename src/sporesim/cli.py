@@ -251,6 +251,28 @@ def _constant_span(t_max, s: dict, m: ModelParams) -> None:
     _grid_cells(constant_levels(m, s["K"])[-1], t_max, constant_dt(s["a"]))
 
 
+def _constant_t_max(s: dict, m: ModelParams) -> float:
+    """The default t_max: 30/a, or else the largest span below it whose grid
+    holds the walk's top level within MAX_SIZE values, from the settling time
+    10/a on; a ConfigError at 'a' when even 10/a does not fit.  A top level
+    over every grid keeps 30/a, which _constant_span reports at 't_max'."""
+    a, dt, top = s["a"], constant_dt(s["a"]), constant_levels(m, s["K"])[-1]
+    intervals = MAX_SIZE // top - 1  # the most the top level allows
+    t_max = 30.0 / a
+    if intervals < 1 or t_max / dt <= intervals:
+        return t_max
+    t_max = intervals * dt
+    while t_max / dt > intervals:  # n*dt/dt may round up past n
+        t_max = math.nextafter(t_max, 0.0)
+    if t_max < 10.0 / a:
+        raise ConfigError(
+            "a",
+            f"the settling time 10/a = {10.0 / a:g} at grid spacing {dt:g} gives over "
+            f"{MAX_SIZE} (2**22) values at the top level K = {top}; a larger a fits",
+        )
+    return t_max
+
+
 REQUIRED = object()  # Key default: the key must be given
 OMITTED = object()  # Key default: an absent key stays out of the resolved config
 
@@ -665,7 +687,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("K", _integer, lambda s, m: constant_levels(m)[0], _POSITIVE),
             Key("tol", _number, 1e-8, _POSITIVE),
             Key("solver_tol", _number, 1e-9, _POSITIVE),
-            Key("t_max", _number, lambda s, m: 30.0 / s["a"], _constant_span),
+            Key("t_max", _number, _constant_t_max, _constant_span),
         ),
         run=_run_constant,
         subcritical=True,

@@ -405,12 +405,18 @@ def _decide(m: ModelParams, counts, weight, removal_rate, total, u_pick, u_offsp
     x = u_pick * total
     rows = len(counts)
     if m.rho:
+        # the selects as arithmetic, cheaper than np.where and the same bits
+        # for finite rates and weights >= 0: a release lane adds 0.0 to its
+        # weight and subtracts its removal rate, a removal lane adds rho to
+        # 0.0 and subtracts 0.0
         removal = x < removal_rate
-        shift = np.where(removal, 0.0, removal_rate)
+        release = ~removal
+        shift = removal_rate * release
         x -= shift
-        acc = np.where(removal, m.rho, weight)
+        acc = weight * release
+        acc += m.rho * removal
         acc *= counts
-    else:  # every event is a release: the same sums, without two costly np.where
+    else:  # every event is a release: the same sums, with no selects
         removal = np.zeros(len(x), dtype=bool)
         shift = 0.0
         acc = weight * counts
@@ -618,9 +624,11 @@ class _Rows:
         # host: none for removals, k - 1 = 0 or j = 0
         moved = k > 1
         if m.rho:
-            self.hosts -= removal | ~moved
-            self.spores -= np.where(removal, k, 1)
             release = ~removal
+            self.hosts -= removal | ~moved
+            # k for a removal, 1 for a release: integers, so exact, and
+            # cheaper than np.where with a scalar operand
+            self.spores -= np.maximum(k * removal, release)
             moved &= release
             j *= release
         else:  # every event is a release

@@ -88,6 +88,29 @@ class TestBackwardRhs:
             expected = -(0.6 + 0.8) * q[0] + 0.8 * float(ptail @ q)
             assert backward_rhs(q, sys)[0] == pytest.approx(expected, abs=1e-14)
 
+    def test_kernel_bit_identical_to_per_component_floats(self):
+        # the in-place kernel against the formula evaluated per component in
+        # Python floats, in u (sigma > 0) at t > 0, at rates whose products
+        # round; one kernel evaluated at several times, as a pass does
+        m = ModelParams(0.3, 0.7, OffspringDistribution.poisson(1.5))
+        sys = TruncatedSystem(m, K=30)
+        sigma, ptail = m.decay_rate, sys.offspring_table[1:]
+        assert sigma > 0.0
+        q, tmp, out = np.empty(30), np.empty(30), np.empty(30)
+        f = analytic._rhs_kernel(sys, sigma, q, tmp)
+        rng = np.random.default_rng(7)
+        for t in (0.37, 2.5, 11.0, 40.0):
+            q[:] = 2.0 * rng.random(30)
+            w = float(ptail.dot(q))
+            c = 1.0 - math.exp(-sigma * t) * w
+            expected, below = [], 0.0
+            for k, qk in enumerate(q.tolist(), start=1):
+                rate = m.beta * k
+                expected.append((sigma - m.rho - rate) * qk + rate * (below * c + w))
+                below = qk
+            assert f(out, t) is out
+            assert out.tolist() == expected
+
 
 class TestTruncatedSystem:
     def test_table_law_unchanged_when_support_fits(self):

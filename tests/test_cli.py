@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +50,10 @@ PURE_DEATH_MODEL_BLOCK = (
 
 POISSON_MODEL_BLOCK = (
     '"model": {"beta": 0.5, "rho": 1.0, "offspring": {"kind": "poisson", "param": 2.0}}'
+)
+# decay rate 1/16: a small tail exponent a, so a long settling time 10/a
+SLOW_POISSON_MODEL_BLOCK = (
+    '"model": {"beta": 1, "rho": 0.0625, "offspring": {"kind": "poisson", "param": 1}}'
 )
 
 CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
@@ -257,6 +262,11 @@ OUT_OF_RANGE = {
         LF_MODEL_BLOCK, '"type": "survival", "k": [1000000000], "t_max": 1.0', [], "k"
     ),
     "constant-K-10**9": (LF_MODEL_BLOCK, '"type": "constant", "K": 1000000000', [], "t_max"),
+    # the default t_max shrinks to fit K = 320 (the walk's top level from
+    # 20), but not below the settling time 10/a, which is a's to fix
+    "constant-default-t_max-a-2**-10": (
+        SLOW_POISSON_MODEL_BLOCK, '"type": "constant", "a": 0.0009765625', [], "a"
+    ),
     "gumbel-z-type-10**9": (
         LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1000000000": 1}, "seed": 1', [], "z"
     ),
@@ -435,6 +445,33 @@ class TestParseConfig:
         again = parse_config(json.dumps(cfg.resolved))
         assert again.resolved == cfg.resolved
         assert build_metadata(again)["config_hash"] == build_metadata(cfg)["config_hash"]
+
+    @pytest.mark.parametrize(
+        "model, experiment, top",
+        [
+            # an unbounded law from the default K = 20, at grid spacing 0.5
+            (SLOW_POISSON_MODEL_BLOCK, '"a": 0.00390625', 320),
+            # at grid spacing 0.4, where 252 * 0.4 / 0.4 rounds up past 252
+            (POISSON_MODEL_BLOCK, '"K": 1033', 16 * 1033),
+        ],
+        ids=["a-2**-8", "K-1033"],
+    )
+    def test_default_constant_t_max_fits_the_grid(self, tmp_path, model, experiment, top):
+        # 30/a where its grid holds the walk's top level; else the largest
+        # span that does, from 10/a on
+        lf = parse_config(MINIMAL_CONFIGS["constant"]).settings
+        assert lf["t_max"] == 30.0 / lf["a"]
+        cfg = parse_config('{%s, "experiment": {"type": "constant", %s}}' % (model, experiment))
+        s, dt = cfg.settings, constant_dt(cfg.settings["a"])
+        assert constant_levels(cfg.params, s["K"])[-1] == top
+        assert 10.0 / s["a"] <= s["t_max"] < 30.0 / s["a"]
+        intervals = grid_intervals(s["t_max"], dt)
+        assert top * (intervals + 1) <= MAX_SIZE < top * (intervals + 2)
+        assert grid_intervals(math.nextafter(s["t_max"], math.inf), dt) == intervals + 1
+        resolved_text = json.dumps(cfg.resolved)
+        assert parse_config(resolved_text).resolved == cfg.resolved
+        path = write_config(tmp_path, resolved_text)
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
 
     def test_K_must_cover_requested_k(self):
         text = MINIMAL_SURVIVAL.replace('"t_max": 5.0', '"t_max": 5.0, "K": 1')
@@ -1053,3 +1090,20 @@ def test_cli_run_loads_neither_openssl_nor_masked_arrays(tmp_path):
             metadata["config"] = json.loads(metadata["config"])
         canonical = json.dumps(metadata["config"], sort_keys=True, separators=(",", ":"))
         assert metadata["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_module_entry_point_from_source_tree():
+    # python -m sporesim runs the CLI from src/, as Tier-1 and the benchmark
+    # run the package, uninstalled
+    root = Path(__file__).parent.parent
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    config = "configs/oracle_pure_death.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sporesim", "validate", "--config", config],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr

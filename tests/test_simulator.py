@@ -967,7 +967,8 @@ class TestBatchEngine:
     # SHA-256 of a batch's arrays at seed 123, pinned before the engine's
     # step operations were rewritten in cheaper numpy forms: a rewrite of
     # the engine must leave every bit of them.  LF from a mixed start,
-    # Poisson(2) with removal to a horizon, and a wide geometric law
+    # Poisson(2) with removal to a horizon, a wide geometric law, and two
+    # laws with removal at rates whose products round
     GEOMETRIC = OffspringDistribution.geometric(0.05)
     GOLDEN = [
         (
@@ -982,10 +983,20 @@ class TestBatchEngine:
             {1: 1}, ModelParams(1.0, GEOMETRIC.mean + 1.0, GEOMETRIC), None, 1000,
             "0817517ec68a010bdc60884325b956498087350fc3519dc571871e12ff632045",
         ),
+        (
+            {1: 4, 3: 2}, ModelParams(0.3, 0.7, OffspringDistribution.poisson(1.5)), 2.0, 4000,
+            "425c3a2acfd46d9407ee009433830b8105fe2aed477d235e7c73e915c871234b",
+        ),
+        (
+            {2: 3, 5: 1}, ModelParams(0.35, 0.45, OffspringDistribution.geometric(0.4)), None, 2000,
+            "1000a828d40b3fc4d4294f9f67cc5d8981969c086bc9c267e27083b5859edd05",
+        ),
     ]
 
     @pytest.mark.parametrize(
-        "counts, m, horizon, n, digest", GOLDEN, ids=["lf", "poisson-horizon", "geometric"]
+        "counts, m, horizon, n, digest",
+        GOLDEN,
+        ids=["lf", "poisson-horizon", "geometric", "poisson-inexact", "geometric-inexact"],
     )
     def test_golden_outcomes(self, counts, m, horizon, n, digest):
         batch = run_batch(PopulationState.from_counts(counts), m, 123, n, horizon=horizon)
