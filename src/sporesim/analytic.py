@@ -318,6 +318,13 @@ def grid_intervals(t_max: float, dt: float | None) -> int:
     return max(1, math.ceil(t_max / dt))
 
 
+def grid_cells(K: int, t_max: float, dt: float) -> None:
+    """ValueError unless K values at each point of the grid at spacing dt total <= MAX_SIZE."""
+    points = grid_intervals(t_max, dt) + 1
+    if K * points > MAX_SIZE:
+        raise ValueError(f"K = {K} over {points} grid points gives over {MAX_SIZE} (2**22) values")
+
+
 def _grid(t_max: float, dt: float | None) -> np.ndarray:
     return np.linspace(0.0, t_max, grid_intervals(t_max, dt) + 1)
 
@@ -395,10 +402,25 @@ def constant_levels(m: ModelParams, K: int | None = None) -> tuple[int, ...]:
     return (K, 2 * K) if support is not None else tuple(K << i for i in range(5))
 
 
-def check_settling_span(t_max: float, a: float) -> None:
-    """ValueError unless t_max reaches the settling time 10/a of :func:`estimate_constant`."""
-    if not t_max >= 10.0 / a:
-        raise ValueError(f"t_max = {t_max:g} ends before the settling time 10/a = {10.0 / a:g}")
+def constant_t_max(m: ModelParams, K: int, a: float, t_max: float | None) -> float:
+    """The span of :func:`estimate_constant` from level K at tail exponent a: t_max,
+    ValueError unless it reaches the settling time 10/a and its grid (spacing
+    constant_dt(a)) holds the walk's top level within MAX_SIZE values.  None: 30/a,
+    else the largest span that holds it, at least 10/a, checked; 30/a if no grid can."""
+    dt, top, floor = constant_dt(a), constant_levels(m, K)[-1], 10.0 / a
+    if t_max is None:
+        t_max, intervals = 30.0 / a, MAX_SIZE // top - 1  # the most the top level allows
+        if intervals < 1:
+            return t_max  # for the check of a given t_max to reject
+        if t_max / dt > intervals:
+            t_max = intervals * dt
+            while t_max / dt > intervals:  # n*dt/dt may round up past n
+                t_max = math.nextafter(t_max, 0.0)
+            t_max = max(t_max, floor)  # where even 10/a does not fit, grid_cells says why
+    if not t_max >= floor:
+        raise ValueError(f"t_max = {t_max:g} ends before the settling time 10/a = {floor:g}")
+    grid_cells(top, t_max, dt)
+    return t_max
 
 
 def estimate_constant(
@@ -423,8 +445,8 @@ def estimate_constant(
         a: Tail exponent in (0, min(lambda, beta)); default min(lambda, beta)/2.
         tol: Relative-settling threshold per unit time.
         solver_tol: Absolute tolerance handed to the ODE solver.
-        t_max: Integration end, at least 10/a; default 30/a.  The output
-            grid spacing is min(0.5, (10/a)/100).
+        t_max: Integration end, held to :func:`constant_t_max`'s rule; default 30/a,
+            or else the largest span that fits.  Grid spacing min(0.5, (10/a)/100).
 
     Raises:
         NonConvergenceError: h(t) not settled before t_max at a level with
@@ -433,9 +455,8 @@ def estimate_constant(
     a = tail_exponent(sys.params, a)
     t_floor = 10.0 / a
     if t_max is None:
-        t_max = 30.0 / a
-    check_settling_span(t_max, a)
-    ts = _grid(t_max, constant_dt(a))
+        t_max = constant_t_max(sys.params, sys.K, a, None)
+    ts = _grid(constant_t_max(sys.params, sys.K, a, t_max), constant_dt(a))
 
     def rel_change(h: np.ndarray, i: int) -> float:
         return abs(h[i] - h[i - 1]) / (h[i] * (ts[i] - ts[i - 1]))

@@ -49,13 +49,13 @@ from .analytic import (
     SolverError,
     TruncatedSystem,
     _grid,
-    check_settling_span,
     closed_form_linear_fractional,
     closed_form_mu0,
-    constant_dt,
     constant_levels,
+    constant_t_max,
     default_dt,
     estimate_constant,
+    grid_cells,
     grid_intervals,
     linear_fractional_constant,
     solve_survival,
@@ -201,10 +201,8 @@ def _initial_counts(value) -> dict[str, int]:
             raise ValueError(f"host count of type {key!r} must be a nonnegative integer")
         if n:
             counts[k] = n
-    if not counts:
-        raise ValueError("needs at least one host")
-    if sum(counts.values()) >= 1 << 32:  # a family's index is one 32-bit Philox word
-        raise ValueError("needs fewer than 2**32 hosts")
+    if not 1 <= sum(counts.values()) <= MAX_SIZE:  # a replicate holds a row per host
+        raise ValueError(f"needs 1 to {MAX_SIZE} (2**22) hosts")
     return {str(k): n for k, n in sorted(counts.items())}
 
 
@@ -234,43 +232,27 @@ def _spacing(dt, s: dict, m: ModelParams) -> None:
     grid_intervals(s["t_max"], dt)
 
 
-def _grid_cells(K: int, t_max: float, dt: float) -> None:
-    points = grid_intervals(t_max, dt) + 1
-    if K * points > MAX_SIZE:
-        raise ValueError(f"K = {K} over {points} grid points gives over {MAX_SIZE} (2**22) values")
-
-
 def _solver_K(K, s: dict, m: ModelParams) -> None:
     if K < max(s["k"]):
         raise ValueError("truncation level K must cover every requested k")
-    _grid_cells(K, s["t_max"], s["dt"])
+    grid_cells(K, s["t_max"], s["dt"])
 
 
-def _constant_span(t_max, s: dict, m: ModelParams) -> None:
-    check_settling_span(t_max, s["a"])
-    _grid_cells(constant_levels(m, s["K"])[-1], t_max, constant_dt(s["a"]))
+def _oracle_K(K, s: dict, m: ModelParams) -> None:
+    _solver_K(K, s, m)
+    if _has_lf_constant(m):  # the grid of its estimate from max(K, 2) at the default a
+        _default_constant_grid(m, max(K, 2), tail_exponent(m))
 
 
-def _constant_t_max(s: dict, m: ModelParams) -> float:
-    """The default t_max: 30/a, or else the largest span below it whose grid
-    holds the walk's top level within MAX_SIZE values, from the settling time
-    10/a on; a ConfigError at 'a' when even 10/a does not fit.  A top level
-    over every grid keeps 30/a, which _constant_span reports at 't_max'."""
-    a, dt, top = s["a"], constant_dt(s["a"]), constant_levels(m, s["K"])[-1]
-    intervals = MAX_SIZE // top - 1  # the most the top level allows
-    t_max = 30.0 / a
-    if intervals < 1 or t_max / dt <= intervals:
-        return t_max
-    t_max = intervals * dt
-    while t_max / dt > intervals:  # n*dt/dt may round up past n
-        t_max = math.nextafter(t_max, 0.0)
-    if t_max < 10.0 / a:
-        raise ConfigError(
-            "a",
-            f"the settling time 10/a = {10.0 / a:g} at grid spacing {dt:g} gives over "
-            f"{MAX_SIZE} (2**22) values at the top level K = {top}; a larger a fits",
-        )
-    return t_max
+def _gumbel_a(a, s: dict, m: ModelParams) -> None:
+    tail_exponent(m, a)
+    if s["C"] is None and not _has_lf_constant(m):  # the grid of its estimate at a
+        _default_constant_grid(m, constant_levels(m)[0], a)
+
+
+def _default_constant_grid(m: ModelParams, K: int, a: float) -> None:
+    """ValueError unless estimate_constant's default span from K at a keeps its rule."""
+    constant_t_max(m, K, a, constant_t_max(m, K, a, None))
 
 
 REQUIRED = object()  # Key default: the key must be given
@@ -308,9 +290,6 @@ class Block(Key):
 
 
 SEED = Key("seed", _integer, OMITTED, _SEED_RANGE)
-TAIL_EXPONENT = Key(
-    "a", _number, lambda s, m: tail_exponent(m), lambda a, s, m: tail_exponent(m, a)
-)
 
 
 @dataclass(frozen=True)
@@ -516,13 +495,16 @@ def _is_linear_fractional(m: ModelParams) -> bool:
     return d.probs[0] != d.probs[2]
 
 
+def _has_lf_constant(m: ModelParams) -> bool:  # the closed form 1 - p2/p0
+    return _is_linear_fractional(m) and m.offspring.probs[2] < m.offspring.probs[0]
+
+
 def _resolve_gumbel_constant(m: ModelParams, s: dict) -> tuple[float, str]:
     if s["C"] is not None:
         return s["C"], "config"
-    if _is_linear_fractional(m) and m.offspring.probs[2] < m.offspring.probs[0]:
-        return linear_fractional_constant(m.offspring.probs[0], m.offspring.probs[2]), (
-            "linear_fractional"
-        )
+    if _has_lf_constant(m):
+        p0, p2 = m.offspring.probs[0], m.offspring.probs[2]
+        return linear_fractional_constant(p0, p2), "linear_fractional"
     est = estimate_constant(TruncatedSystem(m, K=constant_levels(m)[0]), s["a"])
     return est.c_hat, "backward_system"
 
@@ -564,11 +546,7 @@ def _run_survival(m: ModelParams, s: dict, directory: Path):
 
 def _run_constant(m: ModelParams, s: dict, directory: Path):
     est = estimate_constant(
-        TruncatedSystem(m, K=s["K"]),
-        s["a"],
-        tol=s["tol"],
-        solver_tol=s["solver_tol"],
-        t_max=s["t_max"],
+        TruncatedSystem(m, K=s["K"]), s["a"], s["tol"], s["solver_tol"], s["t_max"]
     )
     payload = {**asdict(est), "decay_rate": m.decay_rate, "a": s["a"]}
     summary = f"c_hat = {est.c_hat:.6g} at t* = {est.t_star:.4g}"
@@ -637,17 +615,13 @@ def _run_oracle(m: ModelParams, s: dict, directory: Path):
             cases.append(_match_case(f"pure_death_q{k}_vs_ode", err, s["match_tol"]))
     elif _is_linear_fractional(m):
         p0, p2 = m.offspring.probs[0], m.offspring.probs[2]
-        curves = solve_survival(
-            TruncatedSystem(m, K=max(s["K"], 2)), t_max=s["t_max"], tol=s["tol"], dt=s["dt"]
-        )
-        c1 = curves[0]
-        exact = np.array(
-            [closed_form_linear_fractional(t, m.beta, p0, p2) for t in c1.ts]
-        )
+        lf = TruncatedSystem(m, K=max(s["K"], 2))
+        c1 = solve_survival(lf, t_max=s["t_max"], tol=s["tol"], dt=s["dt"])[0]
+        exact = np.array([closed_form_linear_fractional(t, m.beta, p0, p2) for t in c1.ts])
         err = float(np.abs(c1.qs - exact).max())
         cases.append(_match_case("linear_fractional_q1_vs_ode", err, s["match_tol"]))
-        if p2 < p0:
-            est = estimate_constant(TruncatedSystem(m, K=max(s["K"], 2)))
+        if _has_lf_constant(m):
+            est = estimate_constant(lf)
             expected = linear_fractional_constant(p0, p2)
             cases.append(
                 {
@@ -683,11 +657,16 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "constant": Experiment(
         keys=(
-            TAIL_EXPONENT,
+            Key("a", _number, lambda s, m: tail_exponent(m), lambda a, s, m: tail_exponent(m, a)),
             Key("K", _integer, lambda s, m: constant_levels(m)[0], _POSITIVE),
             Key("tol", _number, 1e-8, _POSITIVE),
             Key("solver_tol", _number, 1e-9, _POSITIVE),
-            Key("t_max", _number, _constant_t_max, _constant_span),
+            Key(
+                "t_max",
+                _number,
+                lambda s, m: _checked("a", constant_t_max, m, s["K"], s["a"], None),
+                lambda t_max, s, m: constant_t_max(m, s["K"], s["a"], t_max),
+            ),
         ),
         run=_run_constant,
         subcritical=True,
@@ -697,8 +676,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("z", _initial_counts),
             Key("replicates", _integer, 2000, _REPLICATES),
             Key("max_events", _integer, DEFAULT_MAX_EVENTS, _EVENT_BUDGET),
-            TAIL_EXPONENT,
             Key("C", _optional_number, None, _LEADING_CONSTANT),
+            Key("a", _number, lambda s, m: tail_exponent(m), _gumbel_a),
             SEED,
         ),
         run=_run_gumbel,
@@ -710,7 +689,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("k", _types, [1, 2, 5]),
             Key("t_max", _number, 5.0, _POSITIVE),
             Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _spacing),
-            Key("K", _integer, lambda s, m: max(max(s["k"]), 4), _solver_K),
+            Key("K", _integer, lambda s, m: max(max(s["k"]), 4), _oracle_K),
             Key("tol", _number, 1e-9, _POSITIVE),
             Key("match_tol", _number, 1e-7, _POSITIVE),
         ),

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sporesim import cli, simulator
@@ -26,7 +26,7 @@ from sporesim.cli import (
     parse_config,
     run_experiment,
 )
-from sporesim.analytic import MAX_SIZE, constant_dt, constant_levels, grid_intervals
+from sporesim.analytic import MAX_SIZE, constant_dt, constant_levels, constant_t_max, grid_intervals
 from sporesim.model import ModelParams, OffspringDistribution, tail_exponent
 from sporesim.simulator import RNG_ALGORITHM
 from survival_checks import rho_zero_constant
@@ -194,6 +194,19 @@ OUT_OF_RANGE = {
         [],
         "z",
     ),
+    # a replicate holds a row per host: at most MAX_SIZE hosts in all
+    "gumbel-z-2**31-hosts": (
+        LF_MODEL_BLOCK,
+        '"type": "gumbel", "z": {"1": 2147483648}, "replicates": 1, "seed": 1',
+        [],
+        "z",
+    ),
+    "gumbel-z-2**22+1-hosts": (
+        LF_MODEL_BLOCK,
+        '"type": "gumbel", "z": {"1": 4194303, "7": 2}, "replicates": 1, "seed": 1',
+        [],
+        "z",
+    ),
     "constant-K-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 0', [], "K"),
     "oracle-K-0": (LF_MODEL_BLOCK, '"type": "oracle", "K": 0', [], "K"),
     "oracle-K-below-k": (
@@ -267,6 +280,17 @@ OUT_OF_RANGE = {
     "constant-default-t_max-a-2**-10": (
         SLOW_POISSON_MODEL_BLOCK, '"type": "constant", "a": 0.0009765625', [], "a"
     ),
+    # the grid of a leading constant a run would estimate, from the settling
+    # time 10/a on: gumbel's with C: null at a (10/a = 1e7 is 2e7 intervals of
+    # 0.5, and the walk's top level 320 allows 13,106), and oracle's LF one
+    # from max(K, 2) at the default a (10/a = 100 is 200 intervals of 0.5,
+    # and the top level 2K = 2**19 allows 7)
+    "gumbel-estimated-C-a-1e-6": (
+        POISSON_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 10}, "a": 1e-6, "seed": 1', [], "a"
+    ),
+    "oracle-lf-constant-K-2**18": (
+        LF_MODEL_BLOCK, '"type": "oracle", "t_max": 0.001, "dt": 0.001, "K": 262144', [], "K"
+    ),
     "gumbel-z-type-10**9": (
         LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1000000000": 1}, "seed": 1', [], "z"
     ),
@@ -282,6 +306,25 @@ OUT_OF_RANGE = {
     # a retired experiment type is an unknown one
     "slope-retired": (LF_MODEL_BLOCK, '"type": "slope"', [], "type"),
 }
+
+
+def constant_grid_fits(m: ModelParams, K: int, a: float, t_max: float | None) -> bool:
+    """Whether estimate_constant's grid from level K at a, to t_max (None: its
+    default), keeps analytic's rule for it."""
+    try:
+        constant_t_max(m, K, a, constant_t_max(m, K, a, None) if t_max is None else t_max)
+    except ValueError:
+        return False
+    return True
+
+
+def largest(fits, top: int) -> int:
+    """The largest K in [1, top] with fits(K), for fits(1) true and fits monotone."""
+    low = 1
+    while low < top:
+        mid = (low + top + 1) // 2
+        low, top = (mid, top) if fits(mid) else (low, mid - 1)
+    return low
 
 
 @st.composite
@@ -329,35 +372,49 @@ def in_range_configs(draw):
         maybe("dt", st.floats(1e-3, 1.0))
         # K and every type up to the most the grid allows: MAX_SIZE values
         top = MAX_SIZE // (grid_intervals(e.get("t_max", 5.0), e.get("dt")) + 1)
-        if kind == "survival" or draw(st.booleans()):
+        if kind == "oracle" and cli._has_lf_constant(m):
+            # and the grid of the LF constant's estimate, from max(K, 2)
+            def fits(K):
+                return constant_grid_fits(m, max(K, 2), tail_exponent(m), None)
+
+            assume(fits(1))  # else p0 is so near 1/2 that no K fits
+            top = largest(fits, top)
+        # the defaults k = [1, 2, 5] and K = max(k, 4) where they fit
+        if kind == "survival" or top < 5 or draw(st.booleans()):
             e["k"] = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
-        maybe("K", st.integers(max(e.get("k", [1, 2, 5])), top))
+        if top < 4 or draw(st.booleans()):
+            e["K"] = draw(st.integers(max(e.get("k", [1, 2, 5])), top))
         maybe("tol", st.floats(1e-12, 1e-3))
     if kind == "survival":
         maybe("method", st.sampled_from(["ode", "mc", "both"]))
     if kind == "oracle":
         maybe("match_tol", st.floats(1e-12, 1e-3))
-    if kind in ("constant", "gumbel"):
-        maybe("a", st.floats(0.05, 0.95).map(lambda f: f * cap))
     if kind == "constant":
+        maybe("a", st.floats(0.05, 0.95).map(lambda f: f * cap))
         maybe("solver_tol", st.floats(1e-12, 1e-3))
         a = e.get("a", tail_exponent(m))
-        # from the settling time 10/a on, and K up to the most the grid
-        # allows at the largest level the walk may solve from K; K is given
-        # whenever its default is over that, as at a small a for an unbounded law
+        # from the settling time 10/a on, and K up to the most analytic's rule
+        # allows over that span, or over the default one; K is given whenever
+        # its default is over that, as at a small a for an unbounded law
         maybe("t_max", st.floats(10.0 / a, 40.0 / a))
-        points = grid_intervals(e.get("t_max", 30.0 / a), constant_dt(a)) + 1
-        top = MAX_SIZE // (points * constant_levels(m, 1)[-1])
+        top = largest(lambda K: constant_grid_fits(m, K, a, e.get("t_max")), MAX_SIZE)
         if constant_levels(m)[0] > top or draw(st.booleans()):
             e["K"] = draw(st.integers(1, top))
         maybe("tol", st.floats(1e-12, 1e-3))
     if kind == "gumbel":
-        e["z"] = draw(
-            st.dictionaries(
-                st.integers(1, MAX_SIZE).map(str), st.integers(0, 1000), min_size=1, max_size=4
-            ).filter(lambda z: any(z.values()))
-        )
-        maybe("C", st.one_of(st.none(), st.floats(1e-6, 1.0)))
+        # up to MAX_SIZE hosts in all, at least one
+        e["z"], left = {}, MAX_SIZE
+        for k in draw(st.lists(st.integers(1, MAX_SIZE), min_size=1, max_size=4, unique=True)):
+            e["z"][str(k)] = n = draw(st.integers(0 if e["z"] else 1, left))
+            left -= n
+        # C: null estimates the constant from the first level at a (no model
+        # here has the LF closed form, as rho > 0), where that grid fits
+        maybe("a", st.one_of(st.floats(0.05, 0.95), st.floats(1e-6, 0.05)).map(lambda f: f * cap))
+        a = e.get("a", tail_exponent(m))
+        if constant_grid_fits(m, constant_levels(m)[0], a, None):
+            maybe("C", st.one_of(st.none(), st.floats(1e-6, 1.0)))
+        else:
+            e["C"] = draw(st.floats(1e-6, 1.0))
     if kind in ("survival", "gumbel"):
         maybe("replicates", st.integers(1, MAX_SIZE))
         maybe("max_events", st.integers(1, 2**31 - 1))
@@ -826,6 +883,47 @@ class TestMain:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads((out / "constant.json").read_text())["K"] == 80
+
+    def test_gumbel_at_the_host_bound_runs_in_2_gib(self, tmp_path):
+        # z holds at most MAX_SIZE hosts in all, and a replicate from that
+        # many (LF, so C has the closed form) runs within a 2 GiB
+        # address-space limit, in a child process
+        text = '{%s, "experiment": {"type": "gumbel", "z": {"1": %d}, "replicates": 1, "seed": 1}}'
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text % (LF_MODEL_BLOCK, MAX_SIZE + 1))
+        assert exc.value.path == "experiment.z"
+        cfg = write_config(tmp_path, text % (LF_MODEL_BLOCK, MAX_SIZE))
+        out = tmp_path / "out"
+        path = [str(Path(__file__).parent.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_RUN, "run", "--config", str(cfg), "--out-dir", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        report = json.loads((out / "gumbel.json").read_text())
+        assert report["replicates"] == 1 and report["C_source"] == "linear_fractional"
+
+    @pytest.mark.parametrize(
+        "model, C, source",
+        [(LF_MODEL_BLOCK, "null", "linear_fractional"), (POISSON_MODEL_BLOCK, "0.5", "config")],
+        ids=["lf-closed-form", "C-given"],
+    )
+    def test_gumbel_tiny_a_runs_where_no_constant_is_estimated(
+        self, tmp_path, model, C, source
+    ):
+        # at a = 1e-6 no grid from the settling time 10/a holds the constant's
+        # walk, which neither an LF law's closed form nor a given C needs
+        text = (
+            '{%s, "experiment": {"type": "gumbel", "z": {"1": 10}, "a": 1e-6, "C": %s, '
+            '"replicates": 5, "seed": 1}}' % (model, C)
+        )
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "g")]) == EXIT_OK
+        assert json.loads((tmp_path / "g" / "gumbel.json").read_text())["C_source"] == source
 
     def test_constant_epsilon_is_unknown_key(self, tmp_path, capsys):
         text = '{%s, "experiment": {"type": "constant", "epsilon": 0.05}}' % LF_MODEL_BLOCK
