@@ -1,4 +1,4 @@
-"""Deterministic survival probabilities: backward ODE system and closed forms.
+"""Deterministic survival probabilities: backward ODE system and leading constant.
 
 Writing q_k(t) for the probability that the population started from one
 type-k host is still alive at time t, the first event from that host happens
@@ -361,29 +361,6 @@ def solve_survival(
         SurvivalCurve(k=k, ts=ts, qs=Q[:, k - 1], err=err, source="ode")
         for k in range(1, sys.K + 1)
     ]
-
-
-def closed_form_mu0(k: int, t: float, beta: float, rho: float) -> float:
-    """Survival probability when offspring are always 0 (pure death):
-    the initial host is still present and at least one spore remains."""
-    if k < 1:
-        raise ValueError("type must be >= 1")
-    return math.exp(-rho * t) * (1.0 - (1.0 - math.exp(-beta * t)) ** k)
-
-
-def closed_form_linear_fractional(t: float, beta: float, p0: float, p2: float) -> float:
-    """Exact q_1 for the linear birth-death special case.
-
-    Requires rho = 0 and an offspring law supported on {0, 2} with
-    p0 + p2 = 1 and p0 != p2 (the balanced case is critical and excluded).
-    """
-    if abs(p0 + p2 - 1.0) > 1e-12:
-        raise ValueError("p0 + p2 must equal 1")
-    if p0 == p2:
-        raise ValueError("p0 = p2 is the critical case; no exponential tail")
-    d = p0 - p2
-    e = math.exp(-beta * d * t)
-    return d * e / (p0 - p2 * e)
 
 
 def linear_fractional_constant(p0: float, p2: float) -> float:

@@ -10,8 +10,9 @@ Experiments are described by a JSON config with three blocks::
     }
 
 Experiment types: survival (per-k curves, ODE and/or Monte Carlo), constant
-(leading-constant extraction), gumbel (extinction-time limit law), oracle
-(closed-form comparison table).  Every block is declared once, as its keys
+(leading-constant extraction), gumbel (extinction-time limit law).  The
+closed forms of the pure-death and linear fractional cases are test
+oracles, not an experiment.  Every block is declared once, as its keys
 in resolution order, each a `Key` with a type check, a bound and a default
 (which may depend on earlier keys and, for experiment keys, on the model):
 `CONFIG` (the top level), `MODEL`, `OUTPUT`, and the unions `OFFSPRING` on
@@ -40,8 +41,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
 from .analytic import (
     MAX_SIZE,
@@ -49,8 +48,6 @@ from .analytic import (
     SolverError,
     TruncatedSystem,
     _grid,
-    closed_form_linear_fractional,
-    closed_form_mu0,
     constant_levels,
     constant_t_max,
     default_dt,
@@ -238,21 +235,12 @@ def _solver_K(K, s: dict, m: ModelParams) -> None:
     grid_cells(K, s["t_max"], s["dt"])
 
 
-def _oracle_K(K, s: dict, m: ModelParams) -> None:
-    _solver_K(K, s, m)
-    if _has_lf_constant(m):  # the grid of its estimate from max(K, 2) at the default a
-        _default_constant_grid(m, max(K, 2), tail_exponent(m))
-
-
 def _gumbel_a(a, s: dict, m: ModelParams) -> None:
     tail_exponent(m, a)
-    if s["C"] is None and not _has_lf_constant(m):  # the grid of its estimate at a
-        _default_constant_grid(m, constant_levels(m)[0], a)
-
-
-def _default_constant_grid(m: ModelParams, K: int, a: float) -> None:
-    """ValueError unless estimate_constant's default span from K at a keeps its rule."""
-    constant_t_max(m, K, a, constant_t_max(m, K, a, None))
+    if s["C"] is None and not _has_lf_constant(m):
+        # the constant is estimated from the first level at a: its default span keeps the rule
+        K = constant_levels(m)[0]
+        constant_t_max(m, K, a, constant_t_max(m, K, a, None))
 
 
 REQUIRED = object()  # Key default: the key must be given
@@ -295,17 +283,14 @@ SEED = Key("seed", _integer, OMITTED, _SEED_RANGE)
 @dataclass(frozen=True)
 class Experiment:
     """An experiment type.  `run(model, settings, directory)` computes every
-    artifact as (path, "csv" or "json", payload) and returns them with the
-    run's pass flag and a one-line summary; `randomized(settings)` says
-    whether the run draws random numbers and so needs a seed;
-    `model_check(model)` raises ValueError when the experiment cannot handle
-    the model."""
+    artifact as (path, "csv" or "json", payload) and returns them with a
+    one-line summary; `randomized(settings)` says whether the run draws
+    random numbers and so needs a seed."""
 
     keys: tuple[Key, ...]
     run: Callable
     subcritical: bool = False
     randomized: Callable[[dict], bool] = lambda s: False
-    model_check: Callable[[ModelParams], None] | None = None
 
 
 def _resolve(obj, keys: tuple[Key, ...], ctx=None) -> dict:
@@ -365,8 +350,6 @@ def _experiment(obj, s: dict, top: dict) -> dict:
             f"experiment '{kind}' requires a subcritical model: "
             f"rho + beta*(1 - mean offspring) must be positive, got {m.decay_rate:g}",
         )
-    if spec.model_check is not None:
-        spec.model_check(m)
     return _resolve(obj, (Key("type", str), *spec.keys), m)
 
 
@@ -486,17 +469,14 @@ def emit_json(path: Path, metadata: dict, payload: dict) -> None:
     _write_atomic(path, "JSON", write)
 
 
-def _is_linear_fractional(m: ModelParams) -> bool:
+def _has_lf_constant(m: ModelParams) -> bool:
+    """Whether C has the closed form 1 - p2/p0: rho = 0, offspring on {0, 2}, p2 < p0."""
     d = m.offspring
     if m.rho != 0.0 or d.kind != "table" or len(d.probs) < 3:
         return False
     if any(p != 0.0 for j, p in enumerate(d.probs) if j not in (0, 2)):
         return False
-    return d.probs[0] != d.probs[2]
-
-
-def _has_lf_constant(m: ModelParams) -> bool:  # the closed form 1 - p2/p0
-    return _is_linear_fractional(m) and m.offspring.probs[2] < m.offspring.probs[0]
+    return d.probs[2] < d.probs[0]
 
 
 def _resolve_gumbel_constant(m: ModelParams, s: dict) -> tuple[float, str]:
@@ -541,7 +521,7 @@ def _run_survival(m: ModelParams, s: dict, directory: Path):
                 for t, q, e in zip(curve.ts, curve.qs, curve.err)
             )
         artifacts.append((directory / "survival_mc.csv", "csv", (header, rows)))
-    return artifacts, True, f"survival curves for k={s['k']}"
+    return artifacts, f"survival curves for k={s['k']}"
 
 
 def _run_constant(m: ModelParams, s: dict, directory: Path):
@@ -550,7 +530,7 @@ def _run_constant(m: ModelParams, s: dict, directory: Path):
     )
     payload = {**asdict(est), "decay_rate": m.decay_rate, "a": s["a"]}
     summary = f"c_hat = {est.c_hat:.6g} at t* = {est.t_star:.4g}"
-    return [(directory / "constant.json", "json", payload)], True, summary
+    return [(directory / "constant.json", "json", payload)], summary
 
 
 def _run_gumbel(m: ModelParams, s: dict, directory: Path):
@@ -586,57 +566,7 @@ def _run_gumbel(m: ModelParams, s: dict, directory: Path):
         (directory / "gumbel.json", "json", payload),
         (directory / "extinction_times.csv", "csv", (["replicate", "T"], rows)),
     ]
-    return artifacts, True, f"KS distance {report.ks:.4f} over {report.n} replicates"
-
-
-def _match_case(name: str, err: float, tol: float) -> dict:
-    return {"name": name, "max_abs_err": err, "tolerance": tol, "pass": err <= tol}
-
-
-def _oracle_covers(m: ModelParams) -> None:
-    if m.offspring.mean != 0.0 and not _is_linear_fractional(m):
-        raise ValueError(
-            "no closed-form oracle covers this model (needs zero mean offspring, "
-            "or rho = 0 with offspring on {0, 2})"
-        )
-
-
-def _run_oracle(m: ModelParams, s: dict, directory: Path):
-    cases: list[dict] = []
-    if m.offspring.mean == 0.0:
-        curves = solve_survival(
-            TruncatedSystem(m, K=s["K"]), t_max=s["t_max"], tol=s["tol"], dt=s["dt"]
-        )
-        by_k = {c.k: c for c in curves}
-        for k in s["k"]:
-            c = by_k[k]
-            exact = np.array([closed_form_mu0(k, t, m.beta, m.rho) for t in c.ts])
-            err = float(np.abs(c.qs - exact).max())
-            cases.append(_match_case(f"pure_death_q{k}_vs_ode", err, s["match_tol"]))
-    elif _is_linear_fractional(m):
-        p0, p2 = m.offspring.probs[0], m.offspring.probs[2]
-        lf = TruncatedSystem(m, K=max(s["K"], 2))
-        c1 = solve_survival(lf, t_max=s["t_max"], tol=s["tol"], dt=s["dt"])[0]
-        exact = np.array([closed_form_linear_fractional(t, m.beta, p0, p2) for t in c1.ts])
-        err = float(np.abs(c1.qs - exact).max())
-        cases.append(_match_case("linear_fractional_q1_vs_ode", err, s["match_tol"]))
-        if _has_lf_constant(m):
-            est = estimate_constant(lf)
-            expected = linear_fractional_constant(p0, p2)
-            cases.append(
-                {
-                    "name": "linear_fractional_constant",
-                    "computed": est.c_hat,
-                    "expected": expected,
-                    "abs_err": abs(est.c_hat - expected),
-                    "tolerance": 1e-4,
-                    "pass": abs(est.c_hat - expected) <= 1e-4,
-                }
-            )
-    ok = all(c["pass"] for c in cases)
-    payload = {"cases": cases, "all_pass": ok}
-    summary = f"{sum(c['pass'] for c in cases)}/{len(cases)} oracle comparisons pass"
-    return [(directory / "oracle.json", "json", payload)], ok, summary
+    return artifacts, f"KS distance {report.ks:.4f} over {report.n} replicates"
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -684,25 +614,12 @@ EXPERIMENTS: dict[str, Experiment] = {
         subcritical=True,
         randomized=lambda s: True,
     ),
-    "oracle": Experiment(
-        keys=(
-            Key("k", _types, [1, 2, 5]),
-            Key("t_max", _number, 5.0, _POSITIVE),
-            Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _spacing),
-            Key("K", _integer, lambda s, m: max(max(s["k"]), 4), _oracle_K),
-            Key("tol", _number, 1e-9, _POSITIVE),
-            Key("match_tol", _number, 1e-7, _POSITIVE),
-        ),
-        run=_run_oracle,
-        model_check=_oracle_covers,
-    ),
 }
 
 
 @dataclass
 class ExperimentResult:
     paths: list[Path]
-    ok: bool
     summary: str
 
 
@@ -723,7 +640,7 @@ def run_experiment(
         )
     directory = Path(out_dir if out_dir is not None else cfg.resolved["output"]["dir"])
     metadata = build_metadata(cfg)
-    artifacts, ok, summary = EXPERIMENTS[cfg.kind].run(cfg.params, cfg.settings, directory)
+    artifacts, summary = EXPERIMENTS[cfg.kind].run(cfg.params, cfg.settings, directory)
 
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -739,7 +656,7 @@ def run_experiment(
         for path in written:
             path.unlink(missing_ok=True)
         raise
-    return ExperimentResult(paths=written, ok=ok, summary=summary)
+    return ExperimentResult(paths=written, summary=summary)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -791,7 +708,7 @@ def main(argv: list[str] | None = None) -> int:
         for path in result.paths:
             print(f"wrote {path}")
         print(result.summary)
-        return EXIT_OK if result.ok else EXIT_NUMERICAL
+        return EXIT_OK
     except (OSError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

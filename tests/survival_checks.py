@@ -9,6 +9,8 @@ every survival curve must satisfy.  No experiment reports them, so they live
 with the tests.  At rho = 0 the leading constant C also has a quadrature
 with no truncation, the reference for the solver's estimate, and the
 least-squares slope of -ln q_1 is acceptance criterion 2's check of lambda.
+The two exactly solvable cases, pure death and linear fractional, give the
+closed forms the solver and simulator tests compare against.
 """
 
 from __future__ import annotations
@@ -26,6 +28,29 @@ from sporesim.analytic import (
     _solve_scaled,
 )
 from sporesim.model import ModelParams, OffspringDistribution
+
+
+def closed_form_mu0(k: int, t: float, beta: float, rho: float) -> float:
+    """Survival probability when offspring are always 0 (pure death):
+    the initial host is still present and at least one spore remains."""
+    if k < 1:
+        raise ValueError("type must be >= 1")
+    return math.exp(-rho * t) * (1.0 - (1.0 - math.exp(-beta * t)) ** k)
+
+
+def closed_form_linear_fractional(t: float, beta: float, p0: float, p2: float) -> float:
+    """Exact q_1 for the linear birth-death special case.
+
+    Requires rho = 0 and an offspring law supported on {0, 2} with
+    p0 + p2 = 1 and p0 != p2 (the balanced case is critical and excluded).
+    """
+    if abs(p0 + p2 - 1.0) > 1e-12:
+        raise ValueError("p0 + p2 must equal 1")
+    if p0 == p2:
+        raise ValueError("p0 = p2 is the critical case; no exponential tail")
+    d = p0 - p2
+    e = math.exp(-beta * d * t)
+    return d * e / (p0 - p2 * e)
 
 
 def validate_curve(curve: SurvivalCurve, tol: float = 1e-9) -> None:

@@ -25,15 +25,16 @@ from sporesim import (
     run_batch,
     solve_survival,
 )
-from sporesim.analytic import (
-    closed_form_linear_fractional,
-    closed_form_mu0,
-    linear_fractional_constant,
-)
+from sporesim.analytic import linear_fractional_constant
 from sporesim.cli import main, parse_config
 from sporesim.model import tail_exponent
 from sporesim.stats import GUMBEL_MEDIAN, wilson_interval
-from survival_checks import fit_decay_rate, tail_ratio_check
+from survival_checks import (
+    closed_form_linear_fractional,
+    closed_form_mu0,
+    fit_decay_rate,
+    tail_ratio_check,
+)
 
 REPO = Path(__file__).parent.parent
 

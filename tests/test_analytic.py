@@ -25,12 +25,12 @@ from sporesim.analytic import (
     _grid,
     _Pass,
     _solve_scaled,
-    closed_form_linear_fractional,
-    closed_form_mu0,
     grid_intervals,
     linear_fractional_constant,
 )
 from survival_checks import (
+    closed_form_linear_fractional,
+    closed_form_mu0,
     rho_zero_constant,
     survival_ratios,
     tail_ratio_check,

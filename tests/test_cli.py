@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sporesim import cli, simulator
@@ -63,8 +63,6 @@ CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
 SHIPPED_CONFIG_HASHES = {
     "constant_linear_fractional": "95cdb69566a329fb38393ab6f0c468d2ebb4945002482f88d57e5273ff17b446",
     "gumbel_linear_fractional": "e5d1420627716c6ccad7f13e3e76299914886e83fb210f5f84a7fd822f0139e0",
-    "oracle_linear_fractional": "bd7844d0cb09765ed49c8bf274ff6521b64336e2c6a9b94b8daa896c59a368a5",
-    "oracle_pure_death": "6346e34b86bf46deb8741e644bfae65b6055e9aa11ebdfe1d9f1af9eb15ace8e",
     "survival_linear_fractional": "c649c8389ef787050128528fa76de84aa9cdfd283b0d81dd7342bd5eec7830ea",
     "survival_poisson_mix": "708f3beed919abd36622a3fb5fc6305549ea190403b3981404375930a196aa4f",
 }
@@ -75,8 +73,6 @@ SHIPPED_CONFIG_HASHES = {
 # change updates this table and names the configs whose bytes moved
 SHIPPED_ARTIFACT_DIGESTS = {
     "constant_linear_fractional/constant.json": "ea60c4b698a26116ac4fe257c6c6736e854f7fc81dc978ee6c80fb3d95a33206",
-    "oracle_linear_fractional/oracle.json": "2d047e08aa89cd2923ad20267bc0771b209afd3e6f89e05c1735b20ae959ab52",
-    "oracle_pure_death/oracle.json": "04951e277d4db0059dd50f12556e572046a1636b734558f69ef62d81f1e3d5ec",
     "survival_linear_fractional/survival_mc.csv": "e845c541fee277deb4770b2360c4a09400c7b449f736acc942d300f44b3d3f84",
     "survival_linear_fractional/survival_ode.csv": "16b8f03acced04c88e34fb4a188dc7b29816bb83c56218d8f129cd59fbe577a4",
     "survival_poisson_mix/survival_ode.csv": "baf0a23b78e4f0ea109826731c3f856670b9e318b899354c948caf599825ea98",
@@ -148,7 +144,6 @@ MINIMAL_CONFIGS = {
     "survival": MINIMAL_SURVIVAL,
     "constant": '{%s, "experiment": {"type": "constant"}}' % LF_MODEL_BLOCK,
     "gumbel": '{%s, "experiment": {"type": "gumbel", "z": {"1": 10}}}' % LF_MODEL_BLOCK,
-    "oracle": '{%s, "experiment": {"type": "oracle"}}' % LF_MODEL_BLOCK,
 }
 
 LF_GUMBEL = '"type": "gumbel", "z": {"1": 10}'
@@ -159,6 +154,20 @@ resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from sporesim.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def run_limited(cfg: Path, out: Path) -> subprocess.CompletedProcess:
+    """`run --config cfg --out-dir out` in a child limited to 2 GiB of address space."""
+    path = [str(Path(__file__).parent.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_RUN, "run", "--config", str(cfg), "--out-dir", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=300,
+    )
+
+
 LF_SURVIVAL_ODE = '"type": "survival", "k": [1], "t_max": 1.0'
 LF_SURVIVAL_MC = LF_SURVIVAL_ODE + ', "method": "mc"'
 
@@ -208,9 +217,8 @@ OUT_OF_RANGE = {
         "z",
     ),
     "constant-K-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 0', [], "K"),
-    "oracle-K-0": (LF_MODEL_BLOCK, '"type": "oracle", "K": 0', [], "K"),
-    "oracle-K-below-k": (
-        PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "k": [1, 5], "K": 2', [], "K"
+    "survival-K-below-k": (
+        LF_MODEL_BLOCK, '"type": "survival", "k": [1, 5], "t_max": 1.0, "K": 2', [], "K"
     ),
     "survival-t_max-infinite": (
         LF_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": Infinity', [], "t_max"
@@ -224,16 +232,11 @@ OUT_OF_RANGE = {
     "constant-solver_tol-0": (
         LF_MODEL_BLOCK, '"type": "constant", "K": 2, "solver_tol": 0', [], "solver_tol"
     ),
-    "oracle-match_tol-0": (
-        PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "match_tol": 0', [], "match_tol"
-    ),
-    "oracle-t_max-0": (PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "t_max": 0', [], "t_max"),
     "constant-t_max-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 0', [], "t_max"),
     # LF: a = 0.1, so h(t) cannot settle before 10/a = 100
     "constant-t_max-below-settling": (
         LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 99.9', [], "t_max"
     ),
-    "oracle-no-closed-form": (POISSON_MODEL_BLOCK, '"type": "oracle"', [], ""),
     "gumbel-z-aliased-keys": (
         LF_MODEL_BLOCK,
         '"type": "gumbel", "z": {"1": 5, "01": 3, " 2": 1, "1_0": 1}, "seed": 1',
@@ -252,9 +255,6 @@ OUT_OF_RANGE = {
     ),
     "survival-grid-dt-1e-300": (
         LF_MODEL_BLOCK, LF_SURVIVAL_MC + ', "dt": 1e-300, "seed": 1', [], "dt"
-    ),
-    "oracle-grid-t_max-1e300": (
-        PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "t_max": 1e300', [], "dt"
     ),
     "constant-grid-t_max-1e300": (
         LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 1e300', [], "t_max"
@@ -280,16 +280,11 @@ OUT_OF_RANGE = {
     "constant-default-t_max-a-2**-10": (
         SLOW_POISSON_MODEL_BLOCK, '"type": "constant", "a": 0.0009765625', [], "a"
     ),
-    # the grid of a leading constant a run would estimate, from the settling
-    # time 10/a on: gumbel's with C: null at a (10/a = 1e7 is 2e7 intervals of
-    # 0.5, and the walk's top level 320 allows 13,106), and oracle's LF one
-    # from max(K, 2) at the default a (10/a = 100 is 200 intervals of 0.5,
-    # and the top level 2K = 2**19 allows 7)
+    # the grid of the leading constant gumbel with C: null would estimate at
+    # a, from the settling time 10/a on (10/a = 1e7 is 2e7 intervals of 0.5,
+    # and the walk's top level 320 allows 13,106)
     "gumbel-estimated-C-a-1e-6": (
         POISSON_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 10}, "a": 1e-6, "seed": 1', [], "a"
-    ),
-    "oracle-lf-constant-K-2**18": (
-        LF_MODEL_BLOCK, '"type": "oracle", "t_max": 0.001, "dt": 0.001, "K": 262144', [], "K"
     ),
     "gumbel-z-type-10**9": (
         LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1000000000": 1}, "seed": 1', [], "z"
@@ -300,11 +295,9 @@ OUT_OF_RANGE = {
     "survival-grid-999001-points-K-20": (
         POISSON_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": 999, "dt": 1e-3', [], "K"
     ),
-    "oracle-grid-999001-points-K-5": (
-        PURE_DEATH_MODEL_BLOCK, '"type": "oracle", "t_max": 999, "dt": 1e-3', [], "K"
-    ),
     # a retired experiment type is an unknown one
     "slope-retired": (LF_MODEL_BLOCK, '"type": "slope"', [], "type"),
+    "oracle-retired": (LF_MODEL_BLOCK, '"type": "oracle"', [], "type"),
 }
 
 
@@ -331,32 +324,23 @@ def largest(fits, top: int) -> int:
 def in_range_configs(draw):
     """A config every key of which is in range, for any experiment type and
     offspring kind; each optional key is given or left to its default."""
-    kind = draw(st.sampled_from(["survival", "constant", "gumbel", "oracle"]))
+    kind = draw(st.sampled_from(sorted(cli.EXPERIMENTS)))
     beta = draw(st.floats(0.1, 5.0))
-    if kind == "oracle":  # a model some closed form covers
-        p0 = draw(st.floats(0.0, 1.0).filter(lambda p: p != 0.5))
-        probs = draw(st.sampled_from([[1.0], [p0, 0.0, 1.0 - p0]]))
-        offspring = {"kind": "table", "probs": probs}
+    law_kind = draw(st.sampled_from(["table", "poisson", "geometric"]))
+    if law_kind == "table":
+        weights = draw(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(lambda w: sum(w) > 0.01)
+        )
+        # off sum 1 by less than the renormalization tolerance, or not
+        drift = draw(st.sampled_from([1.0, 1.0 + 5e-10]))
+        offspring = {"kind": "table", "probs": [w / sum(weights) * drift for w in weights]}
+    elif law_kind == "poisson":
+        offspring = {"kind": "poisson", "param": draw(st.floats(0.01, 5.0))}
     else:
-        law_kind = draw(st.sampled_from(["table", "poisson", "geometric"]))
-        if law_kind == "table":
-            weights = draw(
-                st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(
-                    lambda w: sum(w) > 0.01
-                )
-            )
-            # off sum 1 by less than the renormalization tolerance, or not
-            drift = draw(st.sampled_from([1.0, 1.0 + 5e-10]))
-            offspring = {"kind": "table", "probs": [w / sum(weights) * drift for w in weights]}
-        elif law_kind == "poisson":
-            offspring = {"kind": "poisson", "param": draw(st.floats(0.01, 5.0))}
-        else:
-            offspring = {"kind": "geometric", "param": draw(st.floats(0.05, 0.95))}
+        offspring = {"kind": "geometric", "param": draw(st.floats(0.05, 0.95))}
     law = OffspringDistribution(**offspring)
     # subcritical by a margin, with rho >= 0
-    rho = 0.0 if kind == "oracle" and len(law.probs) == 3 else (
-        max(0.0, beta * (law.mean - 1.0)) + draw(st.floats(0.01, 2.0))
-    )
+    rho = max(0.0, beta * (law.mean - 1.0)) + draw(st.floats(0.01, 2.0))
     m = ModelParams(beta, rho, law)
     cap = min(m.decay_rate, beta)
 
@@ -366,29 +350,16 @@ def in_range_configs(draw):
         if draw(st.booleans()):
             e[name] = draw(strategy)
 
-    if kind in ("survival", "oracle"):
-        if kind == "survival" or draw(st.booleans()):
-            e["t_max"] = draw(st.floats(0.1, 50.0))
+    if kind == "survival":
+        e["t_max"] = draw(st.floats(0.1, 50.0))
         maybe("dt", st.floats(1e-3, 1.0))
         # K and every type up to the most the grid allows: MAX_SIZE values
-        top = MAX_SIZE // (grid_intervals(e.get("t_max", 5.0), e.get("dt")) + 1)
-        if kind == "oracle" and cli._has_lf_constant(m):
-            # and the grid of the LF constant's estimate, from max(K, 2)
-            def fits(K):
-                return constant_grid_fits(m, max(K, 2), tail_exponent(m), None)
-
-            assume(fits(1))  # else p0 is so near 1/2 that no K fits
-            top = largest(fits, top)
-        # the defaults k = [1, 2, 5] and K = max(k, 4) where they fit
-        if kind == "survival" or top < 5 or draw(st.booleans()):
-            e["k"] = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
-        if top < 4 or draw(st.booleans()):
-            e["K"] = draw(st.integers(max(e.get("k", [1, 2, 5])), top))
+        top = MAX_SIZE // (grid_intervals(e["t_max"], e.get("dt")) + 1)
+        e["k"] = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
+        if top < 20 or draw(st.booleans()):  # the default K = max(k, 20) where it fits
+            e["K"] = draw(st.integers(max(e["k"]), top))
         maybe("tol", st.floats(1e-12, 1e-3))
-    if kind == "survival":
         maybe("method", st.sampled_from(["ode", "mc", "both"]))
-    if kind == "oracle":
-        maybe("match_tol", st.floats(1e-12, 1e-3))
     if kind == "constant":
         maybe("a", st.floats(0.05, 0.95).map(lambda f: f * cap))
         maybe("solver_tol", st.floats(1e-12, 1e-3))
@@ -584,25 +555,14 @@ class TestEmitCsv:
 
 
 class TestRunExperiment:
-    def test_oracle_linear_fractional_all_pass(self, tmp_path):
-        cfg = parse_config(
-            '{%s, "experiment": {"type": "oracle", "t_max": 40.0}, '
-            '"output": {"dir": "%s"}}' % (LF_MODEL_BLOCK, tmp_path / "out")
-        )
-        result = run_experiment(cfg)
-        assert result.ok
-        report = json.loads((tmp_path / "out" / "oracle.json").read_text())
-        assert report["all_pass"]
-        assert all(c["pass"] for c in report["cases"])
-
     def test_constant_artifact_value(self, tmp_path):
         cfg = parse_config(
             '{%s, "experiment": {"type": "constant", "K": 2}, '
             '"output": {"dir": "%s"}}' % (LF_MODEL_BLOCK, tmp_path / "out")
         )
         result = run_experiment(cfg)
-        assert result.ok
-        report = json.loads((tmp_path / "out" / "constant.json").read_text())
+        assert result.paths == [tmp_path / "out" / "constant.json"]
+        report = json.loads(result.paths[0].read_text())
         assert abs(report["c_hat"] - 0.333333) < 1e-4
         assert report["metadata"]["config_hash"]
         assert report["metadata"]["config"]["experiment"]["tol"] == 1e-8
@@ -622,7 +582,7 @@ class TestRunExperiment:
             '"replicates": 20, "seed": 7}}' % LF_MODEL_BLOCK
         )
         result = run_experiment(cfg, out_dir=str(tmp_path / "g"))
-        assert result.ok
+        assert [path.name for path in result.paths] == ["gumbel.json", "extinction_times.csv"]
         report = json.loads((tmp_path / "g" / "gumbel.json").read_text())
         assert report["C_source"] == "linear_fractional"
         assert report["C"] == pytest.approx(1.0 / 3.0)
@@ -873,14 +833,7 @@ class TestMain:
         assert exc.value.path == "experiment.t_max"
         cfg = write_config(tmp_path, text % (6552 * constant_dt(0.25)))
         out = tmp_path / "out"
-        path = [str(Path(__file__).parent.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-        proc = subprocess.run(
-            [sys.executable, "-c", LIMITED_RUN, "run", "--config", str(cfg), "--out-dir", str(out)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-            timeout=300,
-        )
+        proc = run_limited(cfg, out)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads((out / "constant.json").read_text())["K"] == 80
 
@@ -894,17 +847,39 @@ class TestMain:
         assert exc.value.path == "experiment.z"
         cfg = write_config(tmp_path, text % (LF_MODEL_BLOCK, MAX_SIZE))
         out = tmp_path / "out"
-        path = [str(Path(__file__).parent.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-        proc = subprocess.run(
-            [sys.executable, "-c", LIMITED_RUN, "run", "--config", str(cfg), "--out-dir", str(out)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-            timeout=300,
-        )
+        proc = run_limited(cfg, out)
         assert proc.returncode == EXIT_OK, proc.stderr
         report = json.loads((out / "gumbel.json").read_text())
         assert report["replicates"] == 1 and report["C_source"] == "linear_fractional"
+
+    @pytest.mark.parametrize(
+        "experiment, key, top",
+        [
+            # MAX_SIZE replicates, on a grid of 11 points
+            ('"method": "mc", "t_max": 0.01, "seed": 1, "replicates": %d', "replicates", MAX_SIZE),
+            # K x grid points at MAX_SIZE: 2096 x 2001 <= 2**22 < 2097 x 2001
+            ('"t_max": 2.0, "dt": 0.001, "K": %d', "K", MAX_SIZE // 2001),
+        ],
+        ids=["replicates", "K-x-grid"],
+    )
+    def test_survival_at_the_size_bounds_runs_in_2_gib(self, tmp_path, experiment, key, top):
+        # survival's sizes at their bound run within a 2 GiB address-space
+        # limit, in a child process; one more is rejected at its key
+        text = '{%s, "experiment": {"type": "survival", "k": [1], %s}}' % (
+            LF_MODEL_BLOCK,
+            experiment,
+        )
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text % (top + 1))
+        assert exc.value.path == f"experiment.{key}"
+        s = parse_config(text % top).settings
+        cfg = write_config(tmp_path, text % top)
+        out = tmp_path / "out"
+        proc = run_limited(cfg, out)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        (artifact,) = out.iterdir()
+        rows = [line for line in artifact.read_text().splitlines() if not line.startswith("#")]
+        assert len(rows) == 1 + grid_intervals(s["t_max"], s["dt"]) + 1  # header, one type
 
     @pytest.mark.parametrize(
         "model, C, source",
@@ -1035,7 +1010,7 @@ class TestShippedConfigs:
     def test_all_parse(self):
         for path in sorted(Path(__file__).parent.parent.glob("configs/*.json")):
             cfg = parse_config(path.read_text(encoding="utf-8"))
-            assert cfg.kind in ("survival", "constant", "gumbel", "oracle")
+            assert cfg.kind in cli.EXPERIMENTS
 
     def test_config_hashes_pinned(self):
         hashes = {
@@ -1195,7 +1170,7 @@ def test_module_entry_point_from_source_tree():
     # run the package, uninstalled
     root = Path(__file__).parent.parent
     path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    config = "configs/oracle_pure_death.json"
+    config = "configs/survival_linear_fractional.json"
     proc = subprocess.run(
         [sys.executable, "-m", "sporesim", "validate", "--config", config],
         capture_output=True,

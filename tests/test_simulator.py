@@ -13,7 +13,7 @@ from scipy.stats import chisquare, ks_2samp, kstest
 from family_draws import family_uniforms
 from naive_engine import run_to_extinction_reference
 from sporesim import simulator
-from sporesim.analytic import TruncatedSystem, closed_form_linear_fractional, solve_survival
+from sporesim.analytic import TruncatedSystem, solve_survival
 from sporesim.model import ModelParams, OffspringDistribution
 from sporesim.simulator import (
     BudgetError,
@@ -24,6 +24,7 @@ from sporesim.simulator import (
     run_batch,
 )
 from sporesim.stats import wilson_interval
+from survival_checks import closed_form_linear_fractional
 
 NO_OFFSPRING = OffspringDistribution.table([1.0])
 TWO_POINT = OffspringDistribution.table([0.6, 0.0, 0.4])

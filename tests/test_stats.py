@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sporesim import ModelParams, OffspringDistribution, gumbel_experiment, survival_curve_mc
-from sporesim.analytic import SurvivalCurve, closed_form_mu0
+from sporesim.analytic import SurvivalCurve
 from sporesim.stats import (
     GUMBEL_MEDIAN,
     check_growth_condition,
@@ -18,7 +18,7 @@ from sporesim.stats import (
     sorted_quantile,
     wilson_interval,
 )
-from survival_checks import WindowError, fit_decay_rate, validate_curve
+from survival_checks import WindowError, closed_form_mu0, fit_decay_rate, validate_curve
 
 NO_OFFSPRING = OffspringDistribution.table([1.0])
 TWO_POINT = OffspringDistribution.table([0.6, 0.0, 0.4])
