@@ -11,9 +11,9 @@ the pair is 1 - (1 - q_{k-1})(1 - q_j), so with q_0 identically 0:
               + beta*k * sum_j p_j (q_{k-1} + q_j - q_{k-1} q_j),
     q_k(0) = 1.
 
-The infinite system is closed by truncation: offspring counts above a level
-K are mapped to 0, which only removes reproduction and therefore bounds the
-true process from below, monotonically in K.
+The infinite system is closed by truncation: offspring counts above a level K
+map to 0, which bounds the true process from below, monotonically in K, and
+adds delta_K = beta sum_{j>K} j p_j to the decay rate (:func:`truncation_level`).
 
 Numerics: an adaptive Dormand-Prince 5(4) pair integrates the rescaled
 u_k = e^{sigma*t} q_k, sigma = max(decay rate, 0), with a step end on every
@@ -370,26 +370,42 @@ def linear_fractional_constant(p0: float, p2: float) -> float:
     return 1.0 - p2 / p0
 
 
-def constant_levels(m: ModelParams, K: int | None = None) -> tuple[int, ...]:
-    """Truncation levels :func:`estimate_constant` may solve from K (None: a table
-    law's support, at least 2, else 20): K and 2K for a table law, else K, 2K, .. 16K."""
-    support = m.offspring.max_support
-    if K is None:
-        K = max(support, 2) if support is not None else 20
-    return (K, 2 * K) if support is not None else tuple(K << i for i in range(5))
+# The constant's default level leaves a tail rate of at most tol * LEVEL_SHARE.  At tol 1e-8,
+# on seven Poisson and geometric laws, C moved <= 1.5e-10 at 2K and came within 4.2e-10 of
+# the rho = 0 quadrature; a share of 1/100 left geometric(0.6) 2.2e-9 from it.
+LEVEL_SHARE = 1e-3
 
 
-def constant_t_max(m: ModelParams, K: int, a: float, t_max: float | None) -> float:
-    """The span of :func:`estimate_constant` from level K at tail exponent a: t_max,
-    ValueError unless it reaches the settling time 10/a and its grid (spacing
-    constant_dt(a)) holds the walk's top level within MAX_SIZE values.  None: 30/a,
-    else the largest span that holds it, at least 10/a, checked; 30/a if no grid can."""
-    dt, top, floor = constant_dt(a), constant_levels(m, K)[-1], 10.0 / a
+def truncation_level(m: ModelParams, bound: float) -> int:
+    """The smallest K >= 1 whose tail rate delta_K = beta sum_{j>K} j p_j is at most bound:
+    at level K, h(t) = e^{lambda t} q_1(t) falls by delta_K per unit time or more.  Summed
+    from the top of a table past the sampling table and 2K (a Poisson or geometric tail past
+    2K is far below delta_K), not as the mean less a partial sum, which stops at rounding."""
+    n = len(m.offspring.cumulative)
+    while True:
+        terms = m.beta * np.arange(n + 1) * m.offspring.pmf_table(n)
+        tail = np.append(np.cumsum(terms[:0:-1])[::-1], 0.0)  # delta_K for K = 0 .. n
+        if (K := max(int(np.argmax(tail <= bound)), 1)) <= n // 2:
+            return K
+        if K > MAX_SIZE:  # the level, and a solve at it, would pass the memory rule
+            raise ValueError(f"the tail rate stays above {bound:g} past K = {MAX_SIZE} (2**22)")
+        n *= 2
+
+
+def check_settles(m: ModelParams, K: int, tol: float) -> None:
+    """ValueError unless h(t) at level K can settle to tol: delta_K must be below tol."""
+    if K < (level := truncation_level(m, tol)):
+        raise ValueError(f"K = {K} cannot settle to tol = {tol:g}: K >= {level} can")
+
+
+def constant_t_max(K: int, a: float, t_max: float | None) -> float:
+    """The span of :func:`estimate_constant` at level K and tail exponent a: t_max, ValueError
+    unless it reaches the settling time 10/a and its grid (spacing constant_dt(a)) holds 2K
+    within MAX_SIZE values.  None: 30/a, else the largest span that does, at least 10/a."""
+    dt, top, floor = constant_dt(a), 2 * K, 10.0 / a
     if t_max is None:
-        t_max, intervals = 30.0 / a, MAX_SIZE // top - 1  # the most the top level allows
-        if intervals < 1:
-            return t_max  # for the check of a given t_max to reject
-        if t_max / dt > intervals:
+        t_max, intervals = 30.0 / a, MAX_SIZE // top - 1  # the most the level 2K allows
+        if 1 <= intervals < t_max / dt:
             t_max = intervals * dt
             while t_max / dt > intervals:  # n*dt/dt may round up past n
                 t_max = math.nextafter(t_max, 0.0)
@@ -412,13 +428,11 @@ def estimate_constant(
     Tracks h(t) = e^{lambda t} q_1(t) (nonincreasing, positive) and stops at
     the first grid time t* >= 10/a where the relative change per unit time
     drops below tol; both solver passes stop there, so no row past t* is
-    solved.  The levels of :func:`constant_levels` from sys.K are solved in
-    turn, and the first one that settles with its double gives the estimate;
-    the change to the double's is reported as a convergence diagnostic.
+    solved.  Levels K and 2K are solved once each: K gives the estimate, and
+    the change to 2K's is reported as a convergence diagnostic.
 
     Args:
-        sys: Truncated backward system at the first level; its model must
-            be subcritical.
+        sys: Truncated backward system at level K; its model must be subcritical.
         a: Tail exponent in (0, min(lambda, beta)); default min(lambda, beta)/2.
         tol: Relative-settling threshold per unit time.
         solver_tol: Absolute tolerance handed to the ODE solver.
@@ -426,14 +440,14 @@ def estimate_constant(
             or else the largest span that fits.  Grid spacing min(0.5, (10/a)/100).
 
     Raises:
-        NonConvergenceError: h(t) not settled before t_max at a level with
-            no pair left to try (carries that level's trailing h values).
+        ValueError: a, t_max, or a K that cannot settle (:func:`check_settles`).
+        NonConvergenceError: h(t) not settled before t_max at K or 2K
+            (carries that level's trailing h values).
     """
     a = tail_exponent(sys.params, a)
-    t_floor = 10.0 / a
-    if t_max is None:
-        t_max = constant_t_max(sys.params, sys.K, a, None)
-    ts = _grid(constant_t_max(sys.params, sys.K, a, t_max), constant_dt(a))
+    check_settles(sys.params, sys.K, tol)
+    t_floor, t_max = 10.0 / a, constant_t_max(sys.K, a, t_max)
+    ts = _grid(t_max, constant_dt(a))
 
     def rel_change(h: np.ndarray, i: int) -> float:
         return abs(h[i] - h[i - 1]) / (h[i] * (ts[i] - ts[i - 1]))
@@ -447,29 +461,16 @@ def estimate_constant(
         i = len(h) - 1
         if not settled(U, i):
             raise NonConvergenceError(
-                f"e^(lambda t) q_1(t) did not settle to {tol:g}/unit time by t={t_max:g} "
-                f"at K={K}",
+                f"e^(lambda t) q_1(t) did not settle to {tol:g}/unit time by t={t_max:g} at K={K}",
                 tail=h[-10:],
             )
         return float(h[i]), i, float(rel_change(h, i))
 
-    levels, found = constant_levels(sys.params, sys.K), {}
-    for K in levels:
-        try:
-            found[K] = extract(K)
-        except NonConvergenceError:
-            if K >= levels[-2]:  # no pair left to try
-                raise
-        else:
-            if K // 2 in found:
-                break
-    (c_hat, row, last_rel), (c_double, row_double, _) = found[K // 2], found[K]
+    (c_hat, row, last_rel), (c_double, row_double, _) = extract(sys.K), extract(2 * sys.K)
     t_star = float(ts[row])
-    unsettled = ", ".join(str(L) for L in levels if L < K and L not in found)
     logger.debug(
         "constant estimate, K=%d and 2K=%d: t*=%.6g at grid row %d of %d; rows solved %d at K "
-        "and %d at 2K%s", K // 2, K, t_star, row, len(ts), row + 1, row_double + 1,
-        f"; unsettled at K = {unsettled}" if unsettled else "",
+        "and %d at 2K", sys.K, 2 * sys.K, t_star, row, len(ts), row + 1, row_double + 1,
     )
 
     # the solver can overshoot 1 by its own tolerance when C = 1 exactly
@@ -477,10 +478,4 @@ def estimate_constant(
         if c_hat > 1.0 + 100.0 * solver_tol:
             raise SolverError(f"constant estimate {c_hat!r} exceeds 1 beyond tolerance")
         c_hat = 1.0
-    return ConstantEstimate(
-        c_hat=c_hat,
-        t_star=t_star,
-        K=K // 2,
-        last_rel_change=last_rel,
-        k_doubling_change=abs(c_double - c_hat),
-    )
+    return ConstantEstimate(c_hat, t_star, sys.K, last_rel, k_doubling_change=abs(c_double - c_hat))

@@ -10,9 +10,9 @@ Experiments are described by a JSON config with three blocks::
     }
 
 Experiment types: survival (per-k curves, ODE and/or Monte Carlo), constant
-(leading-constant extraction), gumbel (extinction-time limit law).  The
-closed forms of the pure-death and linear fractional cases are test
-oracles, not an experiment.  Every block is declared once, as its keys
+(leading-constant extraction, by default at the truncation level the offspring
+law's tail gives), gumbel (extinction-time limit law, with that estimate when
+no closed form gives C).  Every block is declared once, as its keys
 in resolution order, each a `Key` with a type check, a bound and a default
 (which may depend on earlier keys and, for experiment keys, on the model):
 `CONFIG` (the top level), `MODEL`, `OUTPUT`, and the unions `OFFSPRING` on
@@ -43,12 +43,13 @@ from typing import Callable
 
 from . import __version__
 from .analytic import (
+    LEVEL_SHARE,
     MAX_SIZE,
     NonConvergenceError,
     SolverError,
     TruncatedSystem,
     _grid,
-    constant_levels,
+    check_settles,
     constant_t_max,
     default_dt,
     estimate_constant,
@@ -56,6 +57,7 @@ from .analytic import (
     grid_intervals,
     linear_fractional_constant,
     solve_survival,
+    truncation_level,
 )
 from .model import ModelParams, OffspringDistribution, tail_exponent
 from .simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS, RNG_ALGORITHM, BudgetError
@@ -235,12 +237,20 @@ def _solver_K(K, s: dict, m: ModelParams) -> None:
     grid_cells(K, s["t_max"], s["dt"])
 
 
+def _constant_K(m: ModelParams, tol: float = 1e-8) -> int:
+    """The default level of the constant's estimate at tol: the law's at tol/1000, at least 2."""
+    return max(truncation_level(m, tol * LEVEL_SHARE), 2)
+
+
+def _settles(K, s: dict, m: ModelParams) -> None:
+    check_settles(m, K, s["tol"])
+    grid_cells(2 * K, 1.0, 1.0)  # the estimate solves 2K, on two grid points at least
+
+
 def _gumbel_a(a, s: dict, m: ModelParams) -> None:
     tail_exponent(m, a)
     if s["C"] is None and not _has_lf_constant(m):
-        # the constant is estimated from the first level at a: its default span keeps the rule
-        K = constant_levels(m)[0]
-        constant_t_max(m, K, a, constant_t_max(m, K, a, None))
+        constant_t_max(_constant_K(m), a, None)  # the span the estimate at a will solve
 
 
 REQUIRED = object()  # Key default: the key must be given
@@ -485,7 +495,7 @@ def _resolve_gumbel_constant(m: ModelParams, s: dict) -> tuple[float, str]:
     if _has_lf_constant(m):
         p0, p2 = m.offspring.probs[0], m.offspring.probs[2]
         return linear_fractional_constant(p0, p2), "linear_fractional"
-    est = estimate_constant(TruncatedSystem(m, K=constant_levels(m)[0]), s["a"])
+    est = estimate_constant(TruncatedSystem(m, K=_constant_K(m)), s["a"])
     return est.c_hat, "backward_system"
 
 
@@ -588,14 +598,14 @@ EXPERIMENTS: dict[str, Experiment] = {
     "constant": Experiment(
         keys=(
             Key("a", _number, lambda s, m: tail_exponent(m), lambda a, s, m: tail_exponent(m, a)),
-            Key("K", _integer, lambda s, m: constant_levels(m)[0], _POSITIVE),
             Key("tol", _number, 1e-8, _POSITIVE),
+            Key("K", _integer, lambda s, m: _constant_K(m, s["tol"]), _settles),
             Key("solver_tol", _number, 1e-9, _POSITIVE),
             Key(
                 "t_max",
                 _number,
-                lambda s, m: _checked("a", constant_t_max, m, s["K"], s["a"], None),
-                lambda t_max, s, m: constant_t_max(m, s["K"], s["a"], t_max),
+                lambda s, m: _checked("a", constant_t_max, s["K"], s["a"], None),
+                lambda t_max, s, m: constant_t_max(s["K"], s["a"], t_max),
             ),
         ),
         run=_run_constant,

@@ -121,11 +121,6 @@ class OffspringDistribution:
             return self.param
         return (1.0 - self.param) / self.param
 
-    @property
-    def max_support(self) -> int | None:
-        """Largest attainable value, or None for unbounded support."""
-        return len(self.probs) - 1 if self.kind == "table" else None
-
     def pmf_table(self, kmax: int) -> np.ndarray:
         """Probabilities (p_0 .. p_kmax) as an array; entries above the table
         support are zero."""
@@ -139,11 +134,10 @@ class OffspringDistribution:
             out[0] = math.exp(-m)
             for j in range(kmax):
                 out[j + 1] = out[j] * m / (j + 1)
-        else:
-            p = self.param
-            out[0] = p
-            for j in range(kmax):
-                out[j + 1] = out[j] * (1.0 - p)
+        else:  # p_{j+1} = p_j * (1 - p), one product at a time as the recursion
+            out[:] = 1.0 - self.param
+            out[0] = self.param
+            np.multiply.accumulate(out, out=out)
         return out
 
     @cached_property

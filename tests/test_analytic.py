@@ -598,12 +598,18 @@ class TestEstimateConstant:
             (TWO_POINT, 2),
             (OffspringDistribution.poisson(0.5), 40),
             (OffspringDistribution.geometric(0.6), 40),
+            # the default level, from the tail at tol/1000: K = 2, 11 and 31
+            (TWO_POINT, None),
+            (OffspringDistribution.poisson(0.5), None),
+            (OffspringDistribution.geometric(0.6), None),
         ],
-        ids=["lf", "poisson", "geometric"],
+        ids=["lf", "poisson", "geometric", "lf-level", "poisson-level", "geometric-level"],
     )
     def test_matches_rho_zero_quadrature(self, law, K):
         # at rho = 0, C has a quadrature with no truncation
         m = ModelParams(1.0, 0.0, law)
+        if K is None:
+            K = analytic.truncation_level(m, 1e-8 * analytic.LEVEL_SHARE)
         est = estimate_constant(TruncatedSystem(m, K=K))
         assert abs(est.c_hat - rho_zero_constant(m)) <= 2e-9
 
@@ -619,31 +625,43 @@ class TestEstimateConstant:
         with pytest.raises(ValueError, match="settling time"):
             estimate_constant(TruncatedSystem(LF_MODEL, K=2), t_max=99.9)
 
-    def test_walk_names_the_unsettled_levels(self, caplog):
-        # geometric(0.4), beta 0.5, rho 1: from K = 20 the levels 20 and 40
-        # do not settle, and 80 settles with its double
+    def test_default_level_solves_one_pair(self, caplog):
+        # geometric(0.4), beta 0.5, rho 1: the level of the law's tail at
+        # tol/1000 settles with its double, in two solves and no more
         m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
+        K = analytic.truncation_level(m, 1e-8 * analytic.LEVEL_SHARE)
+        assert K == 56
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
-            est = estimate_constant(TruncatedSystem(m, K=20))
+            est = estimate_constant(TruncatedSystem(m, K=K))
         *solves, record = [r for r in caplog.records if r.name == "sporesim.analytic"]
         a = tail_exponent(m)
         grid = len(_grid(30.0 / a, analytic.constant_dt(a)))
-        assert len(solves) == 4
-        for solve, K in zip(solves, (20, 40, 80, 160)):
-            parse_solve_record(solve, K=K, grid=grid)
-        assert record.getMessage().startswith("constant estimate, K=80 and 2K=160: ")
-        assert record.getMessage().endswith("; unsettled at K = 20, 40")
-        assert est.K == 80
+        assert len(solves) == 2
+        for solve, size in zip(solves, (K, 2 * K)):
+            parse_solve_record(solve, K=size, grid=grid)
+        assert record.getMessage().startswith(f"constant estimate, K={K} and 2K={2 * K}: ")
+        assert est.K == K and est.k_doubling_change <= 1e-9
 
-    def test_walk_gives_up_at_8K(self, caplog):
-        # the same law from K = 5: 5 .. 40 do not settle, and past 8K = 40
-        # no pair is left to try
-        m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
-        with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
-            with pytest.raises(NonConvergenceError, match="at K=40$"):
-                estimate_constant(TruncatedSystem(m, K=5))
-        solves = [r.getMessage() for r in caplog.records if r.name == "sporesim.analytic"]
-        assert [int(re.search(r"K=(\d+)", r).group(1)) for r in solves] == [5, 10, 20, 40]
+    @pytest.mark.parametrize(
+        "m, K, delta",
+        [
+            # LF: K = 1 drops the type-2 offspring, delta_1 = 2 p_2 = 0.8
+            (LF_MODEL, 1, 0.8),
+            # geometric(0.4), beta 0.5: delta_20 = 0.5 * 0.6^21 (21 + 1.5)
+            (ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4)), 20, 0.5 * 0.6**21 * 22.5),
+        ],
+        ids=["lf-K-1", "geometric-K-20"],
+    )
+    def test_level_below_the_tail_rejected_before_any_solve(self, monkeypatch, m, K, delta):
+        # h(t) at level K falls by at least delta_K >= tol per unit time, so
+        # it can never settle: rejected before any solve, as a short t_max is
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(analytic, "_solve_scaled", no_solve)
+        assert delta >= 1e-8
+        with pytest.raises(ValueError, match=f"K = {K} cannot settle to tol = 1e-08"):
+            estimate_constant(TruncatedSystem(m, K=K))
 
     def test_matches_volterra_tail_at_rho_positive(self):
         # geometric(0.4), beta 0.5, rho 1 (lambda = 0.75) against h(t) =
@@ -654,8 +672,8 @@ class TestEstimateConstant:
         # next (measured: by 0.20 to 0.24 on t in [4, 11]), and the tail of
         # such a series is at most its last term: C >= h(t) - e(t) - d(t), with
         # d(t) the last drop plus the reference's error at both ends.  The
-        # band is 1.3e-3 wide; the walk's own settling gap and K-doubling
-        # change are under 1e-8, inside it
+        # band is 1.3e-3 wide; the estimate at the default level, with its own
+        # settling gap and K-doubling change under 1e-8, is inside it
         m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
         ts, ref = volterra_survival(m, 16.0, 200, [1])
         q, err = ref[1]
@@ -668,9 +686,74 @@ class TestEstimateConstant:
         assert resolved.sum() >= 50
         lower = (h[2 * lag :] - e[2 * lag :] - drop)[resolved].max()
         upper = (h + e).min()
-        est = estimate_constant(TruncatedSystem(m, K=20))
+        K = analytic.truncation_level(m, 1e-8 * analytic.LEVEL_SHARE)
+        est = estimate_constant(TruncatedSystem(m, K=K))
         assert est.k_doubling_change < 1e-8
         assert lower <= est.c_hat <= upper
+
+
+def geometric_tail(p: float, K: int) -> float:
+    """sum_{j>K} j p (1 - p)^j in closed form."""
+    return (1.0 - p) ** (K + 1) * (K + 1 + (1.0 - p) / p)
+
+
+def poisson_tail(mu: float, K: int) -> float:
+    """sum_{j>K} j P(N = j) = mu P(N >= K) for N ~ Poisson(mu), from scipy."""
+    return mu * poisson.sf(K - 1, mu)
+
+
+class TestTruncationLevelFromTail:
+    @pytest.mark.parametrize(
+        "law, tail",
+        [
+            (OffspringDistribution.geometric(0.4), lambda K: geometric_tail(0.4, K)),
+            (OffspringDistribution.geometric(0.05), lambda K: geometric_tail(0.05, K)),
+            (OffspringDistribution.poisson(2.0), lambda K: poisson_tail(2.0, K)),
+            (OffspringDistribution.poisson(300.0), lambda K: poisson_tail(300.0, K)),
+        ],
+        ids=["geometric-0.4", "geometric-0.05", "poisson-2", "poisson-300"],
+    )
+    # down to 1e-16 / 1000, where the mean minus a partial sum never gets
+    @pytest.mark.parametrize("bound", [1e-3, 1e-11, 1e-19])
+    def test_smallest_level_within_the_bound(self, law, tail, bound):
+        beta = 0.5
+        K = analytic.truncation_level(ModelParams(beta, 1.0, law), bound)
+        assert K >= 1
+        assert beta * tail(K) <= bound * (1.0 + 1e-9)
+        assert K == 1 or beta * tail(K - 1) > bound * (1.0 - 1e-9)
+
+    def test_table_law_exact_at_its_support(self):
+        # delta_K is 0 from the largest count with mass on, and positive below
+        for probs, K in (
+            ([1.0], 1),
+            ([0.5, 0.5], 1),
+            ([0.6, 0.0, 0.4], 2),
+            ([0.6, 0.0, 0.4, 0.0], 2),
+            ([0.5, 0.2, 0.2, 0.1], 3),
+        ):
+            m = ModelParams(1.0, 1.0, OffspringDistribution.table(probs))
+            assert analytic.truncation_level(m, 1e-30) == analytic.truncation_level(m, 0.0) == K
+
+    def test_level_above_max_size_rejected(self, monkeypatch):
+        monkeypatch.setattr(analytic, "MAX_SIZE", 64)
+        narrow = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
+        assert analytic.truncation_level(narrow, 1e-11) == 56
+        wide = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.05))
+        with pytest.raises(ValueError, match="past K = 64"):
+            analytic.truncation_level(wide, 1e-11)
+
+    def test_settling_check_on_the_tail_rate(self):
+        # a level can settle where delta_K < tol: K = 1 for a law with no
+        # mass above 1, and K < 1 never
+        half = ModelParams(1.0, 0.0, OffspringDistribution.table([0.5, 0.5]))
+        analytic.check_settles(half, 1, 1e-8)
+        geometric = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
+        level = analytic.truncation_level(geometric, 1e-8)
+        assert 0.5 * geometric_tail(0.4, level - 1) > 1e-8 >= 0.5 * geometric_tail(0.4, level)
+        analytic.check_settles(geometric, level, 1e-8)
+        for m, K in ((geometric, level - 1), (half, 0)):
+            with pytest.raises(ValueError, match=f"K = {K} cannot settle to tol = 1e-08"):
+                analytic.check_settles(m, K, 1e-8)
 
 
 class TestTruncationLowerBound:

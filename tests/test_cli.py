@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sporesim import cli, simulator
@@ -26,7 +27,14 @@ from sporesim.cli import (
     parse_config,
     run_experiment,
 )
-from sporesim.analytic import MAX_SIZE, constant_dt, constant_levels, constant_t_max, grid_intervals
+from sporesim.analytic import (
+    LEVEL_SHARE,
+    MAX_SIZE,
+    constant_dt,
+    constant_t_max,
+    grid_intervals,
+    truncation_level,
+)
 from sporesim.model import ModelParams, OffspringDistribution, tail_exponent
 from sporesim.simulator import RNG_ALGORITHM
 from survival_checks import rho_zero_constant
@@ -54,6 +62,13 @@ POISSON_MODEL_BLOCK = (
 # decay rate 1/16: a small tail exponent a, so a long settling time 10/a
 SLOW_POISSON_MODEL_BLOCK = (
     '"model": {"beta": 1, "rho": 0.0625, "offspring": {"kind": "poisson", "param": 1}}'
+)
+GEOMETRIC_MODEL_BLOCK = (
+    '"model": {"beta": 0.5, "rho": 1.0, "offspring": {"kind": "geometric", "param": 0.4}}'
+)
+# a wide law, mean 9: the constant's level from its tail is 294
+WIDE_MODEL_BLOCK = (
+    '"model": {"beta": 1, "rho": 9, "offspring": {"kind": "geometric", "param": 0.1}}'
 )
 
 CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
@@ -217,6 +232,10 @@ OUT_OF_RANGE = {
         "z",
     ),
     "constant-K-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 0', [], "K"),
+    # levels whose tail rate delta_K is at least tol: h(t) can never settle
+    # there (LF at K = 1: delta_1 = 0.8; geometric(0.4) at 20: 2.2e-5)
+    "constant-K-1-lf": (LF_MODEL_BLOCK, '"type": "constant", "K": 1', [], "K"),
+    "constant-K-20-geometric": (GEOMETRIC_MODEL_BLOCK, '"type": "constant", "K": 20', [], "K"),
     "survival-K-below-k": (
         LF_MODEL_BLOCK, '"type": "survival", "k": [1, 5], "t_max": 1.0, "K": 2', [], "K"
     ),
@@ -274,15 +293,16 @@ OUT_OF_RANGE = {
     "survival-k-10**9": (
         LF_MODEL_BLOCK, '"type": "survival", "k": [1000000000], "t_max": 1.0', [], "k"
     ),
-    "constant-K-10**9": (LF_MODEL_BLOCK, '"type": "constant", "K": 1000000000', [], "t_max"),
-    # the default t_max shrinks to fit K = 320 (the walk's top level from
-    # 20), but not below the settling time 10/a, which is a's to fix
+    # no grid holds the estimate's 2K, reported at K
+    "constant-K-10**9": (LF_MODEL_BLOCK, '"type": "constant", "K": 1000000000', [], "K"),
+    # the default t_max shrinks to fit 2K = 588 (the wide law's level), but
+    # not below the settling time 10/a, which is a's to fix
     "constant-default-t_max-a-2**-10": (
-        SLOW_POISSON_MODEL_BLOCK, '"type": "constant", "a": 0.0009765625', [], "a"
+        WIDE_MODEL_BLOCK, '"type": "constant", "a": 0.0009765625', [], "a"
     ),
     # the grid of the leading constant gumbel with C: null would estimate at
     # a, from the settling time 10/a on (10/a = 1e7 is 2e7 intervals of 0.5,
-    # and the walk's top level 320 allows 13,106)
+    # and 2K = 36 at the law's level allows 116,507)
     "gumbel-estimated-C-a-1e-6": (
         POISSON_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 10}, "a": 1e-6, "seed": 1', [], "a"
     ),
@@ -301,11 +321,11 @@ OUT_OF_RANGE = {
 }
 
 
-def constant_grid_fits(m: ModelParams, K: int, a: float, t_max: float | None) -> bool:
-    """Whether estimate_constant's grid from level K at a, to t_max (None: its
+def constant_grid_fits(K: int, a: float, t_max: float | None) -> bool:
+    """Whether estimate_constant's grid at level K and a, to t_max (None: its
     default), keeps analytic's rule for it."""
     try:
-        constant_t_max(m, K, a, constant_t_max(m, K, a, None) if t_max is None else t_max)
+        constant_t_max(K, a, t_max)
     except ValueError:
         return False
     return True
@@ -363,26 +383,29 @@ def in_range_configs(draw):
     if kind == "constant":
         maybe("a", st.floats(0.05, 0.95).map(lambda f: f * cap))
         maybe("solver_tol", st.floats(1e-12, 1e-3))
-        a = e.get("a", tail_exponent(m))
-        # from the settling time 10/a on, and K up to the most analytic's rule
-        # allows over that span, or over the default one; K is given whenever
-        # its default is over that, as at a small a for an unbounded law
-        maybe("t_max", st.floats(10.0 / a, 40.0 / a))
-        top = largest(lambda K: constant_grid_fits(m, K, a, e.get("t_max")), MAX_SIZE)
-        if constant_levels(m)[0] > top or draw(st.booleans()):
-            e["K"] = draw(st.integers(1, top))
         maybe("tol", st.floats(1e-12, 1e-3))
+        a, tol = e.get("a", tail_exponent(m)), e.get("tol", 1e-8)
+        # from the settling time 10/a on, and K from the law's level at tol up
+        # to the most analytic's 2K rule allows over that span, or over the
+        # default one; K is given whenever its default is over that, as at a
+        # small a for an unbounded law
+        maybe("t_max", st.floats(10.0 / a, 40.0 / a))
+        top = largest(lambda K: constant_grid_fits(K, a, e.get("t_max")), MAX_SIZE // 2)
+        level = truncation_level(m, tol)
+        assume(level <= top)
+        if cli._constant_K(m, tol) > top or draw(st.booleans()):
+            e["K"] = draw(st.integers(level, top))
     if kind == "gumbel":
         # up to MAX_SIZE hosts in all, at least one
         e["z"], left = {}, MAX_SIZE
         for k in draw(st.lists(st.integers(1, MAX_SIZE), min_size=1, max_size=4, unique=True)):
             e["z"][str(k)] = n = draw(st.integers(0 if e["z"] else 1, left))
             left -= n
-        # C: null estimates the constant from the first level at a (no model
+        # C: null estimates the constant at the law's level at a (no model
         # here has the LF closed form, as rho > 0), where that grid fits
         maybe("a", st.one_of(st.floats(0.05, 0.95), st.floats(1e-6, 0.05)).map(lambda f: f * cap))
         a = e.get("a", tail_exponent(m))
-        if constant_grid_fits(m, constant_levels(m)[0], a, None):
+        if constant_grid_fits(cli._constant_K(m), a, None):
             maybe("C", st.one_of(st.none(), st.floats(1e-6, 1.0)))
         else:
             e["C"] = draw(st.floats(1e-6, 1.0))
@@ -477,21 +500,21 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "model, experiment, top",
         [
-            # an unbounded law from the default K = 20, at grid spacing 0.5
-            (SLOW_POISSON_MODEL_BLOCK, '"a": 0.00390625', 320),
+            # the wide law at its default level 294, at grid spacing 0.5
+            (WIDE_MODEL_BLOCK, '"a": 0.00390625', 2 * 294),
             # at grid spacing 0.4, where 252 * 0.4 / 0.4 rounds up past 252
-            (POISSON_MODEL_BLOCK, '"K": 1033', 16 * 1033),
+            (POISSON_MODEL_BLOCK, '"K": 8264', 2 * 8264),
         ],
-        ids=["a-2**-8", "K-1033"],
+        ids=["a-2**-8", "K-8264"],
     )
     def test_default_constant_t_max_fits_the_grid(self, tmp_path, model, experiment, top):
-        # 30/a where its grid holds the walk's top level; else the largest
-        # span that does, from 10/a on
+        # 30/a where its grid holds the level 2K; else the largest span that
+        # does, from 10/a on
         lf = parse_config(MINIMAL_CONFIGS["constant"]).settings
         assert lf["t_max"] == 30.0 / lf["a"]
         cfg = parse_config('{%s, "experiment": {"type": "constant", %s}}' % (model, experiment))
         s, dt = cfg.settings, constant_dt(cfg.settings["a"])
-        assert constant_levels(cfg.params, s["K"])[-1] == top
+        assert 2 * s["K"] == top
         assert 10.0 / s["a"] <= s["t_max"] < 30.0 / s["a"]
         intervals = grid_intervals(s["t_max"], dt)
         assert top * (intervals + 1) <= MAX_SIZE < top * (intervals + 2)
@@ -756,8 +779,8 @@ class TestMain:
         assert not out.exists()
 
     def test_gumbel_constant_of_unbounded_law_settles(self, tmp_path):
-        # geometric(0.6) does not settle at the first truncation, K = 20; the
-        # retry at K = 40 lands on the quadrature with no truncation
+        # geometric(0.6), beta 1, rho 0: the estimate at the law's level, 31,
+        # lands on the quadrature with no truncation
         text = (
             '{"model": {"beta": 1.0, "rho": 0.0, '
             '"offspring": {"kind": "geometric", "param": 0.6}}, '
@@ -771,16 +794,22 @@ class TestMain:
         model = ModelParams(1.0, 0.0, OffspringDistribution.geometric(0.6))
         assert abs(report["C"] - rho_zero_constant(model)) <= 2e-9
 
-    def test_constant_K_defaults_to_the_first_level(self):
-        # a table law's support, at least 2; an unbounded law's 20
-        for model, K in ((LF_MODEL_BLOCK, 2), (PURE_DEATH_MODEL_BLOCK, 2), (POISSON_MODEL_BLOCK, 20)):
-            cfg = parse_config('{%s, "experiment": {"type": "constant"}}' % model)
-            assert cfg.settings["K"] == K
+    def test_constant_K_defaults_to_the_tail_level(self):
+        # the law's level from its tail at tol/1000, at least 2: a table
+        # law's support, and an unbounded law's level, which follows tol
+        for model, tol, K in (
+            (LF_MODEL_BLOCK, 1e-8, 2),
+            (PURE_DEATH_MODEL_BLOCK, 1e-8, 2),
+            (POISSON_MODEL_BLOCK, 1e-8, 18),
+            (POISSON_MODEL_BLOCK, 1e-4, 14),
+        ):
+            cfg = parse_config('{%s, "experiment": {"type": "constant", "tol": %r}}' % (model, tol))
+            assert cfg.settings["K"] == K == max(truncation_level(cfg.params, tol * LEVEL_SHARE), 2)
 
-    def test_constant_of_unbounded_law_walks_from_K_20(self, tmp_path):
-        # geometric(0.6), beta 1, rho 0: K = 20 does not settle, so the walk
-        # accepts K = 40 and its double, and lands on the quadrature with no
-        # truncation, as the gumbel constant does
+    def test_constant_of_unbounded_law_at_the_tail_level(self, tmp_path):
+        # geometric(0.6), beta 1, rho 0: the run solves the resolved K = 31
+        # and its double, and lands on the quadrature with no truncation, as
+        # the gumbel constant does
         text = (
             '{"model": {"beta": 1.0, "rho": 0.0, '
             '"offspring": {"kind": "geometric", "param": 0.6}}, '
@@ -789,17 +818,13 @@ class TestMain:
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == EXIT_OK
         report = json.loads((tmp_path / "c" / "constant.json").read_text())
-        assert report["K"] == 40
-        assert report["metadata"]["config"]["experiment"]["K"] == 20
+        assert report["K"] == report["metadata"]["config"]["experiment"]["K"] == 31
         model = ModelParams(1.0, 0.0, OffspringDistribution.geometric(0.6))
         assert abs(report["c_hat"] - rho_zero_constant(model)) <= 2e-9
 
     def test_constant_and_gumbel_constant_are_one_estimate(self, tmp_path):
-        # geometric(0.4), beta 0.5, rho 1: both walk from K = 20 to K = 80
-        model = (
-            '"model": {"beta": 0.5, "rho": 1.0, '
-            '"offspring": {"kind": "geometric", "param": 0.4}}'
-        )
+        # geometric(0.4), beta 0.5, rho 1: both estimate at the law's level 56
+        model = GEOMETRIC_MODEL_BLOCK
         constant = write_config(tmp_path, '{%s, "experiment": {"type": "constant"}}' % model)
         assert main(["run", "--config", str(constant), "--out-dir", str(tmp_path / "c")]) == 0
         gumbel = tmp_path / "gumbel.json"
@@ -810,19 +835,46 @@ class TestMain:
         assert main(["run", "--config", str(gumbel), "--out-dir", str(tmp_path / "g")]) == 0
         est = json.loads((tmp_path / "c" / "constant.json").read_text())
         report = json.loads((tmp_path / "g" / "gumbel.json").read_text())
-        assert est["K"] == 80
-        assert est["c_hat"] == report["C"] == 0.3384517406300892
+        assert est["K"] == est["metadata"]["config"]["experiment"]["K"] == 56
+        assert est["c_hat"] == report["C"] == 0.3384517405506967
+
+    @pytest.mark.parametrize(
+        "model, experiment",
+        [
+            (WIDE_MODEL_BLOCK, '"type": "constant"'),
+            (WIDE_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 10}, "replicates": 5, "seed": 3'),
+            (
+                '"model": {"beta": 0.1, "rho": 2.5, '
+                '"offspring": {"kind": "geometric", "param": 0.05}}',
+                '"type": "constant"',
+            ),
+        ],
+        ids=["geometric-0.1-constant", "geometric-0.1-gumbel", "geometric-0.05-constant"],
+    )
+    def test_wide_law_constant_settles_at_its_level(self, tmp_path, model, experiment):
+        # wide laws, whose levels from the tail are 294 and 573: each settles
+        # with its double, and no warning (as of h(t) underflowing at a level
+        # too low for the law) is raised
+        cfg = write_config(tmp_path, '{%s, "experiment": {%s}}' % (model, experiment))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+        if "constant" in experiment:
+            est = json.loads((tmp_path / "o" / "constant.json").read_text())
+            assert est["k_doubling_change"] <= 1e-9
+            assert est["K"] == est["metadata"]["config"]["experiment"]["K"] in (294, 573)
+        else:
+            report = json.loads((tmp_path / "o" / "gumbel.json").read_text())
+            assert report["C_source"] == "backward_system"
+            assert report["C"] == pytest.approx(0.007576834748591218, abs=1e-9)
 
     def test_constant_at_the_size_bound_runs_in_2_gib(self, tmp_path):
-        # geometric(0.4), beta 0.5, rho 1 (a = 0.25, spacing 0.4) from K = 40:
-        # the walk may solve up to 16K = 640 over the grid, and 640 x 6553
-        # points is the most under MAX_SIZE.  K = 40 does not settle and runs
-        # the whole grid; 80 and 160 settle at t* = 40.  The run needs its
-        # sizes within a 2 GiB address-space limit, in a child process
-        text = (
-            '{"model": {"beta": 0.5, "rho": 1.0, '
-            '"offspring": {"kind": "geometric", "param": 0.4}}, '
-            '"experiment": {"type": "constant", "K": 40, "t_max": %r}}'
+        # geometric(0.4), beta 0.5, rho 1 (a = 0.25, spacing 0.4) at K = 320:
+        # the estimate solves 2K = 640 over the grid, and 640 x 6553 points
+        # is the most under MAX_SIZE.  Both levels settle at t* = 40.  The run
+        # needs its sizes within a 2 GiB address-space limit, in a child process
+        text = '{%s, "experiment": {"type": "constant", "K": 320, "t_max": %%r}}' % (
+            GEOMETRIC_MODEL_BLOCK
         )
         for points, ok in ((6553, True), (6554, False)):
             t_max = (points - 1) * constant_dt(0.25)
@@ -835,7 +887,8 @@ class TestMain:
         out = tmp_path / "out"
         proc = run_limited(cfg, out)
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert json.loads((out / "constant.json").read_text())["K"] == 80
+        est = json.loads((out / "constant.json").read_text())
+        assert est["K"] == 320 and est["t_star"] == 40.0
 
     def test_gumbel_at_the_host_bound_runs_in_2_gib(self, tmp_path):
         # z holds at most MAX_SIZE hosts in all, and a replicate from that
@@ -890,7 +943,7 @@ class TestMain:
         self, tmp_path, model, C, source
     ):
         # at a = 1e-6 no grid from the settling time 10/a holds the constant's
-        # walk, which neither an LF law's closed form nor a given C needs
+        # pair of levels, which neither an LF law's closed form nor a given C needs
         text = (
             '{%s, "experiment": {"type": "gumbel", "z": {"1": 10}, "a": 1e-6, "C": %s, '
             '"replicates": 5, "seed": 1}}' % (model, C)
