@@ -21,10 +21,10 @@ grid point.  u_k stays O(k) for subcritical models, so absolute error control
 on u gives *relative* accuracy on q deep into the tail (where q underflows
 any absolute tolerance), and |q error| = e^{-sigma*t} |u error| <= tol.
 :func:`_rhs_kernel` is the one right-hand side, in q (sigma = 0) or in u,
-evaluated in place through preallocated buffers.  Each pass yields its grid
-rows as it reaches them: two passes at different tolerances advance together
-and are compared row by row, a pass that loses is dropped where it loses, and
-a caller may stop both at a grid row (:func:`estimate_constant` stops at t*).
+evaluated in place through preallocated buffers.  A pass keeps only its
+current row: two passes at different tolerances advance together, compared
+row by row, and the caller copies what it reads of each agreed row (h alone
+for :func:`estimate_constant`, which stops both at t*).
 """
 
 from __future__ import annotations
@@ -162,9 +162,9 @@ _REFINE = 32.0  # local tolerance ratio of the two passes compared
 class _Pass:
     """One adaptive Dormand-Prince pass for u from u(0) = 1, local error on u
     <= tau per step, a step end on every grid point.  Iterating it solves one
-    more grid row m into U[m] and yields m; ``rows``, ``accepted``,
-    ``rejected`` and ``rhs`` (right-hand-side evaluations) count its work so
-    far.
+    more grid row m into ``u``, its one row, and yields m; ``u_max`` is max |u|
+    so far, and ``rows``, ``accepted``, ``rejected`` and ``rhs`` (right-hand-side
+    evaluations) count its work.  It is a pure function of its arguments.
 
     Every stage is computed in place, in buffers allocated once per pass,
     with the operations of the allocating form u + step * (A_i @ ks[:i]) in
@@ -172,7 +172,7 @@ class _Pass:
 
     def __init__(self, sys: TruncatedSystem, ts: np.ndarray, tau: float, sigma: float):
         self.tau = tau
-        self.U = np.empty((len(ts), sys.K))
+        self.u, self.u_max = np.ones(sys.K), 1.0
         self.rows = self.accepted = self.rejected = self.rhs = 0
         self._rows = self._integrate(sys, ts, sigma)
 
@@ -183,13 +183,12 @@ class _Pass:
         return next(self._rows)
 
     def _integrate(self, sys: TruncatedSystem, ts: np.ndarray, sigma: float) -> Iterator[int]:
-        tau, K = self.tau, sys.K
-        u, y, comb, e = np.ones(K), np.ones(K), np.empty(K), np.empty(K)
+        tau, K, u = self.tau, sys.K, self.u
+        y, comb, e = np.ones(K), np.empty(K), np.empty(K)
         ks = np.empty((7, K))
         step0 = np.zeros(())  # the step as a 0-d operand, as in _rhs_kernel
         f = _rhs_kernel(sys, sigma, y, np.empty(K))  # every stage is evaluated at y
         stages = [(_DP_A[i - 1], ks[:i], ks[i], _DP_C[i]) for i in range(1, 7)]
-        self.U[0] = u
         self.rows = 1
         yield 0
         f(ks[0], 0.0)
@@ -221,7 +220,7 @@ class _Pass:
                 else:
                     rejected += 1
                     h = step * (max(0.2, 0.9 * err**-0.2) if math.isfinite(err) else 0.2)
-            self.U[m] = u
+            self.u_max = max(self.u_max, float(np.abs(u).max()))
             self.rows, self.accepted, self.rejected, self.rhs = m + 1, accepted, rejected, rhs
             yield m
 
@@ -230,67 +229,59 @@ def _solve_scaled(
     sys: TruncatedSystem,
     ts: np.ndarray,
     tol: float,
-    stop: Callable[[np.ndarray, int], bool] | None = None,
-) -> tuple[np.ndarray, float, np.ndarray]:
+    row: Callable[[int, np.ndarray], bool | None],
+) -> tuple[float, np.ndarray]:
     """Integrate u = e^{sigma t} q over the grid to absolute accuracy tol.
 
     Passes at local tolerances tau = tol/4 and tau/32 advance together, one
     grid row at a time, and must agree within tol at every row.  At the first
-    row where they do not, the coarser pass is dropped there and the finer
-    one is compared with a new pass at a 32 times tighter tolerance, started
-    from t = 0.  A tolerance below ulp(max|u|) / 32, over the rows the coarser
-    pass has solved, is swamped by rounding and raises SolverError.  After
-    each agreed row m, ``stop(U, m)`` may end both passes there.  Returns
-    (U, sigma, err) over the rows solved: the finer pass of the accepted pair
-    and, per row, max_k of the difference of the pair.
+    row where they do not, both are dropped and a new pair starts from t = 0
+    at the finer one's tolerance and 1/32 of it.  A tolerance below
+    ulp(max|u|) / 32, over the rows the coarser pass has solved, is swamped
+    by rounding and raises SolverError.  Each agreed row u of the finer pass
+    goes to ``row(m, u)``, which copies what its caller reads (``u`` is the
+    pass's own buffer) and, returning true, ends both passes there; after a
+    restart the rows come again from m = 0.  Returns (sigma, err) over the
+    rows solved: per row, max_k of the difference of the accepted pair.
     """
     sigma = max(sys.params.decay_rate, 0.0)
     passes: list[_Pass] = []
 
-    def start(tau: float, u_max: float) -> _Pass:
-        check_precision(tau, u_max)
-        passes.append(_Pass(sys, ts, tau, sigma))
-        return passes[-1]
+    def pair(tau: float) -> tuple[_Pass, _Pass]:
+        passes.extend(_Pass(sys, ts, t, sigma) for t in (tau, tau / _REFINE))
+        return passes[-2], passes[-1]
 
-    def check_precision(tau: float, u_max: float) -> None:
-        if tau < math.ulp(u_max) / _REFINE:
-            raise SolverError(f"tol={tol:g} is below double precision for |u| up to {u_max:.3g}")
-
-    u_max = 1.0
-    coarse = start(tol / 4.0, u_max)
-    fine = start(coarse.tau / _REFINE, u_max)
-    point_err, diff = np.empty(len(ts)), np.empty(sys.K)
+    coarse, fine = pair(tol / 4.0)
+    err, diff = np.empty(len(ts)), np.empty(sys.K)
     m = 0
     while True:
-        if coarse.rows == m:
-            next(coarse)
-            u_max = max(u_max, float(np.abs(coarse.U[m]).max()))
-            check_precision(fine.tau, u_max)
+        next(coarse)
+        if fine.tau < math.ulp(u_max := coarse.u_max) / _REFINE:
+            raise SolverError(f"tol={tol:g} is below double precision for |u| up to {u_max:.3g}")
         next(fine)
-        np.subtract(fine.U[m], coarse.U[m], out=diff)
-        point_err[m] = np.abs(diff, out=diff).max()
-        if point_err[m] > tol:
-            coarse, u_max = fine, float(np.abs(fine.U[: m + 1]).max())
-            fine, m = start(coarse.tau / _REFINE, u_max), 0
-            continue
-        if m == len(ts) - 1 or (stop is not None and stop(fine.U, m)):
+        np.subtract(fine.u, coarse.u, out=diff)
+        err[m] = np.abs(diff, out=diff).max()
+        if err[m] > tol:
+            (coarse, fine), m = pair(fine.tau), 0
+        elif row(m, fine.u) or m == len(ts) - 1:
             break
-        m += 1
+        else:
+            m += 1
     logger.debug(
         "backward solve, K=%d on %d grid points: %d passes, %d accepted and %d rejected steps, "
         "%d RHS evaluations, err %.3g; grid rows reached per pass %s",
         sys.K, len(ts), len(passes), sum(p.accepted for p in passes),
-        sum(p.rejected for p in passes), sum(p.rhs for p in passes), point_err[: m + 1].max(),
+        sum(p.rejected for p in passes), sum(p.rhs for p in passes), err[: m + 1].max(),
         [p.rows for p in passes],
     )
-    return fine.U[: m + 1], sigma, point_err[: m + 1]
+    return sigma, err[: m + 1]
 
 
-# The memory rule: no size a run allocates by passes MAX_SIZE values.  The
-# sizes are grid points times K (a solver pass holds that many floats, and a
-# survival artifact up to twice that many rows), so grid points alone; the
-# largest host type (the engine indexes its rows by type); and replicates.
-# At this bound every experiment type runs within 2 GiB of address space.
+# The memory rule: no size a run allocates by passes MAX_SIZE values: grid
+# points; grid points times K in solve_survival (a pass keeps one row), or
+# times the k of an MC-only survival run (an artifact row each); the largest
+# host type (the engine indexes its rows by type); and replicates.  At this
+# bound every experiment type runs within 2 GiB of address space.
 MAX_SIZE = 1 << 22
 
 
@@ -318,11 +309,11 @@ def grid_intervals(t_max: float, dt: float | None) -> int:
     return max(1, math.ceil(t_max / dt))
 
 
-def grid_cells(K: int, t_max: float, dt: float) -> None:
-    """ValueError unless K values at each point of the grid at spacing dt total <= MAX_SIZE."""
+def grid_cells(n: int, t_max: float, dt: float, what: str) -> None:
+    """ValueError unless n values at each point of the grid at spacing dt total <= MAX_SIZE."""
     points = grid_intervals(t_max, dt) + 1
-    if K * points > MAX_SIZE:
-        raise ValueError(f"K = {K} over {points} grid points gives over {MAX_SIZE} (2**22) values")
+    if n * points > MAX_SIZE:
+        raise ValueError(f"{what} = {n} at {points} grid points is over {MAX_SIZE} (2**22) values")
 
 
 def _grid(t_max: float, dt: float | None) -> np.ndarray:
@@ -347,7 +338,8 @@ def solve_survival(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     ts = _grid(t_max, dt)
-    Q, sigma, err = _solve_scaled(sys, ts, tol)
+    Q = np.empty((len(ts), sys.K))
+    sigma, err = _solve_scaled(sys, ts, tol, Q.__setitem__)  # each row m into Q[m]
     scale = np.exp(-sigma * ts)
     Q *= scale[:, None]  # the accepted pass's rows, scaled in place
     negatives = int((Q < 0.0).sum())
@@ -381,6 +373,8 @@ def truncation_level(m: ModelParams, bound: float) -> int:
     at level K, h(t) = e^{lambda t} q_1(t) falls by delta_K per unit time or more.  Summed
     from the top of a table past the sampling table and 2K (a Poisson or geometric tail past
     2K is far below delta_K), not as the mean less a partial sum, which stops at rounding."""
+    if not bound > 0.0:
+        raise ValueError(f"the tail rate bound must be positive, got {bound!r}")
     n = len(m.offspring.cumulative)
     while True:
         terms = m.beta * np.arange(n + 1) * m.offspring.pmf_table(n)
@@ -392,27 +386,21 @@ def truncation_level(m: ModelParams, bound: float) -> int:
         n *= 2
 
 
-def check_settles(m: ModelParams, K: int, tol: float) -> None:
-    """ValueError unless h(t) at level K can settle to tol: delta_K must be below tol."""
+def check_settles(m: ModelParams, K: int, tol: float, a: float) -> None:
+    """ValueError unless an estimate at level K can settle to tol: delta_K must be below tol, and
+    2K values per point of the grid to 10/a (the least it solves) must fit within MAX_SIZE."""
     if K < (level := truncation_level(m, tol)):
         raise ValueError(f"K = {K} cannot settle to tol = {tol:g}: K >= {level} can")
+    grid_cells(2 * K, 10.0 / a, constant_dt(a), f"level K = {K}, to the settling time 10/a: 2K")
 
 
-def constant_t_max(K: int, a: float, t_max: float | None) -> float:
-    """The span of :func:`estimate_constant` at level K and tail exponent a: t_max, ValueError
-    unless it reaches the settling time 10/a and its grid (spacing constant_dt(a)) holds 2K
-    within MAX_SIZE values.  None: 30/a, else the largest span that does, at least 10/a."""
-    dt, top, floor = constant_dt(a), 2 * K, 10.0 / a
-    if t_max is None:
-        t_max, intervals = 30.0 / a, MAX_SIZE // top - 1  # the most the level 2K allows
-        if 1 <= intervals < t_max / dt:
-            t_max = intervals * dt
-            while t_max / dt > intervals:  # n*dt/dt may round up past n
-                t_max = math.nextafter(t_max, 0.0)
-            t_max = max(t_max, floor)  # where even 10/a does not fit, grid_cells says why
-    if not t_max >= floor:
-        raise ValueError(f"t_max = {t_max:g} ends before the settling time 10/a = {floor:g}")
-    grid_cells(top, t_max, dt)
+def constant_t_max(a: float, t_max: float | None) -> float:
+    """The span of :func:`estimate_constant` at tail exponent a: t_max (None: 30/a), ValueError
+    unless it reaches the settling time 10/a and its grid keeps within MAX_SIZE points."""
+    t_max = 30.0 / a if t_max is None else t_max
+    if not t_max >= 10.0 / a:
+        raise ValueError(f"t_max = {t_max:g} ends before the settling time 10/a = {10.0 / a:g}")
+    grid_intervals(t_max, constant_dt(a))
     return t_max
 
 
@@ -428,43 +416,50 @@ def estimate_constant(
     Tracks h(t) = e^{lambda t} q_1(t) (nonincreasing, positive) and stops at
     the first grid time t* >= 10/a where the relative change per unit time
     drops below tol; both solver passes stop there, so no row past t* is
-    solved.  Levels K and 2K are solved once each: K gives the estimate, and
-    the change to 2K's is reported as a convergence diagnostic.
+    solved, and of a row only h.  Levels K and 2K are solved once each: K
+    gives the estimate, and the change to 2K's is a convergence diagnostic.
 
     Args:
         sys: Truncated backward system at level K; its model must be subcritical.
         a: Tail exponent in (0, min(lambda, beta)); default min(lambda, beta)/2.
         tol: Relative-settling threshold per unit time.
         solver_tol: Absolute tolerance handed to the ODE solver.
-        t_max: Integration end, held to :func:`constant_t_max`'s rule; default 30/a,
-            or else the largest span that fits.  Grid spacing min(0.5, (10/a)/100).
+        t_max: Integration end, held to :func:`constant_t_max`'s rule; default 30/a.
+            Grid spacing min(0.5, (10/a)/100).
 
     Raises:
-        ValueError: a, t_max, or a K that cannot settle (:func:`check_settles`).
+        ValueError: tol or solver_tol <= 0, a, t_max, or a K that cannot settle
+            (:func:`check_settles`), all before any solve.
         NonConvergenceError: h(t) not settled before t_max at K or 2K
             (carries that level's trailing h values).
     """
+    if not (tol > 0.0 and solver_tol > 0.0):
+        raise ValueError(f"tol and solver_tol must be positive, got {tol!r} and {solver_tol!r}")
     a = tail_exponent(sys.params, a)
-    check_settles(sys.params, sys.K, tol)
-    t_floor, t_max = 10.0 / a, constant_t_max(sys.K, a, t_max)
+    check_settles(sys.params, sys.K, tol, a)
+    t_floor, t_max = 10.0 / a, constant_t_max(a, t_max)
     ts = _grid(t_max, constant_dt(a))
+    h = np.empty(len(ts))  # e^{lambda t} q_1(t) exactly, since sigma = lambda here
 
-    def rel_change(h: np.ndarray, i: int) -> float:
+    def rel_change(i: int) -> float:
         return abs(h[i] - h[i - 1]) / (h[i] * (ts[i] - ts[i - 1]))
 
-    def settled(U: np.ndarray, i: int) -> bool:
-        return i > 0 and ts[i] >= t_floor and rel_change(U[:, 0], i) < tol
+    def settled(i: int) -> bool:
+        return i > 0 and ts[i] >= t_floor and rel_change(i) < tol
+
+    def keep(i: int, u: np.ndarray) -> bool:
+        h[i] = u[0]
+        return settled(i)
 
     def extract(K: int) -> tuple[float, int, float]:
-        U, _, _ = _solve_scaled(TruncatedSystem(sys.params, K=K), ts, solver_tol, stop=settled)
-        h = U[:, 0]  # e^{lambda t} q_1(t) exactly, since sigma = lambda here
-        i = len(h) - 1
-        if not settled(U, i):
+        _, err = _solve_scaled(TruncatedSystem(sys.params, K=K), ts, solver_tol, keep)
+        i = len(err) - 1
+        if not settled(i):
             raise NonConvergenceError(
                 f"e^(lambda t) q_1(t) did not settle to {tol:g}/unit time by t={t_max:g} at K={K}",
-                tail=h[-10:],
+                tail=h[: i + 1][-10:],
             )
-        return float(h[i]), i, float(rel_change(h, i))
+        return float(h[i]), i, float(rel_change(i))
 
     (c_hat, row, last_rel), (c_double, row_double, _) = extract(sys.K), extract(2 * sys.K)
     t_star = float(ts[row])

@@ -54,7 +54,6 @@ from .analytic import (
     default_dt,
     estimate_constant,
     grid_cells,
-    grid_intervals,
     linear_fractional_constant,
     solve_survival,
     truncation_level,
@@ -226,15 +225,17 @@ _LEADING_CONSTANT = _bound(
 )
 
 
-# bounds of the keys that fix an output grid, and of K over it: see analytic.MAX_SIZE
+# bounds of the keys that fix an output grid, and of what is kept over it: see analytic.MAX_SIZE
 def _spacing(dt, s: dict, m: ModelParams) -> None:
-    grid_intervals(s["t_max"], dt)
+    # an MC-only run writes a row per k and grid point; an ODE solve's K x grid bounds the rest
+    grid_cells(len(s["k"]) if s["method"] == "mc" else 1, s["t_max"], dt, "len(k)")
 
 
 def _solver_K(K, s: dict, m: ModelParams) -> None:
     if K < max(s["k"]):
         raise ValueError("truncation level K must cover every requested k")
-    grid_cells(K, s["t_max"], s["dt"])
+    if s["method"] != "mc":
+        grid_cells(K, s["t_max"], s["dt"], "K")
 
 
 def _constant_K(m: ModelParams, tol: float = 1e-8) -> int:
@@ -243,14 +244,17 @@ def _constant_K(m: ModelParams, tol: float = 1e-8) -> int:
 
 
 def _settles(K, s: dict, m: ModelParams) -> None:
-    check_settles(m, K, s["tol"])
-    grid_cells(2 * K, 1.0, 1.0)  # the estimate solves 2K, on two grid points at least
+    check_settles(m, K, s["tol"], s["a"])
 
 
 def _gumbel_a(a, s: dict, m: ModelParams) -> None:
     tail_exponent(m, a)
     if s["C"] is None and not _has_lf_constant(m):
-        constant_t_max(_constant_K(m), a, None)  # the span the estimate at a will solve
+        K = _constant_K(m)  # the level of the estimate C: null makes at a, at its tol 1e-8
+        try:
+            check_settles(m, K, 1e-8, a)
+        except ValueError as e:
+            raise ValueError(f"{e}: give C to run without the estimate at level K = {K}") from e
 
 
 REQUIRED = object()  # Key default: the key must be given
@@ -584,8 +588,8 @@ EXPERIMENTS: dict[str, Experiment] = {
         keys=(
             Key("k", _types),
             Key("t_max", _number, REQUIRED, _POSITIVE),
-            Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _spacing),
             Key("method", _one_of("ode", "mc", "both"), "ode"),
+            Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _spacing),
             Key("K", _integer, lambda s, m: max(max(s["k"]), 20), _solver_K),
             Key("tol", _number, 1e-9, _POSITIVE),
             Key("replicates", _integer, 100_000, _REPLICATES),
@@ -599,14 +603,14 @@ EXPERIMENTS: dict[str, Experiment] = {
         keys=(
             Key("a", _number, lambda s, m: tail_exponent(m), lambda a, s, m: tail_exponent(m, a)),
             Key("tol", _number, 1e-8, _POSITIVE),
-            Key("K", _integer, lambda s, m: _constant_K(m, s["tol"]), _settles),
-            Key("solver_tol", _number, 1e-9, _POSITIVE),
             Key(
                 "t_max",
                 _number,
-                lambda s, m: _checked("a", constant_t_max, s["K"], s["a"], None),
-                lambda t_max, s, m: constant_t_max(s["K"], s["a"], t_max),
+                lambda s, m: _checked("a", constant_t_max, s["a"], None),
+                lambda t_max, s, m: constant_t_max(s["a"], t_max),
             ),
+            Key("K", _integer, lambda s, m: _constant_K(m, s["tol"]), _settles),
+            Key("solver_tol", _number, 1e-9, _POSITIVE),
         ),
         run=_run_constant,
         subcritical=True,

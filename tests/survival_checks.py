@@ -245,8 +245,13 @@ def truncation_lower_bound_check(
     if t_max is None:
         t_max = max(20.0 / lam, 4.0 / epsilon)
     ts = _grid(t_max, dt)
-    U, _, _ = _solve_scaled(sys, ts, solver_tol)
-    margin = np.log(U[:, 0]) + epsilon * ts  # = ln q_1 + (lambda + epsilon) t
+    u1 = np.empty(len(ts))  # e^{lambda t} q_1(t)
+
+    def keep(m: int, u: np.ndarray) -> None:
+        u1[m] = u[0]
+
+    _solve_scaled(sys, ts, solver_tol, keep)
+    margin = np.log(u1) + epsilon * ts  # = ln q_1 + (lambda + epsilon) t
     i = int(np.argmin(margin))
     return TruncationBoundReport(
         epsilon=epsilon,

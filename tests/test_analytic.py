@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,15 +385,32 @@ def parse_solve_record(record, K, grid):
     return passes, accepted, rejected, rhs, float(found.group(5)), rows
 
 
-def full_pass(sys: TruncatedSystem, ts: np.ndarray, tau: float) -> _Pass:
+def full_pass(sys: TruncatedSystem, ts: np.ndarray, tau: float) -> tuple[_Pass, np.ndarray]:
+    """A pass run to the end of the grid, and each row it yielded, copied as it came."""
     p = _Pass(sys, ts, tau, max(sys.params.decay_rate, 0.0))
-    for _ in p:
-        pass
-    return p
+    rows = []
+    for m in p:
+        assert m == len(rows) and p.rows == m + 1
+        rows.append(p.u.copy())
+    return p, np.array(rows)
+
+
+def solve_rows(sys: TruncatedSystem, ts: np.ndarray, tol: float, stop=lambda m: False):
+    """_solve_scaled's agreed rows, each copied as it came, and its err; stop(m)
+    ends the solve at row m."""
+    U = np.empty((len(ts), sys.K))
+
+    def row(m, u):
+        U[m] = u
+        return stop(m)
+
+    _, err = _solve_scaled(sys, ts, tol, row)
+    return U[: len(err)], err
 
 
 class TestInPlacePass:
-    """The in-place stage loop against the allocating reference pass."""
+    """The in-place stage loop against the allocating reference pass: the rows
+    a pass yields, one at a time through its one row buffer."""
 
     @pytest.mark.parametrize(
         "m, K, t_max, dt, tau",
@@ -414,8 +432,9 @@ class TestInPlacePass:
     def test_bit_identical_to_allocating_reference(self, m, K, t_max, dt, tau):
         sys, ts = TruncatedSystem(m, K=K), _grid(t_max, dt)
         U, accepted, rejected = dopri5(sys, ts, tau, max(m.decay_rate, 0.0))
-        p = full_pass(sys, ts, tau)
-        assert np.array_equal(p.U, U)
+        p, rows = full_pass(sys, ts, tau)
+        assert np.array_equal(rows, U)
+        assert p.u_max == max(1.0, float(np.abs(U).max()))
         assert (p.accepted, p.rejected) == (accepted, rejected)
         assert p.rows == len(ts) and p.rhs == 1 + 6 * (accepted + rejected)
         if (K, tau) == (40, 1e-9 / 4):
@@ -436,18 +455,22 @@ class TestInPlacePass:
     def test_rows_yielded_in_order(self):
         sys, ts = TruncatedSystem(LF_MODEL, K=3), _grid(2.0, 0.5)
         p = _Pass(sys, ts, 1e-10, LF_MODEL.decay_rate)
+        u = p.u
         assert next(p) == 0 and p.rows == 1 and p.rhs == 0
-        assert np.array_equal(p.U[0], np.ones(3))
+        assert np.array_equal(p.u, np.ones(3))
         assert list(p) == [1, 2, 3, 4] and p.rows == 5
+        assert p.u is u  # one row buffer, overwritten row by row
 
 
 class TestPassComparison:
-    """Passes compared as they advance: a losing pass is dropped at its first
-    disagreement, and ``stop`` ends both passes at a grid row."""
+    """Passes compared as they advance: a pair that disagrees restarts from
+    t = 0 at a finer tolerance, and the row callback ends both passes at a
+    grid row."""
 
     def test_losing_pass_dropped_at_first_disagreement(self, monkeypatch, caplog):
-        # a fault injected into the first pass from row 7 on makes it lose
-        # there; the finer pass then becomes the coarse one against a third
+        # a fault injected into the first pass's live row at row 7 makes the
+        # pair lose there; a new pair at the finer pass's tolerance and 1/32
+        # of it starts from t = 0, its first pass the dropped finer one again
         tol, sys, ts = 1e-10, TruncatedSystem(POISSON_MODEL, K=12), _grid(5.0, 0.25)
         first_tau = tol / 4.0
 
@@ -455,15 +478,15 @@ class TestPassComparison:
             def __next__(self):
                 m = super().__next__()
                 if self.tau == first_tau and m >= 7:
-                    self.U[m] += 1e-6
+                    self.u += 1e-6
                 return m
 
         monkeypatch.setattr(analytic, "_Pass", FaultyFirstPass)
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
-            U, _, err = _solve_scaled(sys, ts, tol)
+            U, err = solve_rows(sys, ts, tol)
         (record,) = [r for r in caplog.records if r.name == "sporesim.analytic"]
         passes, _, _, _, _, rows = parse_solve_record(record, K=12, grid=21)
-        assert passes == 3 and rows == [8, 21, 21]
+        assert passes == 4 and rows == [8, 8, 21, 21]
         sigma = POISSON_MODEL.decay_rate
         middle, _, _ = dopri5(sys, ts, first_tau / 32.0, sigma)
         finest, _, _ = dopri5(sys, ts, first_tau / 1024.0, sigma)
@@ -473,11 +496,45 @@ class TestPassComparison:
     def test_stop_ends_both_passes_at_the_row(self, caplog):
         sys, ts = TruncatedSystem(POISSON_MODEL, K=12), _grid(5.0, 0.25)
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
-            full, _, full_err = _solve_scaled(sys, ts, 1e-10)
-            U, _, err = _solve_scaled(sys, ts, 1e-10, stop=lambda U, m: m == 6)
+            full, full_err = solve_rows(sys, ts, 1e-10)
+            U, err = solve_rows(sys, ts, 1e-10, stop=lambda m: m == 6)
         records = [r for r in caplog.records if r.name == "sporesim.analytic"]
         assert parse_solve_record(records[1], K=12, grid=21)[5] == [7, 7]
         assert np.array_equal(U, full[:7]) and np.array_equal(err, full_err[:7])
+
+
+def traced_peak(f) -> int:
+    """Peak bytes traced while f() runs (numpy reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSolveMemory:
+    """A pass keeps one row: a solve holds only what its caller reads."""
+
+    def test_survival_peaks_near_one_matrix(self):
+        # survival_poisson's solve keeps its 401 x 200 curves, and the two
+        # passes add no grid-sized array
+        sys = TruncatedSystem(POISSON_MODEL, K=200)
+        matrix = 401 * 200 * 8
+        peak = traced_peak(lambda: solve_survival(sys, t_max=10.0))
+        assert matrix <= peak < 1.5 * matrix
+
+    def test_constant_peaks_far_below_one_matrix(self):
+        # geometric(0.4) at K = 320 over 6,553 points (spacing 0.4): the 2K
+        # solve keeps h alone, not a 6,553 x 640 matrix
+        m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
+        matrix = 6553 * 640 * 8
+        est = []
+        peak = traced_peak(
+            lambda: est.append(estimate_constant(TruncatedSystem(m, K=320), t_max=6552 * 0.4))
+        )
+        assert est[0].t_star == 40.0
+        assert peak < matrix / 20
 
 
 class TestClosedForms:
@@ -557,7 +614,7 @@ class TestEstimateConstant:
         sys = TruncatedSystem(LF_MODEL, K=2)
         with pytest.raises(NonConvergenceError) as exc:
             estimate_constant(sys, tol=1e-16, t_max=120.0)
-        U, _, _ = _solve_scaled(sys, _grid(120.0, 0.5), 1e-9)
+        U, _ = solve_rows(sys, _grid(120.0, 0.5), 1e-9)
         assert len(U) == 241
         assert np.array_equal(exc.value.tail, U[-10:, 0])
 
@@ -624,6 +681,33 @@ class TestEstimateConstant:
         # LF: a = 0.1, so h(t) cannot settle before 10/a = 100
         with pytest.raises(ValueError, match="settling time"):
             estimate_constant(TruncatedSystem(LF_MODEL, K=2), t_max=99.9)
+
+    @pytest.mark.parametrize(
+        "tols", [{"tol": -1.0}, {"tol": 0.0}, {"solver_tol": 0.0}, {"solver_tol": -1e-9}]
+    )
+    def test_non_positive_tolerance_rejected_before_any_solve(self, monkeypatch, tols):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(analytic, "_solve_scaled", no_solve)
+        with pytest.raises(ValueError, match="tol and solver_tol must be positive"):
+            estimate_constant(TruncatedSystem(LF_MODEL, K=2), **tols)
+
+    @pytest.mark.parametrize("a, top", [(0.25, 20763), (2.0**-10, 102)])
+    def test_settling_floor_rejects_before_any_solve(self, monkeypatch, a, top):
+        # 2K values over the grid to 10/a: 101 points at a = 0.25 (spacing
+        # 0.4), 20,481 at 2**-10 (spacing 0.5); 2 x 20763 x 101 <= 2**22
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        points = analytic.grid_intervals(10.0 / a, analytic.constant_dt(a)) + 1
+        assert 2 * top * points <= MAX_SIZE < 2 * (top + 1) * points
+        analytic.check_settles(HALF_MODEL, top, 1e-8, a)
+        with pytest.raises(ValueError, match=f"level K = {top + 1}, .* at {points} grid points"):
+            analytic.check_settles(HALF_MODEL, top + 1, 1e-8, a)
+        monkeypatch.setattr(analytic, "_solve_scaled", no_solve)
+        with pytest.raises(ValueError, match=f"level K = {top + 1}, "):
+            estimate_constant(TruncatedSystem(HALF_MODEL, K=top + 1), a=a)
 
     def test_default_level_solves_one_pair(self, caplog):
         # geometric(0.4), beta 0.5, rho 1: the level of the law's tail at
@@ -732,7 +816,15 @@ class TestTruncationLevelFromTail:
             ([0.5, 0.2, 0.2, 0.1], 3),
         ):
             m = ModelParams(1.0, 1.0, OffspringDistribution.table(probs))
-            assert analytic.truncation_level(m, 1e-30) == analytic.truncation_level(m, 0.0) == K
+            assert analytic.truncation_level(m, 1e-30) == K
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan])
+    def test_non_positive_bound_rejected(self, bound):
+        # no level has a tail rate below 0, and every level is below NaN's
+        with pytest.raises(ValueError, match="bound must be positive"):
+            analytic.truncation_level(LF_MODEL, bound)
+        with pytest.raises(ValueError, match="bound must be positive"):
+            analytic.check_settles(LF_MODEL, 2, bound, 0.05)
 
     def test_level_above_max_size_rejected(self, monkeypatch):
         monkeypatch.setattr(analytic, "MAX_SIZE", 64)
@@ -746,14 +838,14 @@ class TestTruncationLevelFromTail:
         # a level can settle where delta_K < tol: K = 1 for a law with no
         # mass above 1, and K < 1 never
         half = ModelParams(1.0, 0.0, OffspringDistribution.table([0.5, 0.5]))
-        analytic.check_settles(half, 1, 1e-8)
+        analytic.check_settles(half, 1, 1e-8, 0.25)
         geometric = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
         level = analytic.truncation_level(geometric, 1e-8)
         assert 0.5 * geometric_tail(0.4, level - 1) > 1e-8 >= 0.5 * geometric_tail(0.4, level)
-        analytic.check_settles(geometric, level, 1e-8)
+        analytic.check_settles(geometric, level, 1e-8, 0.25)
         for m, K in ((geometric, level - 1), (half, 0)):
             with pytest.raises(ValueError, match=f"K = {K} cannot settle to tol = 1e-08"):
-                analytic.check_settles(m, K, 1e-8)
+                analytic.check_settles(m, K, 1e-8, 0.25)
 
 
 class TestTruncationLowerBound:

@@ -31,7 +31,6 @@ from sporesim.analytic import (
     LEVEL_SHARE,
     MAX_SIZE,
     constant_dt,
-    constant_t_max,
     grid_intervals,
     truncation_level,
 )
@@ -69,6 +68,11 @@ GEOMETRIC_MODEL_BLOCK = (
 # a wide law, mean 9: the constant's level from its tail is 294
 WIDE_MODEL_BLOCK = (
     '"model": {"beta": 1, "rho": 9, "offspring": {"kind": "geometric", "param": 0.1}}'
+)
+# mean 999, a = 1/2: the level 35,824, whose 2K over the 101 grid points to
+# 10/a passes MAX_SIZE, and every lower K cannot settle
+WIDER_MODEL_BLOCK = (
+    '"model": {"beta": 1, "rho": 999, "offspring": {"kind": "geometric", "param": 0.001}}'
 )
 
 CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
@@ -293,16 +297,18 @@ OUT_OF_RANGE = {
     "survival-k-10**9": (
         LF_MODEL_BLOCK, '"type": "survival", "k": [1000000000], "t_max": 1.0', [], "k"
     ),
-    # no grid holds the estimate's 2K, reported at K
+    # the settling floor: 2K over the grid to the settling time 10/a passes
+    # MAX_SIZE, reported at K; for gumbel with C: null, at a
     "constant-K-10**9": (LF_MODEL_BLOCK, '"type": "constant", "K": 1000000000', [], "K"),
-    # the default t_max shrinks to fit 2K = 588 (the wide law's level), but
-    # not below the settling time 10/a, which is a's to fix
+    # 2K = 588 (the wide law's level) over 20,481 points to 10/a = 10,240
     "constant-default-t_max-a-2**-10": (
-        WIDE_MODEL_BLOCK, '"type": "constant", "a": 0.0009765625', [], "a"
+        WIDE_MODEL_BLOCK, '"type": "constant", "a": 0.0009765625', [], "K"
     ),
-    # the grid of the leading constant gumbel with C: null would estimate at
-    # a, from the settling time 10/a on (10/a = 1e7 is 2e7 intervals of 0.5,
-    # and 2K = 36 at the law's level allows 116,507)
+    "constant-level-35824": (WIDER_MODEL_BLOCK, '"type": "constant"', [], "K"),
+    "gumbel-estimated-C-level-35824": (
+        WIDER_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 10}, "seed": 1', [], "a"
+    ),
+    # 10/a = 1e7 is 2e7 intervals of 0.5, and 2K = 36 at the law's level allows 116,507
     "gumbel-estimated-C-a-1e-6": (
         POISSON_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 10}, "a": 1e-6, "seed": 1', [], "a"
     ),
@@ -315,29 +321,25 @@ OUT_OF_RANGE = {
     "survival-grid-999001-points-K-20": (
         POISSON_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": 999, "dt": 1e-3', [], "K"
     ),
+    # an MC-only run writes a row per k and grid point, 5 x 999,001 of them,
+    # reported at the key that fixes the grid
+    "survival-mc-5-types-999001-points": (
+        POISSON_MODEL_BLOCK,
+        '"type": "survival", "k": [1, 2, 3, 4, 5], "t_max": 999, "dt": 1e-3, "method": "mc", '
+        '"seed": 1',
+        [],
+        "dt",
+    ),
     # a retired experiment type is an unknown one
     "slope-retired": (LF_MODEL_BLOCK, '"type": "slope"', [], "type"),
     "oracle-retired": (LF_MODEL_BLOCK, '"type": "oracle"', [], "type"),
 }
 
 
-def constant_grid_fits(K: int, a: float, t_max: float | None) -> bool:
-    """Whether estimate_constant's grid at level K and a, to t_max (None: its
-    default), keeps analytic's rule for it."""
-    try:
-        constant_t_max(K, a, t_max)
-    except ValueError:
-        return False
-    return True
-
-
-def largest(fits, top: int) -> int:
-    """The largest K in [1, top] with fits(K), for fits(1) true and fits monotone."""
-    low = 1
-    while low < top:
-        mid = (low + top + 1) // 2
-        low, top = (mid, top) if fits(mid) else (low, mid - 1)
-    return low
+def floor_top(a: float) -> int:
+    """The largest K whose 2K values at each point of the grid to the settling
+    time 10/a total at most MAX_SIZE: the rule analytic.check_settles keeps."""
+    return MAX_SIZE // (2 * (math.ceil(10.0 / a / constant_dt(a)) + 1))
 
 
 @st.composite
@@ -386,11 +388,10 @@ def in_range_configs(draw):
         maybe("tol", st.floats(1e-12, 1e-3))
         a, tol = e.get("a", tail_exponent(m)), e.get("tol", 1e-8)
         # from the settling time 10/a on, and K from the law's level at tol up
-        # to the most analytic's 2K rule allows over that span, or over the
-        # default one; K is given whenever its default is over that, as at a
-        # small a for an unbounded law
+        # to the most the settling floor allows; K is given whenever its
+        # default is over that, as at a small a for an unbounded law
         maybe("t_max", st.floats(10.0 / a, 40.0 / a))
-        top = largest(lambda K: constant_grid_fits(K, a, e.get("t_max")), MAX_SIZE // 2)
+        top = floor_top(a)
         level = truncation_level(m, tol)
         assume(level <= top)
         if cli._constant_K(m, tol) > top or draw(st.booleans()):
@@ -405,7 +406,7 @@ def in_range_configs(draw):
         # here has the LF closed form, as rho > 0), where that grid fits
         maybe("a", st.one_of(st.floats(0.05, 0.95), st.floats(1e-6, 0.05)).map(lambda f: f * cap))
         a = e.get("a", tail_exponent(m))
-        if constant_grid_fits(cli._constant_K(m), a, None):
+        if cli._constant_K(m) <= floor_top(a):
             maybe("C", st.one_of(st.none(), st.floats(1e-6, 1.0)))
         else:
             e["C"] = draw(st.floats(1e-6, 1.0))
@@ -498,27 +499,20 @@ class TestParseConfig:
         assert build_metadata(again)["config_hash"] == build_metadata(cfg)["config_hash"]
 
     @pytest.mark.parametrize(
-        "model, experiment, top",
+        "model, experiment",
         [
-            # the wide law at its default level 294, at grid spacing 0.5
-            (WIDE_MODEL_BLOCK, '"a": 0.00390625', 2 * 294),
-            # at grid spacing 0.4, where 252 * 0.4 / 0.4 rounds up past 252
-            (POISSON_MODEL_BLOCK, '"K": 8264', 2 * 8264),
+            # the wide law at its default level 294 (2K x 15,361 points at
+            # 30/a passes MAX_SIZE, and a pass keeps one row)
+            (WIDE_MODEL_BLOCK, '"a": 0.00390625'),
+            (POISSON_MODEL_BLOCK, '"K": 8264'),
+            (LF_MODEL_BLOCK, '"tol": 1e-8'),
         ],
-        ids=["a-2**-8", "K-8264"],
+        ids=["a-2**-8", "K-8264", "lf"],
     )
-    def test_default_constant_t_max_fits_the_grid(self, tmp_path, model, experiment, top):
-        # 30/a where its grid holds the level 2K; else the largest span that
-        # does, from 10/a on
-        lf = parse_config(MINIMAL_CONFIGS["constant"]).settings
-        assert lf["t_max"] == 30.0 / lf["a"]
-        cfg = parse_config('{%s, "experiment": {"type": "constant", %s}}' % (model, experiment))
-        s, dt = cfg.settings, constant_dt(cfg.settings["a"])
-        assert 2 * s["K"] == top
-        assert 10.0 / s["a"] <= s["t_max"] < 30.0 / s["a"]
-        intervals = grid_intervals(s["t_max"], dt)
-        assert top * (intervals + 1) <= MAX_SIZE < top * (intervals + 2)
-        assert grid_intervals(math.nextafter(s["t_max"], math.inf), dt) == intervals + 1
+    def test_default_constant_t_max_is_30_over_a(self, tmp_path, model, experiment):
+        text = '{%s, "experiment": {"type": "constant", %s}}' % (model, experiment)
+        cfg = parse_config(text)
+        assert cfg.settings["t_max"] == 30.0 / cfg.settings["a"]
         resolved_text = json.dumps(cfg.resolved)
         assert parse_config(resolved_text).resolved == cfg.resolved
         path = write_config(tmp_path, resolved_text)
@@ -869,26 +863,60 @@ class TestMain:
             assert report["C"] == pytest.approx(0.007576834748591218, abs=1e-9)
 
     def test_constant_at_the_size_bound_runs_in_2_gib(self, tmp_path):
-        # geometric(0.4), beta 0.5, rho 1 (a = 0.25, spacing 0.4) at K = 320:
-        # the estimate solves 2K = 640 over the grid, and 640 x 6553 points
-        # is the most under MAX_SIZE.  Both levels settle at t* = 40.  The run
-        # needs its sizes within a 2 GiB address-space limit, in a child process
-        text = '{%s, "experiment": {"type": "constant", "K": 320, "t_max": %%r}}' % (
+        # geometric(0.4), beta 0.5, rho 1 (a = 0.25, spacing 0.4).  A pass
+        # keeps one row, so K = 320 runs over 6,554 grid points (640 x 6,554
+        # is past MAX_SIZE) and over MAX_SIZE - 1, the most (n - 1) * 0.4
+        # reaches (MAX_SIZE * 0.4 is rejected at t_max); both levels settle
+        # at t* = 40.  K is bounded by the settling
+        # floor alone: 2K over the 101 points to 10/a = 40, so 20,763 and not
+        # one more.  The runs need their sizes within a 2 GiB address-space
+        # limit, in a child process
+        text = '{%s, "experiment": {"type": "constant", "K": %%d, "t_max": %%r}}' % (
             GEOMETRIC_MODEL_BLOCK
         )
-        for points, ok in ((6553, True), (6554, False)):
-            t_max = (points - 1) * constant_dt(0.25)
-            assert grid_intervals(t_max, constant_dt(0.25)) + 1 == points
-            assert (640 * points <= MAX_SIZE) == ok
-        with pytest.raises(ConfigError) as exc:
-            parse_config(text % (6553 * constant_dt(0.25)))
-        assert exc.value.path == "experiment.t_max"
-        cfg = write_config(tmp_path, text % (6552 * constant_dt(0.25)))
-        out = tmp_path / "out"
-        proc = run_limited(cfg, out)
-        assert proc.returncode == EXIT_OK, proc.stderr
-        est = json.loads((out / "constant.json").read_text())
-        assert est["K"] == 320 and est["t_star"] == 40.0
+        dt = constant_dt(0.25)
+        assert 2 * 20763 * 101 <= MAX_SIZE < 2 * 20764 * 101
+        assert parse_config(text % (20763, 40.0)).settings["K"] == 20763
+        for K, t_max, key in ((20764, 40.0, "K"), (320, MAX_SIZE * dt, "t_max")):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text % (K, t_max))
+            assert exc.value.path == f"experiment.{key}"
+        for points in (6554, MAX_SIZE - 1):
+            t_max = (points - 1) * dt
+            assert grid_intervals(t_max, dt) + 1 == points
+            out = tmp_path / f"out-{points}"
+            proc = run_limited(write_config(tmp_path, text % (320, t_max)), out)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            est = json.loads((out / "constant.json").read_text())
+            assert est["K"] == 320 and est["t_star"] == 40.0
+
+    def test_level_past_the_settling_floor_named(self, tmp_path, capsys):
+        # geometric(0.001): the level 35,824 cannot run and no lower K can
+        # settle.  constant says so at K, and gumbel with C: null at a, with
+        # the way out
+        for experiment, path in (
+            ('"type": "constant"', "K"),
+            ('"type": "gumbel", "z": {"1": 10}, "seed": 1', "a"),
+        ):
+            text = '{%s, "experiment": {%s}}' % (WIDER_MODEL_BLOCK, experiment)
+            assert main(["validate", "--config", str(write_config(tmp_path, text))]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"'experiment.{path}': level K = 35824, " in err
+            assert "101 grid points" in err and "(2**22)" in err
+            assert ("give C" in err) == (path == "a")
+
+    def test_mc_survival_needs_no_solver_K(self, tmp_path, capsys):
+        # an MC-only run solves no ODE, so K x grid points does not bound it:
+        # one type over 999,001 points writes that many rows
+        text = (
+            '{%s, "experiment": {"type": "survival", "k": [1], "t_max": 999, "dt": 0.001, '
+            '"method": "mc", "replicates": 20, "seed": 1}}' % POISSON_MODEL_BLOCK
+        )
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+        lines = (tmp_path / "o" / "survival_mc.csv").read_text().splitlines()
+        assert sum(not line.startswith("#") for line in lines) == 1 + 999001
 
     def test_gumbel_at_the_host_bound_runs_in_2_gib(self, tmp_path):
         # z holds at most MAX_SIZE hosts in all, and a replicate from that
