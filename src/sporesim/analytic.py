@@ -295,9 +295,9 @@ def constant_dt(a: float) -> float:
     return min(0.5, 10.0 / a / 100.0)
 
 
-def grid_intervals(t_max: float, dt: float | None) -> int:
-    """Intervals of the output grid over [0, t_max] at spacing dt (None: default_dt);
-    ValueError unless both are positive and it has at most MAX_SIZE points."""
+def grid_intervals(t_max: float, dt: float | None, span: str = "t_max") -> int:
+    """Intervals of the output grid over [0, t_max] (``span`` in errors) at spacing dt (None:
+    default_dt); ValueError unless both are positive and it has at most MAX_SIZE points."""
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     if dt is None:
@@ -305,13 +305,15 @@ def grid_intervals(t_max: float, dt: float | None) -> int:
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not t_max / dt <= MAX_SIZE - 1:
-        raise ValueError(f"t_max/dt = {t_max:g}/{dt:g} gives over {MAX_SIZE} (2**22) grid points")
+        raise ValueError(
+            f"{span} = {t_max:g} at spacing {dt:g} gives over {MAX_SIZE} (2**22) grid points"
+        )
     return max(1, math.ceil(t_max / dt))
 
 
-def grid_cells(n: int, t_max: float, dt: float, what: str) -> None:
+def grid_cells(n: int, t_max: float, dt: float, what: str, span: str = "t_max") -> None:
     """ValueError unless n values at each point of the grid at spacing dt total <= MAX_SIZE."""
-    points = grid_intervals(t_max, dt) + 1
+    points = grid_intervals(t_max, dt, span) + 1
     if n * points > MAX_SIZE:
         raise ValueError(f"{what} = {n} at {points} grid points is over {MAX_SIZE} (2**22) values")
 
@@ -342,9 +344,8 @@ def solve_survival(
     sigma, err = _solve_scaled(sys, ts, tol, Q.__setitem__)  # each row m into Q[m]
     scale = np.exp(-sigma * ts)
     Q *= scale[:, None]  # the accepted pass's rows, scaled in place
-    negatives = int((Q < 0.0).sum())
-    if negatives:
-        logger.warning("clamped %d negative survival values to 0", negatives)
+    if Q.min() < 0.0:  # counted only then: the count's boolean matrix is a quarter of Q
+        logger.warning("clamped %d negative survival values to 0", int((Q < 0.0).sum()))
     np.clip(Q, 0.0, 1.0, out=Q)
     err *= scale
     Q.setflags(write=False)
@@ -391,16 +392,18 @@ def check_settles(m: ModelParams, K: int, tol: float, a: float) -> None:
     2K values per point of the grid to 10/a (the least it solves) must fit within MAX_SIZE."""
     if K < (level := truncation_level(m, tol)):
         raise ValueError(f"K = {K} cannot settle to tol = {tol:g}: K >= {level} can")
-    grid_cells(2 * K, 10.0 / a, constant_dt(a), f"level K = {K}, to the settling time 10/a: 2K")
+    end = "the settling time 10/a"
+    grid_cells(2 * K, 10.0 / a, constant_dt(a), f"level K = {K}, to {end}: 2K", f"a = {a:g}: {end}")
 
 
 def constant_t_max(a: float, t_max: float | None) -> float:
     """The span of :func:`estimate_constant` at tail exponent a: t_max (None: 30/a), ValueError
     unless it reaches the settling time 10/a and its grid keeps within MAX_SIZE points."""
+    span = "t_max" if t_max is not None else f"a = {a:g}: the default span 30/a"
     t_max = 30.0 / a if t_max is None else t_max
     if not t_max >= 10.0 / a:
         raise ValueError(f"t_max = {t_max:g} ends before the settling time 10/a = {10.0 / a:g}")
-    grid_intervals(t_max, constant_dt(a))
+    grid_intervals(t_max, constant_dt(a), span)
     return t_max
 
 

@@ -62,11 +62,12 @@ Once no family is left to start the pool only shrinks, and the engine
 computes each live family's block 0 several events ahead in one call, as
 many events as fit in one full-pool step.  The last few families are
 finished one at a time in Python floats, with the same arithmetic on the
-same uniforms, read in full.  A batch's results are arrays, a
-:class:`BatchOutcomes`; a :class:`SimOutcome` per replicate is built only
-when the batch is iterated.  Replicate i of :func:`run_batch` draws
-only at the counters above that carry i, so for a given model, start and
-master seed it is the same in any batch that holds it.
+same uniforms, read in full, and end through the step's bookkeeping.  A
+batch's results are arrays, a :class:`BatchOutcomes`; a
+:class:`SimOutcome` per replicate is built only when the batch is
+iterated.  Replicate i of :func:`run_batch` draws only at the counters
+above that carry i, so for a given model, start and master seed it is
+the same in any batch that holds it.
 """
 
 from __future__ import annotations
@@ -656,8 +657,9 @@ def _run_alone(pool: _Rows, i: int, seed: int, end: float, max_events: int):
     """Population ``i`` of ``pool`` to its end alone, one event at a time in
     Python floats: the arithmetic of :meth:`_Rows.event`, with running sums
     over the types it holds in ascending order (the types it does not hold
-    add 0.0), on its uniforms in full.  Returns (clock, censored, events
-    done, peak hosts), the event past the budget included."""
+    add 0.0), on its uniforms in full.  Returns its (clock, events done, peak
+    hosts) for the step's bookkeeping to end it: the event past the budget
+    counts, one past ``end`` only moves the clock past ``end``."""
     m = pool.m
     rho, beta = m.rho, m.beta
     held = {k: n for k, n in zip(pool.types.tolist(), pool.counts[:, i].tolist()) if n}
@@ -677,8 +679,8 @@ def _run_alone(pool: _Rows, i: int, seed: int, end: float, max_events: int):
     while True:
         stop = min(done + chunk, max_events + 1)
         u = event_uniforms(seed, np.arange(done, stop, dtype=np.uint64), *ids)
-        for log_wait, u_pick, u_offspring in zip(
-            np.log1p(-u[0]).tolist(), u[1].tolist(), u[2].tolist()
+        for log_wait, u_pick, j in zip(
+            np.log1p(-u[0]).tolist(), u[1].tolist(), m.offspring.quantiles(u[2]).tolist()
         ):
             removal_rate = rho * hosts
             total = removal_rate + beta * spores
@@ -705,17 +707,16 @@ def _run_alone(pool: _Rows, i: int, seed: int, end: float, max_events: int):
                     add(k - 1)
                 else:
                     hosts -= 1.0
-                j = m.offspring.quantile(u_offspring)
                 if j:
                     add(j)
                     hosts += 1.0
                     spores += j
             if clock > end:
-                return clock, True, done, peak
+                return clock, done, peak
             done += 1
             peak = max(peak, hosts)
             if not hosts or done > max_events:
-                return clock, False, done, peak
+                return clock, done, peak
         chunk = min(4 * chunk, 1 << 12)
 
 
@@ -790,58 +791,56 @@ def _simulate(
         lanes_at_start, rows_at_start = len(pool.hosts), len(pool.types)
         while live := len(pool.hosts):
             most_rows = max(most_rows, len(pool.types))
-            if started >= limit and live <= _ALONE:  # the last few: one at a time
+            if started >= limit and live <= _ALONE:
+                # the last few run alone to their ends; the bookkeeping below ends them
                 for i, r in enumerate(pool.replicate.tolist()):
-                    if r >= failed:
-                        continue
-                    e = int(pool.done[i])
-                    clock, cut, done, family_peak = _run_alone(pool, i, seed, end, max_events)
-                    alone += 1
-                    alone_events += done - e
-                    times[r] = max(times[r], clock)
-                    censored[r] |= cut
-                    events[r] += done
-                    peaks[r] += family_peak
-                    if events[r] > max_events:
-                        failed = min(failed, r)
-                break
-            if row == depth:
-                # as many events ahead as fit in one full-pool step: one
-                # while families are still being started (slots refilled
-                # after this step get fresh blocks), more as the drain
-                # empties the pool
-                depth = 1 if started < limit else max(1, size // live)
-                # events past the budget are never read: clipping them keeps
-                # every Philox counter below 2^32.  A family's events done
-                # never exceed the steps taken, so none lies past the budget
-                # before steps + depth does
-                ahead_events = pool.done + np.arange(depth, dtype=np.uint64)[:, None]
-                if steps + depth > max_events:
-                    np.minimum(ahead_events, max_events, out=ahead_events)
-                ahead = event_prefixes(seed, ahead_events, pool.family, pool.key)
-                pool.column[:] = pool.lanes
-                row = 0
-                computed += depth * live
-                calls += 1
-            if live == ahead[0].shape[1]:  # no family has left since
-                uniforms = [u[row] for u in ahead]
+                    if r < failed:
+                        clock, done, peak = _run_alone(pool, i, seed, end, max_events)
+                        alone += 1
+                        alone_events += done - int(pool.done[i])
+                        pool.clock[i], pool.done[i], pool.peak[i] = clock, done, peak
+                        if done > max_events:
+                            failed = r
+                cut = pool.clock > end
+                finished = pool.replicate < failed
             else:
-                uniforms = [u[row].take(pool.column) for u in ahead]
-            row += 1
-            steps += 1
-            drain_steps += started >= limit
-            consumed += live
-            pool.event(*uniforms, full)
-            if horizon is None:
-                pool.done += 1
-                np.maximum(pool.peak, pool.hosts, out=pool.peak)
-                finished = pool.hosts == 0.0
-            else:
-                cut = pool.clock > end  # the event falls past the horizon
-                inside = ~cut
-                pool.done += inside
-                np.maximum(pool.peak, pool.hosts, out=pool.peak, where=inside)
-                finished = (pool.hosts == 0.0) | cut
+                if row == depth:
+                    # as many events ahead as fit in one full-pool step: one
+                    # while families are still being started (slots refilled
+                    # after this step get fresh blocks), more as the drain
+                    # empties the pool
+                    depth = 1 if started < limit else max(1, size // live)
+                    # events past the budget are never read: clipping them keeps
+                    # every Philox counter below 2^32.  A family's events done
+                    # never exceed the steps taken, so none lies past the budget
+                    # before steps + depth does
+                    ahead_events = pool.done + np.arange(depth, dtype=np.uint64)[:, None]
+                    if steps + depth > max_events:
+                        np.minimum(ahead_events, max_events, out=ahead_events)
+                    ahead = event_prefixes(seed, ahead_events, pool.family, pool.key)
+                    pool.column[:] = pool.lanes
+                    row = 0
+                    computed += depth * live
+                    calls += 1
+                if live == ahead[0].shape[1]:  # no family has left since
+                    uniforms = [u[row] for u in ahead]
+                else:
+                    uniforms = [u[row].take(pool.column) for u in ahead]
+                row += 1
+                steps += 1
+                drain_steps += started >= limit
+                consumed += live
+                pool.event(*uniforms, full)
+                if horizon is None:
+                    pool.done += 1
+                    np.maximum(pool.peak, pool.hosts, out=pool.peak)
+                    finished = pool.hosts == 0.0
+                else:
+                    cut = pool.clock > end  # the event falls past the horizon
+                    inside = ~cut
+                    pool.done += inside
+                    np.maximum(pool.peak, pool.hosts, out=pool.peak, where=inside)
+                    finished = (pool.hosts == 0.0) | cut
 
             if steps > max_events:  # a family's events done never exceed the steps
                 over = pool.done > max_events

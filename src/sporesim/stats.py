@@ -23,20 +23,21 @@ from .simulator import DEFAULT_MAX_EVENTS, PopulationState, run_batch
 WILSON_Z = 1.96  # 95% score interval
 
 
-def wilson_interval(successes: int, n: int) -> tuple[float, float]:
-    """Wilson 95% score interval for a binomial proportion; valid at 0 and n."""
+def wilson_interval(successes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wilson 95% score intervals for binomial proportions, elementwise over
+    ``successes`` (an integer or integer array) out of n; valid at 0 and n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0 <= successes <= n:
+    if not np.all((0 <= successes) & (successes <= n)):
         raise ValueError("successes must lie in [0, n]")
     phat = successes / n
     z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / n
     center = (phat + z2 / (2.0 * n)) / denom
-    half = WILSON_Z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
+    half = WILSON_Z * np.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
     # at s = 0 and s = n the bounds are 0 and 1 exactly, which rounding can
     # miss by an ulp; clamping to the estimate keeps low <= s/n <= high
-    return min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
+    return np.clip(center - half, 0.0, phat), np.clip(center + half, phat, 1.0)
 
 
 def survival_curve_mc(
@@ -58,13 +59,8 @@ def survival_curve_mc(
     outcomes = run_batch(init, m, seed, replicates=n, horizon=horizon, max_events=max_events)
     # survivors at t: extinction times beyond t (censored ones are inf)
     alive = n - np.searchsorted(np.sort(outcomes.extinction_times), ts, side="right")
-    qs = np.empty_like(ts)
-    err = np.empty_like(ts)
-    for i, survived in enumerate(alive.tolist()):
-        low, high = wilson_interval(survived, n)
-        qs[i] = survived / n
-        err[i] = (high - low) / 2.0
-    return SurvivalCurve(k=k, ts=ts, qs=qs, err=err, source="monte_carlo")
+    low, high = wilson_interval(alive, n)
+    return SurvivalCurve(k=k, ts=ts, qs=alive / n, err=(high - low) / 2.0, source="monte_carlo")
 
 
 @dataclass(frozen=True)

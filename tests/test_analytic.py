@@ -280,6 +280,24 @@ class TestSolveSurvival:
         assert 0.0 < err <= 1e-10
         assert 0.0 < curves[0].err.max() <= 1.01 * err  # err scaled to q by e^{-sigma t}
 
+    @pytest.mark.parametrize(
+        "low, warned", [(-1e-12, ["clamped 2 negative survival values to 0"]), (0.0, [])]
+    )
+    def test_values_clamped_and_negatives_counted(self, monkeypatch, caplog, low, warned):
+        # rows are clamped to [0, 1], and a warning counts the negatives, if any
+        def rows(sys, ts, tol, row):
+            for m in range(len(ts)):
+                row(m, np.array([low, 0.5, 1.0 + 1e-12] if m % 2 else [0.25, 0.5, 0.75]))
+            return 0.0, np.zeros(len(ts))
+
+        monkeypatch.setattr(analytic, "_solve_scaled", rows)
+        with caplog.at_level(logging.WARNING, logger="sporesim.analytic"):
+            curves = solve_survival(TruncatedSystem(POISSON_MODEL, K=3), t_max=2.0, dt=0.5)
+        assert [r.getMessage() for r in caplog.records] == warned
+        assert [c.qs.tolist() for c in curves] == [
+            [0.25, 0.0, 0.25, 0.0, 0.25], [0.5] * 5, [0.75, 1.0, 0.75, 1.0, 0.75]
+        ]
+
 
     @pytest.mark.parametrize(
         "law, K",
@@ -517,12 +535,13 @@ class TestSolveMemory:
     """A pass keeps one row: a solve holds only what its caller reads."""
 
     def test_survival_peaks_near_one_matrix(self):
-        # survival_poisson's solve keeps its 401 x 200 curves, and the two
-        # passes add no grid-sized array
+        # survival_poisson's solve keeps its 401 x 200 curves, and neither
+        # the two passes nor the clamp adds a grid-sized array (counting the
+        # negatives of a clamp that has none peaked at 1.33 matrices)
         sys = TruncatedSystem(POISSON_MODEL, K=200)
         matrix = 401 * 200 * 8
         peak = traced_peak(lambda: solve_survival(sys, t_max=10.0))
-        assert matrix <= peak < 1.5 * matrix
+        assert matrix <= peak < 1.25 * matrix
 
     def test_constant_peaks_far_below_one_matrix(self):
         # geometric(0.4) at K = 320 over 6,553 points (spacing 0.4): the 2K

@@ -191,7 +191,8 @@ LF_SURVIVAL_ODE = '"type": "survival", "k": [1], "t_max": 1.0'
 LF_SURVIVAL_MC = LF_SURVIVAL_ODE + ', "method": "mc"'
 
 # one out-of-range value per case: (model, experiment keys, extra CLI args,
-# offending key under "experiment", "" for the experiment block itself)
+# offending key under "experiment", "" for the experiment block itself, and
+# optionally the text the error must hold)
 OUT_OF_RANGE = {
     "gumbel-seed-negative": (LF_MODEL_BLOCK, LF_GUMBEL + ', "seed": -1', [], "seed"),
     "gumbel-seed-flag-negative": (LF_MODEL_BLOCK, LF_GUMBEL, ["--seed", "-1"], "seed"),
@@ -310,7 +311,21 @@ OUT_OF_RANGE = {
     ),
     # 10/a = 1e7 is 2e7 intervals of 0.5, and 2K = 36 at the law's level allows 116,507
     "gumbel-estimated-C-a-1e-6": (
-        POISSON_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 10}, "a": 1e-6, "seed": 1', [], "a"
+        POISSON_MODEL_BLOCK,
+        '"type": "gumbel", "z": {"1": 10}, "a": 1e-6, "seed": 1',
+        [],
+        "a",
+        "a = 1e-06: the settling time 10/a = 1e+07 at spacing 0.5 gives over 4194304 (2**22) "
+        "grid points: give C to run without the estimate at level K = 18",
+    ),
+    # the constant's default span 30/a = 3e7 is 6e7 intervals of 0.5: a names the span
+    "constant-default-span-a-1e-6": (
+        POISSON_MODEL_BLOCK,
+        '"type": "constant", "a": 1e-6',
+        [],
+        "a",
+        "a = 1e-06: the default span 30/a = 3e+07 at spacing 0.5 gives over 4194304 (2**22) "
+        "grid points",
     ),
     "gumbel-z-type-10**9": (
         LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1000000000": 1}, "seed": 1', [], "z"
@@ -998,24 +1013,21 @@ class TestMain:
         assert report["metadata"]["master_seed"] == 555
         assert report["metadata"]["config"]["experiment"]["seed"] == 555
 
-    @pytest.mark.parametrize(
-        "model, experiment, args, path",
-        list(OUT_OF_RANGE.values()),
-        ids=list(OUT_OF_RANGE),
-    )
-    def test_out_of_range_value_rejected_before_run(
-        self, tmp_path, capsys, model, experiment, args, path
-    ):
+    @pytest.mark.parametrize("case", list(OUT_OF_RANGE.values()), ids=list(OUT_OF_RANGE))
+    def test_out_of_range_value_rejected_before_run(self, tmp_path, capsys, case):
+        model, experiment, args, path, *message = case
         out = tmp_path / "out"
         text = '{%s, "experiment": {%s}, "output": {"dir": "%s"}}' % (model, experiment, out)
         cfg = write_config(tmp_path, text)
-        json_path = f"experiment.{path}" if path else "experiment"
+        expected = [f"'experiment.{path}'" if path else "'experiment'", *message]
         assert main(["run", "--config", str(cfg), *args]) == EXIT_CONFIG
-        assert f"'{json_path}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(e in err for e in expected), err
         assert not out.exists()
         if not args:
             assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
-            assert f"'{json_path}'" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert all(e in err for e in expected), err
 
     def test_rerun_byte_identical_across_threads(self, tmp_path):
         text = (

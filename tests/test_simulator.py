@@ -53,6 +53,20 @@ def run_one(init, m, seed, index, horizon=None, max_events=simulator.DEFAULT_MAX
     return simulator._simulate(init, m, seed, index, 1, horizon, max_events)
 
 
+def spied_alone(monkeypatch) -> list[tuple]:
+    """Record each call of the engine's ``_run_alone`` as (replicate,
+    clock, events done, peak hosts)."""
+    calls = []
+    run_alone = simulator._run_alone
+
+    def spy(pool, i, *args):
+        calls.append((int(pool.replicate[i]), *run_alone(pool, i, *args)))
+        return calls[-1][1:]
+
+    monkeypatch.setattr(simulator, "_run_alone", spy)
+    return calls
+
+
 def outcome(batch, i=0):
     """Replicate ``i``'s entries in the arrays of ``batch``, by array name."""
     return {name: getattr(batch, name)[i].item() for name in ARRAYS}
@@ -875,8 +889,66 @@ class TestBatchEngine:
         monkeypatch.setattr(simulator, "event_uniforms", lambda seed, e, f, r: u)
         pool = kernel_pool(m, [{1: 1, 2: 1}])
         pool.peak[0] = 2.0
-        clock, cut, done, peak = simulator._run_alone(pool, 0, 0, math.inf, 0)
-        assert (cut, done, peak) == (False, 1, 3.0)
+        clock, done, peak = simulator._run_alone(pool, 0, 0, math.inf, 0)
+        assert (done, peak) == (1, 3.0)
+
+    def test_family_cut_alone_censored_by_the_common_path(self, monkeypatch):
+        # every family runs alone from its first event: one the horizon cuts
+        # returns its clock past the horizon, and the step's bookkeeping
+        # censors it and counts its events and peak as the engine's step would
+        calls = spied_alone(monkeypatch)
+        monkeypatch.setattr(simulator, "_ALONE", 10**9)
+        m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
+        init = PopulationState.from_counts({2: 1})
+        batch = run_batch(init, m, 5, replicates=32, horizon=1.5)
+        assert sorted(r for r, *_ in calls) == list(range(32))
+        for r, clock, done, peak in calls:
+            cut = clock > 1.5
+            assert batch.censored[r] == cut
+            assert batch.extinction_times[r] == (math.inf if cut else clock)
+            assert (batch.event_counts[r], batch.peak_hosts[r]) == (done, peak)
+        assert 0 < batch.censored.sum() < 32
+        monkeypatch.setattr(simulator, "_ALONE", 0)
+        assert batch == run_batch(init, m, 5, replicates=32, horizon=1.5)
+
+    def test_family_past_the_budget_alone_stops_later_replicates(self, monkeypatch):
+        # every family runs alone, in replicate order: the first one past the
+        # budget fails the batch, and no later replicate runs alone after it
+        m, init = ModelParams(1.0, 0.0, TWO_POINT), PopulationState.from_counts({1: 1})
+        counts = run_batch(init, m, 3, replicates=40).event_counts
+        budget = int(counts[:5].max())
+        first = int(np.flatnonzero(counts > budget)[0])
+        assert first < 39
+        calls = spied_alone(monkeypatch)
+        monkeypatch.setattr(simulator, "_ALONE", 10**9)
+        with pytest.raises(BudgetError) as exc:
+            run_batch(init, m, 3, replicates=40, max_events=budget)
+        assert exc.value.replicate == first
+        assert [r for r, *_ in calls] == list(range(first + 1))
+        assert calls[-1][2] == budget + 1  # the event past the budget, counted
+
+    @pytest.mark.parametrize(
+        "m, counts, horizon",
+        [
+            (ModelParams(0.1, 2.5, OffspringDistribution.geometric(0.05)), {1: 1}, None),
+            (ModelParams(1.0, 0.0, TWO_POINT), {1: 4, 3: 2}, 3.0),
+        ],
+        ids=["geometric", "lf"],
+    )
+    def test_same_arrays_at_any_alone_count(self, monkeypatch, m, counts, horizon):
+        init = PopulationState.from_counts(counts)
+        batches = []
+        for alone in (0, 8, 64):
+            monkeypatch.setattr(simulator, "_ALONE", alone)
+            calls = spied_alone(monkeypatch)
+            batches.append(run_batch(init, m, 41, replicates=1000, horizon=horizon))
+            assert (0 < len(calls) <= alone) == (alone > 0)
+            monkeypatch.undo()
+        for batch in batches[1:]:
+            for name in ARRAYS:
+                assert np.array_equal(getattr(batches[0], name), getattr(batch, name)), name
+        if horizon is not None:
+            assert batches[0].censored.any()
 
     def test_budget_error_replicate_independent_of_pool(self, monkeypatch):
         for counts, m, horizon in (

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from sporesim import ModelParams, OffspringDistribution, gumbel_experiment, survival_curve_mc
+from sporesim import ModelParams, OffspringDistribution, gumbel_experiment, stats, survival_curve_mc
 from sporesim.analytic import SurvivalCurve
 from sporesim.stats import (
     GUMBEL_MEDIAN,
+    WILSON_Z,
     check_growth_condition,
     gumbel_cdf,
     gumbel_quantile,
@@ -32,6 +33,17 @@ def wilson_oracle(successes, n, z=1.96):
     center = (phat + z**2 / (2 * n)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / n + z**2 / (4 * n**2))
     return center - half, center + half
+
+
+def wilson_scalar(successes: int, n: int) -> tuple[float, float]:
+    """The package's Wilson interval at one point, in Python floats: the
+    reference its array form must equal bit for bit."""
+    phat = successes / n
+    z2 = WILSON_Z * WILSON_Z
+    denom = 1.0 + z2 / n
+    center = (phat + z2 / (2.0 * n)) / denom
+    half = WILSON_Z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
+    return min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
 
 
 class TestWilson:
@@ -57,6 +69,17 @@ class TestWilson:
             wilson_interval(1, 0)
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
+        for s in ([0, 5], [-1, 0]):
+            with pytest.raises(ValueError):
+                wilson_interval(np.array(s), 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 20, 200, 2000, 100_003])
+    def test_array_form_equals_scalar_bit_for_bit(self, n):
+        # every s at n, up to a large prime
+        low, high = wilson_interval(np.arange(n + 1), n)
+        expected = np.array([wilson_scalar(s, n) for s in range(n + 1)])
+        assert low.tobytes() == expected[:, 0].tobytes()
+        assert high.tobytes() == expected[:, 1].tobytes()
 
     @pytest.mark.parametrize("n", [11, 22, 27, 6, 21, 31, 10_000])
     def test_bounds_exact_at_all_or_none(self, n):
@@ -96,6 +119,23 @@ class TestEstimateQk:
         assert curve.qs[0] == 1.0
         assert low < 1.0 and high == 1.0
         assert curve.err[0] == (high - low) / 2.0
+
+    def test_curve_band_in_one_call(self, monkeypatch):
+        # one Wilson call per curve, equal point by point to the scalar formula
+        calls = []
+
+        def counted(successes, n):
+            calls.append(np.shape(successes))
+            return wilson_interval(successes, n)
+
+        monkeypatch.setattr(stats, "wilson_interval", counted)
+        curve = survival_curve_mc(1, np.linspace(0.0, 5.0, 51), LF_MODEL, seed=4, n=300)
+        assert calls == [(51,)]
+        for q, err in zip(curve.qs.tolist(), curve.err.tolist()):
+            s = round(q * 300)
+            low, high = wilson_scalar(s, 300)
+            assert (q, err) == (s / 300, (high - low) / 2.0)
+        assert 0 < curve.qs[-1] < curve.qs[1] < 1.0
 
     def test_covers_pure_death_closed_form(self):
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
