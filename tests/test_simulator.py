@@ -937,13 +937,13 @@ class TestBatchEngine:
     )
     def test_same_arrays_at_any_alone_count(self, monkeypatch, m, counts, horizon):
         init = PopulationState.from_counts(counts)
+        calls = spied_alone(monkeypatch)
         batches = []
         for alone in (0, 8, 64):
             monkeypatch.setattr(simulator, "_ALONE", alone)
-            calls = spied_alone(monkeypatch)
+            calls.clear()
             batches.append(run_batch(init, m, 41, replicates=1000, horizon=horizon))
             assert (0 < len(calls) <= alone) == (alone > 0)
-            monkeypatch.undo()
         for batch in batches[1:]:
             for name in ARRAYS:
                 assert np.array_equal(getattr(batches[0], name), getattr(batch, name)), name
