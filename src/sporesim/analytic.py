@@ -41,7 +41,7 @@ from .model import ModelParams, tail_exponent
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SOLVER_TOL = 1e-9
+DEFAULT_SOLVER_TOL, DEFAULT_SETTLING_TOL = 1e-9, 1e-8
 
 
 class SolverError(RuntimeError):
@@ -182,6 +182,11 @@ class _Pass:
     def __next__(self) -> int:
         return next(self._rows)
 
+    def close(self) -> tuple[int, int, int, int]:
+        """End the pass, freeing its buffers now, and return (rows, accepted, rejected, rhs)."""
+        self._rows.close()
+        return self.rows, self.accepted, self.rejected, self.rhs
+
     def _integrate(self, sys: TruncatedSystem, ts: np.ndarray, sigma: float) -> Iterator[int]:
         tau, K, u = self.tau, sys.K, self.u
         y, comb, e = np.ones(K), np.empty(K), np.empty(K)
@@ -235,21 +240,21 @@ def _solve_scaled(
 
     Passes at local tolerances tau = tol/4 and tau/32 advance together, one
     grid row at a time, and must agree within tol at every row.  At the first
-    row where they do not, both are dropped and a new pair starts from t = 0
-    at the finer one's tolerance and 1/32 of it.  A tolerance below
-    ulp(max|u|) / 32, over the rows the coarser pass has solved, is swamped
-    by rounding and raises SolverError.  Each agreed row u of the finer pass
+    row where they do not, both are closed (a pass and its generator refer to
+    each other, so only closing frees its buffers before the solve returns)
+    and a new pair starts from t = 0 at the finer one's tolerance and 1/32
+    of it.  A tolerance below ulp(max|u|) / 32, over the rows the coarser
+    pass has solved, is swamped by rounding and raises SolverError.  Each agreed row u of the finer pass
     goes to ``row(m, u)``, which copies what its caller reads (``u`` is the
     pass's own buffer) and, returning true, ends both passes there; after a
     restart the rows come again from m = 0.  Returns (sigma, err) over the
     rows solved: per row, max_k of the difference of the accepted pair.
     """
     sigma = max(sys.params.decay_rate, 0.0)
-    passes: list[_Pass] = []
+    closed: list[tuple[int, int, int, int]] = []  # the work counts of each pass dropped
 
     def pair(tau: float) -> tuple[_Pass, _Pass]:
-        passes.extend(_Pass(sys, ts, t, sigma) for t in (tau, tau / _REFINE))
-        return passes[-2], passes[-1]
+        return _Pass(sys, ts, tau, sigma), _Pass(sys, ts, tau / _REFINE, sigma)
 
     coarse, fine = pair(tol / 4.0)
     err, diff = np.empty(len(ts)), np.empty(sys.K)
@@ -262,17 +267,18 @@ def _solve_scaled(
         np.subtract(fine.u, coarse.u, out=diff)
         err[m] = np.abs(diff, out=diff).max()
         if err[m] > tol:
+            closed += coarse.close(), fine.close()
             (coarse, fine), m = pair(fine.tau), 0
         elif row(m, fine.u) or m == len(ts) - 1:
             break
         else:
             m += 1
+    rows, accepted, rejected, rhs = zip(*closed, coarse.close(), fine.close())
     logger.debug(
         "backward solve, K=%d on %d grid points: %d passes, %d accepted and %d rejected steps, "
         "%d RHS evaluations, err %.3g; grid rows reached per pass %s",
-        sys.K, len(ts), len(passes), sum(p.accepted for p in passes),
-        sum(p.rejected for p in passes), sum(p.rhs for p in passes), err[: m + 1].max(),
-        [p.rows for p in passes],
+        sys.K, len(ts), len(rows), sum(accepted), sum(rejected), sum(rhs), err[: m + 1].max(),
+        list(rows),
     )
     return sigma, err[: m + 1]
 
@@ -363,10 +369,10 @@ def linear_fractional_constant(p0: float, p2: float) -> float:
     return 1.0 - p2 / p0
 
 
-# The constant's default level leaves a tail rate of at most tol * LEVEL_SHARE.  At tol 1e-8,
+# The constant's default level leaves a tail rate of at most tol * _LEVEL_SHARE.  At tol 1e-8,
 # on seven Poisson and geometric laws, C moved <= 1.5e-10 at 2K and came within 4.2e-10 of
 # the rho = 0 quadrature; a share of 1/100 left geometric(0.6) 2.2e-9 from it.
-LEVEL_SHARE = 1e-3
+_LEVEL_SHARE = 1e-3
 
 
 def truncation_level(m: ModelParams, bound: float) -> int:
@@ -385,6 +391,11 @@ def truncation_level(m: ModelParams, bound: float) -> int:
         if K > MAX_SIZE:  # the level, and a solve at it, would pass the memory rule
             raise ValueError(f"the tail rate stays above {bound:g} past K = {MAX_SIZE} (2**22)")
         n *= 2
+
+
+def default_level(m: ModelParams, tol: float = DEFAULT_SETTLING_TOL) -> int:
+    """The default level of the constant's estimate at tol: the law's at tol/1000, at least 2."""
+    return max(truncation_level(m, tol * _LEVEL_SHARE), 2)
 
 
 def check_settles(m: ModelParams, K: int, tol: float, a: float) -> None:
@@ -410,7 +421,7 @@ def constant_t_max(a: float, t_max: float | None) -> float:
 def estimate_constant(
     sys: TruncatedSystem,
     a: float | None = None,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_SETTLING_TOL,
     solver_tol: float = DEFAULT_SOLVER_TOL,
     t_max: float | None = None,
 ) -> ConstantEstimate:

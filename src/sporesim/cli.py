@@ -38,25 +38,28 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
 from . import __version__
 from .analytic import (
-    LEVEL_SHARE,
+    DEFAULT_SETTLING_TOL,
+    DEFAULT_SOLVER_TOL,
     MAX_SIZE,
     NonConvergenceError,
     SolverError,
+    SurvivalCurve,
     TruncatedSystem,
     _grid,
     check_settles,
     constant_t_max,
     default_dt,
+    default_level,
     estimate_constant,
     grid_cells,
     linear_fractional_constant,
     solve_survival,
-    truncation_level,
 )
 from .model import ModelParams, OffspringDistribution, tail_exponent
 from .simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS, RNG_ALGORITHM, BudgetError
@@ -238,11 +241,6 @@ def _solver_K(K, s: dict, m: ModelParams) -> None:
         grid_cells(K, s["t_max"], s["dt"], "K")
 
 
-def _constant_K(m: ModelParams, tol: float = 1e-8) -> int:
-    """The default level of the constant's estimate at tol: the law's at tol/1000, at least 2."""
-    return max(truncation_level(m, tol * LEVEL_SHARE), 2)
-
-
 def _settles(K, s: dict, m: ModelParams) -> None:
     check_settles(m, K, s["tol"], s["a"])
 
@@ -250,9 +248,9 @@ def _settles(K, s: dict, m: ModelParams) -> None:
 def _gumbel_a(a, s: dict, m: ModelParams) -> None:
     tail_exponent(m, a)
     if s["C"] is None and not _has_lf_constant(m):
-        K = _constant_K(m)  # the level of the estimate C: null makes at a, at its tol 1e-8
+        K = default_level(m)  # the level of the estimate C: null makes at a, at its default tol
         try:
-            check_settles(m, K, 1e-8, a)
+            check_settles(m, K, DEFAULT_SETTLING_TOL, a)
         except ValueError as e:
             raise ValueError(f"{e}: give C to run without the estimate at level K = {K}") from e
 
@@ -499,8 +497,13 @@ def _resolve_gumbel_constant(m: ModelParams, s: dict) -> tuple[float, str]:
     if _has_lf_constant(m):
         p0, p2 = m.offspring.probs[0], m.offspring.probs[2]
         return linear_fractional_constant(p0, p2), "linear_fractional"
-    est = estimate_constant(TruncatedSystem(m, K=_constant_K(m)), s["a"])
+    est = estimate_constant(TruncatedSystem(m, K=default_level(m)), s["a"])
     return est.c_hat, "backward_system"
+
+
+def _curve_rows(c: SurvivalCurve) -> list[tuple]:
+    """A survival curve's CSV rows: k, t, q, err and source at each grid point."""
+    return list(zip(repeat(c.k), c.ts.tolist(), c.qs.tolist(), c.err.tolist(), repeat(c.source)))
 
 
 def _run_survival(m: ModelParams, s: dict, directory: Path):
@@ -510,30 +513,16 @@ def _run_survival(m: ModelParams, s: dict, directory: Path):
         curves = solve_survival(
             TruncatedSystem(m, K=s["K"]), t_max=s["t_max"], tol=s["tol"], dt=s["dt"]
         )
-        rows = [
-            (c.k, float(t), float(q), float(e), c.source)
-            for c in curves
-            if c.k in s["k"]
-            for t, q, e in zip(c.ts, c.qs, c.err)
-        ]
+        rows = [row for k in s["k"] for row in _curve_rows(curves[k - 1])]
         del curves  # all K curves; the rows hold the few emitted, and the MC runs next
         artifacts.append((directory / "survival_ode.csv", "csv", (header, rows)))
     if s["method"] in ("mc", "both"):
         ts = _grid(s["t_max"], s["dt"])
         rows = []
         for pos, k in enumerate(s["k"]):
-            curve = survival_curve_mc(
-                k,
-                ts,
-                m,
-                seed=(s["seed"] + pos) % (1 << 64),  # disjoint streams per k
-                n=s["replicates"],
-                max_events=s["max_events"],
-            )
-            rows.extend(
-                (k, float(t), float(q), float(e), curve.source)
-                for t, q, e in zip(curve.ts, curve.qs, curve.err)
-            )
+            seed = (s["seed"] + pos) % (1 << 64)  # disjoint streams per k
+            curve = survival_curve_mc(k, ts, m, seed, n=s["replicates"], max_events=s["max_events"])
+            rows += _curve_rows(curve)
         artifacts.append((directory / "survival_mc.csv", "csv", (header, rows)))
     return artifacts, f"survival curves for k={s['k']}"
 
@@ -575,7 +564,7 @@ def _run_gumbel(m: ModelParams, s: dict, directory: Path):
         ],
         "growth_condition": asdict(growth),
     }
-    rows = [(i, float(t)) for i, t in enumerate(report.extinction_times)]
+    rows = list(enumerate(report.extinction_times.tolist()))
     artifacts = [
         (directory / "gumbel.json", "json", payload),
         (directory / "extinction_times.csv", "csv", (["replicate", "T"], rows)),
@@ -591,7 +580,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("method", _one_of("ode", "mc", "both"), "ode"),
             Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _spacing),
             Key("K", _integer, lambda s, m: max(max(s["k"]), 20), _solver_K),
-            Key("tol", _number, 1e-9, _POSITIVE),
+            Key("tol", _number, DEFAULT_SOLVER_TOL, _POSITIVE),
             Key("replicates", _integer, 100_000, _REPLICATES),
             Key("max_events", _integer, DEFAULT_MAX_EVENTS, _EVENT_BUDGET),
             SEED,
@@ -602,15 +591,15 @@ EXPERIMENTS: dict[str, Experiment] = {
     "constant": Experiment(
         keys=(
             Key("a", _number, lambda s, m: tail_exponent(m), lambda a, s, m: tail_exponent(m, a)),
-            Key("tol", _number, 1e-8, _POSITIVE),
+            Key("tol", _number, DEFAULT_SETTLING_TOL, _POSITIVE),
             Key(
                 "t_max",
                 _number,
                 lambda s, m: _checked("a", constant_t_max, s["a"], None),
                 lambda t_max, s, m: constant_t_max(s["a"], t_max),
             ),
-            Key("K", _integer, lambda s, m: _constant_K(m, s["tol"]), _settles),
-            Key("solver_tol", _number, 1e-9, _POSITIVE),
+            Key("K", _integer, lambda s, m: default_level(m, s["tol"]), _settles),
+            Key("solver_tol", _number, DEFAULT_SOLVER_TOL, _POSITIVE),
         ),
         run=_run_constant,
         subcritical=True,

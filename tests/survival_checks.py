@@ -4,13 +4,13 @@ The paper's exponential tail q_k(t) ~ k C e^{-lambda t} rests on a truncated
 offspring law.  These diagnostics test that argument on the package's
 solutions: the shape q_k / (k q_1) -> 1 (acceptance criterion 3), the crude
 lower bound q_1(t) >= c1 e^{-(lambda + epsilon) t} under truncation, the
-truncation level and truncated mean that bound needs, and the invariants
-every survival curve must satisfy.  No experiment reports them, so they live
-with the tests.  At rho = 0 the leading constant C also has a quadrature
-with no truncation, the reference for the solver's estimate, and the
-least-squares slope of -ln q_1 is acceptance criterion 2's check of lambda.
-The two exactly solvable cases, pure death and linear fractional, give the
-closed forms the solver and simulator tests compare against.
+truncated mean, and the invariants every survival curve must satisfy.  No
+experiment reports them, so they live with the tests.  At rho = 0 the
+leading constant C also has a quadrature with no truncation, the reference
+for the solver's estimate, and the least-squares slope of -ln q_1 is
+acceptance criterion 2's check of lambda.  The two exactly solvable cases,
+pure death and linear fractional, give the closed forms the solver and
+simulator tests compare against.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from sporesim.analytic import (
     TruncatedSystem,
     _grid,
     _solve_scaled,
+    truncation_level,
 )
 from sporesim.model import ModelParams, OffspringDistribution
 
@@ -178,30 +179,6 @@ def truncated_mean(sys: TruncatedSystem) -> float:
     return float((j * sys.offspring_table).sum())
 
 
-def truncation_level(d: OffspringDistribution, epsilon: float, beta: float) -> int:
-    """Smallest k0 >= 1 whose truncated mean exceeds mean - epsilon/beta.
-
-    Offspring counts above k0 mapped to zero still carry enough mean to keep
-    the truncated decay rate within epsilon of the true one.
-    """
-    if epsilon <= 0.0 or beta <= 0.0:
-        raise ValueError("epsilon and beta must be positive")
-    target = d.mean - epsilon / beta
-    if target < 0.0:
-        return 1
-    # partial means sum_{j <= k} j p_j over the sampling table, which is a
-    # table law's whole support
-    top = len(d.cumulative) - 1
-    partial = np.cumsum(np.arange(top + 1) * d.pmf_table(top))
-    reached = np.flatnonzero(partial[1:] > target)
-    if len(reached):
-        return int(reached[0]) + 1
-    if d.kind == "table":
-        # full support reached; the complete mean always satisfies the bound
-        return max(1, top)
-    raise RuntimeError("no truncation level within the sampling table")
-
-
 @dataclass(frozen=True)
 class TruncationBoundReport:
     """Evidence that ln q_1(t) + (lambda + epsilon) t is bounded below."""
@@ -223,12 +200,12 @@ def truncation_lower_bound_check(
 ) -> TruncationBoundReport:
     """Check the crude lower bound q_1(t) >= c1 e^{-(lambda+epsilon) t}.
 
-    The truncation level must keep enough offspring mean: the truncated mean
-    has to exceed mean - epsilon/beta, which makes the truncated decay rate
-    smaller than lambda + epsilon.  The implied constant c1 (not pinned by
-    any formula) is reported as exp of the grid minimum of
-    ln q_1(t) + (lambda + epsilon) t, together with whether that minimum has
-    visibly stabilized inside the grid.
+    The truncation level must keep enough offspring mean: its tail rate
+    beta sum_{j>K} j p_j (:func:`truncation_level`) must be at most epsilon,
+    which keeps the truncated decay rate within lambda + epsilon.  The
+    implied constant c1 (not pinned by any formula) is reported as exp of the
+    grid minimum of ln q_1(t) + (lambda + epsilon) t, together with whether
+    that minimum has visibly stabilized inside the grid.
     """
     m = sys.params
     lam = m.decay_rate
@@ -236,8 +213,7 @@ def truncation_lower_bound_check(
         raise ValueError("lower-bound check requires a subcritical model")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    k0 = truncation_level(m.offspring, epsilon, m.beta)
-    if sys.K < k0 or truncated_mean(sys) <= m.offspring.mean - epsilon / m.beta:
+    if sys.K < (k0 := truncation_level(m, epsilon)):
         raise ValueError(
             f"truncation K={sys.K} keeps too little offspring mean for epsilon={epsilon:g}; "
             f"need K >= {k0}"

@@ -543,6 +543,30 @@ class TestSolveMemory:
         peak = traced_peak(lambda: solve_survival(sys, t_max=10.0))
         assert matrix <= peak < 1.25 * matrix
 
+    def test_restart_frees_the_dropped_pair(self, monkeypatch, caplog):
+        # a fault in the first pass's row 1 makes the pair lose there: the
+        # dropped pair's buffers (12 K-vectors a pass) are freed before the
+        # new pair runs, so the solve peaks as one with no restart does (31
+        # K-vectors, 3 of them the rows kept); kept to its end, they made 57
+        tol, sys, ts = 1e-10, TruncatedSystem(POISSON_MODEL, K=20_000), _grid(0.002, 0.001)
+        vector = 8 * sys.K
+        sys.offspring_table, sys.release_rates  # cached before tracing
+        peak = traced_peak(lambda: solve_rows(sys, ts, tol))
+
+        class FaultyFirstPass(_Pass):
+            def __next__(self):
+                m = super().__next__()
+                if self.tau == tol / 4.0 and m >= 1:
+                    self.u += 1e-6
+                return m
+
+        monkeypatch.setattr(analytic, "_Pass", FaultyFirstPass)
+        with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
+            restarted = traced_peak(lambda: solve_rows(sys, ts, tol))
+        (record,) = [r for r in caplog.records if r.name == "sporesim.analytic"]
+        assert parse_solve_record(record, K=sys.K, grid=3)[0] == 4
+        assert restarted < peak + vector
+
     def test_constant_peaks_far_below_one_matrix(self):
         # geometric(0.4) at K = 320 over 6,553 points (spacing 0.4): the 2K
         # solve keeps h alone, not a 6,553 x 640 matrix
@@ -685,7 +709,7 @@ class TestEstimateConstant:
         # at rho = 0, C has a quadrature with no truncation
         m = ModelParams(1.0, 0.0, law)
         if K is None:
-            K = analytic.truncation_level(m, 1e-8 * analytic.LEVEL_SHARE)
+            K = analytic.default_level(m)
         est = estimate_constant(TruncatedSystem(m, K=K))
         assert abs(est.c_hat - rho_zero_constant(m)) <= 2e-9
 
@@ -732,7 +756,7 @@ class TestEstimateConstant:
         # geometric(0.4), beta 0.5, rho 1: the level of the law's tail at
         # tol/1000 settles with its double, in two solves and no more
         m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
-        K = analytic.truncation_level(m, 1e-8 * analytic.LEVEL_SHARE)
+        K = analytic.default_level(m)
         assert K == 56
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
             est = estimate_constant(TruncatedSystem(m, K=K))
@@ -789,7 +813,7 @@ class TestEstimateConstant:
         assert resolved.sum() >= 50
         lower = (h[2 * lag :] - e[2 * lag :] - drop)[resolved].max()
         upper = (h + e).min()
-        K = analytic.truncation_level(m, 1e-8 * analytic.LEVEL_SHARE)
+        K = analytic.default_level(m)
         est = estimate_constant(TruncatedSystem(m, K=K))
         assert est.k_doubling_change < 1e-8
         assert lower <= est.c_hat <= upper

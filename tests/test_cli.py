@@ -28,9 +28,10 @@ from sporesim.cli import (
     run_experiment,
 )
 from sporesim.analytic import (
-    LEVEL_SHARE,
+    DEFAULT_SETTLING_TOL,
     MAX_SIZE,
     constant_dt,
+    default_level,
     grid_intervals,
     truncation_level,
 )
@@ -401,7 +402,7 @@ def in_range_configs(draw):
         maybe("a", st.floats(0.05, 0.95).map(lambda f: f * cap))
         maybe("solver_tol", st.floats(1e-12, 1e-3))
         maybe("tol", st.floats(1e-12, 1e-3))
-        a, tol = e.get("a", tail_exponent(m)), e.get("tol", 1e-8)
+        a, tol = e.get("a", tail_exponent(m)), e.get("tol", DEFAULT_SETTLING_TOL)
         # from the settling time 10/a on, and K from the law's level at tol up
         # to the most the settling floor allows; K is given whenever its
         # default is over that, as at a small a for an unbounded law
@@ -409,7 +410,7 @@ def in_range_configs(draw):
         top = floor_top(a)
         level = truncation_level(m, tol)
         assume(level <= top)
-        if cli._constant_K(m, tol) > top or draw(st.booleans()):
+        if default_level(m, tol) > top or draw(st.booleans()):
             e["K"] = draw(st.integers(level, top))
     if kind == "gumbel":
         # up to MAX_SIZE hosts in all, at least one
@@ -421,7 +422,7 @@ def in_range_configs(draw):
         # here has the LF closed form, as rho > 0), where that grid fits
         maybe("a", st.one_of(st.floats(0.05, 0.95), st.floats(1e-6, 0.05)).map(lambda f: f * cap))
         a = e.get("a", tail_exponent(m))
-        if cli._constant_K(m) <= floor_top(a):
+        if default_level(m) <= floor_top(a):
             maybe("C", st.one_of(st.none(), st.floats(1e-6, 1.0)))
         else:
             e["C"] = draw(st.floats(1e-6, 1.0))
@@ -813,7 +814,7 @@ class TestMain:
             (POISSON_MODEL_BLOCK, 1e-4, 14),
         ):
             cfg = parse_config('{%s, "experiment": {"type": "constant", "tol": %r}}' % (model, tol))
-            assert cfg.settings["K"] == K == max(truncation_level(cfg.params, tol * LEVEL_SHARE), 2)
+            assert cfg.settings["K"] == K == default_level(cfg.params, tol)
 
     def test_constant_of_unbounded_law_at_the_tail_level(self, tmp_path):
         # geometric(0.6), beta 1, rho 0: the run solves the resolved K = 31
@@ -832,20 +833,27 @@ class TestMain:
         assert abs(report["c_hat"] - rho_zero_constant(model)) <= 2e-9
 
     def test_constant_and_gumbel_constant_are_one_estimate(self, tmp_path):
-        # geometric(0.4), beta 0.5, rho 1: both estimate at the law's level 56
-        model = GEOMETRIC_MODEL_BLOCK
-        constant = write_config(tmp_path, '{%s, "experiment": {"type": "constant"}}' % model)
-        assert main(["run", "--config", str(constant), "--out-dir", str(tmp_path / "c")]) == 0
-        gumbel = tmp_path / "gumbel.json"
-        gumbel.write_text(
-            '{%s, "experiment": {"type": "gumbel", "z": {"1": 100}, "replicates": 5, '
-            '"seed": 3}}' % model
-        )
-        assert main(["run", "--config", str(gumbel), "--out-dir", str(tmp_path / "g")]) == 0
-        est = json.loads((tmp_path / "c" / "constant.json").read_text())
-        report = json.loads((tmp_path / "g" / "gumbel.json").read_text())
-        assert est["K"] == est["metadata"]["config"]["experiment"]["K"] == 56
-        assert est["c_hat"] == report["C"] == 0.3384517405506967
+        # constant at its defaults and gumbel's C: null estimate at the same
+        # default a: one level and one settling tolerance, so one C bit for bit
+        for name, model, K, C in (
+            ("geometric", GEOMETRIC_MODEL_BLOCK, 56, 0.3384517405506967),
+            ("poisson", POISSON_MODEL_BLOCK, 18, 0.25080671160051315),
+        ):
+            constant = tmp_path / f"{name}-constant.json"
+            constant.write_text('{%s, "experiment": {"type": "constant"}}' % model)
+            assert main(["run", "--config", str(constant), "--out-dir", str(tmp_path / name)]) == 0
+            gumbel = tmp_path / f"{name}-gumbel.json"
+            gumbel.write_text(
+                '{%s, "experiment": {"type": "gumbel", "z": {"1": 100}, "replicates": 5, '
+                '"seed": 3}}' % model
+            )
+            assert main(["run", "--config", str(gumbel), "--out-dir", str(tmp_path / name)]) == 0
+            est = json.loads((tmp_path / name / "constant.json").read_text())
+            report = json.loads((tmp_path / name / "gumbel.json").read_text())
+            assert est["K"] == est["metadata"]["config"]["experiment"]["K"] == K
+            assert est["a"] == report["metadata"]["config"]["experiment"]["a"]
+            assert report["C_source"] == "backward_system"
+            assert est["c_hat"] == report["C"] == C
 
     @pytest.mark.parametrize(
         "model, experiment",

@@ -14,8 +14,8 @@ from sporesim import (
     RandomStream,
     sample_offspring,
 )
+from sporesim.analytic import truncation_level
 from sporesim.model import _GUIDE_CELLS, _LINEAR_SEARCH, _TABLE_MAX, _TABLE_TAIL, tail_exponent
-from survival_checks import truncation_level
 
 
 def brute_force_mean(pmf, tail_tol=1e-12):
@@ -308,11 +308,11 @@ class TestTailExponent:
 
 class TestTruncationLevel:
     def test_table_full_support(self):
-        d = OffspringDistribution.table([0.6, 0.0, 0.4])
+        m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.6, 0.0, 0.4]))
         # huge slack: k0 = 1 suffices even though p_1 = 0
-        assert truncation_level(d, epsilon=1.0, beta=1.0) == 1
+        assert truncation_level(m, 1.0) == 1
         # tight slack: need the full support
-        assert truncation_level(d, epsilon=1e-6, beta=1.0) == 2
+        assert truncation_level(m, 1e-6) == 2
 
     def test_poisson_matches_direct_search(self):
         d = OffspringDistribution.poisson(2.0)
@@ -324,10 +324,10 @@ class TestTruncationLevel:
             partial += k0 * poisson.pmf(k0, 2.0)
             if partial > target:
                 break
-        assert truncation_level(d, eps, beta) == k0
+        assert truncation_level(ModelParams(beta, 0.0, d), eps) == k0
         assert k0 >= 2
 
     def test_invalid_args(self):
-        d = OffspringDistribution.poisson(2.0)
+        m = ModelParams(1.0, 0.0, OffspringDistribution.poisson(2.0))
         with pytest.raises(ValueError):
-            truncation_level(d, 0.0, 1.0)
+            truncation_level(m, 0.0)
