@@ -159,75 +159,55 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 /
 _REFINE = 32.0  # local tolerance ratio of the two passes compared
 
 
-class _Pass:
+def _pass(
+    sys: TruncatedSystem, ts: np.ndarray, tau: float, sigma: float, work: list[int]
+) -> Iterator[np.ndarray]:
     """One adaptive Dormand-Prince pass for u from u(0) = 1, local error on u
-    <= tau per step, a step end on every grid point.  Iterating it solves one
-    more grid row m into ``u``, its one row, and yields m; ``u_max`` is max |u|
-    so far, and ``rows``, ``accepted``, ``rejected`` and ``rhs`` (right-hand-side
-    evaluations) count its work.  It is a pure function of its arguments.
+    <= tau per step, a step end on every grid point: a pure function of its
+    arguments that yields its one row buffer u at each grid row and writes its
+    counts to ``work`` (rows, accepted and rejected steps, RHS evaluations).
 
     Every stage is computed in place, in buffers allocated once per pass,
     with the operations of the allocating form u + step * (A_i @ ks[:i]) in
     the same order, so the rows are those of that form bit for bit."""
-
-    def __init__(self, sys: TruncatedSystem, ts: np.ndarray, tau: float, sigma: float):
-        self.tau = tau
-        self.u, self.u_max = np.ones(sys.K), 1.0
-        self.rows = self.accepted = self.rejected = self.rhs = 0
-        self._rows = self._integrate(sys, ts, sigma)
-
-    def __iter__(self) -> Iterator[int]:
-        return self._rows
-
-    def __next__(self) -> int:
-        return next(self._rows)
-
-    def close(self) -> tuple[int, int, int, int]:
-        """End the pass, freeing its buffers now, and return (rows, accepted, rejected, rhs)."""
-        self._rows.close()
-        return self.rows, self.accepted, self.rejected, self.rhs
-
-    def _integrate(self, sys: TruncatedSystem, ts: np.ndarray, sigma: float) -> Iterator[int]:
-        tau, K, u = self.tau, sys.K, self.u
-        y, comb, e = np.ones(K), np.empty(K), np.empty(K)
-        ks = np.empty((7, K))
-        step0 = np.zeros(())  # the step as a 0-d operand, as in _rhs_kernel
-        f = _rhs_kernel(sys, sigma, y, np.empty(K))  # every stage is evaluated at y
-        stages = [(_DP_A[i - 1], ks[:i], ks[i], _DP_C[i]) for i in range(1, 7)]
-        self.rows = 1
-        yield 0
-        f(ks[0], 0.0)
-        rhs = 1
-        h = float(ts[1] - ts[0])
-        t, accepted, rejected = 0.0, 0, 0
-        for m in range(1, len(ts)):
-            t_end = float(ts[m])
-            while t < t_end:
-                n = math.ceil((t_end - t) / h)
-                step = (t_end - t) / n
-                if step < 16.0 * math.ulp(t_end):
-                    raise SolverError(f"step-size underflow at t={t:g} for local tolerance {tau:g}")
-                step0[()] = step
-                for a, ks_before, k, c in stages:
-                    a.dot(ks_before, out=comb)
-                    np.multiply(comb, step0, comb)
-                    np.add(u, comb, y)
-                    f(k, t + c * step)
-                    rhs += 1
-                _DP_E.dot(ks, out=e)
-                err = step * float(np.maximum.reduce(np.abs(e, out=e))) / tau
-                if err <= 1.0:
-                    accepted += 1
-                    t = t_end if n == 1 else t + step
-                    u[:] = y
-                    ks[0] = ks[6]
-                    h = step * (5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2))
-                else:
-                    rejected += 1
-                    h = step * (max(0.2, 0.9 * err**-0.2) if math.isfinite(err) else 0.2)
-            self.u_max = max(self.u_max, float(np.abs(u).max()))
-            self.rows, self.accepted, self.rejected, self.rhs = m + 1, accepted, rejected, rhs
-            yield m
+    K = sys.K
+    u, y, comb, e = np.ones(K), np.ones(K), np.empty(K), np.empty(K)
+    ks = np.empty((7, K))
+    step0 = np.zeros(())  # the step as a 0-d operand, as in _rhs_kernel
+    f = _rhs_kernel(sys, sigma, y, np.empty(K))  # every stage is evaluated at y
+    stages = [(_DP_A[i - 1], ks[:i], ks[i], _DP_C[i]) for i in range(1, 7)]
+    work[:] = 1, 0, 0, 0
+    yield u
+    f(ks[0], 0.0)
+    rhs, h = 1, float(ts[1] - ts[0])
+    t, accepted, rejected = 0.0, 0, 0
+    for m in range(1, len(ts)):
+        t_end = float(ts[m])
+        while t < t_end:
+            n = math.ceil((t_end - t) / h)
+            step = (t_end - t) / n
+            if step < 16.0 * math.ulp(t_end):
+                raise SolverError(f"step-size underflow at t={t:g} for local tolerance {tau:g}")
+            step0[()] = step
+            for a, ks_before, k, c in stages:
+                a.dot(ks_before, out=comb)
+                np.multiply(comb, step0, comb)
+                np.add(u, comb, y)
+                f(k, t + c * step)
+                rhs += 1
+            _DP_E.dot(ks, out=e)
+            err = step * float(np.maximum.reduce(np.abs(e, out=e))) / tau
+            if err <= 1.0:
+                accepted += 1
+                t = t_end if n == 1 else t + step
+                u[:] = y
+                ks[0] = ks[6]
+                h = step * (5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2))
+            else:
+                rejected += 1
+                h = step * (max(0.2, 0.9 * err**-0.2) if math.isfinite(err) else 0.2)
+        work[:] = m + 1, accepted, rejected, rhs
+        yield u
 
 
 def _solve_scaled(
@@ -240,40 +220,40 @@ def _solve_scaled(
 
     Passes at local tolerances tau = tol/4 and tau/32 advance together, one
     grid row at a time, and must agree within tol at every row.  At the first
-    row where they do not, both are closed (a pass and its generator refer to
-    each other, so only closing frees its buffers before the solve returns)
-    and a new pair starts from t = 0 at the finer one's tolerance and 1/32
-    of it.  A tolerance below ulp(max|u|) / 32, over the rows the coarser
-    pass has solved, is swamped by rounding and raises SolverError.  Each agreed row u of the finer pass
-    goes to ``row(m, u)``, which copies what its caller reads (``u`` is the
-    pass's own buffer) and, returning true, ends both passes there; after a
-    restart the rows come again from m = 0.  Returns (sigma, err) over the
-    rows solved: per row, max_k of the difference of the accepted pair.
+    row where they do not, both are dropped and a new pair starts from t = 0
+    at the finer one's tolerance and 1/32 of it.  A coarser row with tau below
+    ulp(max|u|), the largest |u| so far as ulp is monotone, is swamped by
+    rounding and raises SolverError.  Each agreed row u of the finer pass goes
+    to ``row(m, u)``, which copies what its caller reads (``u`` is the pass's
+    own buffer) and, returning true, ends both passes there; after a restart
+    the rows come again from m = 0.  Returns (sigma, err) over the rows
+    solved: per row, max_k of the difference of the accepted pair.
     """
     sigma = max(sys.params.decay_rate, 0.0)
-    closed: list[tuple[int, int, int, int]] = []  # the work counts of each pass dropped
+    work: list[list[int]] = []  # each pass's rows, accepted and rejected steps and RHS count
 
-    def pair(tau: float) -> tuple[_Pass, _Pass]:
-        return _Pass(sys, ts, tau, sigma), _Pass(sys, ts, tau / _REFINE, sigma)
+    def pair(tau: float) -> tuple[Iterator[np.ndarray], Iterator[np.ndarray]]:
+        work.extend(([], []))
+        return _pass(sys, ts, tau, sigma, work[-2]), _pass(sys, ts, tau / _REFINE, sigma, work[-1])
 
-    coarse, fine = pair(tol / 4.0)
+    tau = tol / 4.0
+    coarse, fine = pair(tau)
     err, diff = np.empty(len(ts)), np.empty(sys.K)
     m = 0
     while True:
-        next(coarse)
-        if fine.tau < math.ulp(u_max := coarse.u_max) / _REFINE:
+        u = next(coarse)
+        if tau < math.ulp(u_max := float(np.abs(u, out=diff).max())):
             raise SolverError(f"tol={tol:g} is below double precision for |u| up to {u_max:.3g}")
-        next(fine)
-        np.subtract(fine.u, coarse.u, out=diff)
+        np.subtract(v := next(fine), u, out=diff)
         err[m] = np.abs(diff, out=diff).max()
         if err[m] > tol:
-            closed += coarse.close(), fine.close()
-            (coarse, fine), m = pair(fine.tau), 0
-        elif row(m, fine.u) or m == len(ts) - 1:
+            tau /= _REFINE
+            (coarse, fine), m = pair(tau), 0
+        elif row(m, v) or m == len(ts) - 1:
             break
         else:
             m += 1
-    rows, accepted, rejected, rhs = zip(*closed, coarse.close(), fine.close())
+    rows, accepted, rejected, rhs = zip(*work)
     logger.debug(
         "backward solve, K=%d on %d grid points: %d passes, %d accepted and %d rejected steps, "
         "%d RHS evaluations, err %.3g; grid rows reached per pass %s",

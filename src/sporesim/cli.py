@@ -60,6 +60,7 @@ from .analytic import (
     grid_cells,
     linear_fractional_constant,
     solve_survival,
+    truncation_level,
 )
 from .model import ModelParams, OffspringDistribution, tail_exponent
 from .simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS, RNG_ALGORITHM, BudgetError
@@ -579,8 +580,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("t_max", _number, REQUIRED, _POSITIVE),
             Key("method", _one_of("ode", "mc", "both"), "ode"),
             Key("dt", _number, lambda s, m: default_dt(s["t_max"]), _spacing),
-            Key("K", _integer, lambda s, m: max(max(s["k"]), 20), _solver_K),
             Key("tol", _number, DEFAULT_SOLVER_TOL, _POSITIVE),
+            Key("K", _integer, lambda s, m: max(*s["k"], truncation_level(m, s["tol"])), _solver_K),
             Key("replicates", _integer, 100_000, _REPLICATES),
             Key("max_events", _integer, DEFAULT_MAX_EVENTS, _EVENT_BUDGET),
             SEED,

@@ -1,5 +1,5 @@
 """Test-only reference: the allocating Dormand-Prince pass the in-place
-`sporesim.analytic._Pass` must reproduce bit for bit.
+`sporesim.analytic._pass` must reproduce bit for bit.
 
 Each stage builds fresh arrays, u + step * (A_i @ ks[:i]), and calls
 `backward_rhs`, the production right-hand side on fresh buffers; the

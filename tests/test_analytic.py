@@ -1,3 +1,5 @@
+import gc
+import itertools
 import logging
 import math
 import re
@@ -24,7 +26,7 @@ from sporesim.analytic import (
     NonConvergenceError,
     SolverError,
     _grid,
-    _Pass,
+    _pass,
     _solve_scaled,
     grid_intervals,
     linear_fractional_constant,
@@ -403,14 +405,30 @@ def parse_solve_record(record, K, grid):
     return passes, accepted, rejected, rhs, float(found.group(5)), rows
 
 
-def full_pass(sys: TruncatedSystem, ts: np.ndarray, tau: float) -> tuple[_Pass, np.ndarray]:
-    """A pass run to the end of the grid, and each row it yielded, copied as it came."""
-    p = _Pass(sys, ts, tau, max(sys.params.decay_rate, 0.0))
+def full_pass(sys: TruncatedSystem, ts: np.ndarray, tau: float) -> tuple[list[int], np.ndarray]:
+    """A pass run to the end of the grid: its work counts, and each row it
+    yielded, copied as it came."""
+    work: list[int] = []
     rows = []
-    for m in p:
-        assert m == len(rows) and p.rows == m + 1
-        rows.append(p.u.copy())
-    return p, np.array(rows)
+    for u in _pass(sys, ts, tau, max(sys.params.decay_rate, 0.0), work):
+        assert work[0] == len(rows) + 1
+        rows.append(u.copy())
+    return work, np.array(rows)
+
+
+def perturb_first_pass(monkeypatch, start: int) -> None:
+    """Make the first pass a solve advances add 1e-6 to its live row at every
+    grid row from ``start`` on, so that the first pair disagrees there."""
+    passes, real = itertools.count(), analytic._pass
+
+    def perturbed(*args):
+        first = next(passes) == 0
+        for m, u in enumerate(real(*args)):
+            if first and m >= start:
+                u += 1e-6
+            yield u
+
+    monkeypatch.setattr(analytic, "_pass", perturbed)
 
 
 def solve_rows(sys: TruncatedSystem, ts: np.ndarray, tol: float, stop=lambda m: False):
@@ -450,11 +468,9 @@ class TestInPlacePass:
     def test_bit_identical_to_allocating_reference(self, m, K, t_max, dt, tau):
         sys, ts = TruncatedSystem(m, K=K), _grid(t_max, dt)
         U, accepted, rejected = dopri5(sys, ts, tau, max(m.decay_rate, 0.0))
-        p, rows = full_pass(sys, ts, tau)
+        work, rows = full_pass(sys, ts, tau)
         assert np.array_equal(rows, U)
-        assert p.u_max == max(1.0, float(np.abs(U).max()))
-        assert (p.accepted, p.rejected) == (accepted, rejected)
-        assert p.rows == len(ts) and p.rhs == 1 + 6 * (accepted + rejected)
+        assert work == [len(ts), accepted, rejected, 1 + 6 * (accepted + rejected)]
         if (K, tau) == (40, 1e-9 / 4):
             assert rejected > 500
 
@@ -472,12 +488,13 @@ class TestInPlacePass:
 
     def test_rows_yielded_in_order(self):
         sys, ts = TruncatedSystem(LF_MODEL, K=3), _grid(2.0, 0.5)
-        p = _Pass(sys, ts, 1e-10, LF_MODEL.decay_rate)
-        u = p.u
-        assert next(p) == 0 and p.rows == 1 and p.rhs == 0
-        assert np.array_equal(p.u, np.ones(3))
-        assert list(p) == [1, 2, 3, 4] and p.rows == 5
-        assert p.u is u  # one row buffer, overwritten row by row
+        work: list[int] = []
+        p = _pass(sys, ts, 1e-10, LF_MODEL.decay_rate, work)
+        u = next(p)
+        assert work == [1, 0, 0, 0] and np.array_equal(u, np.ones(3))
+        for m in range(1, 5):
+            assert next(p) is u and work[0] == m + 1  # one row buffer, overwritten row by row
+        assert next(p, None) is None and work[0] == 5
 
 
 class TestPassComparison:
@@ -491,15 +508,7 @@ class TestPassComparison:
         # of it starts from t = 0, its first pass the dropped finer one again
         tol, sys, ts = 1e-10, TruncatedSystem(POISSON_MODEL, K=12), _grid(5.0, 0.25)
         first_tau = tol / 4.0
-
-        class FaultyFirstPass(_Pass):
-            def __next__(self):
-                m = super().__next__()
-                if self.tau == first_tau and m >= 7:
-                    self.u += 1e-6
-                return m
-
-        monkeypatch.setattr(analytic, "_Pass", FaultyFirstPass)
+        perturb_first_pass(monkeypatch, 7)
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
             U, err = solve_rows(sys, ts, tol)
         (record,) = [r for r in caplog.records if r.name == "sporesim.analytic"]
@@ -510,6 +519,23 @@ class TestPassComparison:
         finest, _, _ = dopri5(sys, ts, first_tau / 1024.0, sigma)
         assert np.array_equal(U, finest)
         assert np.array_equal(err, np.abs(finest - middle).max(axis=1))
+
+    def test_precision_check_reads_each_coarse_row(self, monkeypatch):
+        # tau = tol/4 = ulp(2): rows of max|u| 1 and 3 keep within it (ulp(3)
+        # = ulp(2)), and the third row's |-4| does not; both passes yield the
+        # same rows, so they agree, and the finer one stops a row short
+        rows, reached = [np.ones(2), np.array([3.0, 1.0]), np.array([0.5, -4.0])], {}
+
+        def fake(sys, ts, tau, sigma, work):
+            for n, u in enumerate(rows, 1):
+                reached[tau] = n
+                yield u
+
+        monkeypatch.setattr(analytic, "_pass", fake)
+        sys, ts = TruncatedSystem(LF_MODEL, K=2), _grid(2.0, 1.0)
+        with pytest.raises(SolverError, match=r"for \|u\| up to 4$"):
+            _solve_scaled(sys, ts, 4.0 * math.ulp(2.0), lambda m, u: None)
+        assert reached == {math.ulp(2.0): 3, math.ulp(2.0) / 32.0: 2}
 
     def test_stop_ends_both_passes_at_the_row(self, caplog):
         sys, ts = TruncatedSystem(POISSON_MODEL, K=12), _grid(5.0, 0.25)
@@ -552,20 +578,34 @@ class TestSolveMemory:
         vector = 8 * sys.K
         sys.offspring_table, sys.release_rates  # cached before tracing
         peak = traced_peak(lambda: solve_rows(sys, ts, tol))
-
-        class FaultyFirstPass(_Pass):
-            def __next__(self):
-                m = super().__next__()
-                if self.tau == tol / 4.0 and m >= 1:
-                    self.u += 1e-6
-                return m
-
-        monkeypatch.setattr(analytic, "_Pass", FaultyFirstPass)
+        perturb_first_pass(monkeypatch, 1)
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
             restarted = traced_peak(lambda: solve_rows(sys, ts, tol))
         (record,) = [r for r in caplog.records if r.name == "sporesim.analytic"]
         assert parse_solve_record(record, K=sys.K, grid=3)[0] == 4
         assert restarted < peak + vector
+
+    def test_failed_solve_holds_no_pass(self):
+        # a row callback that raises at row 1 ends the solve with both passes
+        # mid-grid; with the cyclic collector off, their buffers (12 K-vectors
+        # a pass) must go when the exception does
+        tol, sys, ts = 1e-10, TruncatedSystem(POISSON_MODEL, K=20_000), _grid(0.002, 0.001)
+        sys.offspring_table, sys.release_rates  # cached before tracing
+
+        def fail(m, u):
+            if m == 1:
+                raise RuntimeError("row 1")
+
+        gc.disable()
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="row 1"):
+                _solve_scaled(sys, ts, tol, fail)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 8 * sys.K
 
     def test_constant_peaks_far_below_one_matrix(self):
         # geometric(0.4) at K = 320 over 6,553 points (spacing 0.4): the 2K

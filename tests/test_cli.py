@@ -29,10 +29,13 @@ from sporesim.cli import (
 )
 from sporesim.analytic import (
     DEFAULT_SETTLING_TOL,
+    DEFAULT_SOLVER_TOL,
     MAX_SIZE,
+    TruncatedSystem,
     constant_dt,
     default_level,
     grid_intervals,
+    solve_survival,
     truncation_level,
 )
 from sporesim.model import ModelParams, OffspringDistribution, tail_exponent
@@ -334,8 +337,21 @@ OUT_OF_RANGE = {
     "survival-grid-9999001-points": (
         POISSON_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": 9999, "dt": 1e-3', [], "dt"
     ),
-    "survival-grid-999001-points-K-20": (
-        POISSON_MODEL_BLOCK, '"type": "survival", "k": [1], "t_max": 999, "dt": 1e-3', [], "K"
+    # the default K, the law's level at tol (16 here), over the grid
+    "survival-grid-999001-points-default-K": (
+        POISSON_MODEL_BLOCK,
+        '"type": "survival", "k": [1], "t_max": 999, "dt": 1e-3',
+        [],
+        "K",
+        "K = 16 at 999001 grid points",
+    ),
+    # a wide law's level, 249, over a grid that K = 20 would fit
+    "survival-grid-19981-points-wide-law-level": (
+        WIDE_MODEL_BLOCK,
+        '"type": "survival", "k": [1], "t_max": 999, "dt": 0.05',
+        [],
+        "K",
+        "K = 249 at 19981 grid points",
     ),
     # an MC-only run writes a row per k and grid point, 5 x 999,001 of them,
     # reported at the key that fixes the grid
@@ -394,9 +410,10 @@ def in_range_configs(draw):
         # K and every type up to the most the grid allows: MAX_SIZE values
         top = MAX_SIZE // (grid_intervals(e["t_max"], e.get("dt")) + 1)
         e["k"] = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
-        if top < 20 or draw(st.booleans()):  # the default K = max(k, 20) where it fits
-            e["K"] = draw(st.integers(max(e["k"]), top))
         maybe("tol", st.floats(1e-12, 1e-3))
+        # the default K = max(k, the law's level at tol) where it fits
+        if truncation_level(m, e.get("tol", DEFAULT_SOLVER_TOL)) > top or draw(st.booleans()):
+            e["K"] = draw(st.integers(max(e["k"]), top))
         maybe("method", st.sampled_from(["ode", "mc", "both"]))
     if kind == "constant":
         maybe("a", st.floats(0.05, 0.95).map(lambda f: f * cap))
@@ -448,7 +465,7 @@ class TestParseConfig:
         s = cfg.settings
         assert s["method"] == "ode"
         assert s["tol"] == 1e-9
-        assert s["K"] == 20
+        assert s["K"] == 2  # max(k), and the level of a law whose support ends at 2
         assert s["dt"] == pytest.approx(5.0 / 400.0)
         assert cfg.resolved["experiment"]["method"] == "ode"
         assert cfg.resolved["output"] == {"dir": ".", "format": "csv"}
@@ -624,6 +641,22 @@ class TestRunExperiment:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "replicate,T"
         assert len(data) == 21
+
+    def test_survival_default_K_is_the_law_level(self, tmp_path):
+        # geometric(0.1), mean 9: at K = 20 the curve read 1.02e-3, 1.33e-5
+        # and 3.49e-11 at t = 1, 2 and 5, where it is 5.08e-3, 1.23e-3 and
+        # 5.15e-5, with an err of at most 3.5e-12
+        cfg = parse_config(
+            '{%s, "experiment": {"type": "survival", "k": [1], "t_max": 10, "method": "ode"}}'
+            % WIDE_MODEL_BLOCK
+        )
+        assert cfg.settings["K"] == truncation_level(cfg.params, DEFAULT_SOLVER_TOL) == 249
+        run_experiment(cfg, out_dir=str(tmp_path / "s"))
+        lines = (tmp_path / "s" / "survival_ode.csv").read_text().splitlines()
+        q = [float(line.split(",")[2]) for line in lines if line[0].isdigit()]
+        ref = solve_survival(TruncatedSystem(cfg.params, K=1200), t_max=10.0)[0].qs.tolist()
+        assert len(q) == len(ref) == 401
+        assert max(abs(a - b) for a, b in zip(q, ref)) <= 2e-9
 
     def test_survival_mc_and_ode(self, tmp_path):
         cfg = parse_config(
