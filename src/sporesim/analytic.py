@@ -163,9 +163,9 @@ def _pass(
     sys: TruncatedSystem, ts: np.ndarray, tau: float, sigma: float, work: list[int]
 ) -> Iterator[np.ndarray]:
     """One adaptive Dormand-Prince pass for u from u(0) = 1, local error on u
-    <= tau per step, a step end on every grid point: a pure function of its
-    arguments that yields its one row buffer u at each grid row and writes its
-    counts to ``work`` (rows, accepted and rejected steps, RHS evaluations).
+    <= tau per step, a step end on every grid point.  It yields its one row
+    buffer u at each grid row, its rows set by its arguments alone, and writes
+    its counts to ``work`` (rows, accepted and rejected steps, RHS evaluations).
 
     Every stage is computed in place, in buffers allocated once per pass,
     with the operations of the allocating form u + step * (A_i @ ks[:i]) in
@@ -238,8 +238,7 @@ def _solve_scaled(
 
     tau = tol / 4.0
     coarse, fine = pair(tau)
-    err, diff = np.empty(len(ts)), np.empty(sys.K)
-    m = 0
+    err, diff, m = np.empty(len(ts)), np.empty(sys.K), 0
     while True:
         u = next(coarse)
         if tau < math.ulp(u_max := float(np.abs(u, out=diff).max())):
@@ -247,6 +246,7 @@ def _solve_scaled(
         np.subtract(v := next(fine), u, out=diff)
         err[m] = np.abs(diff, out=diff).max()
         if err[m] > tol:
+            del u, v  # the losing pair's rows: nothing holds it while the new pair runs
             tau /= _REFINE
             (coarse, fine), m = pair(tau), 0
         elif row(m, v) or m == len(ts) - 1:

@@ -572,7 +572,7 @@ class TestSolveMemory:
     def test_restart_frees_the_dropped_pair(self, monkeypatch, caplog):
         # a fault in the first pass's row 1 makes the pair lose there: the
         # dropped pair's buffers (12 K-vectors a pass) are freed before the
-        # new pair runs, so the solve peaks as one with no restart does (31
+        # new pair runs, so the solve peaks as one with no restart does (30
         # K-vectors, 3 of them the rows kept); kept to its end, they made 57
         tol, sys, ts = 1e-10, TruncatedSystem(POISSON_MODEL, K=20_000), _grid(0.002, 0.001)
         vector = 8 * sys.K

@@ -643,9 +643,9 @@ class TestRunExperiment:
         assert len(data) == 21
 
     def test_survival_default_K_is_the_law_level(self, tmp_path):
-        # geometric(0.1), mean 9: at K = 20 the curve read 1.02e-3, 1.33e-5
-        # and 3.49e-11 at t = 1, 2 and 5, where it is 5.08e-3, 1.23e-3 and
-        # 5.15e-5, with an err of at most 3.5e-12
+        # geometric(0.1), mean 9: at K = 20 the solved q_1 is 1.02e-3, 1.33e-5
+        # and 3.49e-11 at t = 1, 2 and 5, with an err of at most 3.5e-12,
+        # where the law's level gives 5.08e-3, 1.23e-3 and 5.15e-5
         cfg = parse_config(
             '{%s, "experiment": {"type": "survival", "k": [1], "t_max": 10, "method": "ode"}}'
             % WIDE_MODEL_BLOCK
