@@ -417,8 +417,8 @@ def full_pass(sys: TruncatedSystem, ts: np.ndarray, tau: float) -> tuple[list[in
 
 
 def perturb_first_pass(monkeypatch, start: int) -> None:
-    """Make the first pass a solve advances add 1e-6 to its live row at every
-    grid row from ``start`` on, so that the first pair disagrees there."""
+    """Make the first pass advanced from here on add 1e-6 to its live row at
+    every grid row from ``start`` on, so that the first pair disagrees there."""
     passes, real = itertools.count(), analytic._pass
 
     def perturbed(*args):
