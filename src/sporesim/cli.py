@@ -51,7 +51,6 @@ from .analytic import (
     SolverError,
     SurvivalCurve,
     TruncatedSystem,
-    _grid,
     check_settles,
     constant_t_max,
     default_dt,
@@ -518,11 +517,12 @@ def _run_survival(m: ModelParams, s: dict, directory: Path):
         del curves  # all K curves; the rows hold the few emitted, and the MC runs next
         artifacts.append((directory / "survival_ode.csv", "csv", (header, rows)))
     if s["method"] in ("mc", "both"):
-        ts = _grid(s["t_max"], s["dt"])
         rows = []
         for pos, k in enumerate(s["k"]):
             seed = (s["seed"] + pos) % (1 << 64)  # disjoint streams per k
-            curve = survival_curve_mc(k, ts, m, seed, n=s["replicates"], max_events=s["max_events"])
+            curve = survival_curve_mc(
+                k, s["t_max"], m, seed, n=s["replicates"], dt=s["dt"], max_events=s["max_events"]
+            )
             rows += _curve_rows(curve)
         artifacts.append((directory / "survival_mc.csv", "csv", (header, rows)))
     return artifacts, f"survival curves for k={s['k']}"

@@ -76,6 +76,7 @@ import bisect
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,36 +274,28 @@ class RandomStream:
 
 @dataclass
 class PopulationState:
-    """The initial population of a replicate: sparse per-type host counts
-    and their totals.  Every replicate starts at time 0.
-
-    Entries with zero hosts are never retained and type 0 never appears.
-    The engines read a state and never mutate it.
-    """
+    """The initial population of a replicate, at time 0: host counts by type,
+    integer types >= 1 with integer counts > 0.  Zero counts are dropped;
+    numpy integers pass, and a float, string or bool type or count raises
+    TypeError.  The engines read a state and never mutate it."""
 
     counts: dict[int, int] = field(default_factory=dict)
-    n_hosts: int = 0
-    n_spores: int = 0
 
-    @classmethod
-    def from_counts(cls, counts: dict[int, int]) -> "PopulationState":
+    def __post_init__(self) -> None:
         clean: dict[int, int] = {}
-        for k, n in counts.items():
-            k = int(k)
-            n = int(n)
+        for k, n in self.counts.items():
+            if isinstance(k, bool) or isinstance(n, bool):
+                raise TypeError("types and host counts must be integers, not bools")
+            k, n = operator.index(k), operator.index(n)
             if n < 0 or k < 1:
                 raise ValueError("counts must map types >= 1 to nonnegative host counts")
             if n > 0:
                 clean[k] = clean.get(k, 0) + n
-        return cls(
-            counts=clean,
-            n_hosts=sum(clean.values()),
-            n_spores=sum(k * n for k, n in clean.items()),
-        )
+        self.counts = clean
 
-    @property
-    def extinct(self) -> bool:
-        return self.n_hosts == 0
+    @classmethod
+    def from_counts(cls, counts: dict[int, int]) -> "PopulationState":
+        return cls(counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -744,6 +737,8 @@ def _simulate(
         raise ValueError("replicates must be >= 1")
     if not 1 <= max_events <= MAX_EVENTS:
         raise ValueError(f"max_events must lie in [1, {MAX_EVENTS}]")
+    if horizon is not None and not horizon >= 0.0:  # NaN fails too
+        raise ValueError(f"horizon must be None or >= 0, got {horizon!r}")
     if sum(init.counts.values()) >= 1 << 32:
         raise ValueError("a replicate must start from fewer than 2**32 hosts")
     _check_stream_id(seed, first + replicates - 1)
@@ -920,7 +915,8 @@ def run_batch(
 
     Results come in replicate-index order, as a :class:`BatchOutcomes`:
     arrays of extinction times, censoring flags, event counts and peak host
-    counts, which iterate as :class:`SimOutcome` objects.
+    counts, which iterate as :class:`SimOutcome` objects.  ``horizon`` None
+    or inf runs every replicate to extinction; NaN or a negative value raises.
     ``threads`` is accepted for compatibility and has no effect: the engine
     runs in the calling thread and its results depend on no schedule.  A
     :class:`BudgetError` names the smallest replicate index whose events

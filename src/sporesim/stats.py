@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import SurvivalCurve
+from .analytic import SurvivalCurve, _grid
 from .model import ModelParams
 from .simulator import DEFAULT_MAX_EVENTS, PopulationState, run_batch
 
@@ -42,21 +42,23 @@ def wilson_interval(successes, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def survival_curve_mc(
     k: int,
-    ts: np.ndarray,
+    t_max: float,
     m: ModelParams,
     seed: int,
     n: int,
+    dt: float | None = None,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> SurvivalCurve:
     """Whole Monte Carlo survival curve from one batch of extinction times.
 
-    Replicates are censored at the last grid time; q(t) is the fraction of
-    extinction times beyond t and err holds the Wilson half-width per point.
+    The grid is :func:`solve_survival`'s, over [0, t_max] at spacing dt
+    (None: the default spacing).  Replicates are censored at t_max; q(t) is
+    the fraction of extinction times beyond t and err holds the Wilson
+    half-width per point.
     """
-    ts = np.asarray(ts, dtype=float)
-    horizon = float(ts[-1])
+    ts = _grid(t_max, dt)
     init = PopulationState.from_counts({k: 1})
-    outcomes = run_batch(init, m, seed, replicates=n, horizon=horizon, max_events=max_events)
+    outcomes = run_batch(init, m, seed, replicates=n, horizon=t_max, max_events=max_events)
     # survivors at t: extinction times beyond t (censored ones are inf)
     alive = n - np.searchsorted(np.sort(outcomes.extinction_times), ts, side="right")
     low, high = wilson_interval(alive, n)
@@ -175,14 +177,14 @@ def gumbel_experiment(
     if not 0.0 < C <= 1.0:
         raise ValueError("leading constant must lie in (0, 1]")
     init = PopulationState.from_counts(z)
-    if init.extinct:
+    if not init.counts:
         raise ValueError("initial counts must contain at least one host")
 
     outcomes = run_batch(
         init, m, seed, replicates=replicates, horizon=None, max_events=max_events
     )
     times = outcomes.extinction_times
-    center = math.log(C * init.n_spores)
+    center = math.log(C * sum(k * n for k, n in init.counts.items()))
     w = lam * times - center
     ks = ks_distance(w, gumbel_cdf)
     xs = sorted(w.tolist())

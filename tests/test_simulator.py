@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import logging
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare, ks_2samp, kstest
+from scipy.stats import chisquare, ks_2samp, kstest, norm
 
 from family_draws import family_uniforms
 from naive_engine import run_to_extinction_reference
@@ -179,15 +180,39 @@ class TestRandomStream:
 class TestPopulationState:
     def test_from_counts(self):
         st = PopulationState.from_counts({1: 2, 3: 1, 5: 0})
-        assert st.counts == {1: 2, 3: 1}
-        assert st.n_hosts == 3
-        assert st.n_spores == 5
+        assert st == PopulationState({1: 2, 3: 1})
+        assert [f.name for f in dataclasses.fields(st)] == ["counts"]
 
     def test_rejects_bad_types(self):
         with pytest.raises(ValueError):
             PopulationState.from_counts({0: 1})
         with pytest.raises(ValueError):
             PopulationState.from_counts({2: -1})
+
+    @pytest.mark.parametrize("make", [PopulationState.from_counts, PopulationState])
+    @pytest.mark.parametrize(
+        "counts",
+        [{1: 2.7}, {1.5: 3}, {"2": 1}, {1: 2.0}, {True: 1}, {1: True}],
+        ids=["float-count", "float-type", "str-type", "whole-float-count", "bool-type", "bool-count"],
+    )
+    def test_rejects_non_integers(self, counts, make):
+        # each once ran as an integer start: {1: 2.7} as two hosts, {1.5: 3}
+        # as type 1, {"2": 1} as type 2
+        with pytest.raises(TypeError):
+            make(counts)
+
+    def test_constructor_applies_the_rule(self):
+        # the constructor once kept any dict: {0: 1} failed only inside
+        # run_batch, with an IndexError
+        assert PopulationState({1: 0, 2: 1}) == PopulationState.from_counts({2: 1})
+        assert PopulationState().counts == {}
+        with pytest.raises(ValueError):
+            PopulationState({0: 1})
+
+    def test_numpy_integers_pass(self):
+        st = PopulationState.from_counts({np.int64(2): np.int32(3), np.uint8(1): np.int64(1)})
+        assert st == PopulationState({2: 3, 1: 1})
+        assert all(type(v) is int for kv in st.counts.items() for v in kv)
 
 
 class TestStep:
@@ -310,7 +335,7 @@ class TestRunToExtinction:
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts({1: 2})
         run_one(init, m, 8, 0)
-        assert init.counts == {1: 2} and (init.n_hosts, init.n_spores) == (2, 2)
+        assert init == PopulationState({1: 2})
 
     def test_budget_error(self):
         m = ModelParams(1.0, 0.0, TWO_POINT)
@@ -340,6 +365,27 @@ class TestSurvivalIndicator:
         m = ModelParams(1.0, 1.0, NO_OFFSPRING)
         init = PopulationState.from_counts({1: 1})
         assert run_batch(init, m, 1, replicates=20, horizon=0.0).censored.all()
+
+    def test_infinite_horizon_runs_to_extinction(self):
+        m = ModelParams(1.0, 0.5, TWO_POINT)
+        init = PopulationState.from_counts({1: 2, 3: 1})
+        never = run_batch(init, m, 3, replicates=50, horizon=math.inf)
+        free = run_batch(init, m, 3, replicates=50)
+        assert not never.censored.any()
+        for name in ARRAYS:
+            assert np.array_equal(getattr(never, name), getattr(free, name))
+
+    def test_nan_horizon_rejected(self):
+        # it once ran every replicate uncensored while the batch reported nan
+        m = ModelParams(1.0, 0.5, TWO_POINT)
+        with pytest.raises(ValueError, match="horizon"):
+            run_batch(PopulationState.from_counts({1: 1}), m, 3, replicates=5, horizon=math.nan)
+
+    def test_negative_horizon_rejected(self):
+        # it once censored every replicate at once
+        m = ModelParams(1.0, 0.5, TWO_POINT)
+        with pytest.raises(ValueError, match="horizon"):
+            run_batch(PopulationState.from_counts({1: 1}), m, 3, replicates=5, horizon=-1.0)
 
     def test_matches_closed_form_k1(self):
         # rho=1, beta=1, no offspring, k=1, t=1 -> P(survive) = e^{-2}
@@ -427,6 +473,50 @@ class TestRunBatch:
         init = PopulationState.from_counts({1: 100})
         outs = run_batch(init, m, master_seed=55, replicates=200)
         assert not outs.censored.any()
+
+
+def expected_events(m: ModelParams, z: dict[int, int], top: int = 200) -> float:
+    """Mean event count of a replicate from counts z, from the sampling
+    table alone.  A type-k host's family takes h_k = a_k + b_k c events on
+    average: its first event is a release with probability
+    pi_k = beta k / (rho + beta k), after which the host is a type-(k-1)
+    host and the released spore founds a family worth c = sum_j p_j h_j, so
+    a_k = 1 + pi_k a_{k-1} and b_k = pi_k (b_{k-1} + 1) from a_0 = b_0 = 0,
+    and c = sum p_j a_j / (1 - sum p_j b_j).  The law is cut at ``top``."""
+    p = m.offspring.pmf_table(top)
+    assert p.sum() > 1.0 - 1e-15, "the law's mass above top is not negligible"
+    a, b = [0.0], [0.0]
+    for k in range(1, top + 1):
+        pi = m.beta * k / (m.rho + m.beta * k)
+        a.append(1.0 + pi * a[-1])
+        b.append(pi * (b[-1] + 1.0))
+    c = float(p @ a) / (1.0 - float(p @ b))
+    return sum(n * (a[k] + b[k] * c) for k, n in z.items())
+
+
+class TestExpectedEvents:
+    """Mean event counts of a batch against :func:`expected_events`."""
+
+    # the sample mean of n iid counts with finite variance is within
+    # GATE standard errors of its expectation but with probability about
+    # 1e-6 (central limit theorem); the seeds are fixed, so a pass is stable
+    GATE = float(norm.isf(0.5e-6))
+
+    def check(self, m, z, seed, n):
+        counts = run_batch(PopulationState.from_counts(z), m, seed, n).event_counts
+        se = counts.std(ddof=1) / math.sqrt(n)
+        assert abs(counts.mean() - expected_events(m, z)) < self.GATE * se
+
+    def test_linear_fractional_without_removal(self):
+        # rho = 0: every event is a release, and a spore's family takes
+        # 1 / (1 - mu) events on average
+        m, z = ModelParams(1.0, 0.0, TWO_POINT), {1: 4, 3: 2}
+        assert expected_events(m, z) == pytest.approx(10 / (1 - 0.8), rel=1e-12)
+        self.check(m, z, 1201, 20_000)
+
+    def test_poisson_with_removal(self):
+        m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
+        self.check(m, {3: 1}, 1202, 20_000)
 
 
 class TestDistributionalProperties:
@@ -1134,7 +1224,7 @@ class TestExactExtinctionLaw:
         m = ModelParams(1.0, 0.0, TWO_POINT)
         init = PopulationState.from_counts(self.Z)
         times = run_batch(init, m, 901, replicates=200).extinction_times
-        spores = init.n_spores
+        spores = sum(k * n for k, n in self.Z.items())
 
         def cdf(ts):
             q = np.array([closed_form_linear_fractional(t, 1.0, 0.6, 0.4) for t in ts])

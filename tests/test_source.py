@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -17,13 +18,17 @@ def test_package_has_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def readme_python_blocks() -> list[str]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+
+
 def test_readme_library_example_names_exist():
     # parsed, not run: every sp.<name> of the README's Python blocks must
     # still be a public attribute of the package
     import sporesim
 
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    blocks = readme_python_blocks()
     used = {
         node.attr
         for block in blocks
@@ -34,6 +39,43 @@ def test_readme_library_example_names_exist():
     }
     assert blocks and used, "README has no Python block using sp.<name>"
     assert sorted(name for name in used if not hasattr(sporesim, name)) == []
+
+
+def test_readme_library_calls_bind_to_signatures():
+    # parsed, not run: every call of sp.<name> or sp.<name>.<attr> in the
+    # README's Python blocks must bind to the current signature
+    import sporesim
+
+    def target(func):
+        path = []
+        while isinstance(func, ast.Attribute):
+            path.append(func.attr)
+            func = func.value
+        if not (isinstance(func, ast.Name) and func.id == "sp"):
+            return None
+        obj = sporesim
+        for attr in reversed(path):
+            obj = getattr(obj, attr)
+        return obj
+
+    calls = [
+        (node, target(node.func))
+        for block in readme_python_blocks()
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.Call)
+    ]
+    unbound = []
+    for call, obj in calls:
+        if obj is None:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in call.args), ast.unparse(call)
+        assert all(kw.arg is not None for kw in call.keywords), ast.unparse(call)
+        try:
+            inspect.signature(obj).bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as e:
+            unbound.append(f"{ast.unparse(call)}: {e}")
+    assert any(obj is sporesim.survival_curve_mc for _, obj in calls)
+    assert unbound == []
 
 
 def test_readme_experiment_table_matches_schema():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sporesim import ModelParams, OffspringDistribution, gumbel_experiment, stats, survival_curve_mc
-from sporesim.analytic import SurvivalCurve
+from sporesim.analytic import SurvivalCurve, _grid
 from sporesim.stats import (
     GUMBEL_MEDIAN,
     WILSON_Z,
@@ -98,8 +98,9 @@ class TestWilson:
 
 
 def survival_at(k, t, m, seed, n):
-    """survival_curve_mc at the one time t: (estimate, Wilson interval)."""
-    q = survival_curve_mc(k, np.array([t]), m, seed=seed, n=n).qs[0]
+    """survival_curve_mc at the one time t > 0, the last point of the grid
+    [0, t] and the horizon of its batch: (estimate, Wilson interval)."""
+    q = survival_curve_mc(k, t, m, seed=seed, n=n, dt=t).qs[-1]
     return q, wilson_interval(round(q * n), n)
 
 
@@ -107,14 +108,15 @@ class TestEstimateQk:
     """survival_curve_mc as an estimate of q_k at a single time."""
 
     def test_horizon_zero_is_certain(self):
-        q, (low, high) = survival_at(1, 0.0, LF_MODEL, seed=1, n=50)
+        q = survival_curve_mc(1, 1.0, LF_MODEL, seed=1, n=50).qs[0]
+        low, high = wilson_interval(round(q * 50), 50)
         assert q == 1.0
         assert high == 1.0
 
     @pytest.mark.parametrize("n", [6, 10_000])
     def test_all_survived_interval_brackets_estimate(self, n):
         # these sample sizes used to round the upper bound below 1
-        curve = survival_curve_mc(1, np.array([0.0]), LF_MODEL, seed=1, n=n)
+        curve = survival_curve_mc(1, 1.0, LF_MODEL, seed=1, n=n)
         low, high = wilson_interval(n, n)
         assert curve.qs[0] == 1.0
         assert low < 1.0 and high == 1.0
@@ -129,7 +131,7 @@ class TestEstimateQk:
             return wilson_interval(successes, n)
 
         monkeypatch.setattr(stats, "wilson_interval", counted)
-        curve = survival_curve_mc(1, np.linspace(0.0, 5.0, 51), LF_MODEL, seed=4, n=300)
+        curve = survival_curve_mc(1, 5.0, LF_MODEL, seed=4, n=300, dt=0.1)
         assert calls == [(51,)]
         for q, err in zip(curve.qs.tolist(), curve.err.tolist()):
             s = round(q * 300)
@@ -154,25 +156,34 @@ class TestEstimateQk:
         assert covered >= 180
 
     def test_seed_deterministic(self):
-        ts = np.array([1.0])
-        a = survival_curve_mc(2, ts, LF_MODEL, seed=17, n=200)
-        b = survival_curve_mc(2, ts, LF_MODEL, seed=17, n=200)
+        a = survival_curve_mc(2, 1.0, LF_MODEL, seed=17, n=200, dt=1.0)
+        b = survival_curve_mc(2, 1.0, LF_MODEL, seed=17, n=200, dt=1.0)
         assert np.array_equal(a.qs, b.qs) and np.array_equal(a.err, b.err)
 
 
 class TestSurvivalCurveMC:
     def test_basic_shape(self):
-        ts = np.linspace(0.0, 4.0, 9)
-        curve = survival_curve_mc(2, ts, LF_MODEL, seed=5, n=2000)
+        curve = survival_curve_mc(2, 4.0, LF_MODEL, seed=5, n=2000, dt=0.5)
         validate_curve(curve)
         assert curve.source == "monte_carlo"
         assert curve.qs[0] == 1.0
         assert np.all(curve.err > 0.0)
 
+    def test_grid_is_the_solvers(self):
+        # the grid rule of solve_survival and the survival config: [0, t_max]
+        # at spacing dt (None: the default), censored at t_max
+        for t_max, dt in ((4.0, 0.5), (2.5, 1.0), (3.0, None)):
+            curve = survival_curve_mc(1, t_max, LF_MODEL, seed=7, n=20, dt=dt)
+            assert np.array_equal(curve.ts, _grid(t_max, dt))
+            assert curve.ts[-1] == t_max
+        with pytest.raises(ValueError, match="t_max"):
+            survival_curve_mc(1, 0.0, LF_MODEL, seed=7, n=20)
+        with pytest.raises(ValueError, match="dt"):
+            survival_curve_mc(1, 1.0, LF_MODEL, seed=7, n=20, dt=math.nan)
+
     def test_tracks_closed_form(self):
-        ts = np.linspace(0.0, 3.0, 7)
         m = ModelParams(1.0, 0.5, NO_OFFSPRING)
-        curve = survival_curve_mc(3, ts, m, seed=6, n=20000)
+        curve = survival_curve_mc(3, 3.0, m, seed=6, n=20000, dt=0.5)
         for t, q, e in zip(curve.ts, curve.qs, curve.err):
             assert abs(q - closed_form_mu0(3, t, 1.0, 0.5)) < max(3.0 * e, 1e-3)
 
@@ -322,6 +333,11 @@ class TestGumbelExperiment:
             gumbel_experiment({}, LF_MODEL, C=0.5, seed=1, replicates=2)
         with pytest.raises(ValueError, match="replicates must be >= 1"):
             gumbel_experiment({1: 10}, LF_MODEL, C=0.5, seed=1, replicates=0)
+
+    def test_rejects_fractional_start(self):
+        # {1: 2.5} once ran two hosts and centred at N = 2
+        with pytest.raises(TypeError):
+            gumbel_experiment({1: 2.5}, LF_MODEL, C=0.5, seed=1, replicates=2)
 
     def test_medium_population_close_to_limit(self):
         # moderate size keeps this fast; the acceptance suite runs the
