@@ -100,7 +100,6 @@ class ConstantEstimate:
     t_star: float
     K: int
     last_rel_change: float
-    k_doubling_change: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.c_hat <= 1.0:
@@ -380,11 +379,11 @@ def default_level(m: ModelParams, tol: float = DEFAULT_SETTLING_TOL) -> int:
 
 def check_settles(m: ModelParams, K: int, tol: float, a: float) -> None:
     """ValueError unless an estimate at level K can settle to tol: delta_K must be below tol, and
-    2K values per point of the grid to 10/a (the least it solves) must fit within MAX_SIZE."""
+    K values per point of the grid to 10/a (the least it solves) must fit within MAX_SIZE."""
     if K < (level := truncation_level(m, tol)):
         raise ValueError(f"K = {K} cannot settle to tol = {tol:g}: K >= {level} can")
     end = "the settling time 10/a"
-    grid_cells(2 * K, 10.0 / a, constant_dt(a), f"level K = {K}, to {end}: 2K", f"a = {a:g}: {end}")
+    grid_cells(K, 10.0 / a, constant_dt(a), f"to {end}, K", f"a = {a:g}: {end}")
 
 
 def constant_t_max(a: float, t_max: float | None) -> float:
@@ -405,13 +404,13 @@ def estimate_constant(
     solver_tol: float = DEFAULT_SOLVER_TOL,
     t_max: float | None = None,
 ) -> ConstantEstimate:
-    """Extract C = lim e^{lambda t} q_1(t) from the solved backward system.
+    """Extract C = lim e^{lambda t} q_1(t) from the backward system at level sys.K.
 
     Tracks h(t) = e^{lambda t} q_1(t) (nonincreasing, positive) and stops at
     the first grid time t* >= 10/a where the relative change per unit time
     drops below tol; both solver passes stop there, so no row past t* is
-    solved, and of a row only h.  Levels K and 2K are solved once each: K
-    gives the estimate, and the change to 2K's is a convergence diagnostic.
+    solved, and of a row only h.  One level is solved; a K-doubling check
+    is a second call at 2K.
 
     Args:
         sys: Truncated backward system at level K; its model must be subcritical.
@@ -424,8 +423,8 @@ def estimate_constant(
     Raises:
         ValueError: tol or solver_tol <= 0, a, t_max, or a K that cannot settle
             (:func:`check_settles`), all before any solve.
-        NonConvergenceError: h(t) not settled before t_max at K or 2K
-            (carries that level's trailing h values).
+        NonConvergenceError: h(t) not settled before t_max (carries the trailing h values).
+        SolverError: the estimate exceeds 1 by more than 100 solver_tol.
     """
     if not (tol > 0.0 and solver_tol > 0.0):
         raise ValueError(f"tol and solver_tol must be positive, got {tol!r} and {solver_tol!r}")
@@ -445,21 +444,16 @@ def estimate_constant(
         h[i] = u[0]
         return settled(i)
 
-    def extract(K: int) -> tuple[float, int, float]:
-        _, err = _solve_scaled(TruncatedSystem(sys.params, K=K), ts, solver_tol, keep)
-        i = len(err) - 1
-        if not settled(i):
-            raise NonConvergenceError(
-                f"e^(lambda t) q_1(t) did not settle to {tol:g}/unit time by t={t_max:g} at K={K}",
-                tail=h[: i + 1][-10:],
-            )
-        return float(h[i]), i, float(rel_change(i))
-
-    (c_hat, row, last_rel), (c_double, row_double, _) = extract(sys.K), extract(2 * sys.K)
-    t_star = float(ts[row])
+    _, err = _solve_scaled(sys, ts, solver_tol, keep)
+    row = len(err) - 1
+    if not settled(row):
+        raise NonConvergenceError(
+            f"e^(lambda t) q_1(t) did not settle to {tol:g}/unit time by t={t_max:g} at K={sys.K}",
+            tail=h[: row + 1][-10:],
+        )
+    c_hat, t_star = float(h[row]), float(ts[row])
     logger.debug(
-        "constant estimate, K=%d and 2K=%d: t*=%.6g at grid row %d of %d; rows solved %d at K "
-        "and %d at 2K", sys.K, 2 * sys.K, t_star, row, len(ts), row + 1, row_double + 1,
+        "constant estimate, K=%d: t*=%.6g at grid row %d of %d", sys.K, t_star, row, len(ts)
     )
 
     # the solver can overshoot 1 by its own tolerance when C = 1 exactly
@@ -467,4 +461,4 @@ def estimate_constant(
         if c_hat > 1.0 + 100.0 * solver_tol:
             raise SolverError(f"constant estimate {c_hat!r} exceeds 1 beyond tolerance")
         c_hat = 1.0
-    return ConstantEstimate(c_hat, t_star, sys.K, last_rel, k_doubling_change=abs(c_double - c_hat))
+    return ConstantEstimate(c_hat, t_star, sys.K, float(rel_change(row)))

@@ -242,7 +242,13 @@ def _solver_K(K, s: dict, m: ModelParams) -> None:
 
 
 def _settles(K, s: dict, m: ModelParams) -> None:
+    """check_settles at K and at 2K: constant solves 2K for its K-doubling diagnostic, and
+    gumbel's estimate (C: null) keeps that floor, its one guard against a stiff default level."""
     check_settles(m, K, s["tol"], s["a"])
+    try:
+        check_settles(m, 2 * K, s["tol"], s["a"])
+    except ValueError as e:
+        raise ValueError(f"level K = {K}, at 2K: {e}") from e
 
 
 def _gumbel_a(a, s: dict, m: ModelParams) -> None:
@@ -250,7 +256,7 @@ def _gumbel_a(a, s: dict, m: ModelParams) -> None:
     if s["C"] is None and not _has_lf_constant(m):
         K = default_level(m)  # the level of the estimate C: null makes at a, at its default tol
         try:
-            check_settles(m, K, DEFAULT_SETTLING_TOL, a)
+            _settles(K, {"tol": DEFAULT_SETTLING_TOL, "a": a}, m)
         except ValueError as e:
             raise ValueError(f"{e}: give C to run without the estimate at level K = {K}") from e
 
@@ -529,10 +535,13 @@ def _run_survival(m: ModelParams, s: dict, directory: Path):
 
 
 def _run_constant(m: ModelParams, s: dict, directory: Path):
-    est = estimate_constant(
-        TruncatedSystem(m, K=s["K"]), s["a"], s["tol"], s["solver_tol"], s["t_max"]
+    # the estimate at K, and at 2K for the K-doubling diagnostic, which only this artifact reads
+    est, double = (
+        estimate_constant(TruncatedSystem(m, K=K), s["a"], s["tol"], s["solver_tol"], s["t_max"])
+        for K in (s["K"], 2 * s["K"])
     )
     payload = {**asdict(est), "decay_rate": m.decay_rate, "a": s["a"]}
+    payload["k_doubling_change"] = abs(double.c_hat - est.c_hat)
     summary = f"c_hat = {est.c_hat:.6g} at t* = {est.t_star:.4g}"
     return [(directory / "constant.json", "json", payload)], summary
 

@@ -826,16 +826,11 @@ def _simulate(
                 drain_steps += started >= limit
                 consumed += live
                 pool.event(*uniforms, full)
-                if horizon is None:
-                    pool.done += 1
-                    np.maximum(pool.peak, pool.hosts, out=pool.peak)
-                    finished = pool.hosts == 0.0
-                else:
-                    cut = pool.clock > end  # the event falls past the horizon
-                    inside = ~cut
-                    pool.done += inside
-                    np.maximum(pool.peak, pool.hosts, out=pool.peak, where=inside)
-                    finished = (pool.hosts == 0.0) | cut
+                cut = pool.clock > end  # the event falls past the horizon
+                inside = ~cut
+                pool.done += inside
+                np.maximum(pool.peak, pool.hosts, out=pool.peak, where=inside)
+                finished = (pool.hosts == 0.0) | cut
 
             if steps > max_events:  # a family's events done never exceed the steps
                 over = pool.done > max_events
@@ -845,8 +840,7 @@ def _simulate(
             if len(free):
                 r = pool.replicate[free]
                 np.maximum.at(times, r, pool.clock[free])
-                if horizon is not None:
-                    np.logical_or.at(censored, r, cut[free])
+                np.logical_or.at(censored, r, cut[free])
                 np.add.at(events, r, pool.done[free])
                 np.add.at(peaks, r, pool.peak[free])
                 over = events[r] > max_events

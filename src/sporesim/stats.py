@@ -57,7 +57,7 @@ def survival_curve_mc(
     half-width per point.
     """
     ts = _grid(t_max, dt)
-    init = PopulationState.from_counts({k: 1})
+    init = PopulationState({k: 1})
     outcomes = run_batch(init, m, seed, replicates=n, horizon=t_max, max_events=max_events)
     # survivors at t: extinction times beyond t (censored ones are inf)
     alive = n - np.searchsorted(np.sort(outcomes.extinction_times), ts, side="right")
@@ -77,12 +77,14 @@ class GrowthConditionReport:
 
 
 def check_growth_condition(z: dict[int, int], a: float, lam: float) -> GrowthConditionReport:
-    if not z:
-        raise ValueError("initial counts must be nonempty")
+    """The growth ratio of the start z, held to :class:`PopulationState`'s rule."""
+    counts = PopulationState(z).counts
+    if not counts:
+        raise ValueError("initial counts must contain at least one host")
     if a <= 0.0 or lam <= 0.0:
         raise ValueError("a and lambda must be positive")
-    spores = float(sum(k * n for k, n in z.items()))
-    second = float(sum(k * k * n for k, n in z.items()))
+    spores = float(sum(k * n for k, n in counts.items()))
+    second = float(sum(k * k * n for k, n in counts.items()))
     exponent = 1.0 + a / lam
     return GrowthConditionReport(
         spores=spores,
@@ -176,7 +178,7 @@ def gumbel_experiment(
         raise ValueError("extinction-time experiment requires a subcritical model")
     if not 0.0 < C <= 1.0:
         raise ValueError("leading constant must lie in (0, 1]")
-    init = PopulationState.from_counts(z)
+    init = PopulationState(z)
     if not init.counts:
         raise ValueError("initial counts must contain at least one host")
 

@@ -20,6 +20,7 @@ from sporesim import (
     solve_survival,
 )
 from sporesim import analytic
+from sporesim.cli import ConfigError, parse_config
 from sporesim.model import tail_exponent
 from sporesim.analytic import (
     MAX_SIZE,
@@ -608,13 +609,13 @@ class TestSolveMemory:
         assert held < 8 * sys.K
 
     def test_constant_peaks_far_below_one_matrix(self):
-        # geometric(0.4) at K = 320 over 6,553 points (spacing 0.4): the 2K
+        # geometric(0.4) at K = 640 over 6,553 points (spacing 0.4): the
         # solve keeps h alone, not a 6,553 x 640 matrix
         m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
         matrix = 6553 * 640 * 8
         est = []
         peak = traced_peak(
-            lambda: est.append(estimate_constant(TruncatedSystem(m, K=320), t_max=6552 * 0.4))
+            lambda: est.append(estimate_constant(TruncatedSystem(m, K=640), t_max=6552 * 0.4))
         )
         assert est[0].t_star == 40.0
         assert peak < matrix / 20
@@ -664,7 +665,7 @@ class TestEstimateConstant:
         est = estimate_constant(TruncatedSystem(LF_MODEL, K=2))
         assert abs(est.c_hat - 1.0 / 3.0) < 1e-4
         assert est.t_star >= 10.0 / tail_exponent(LF_MODEL)
-        assert est.k_doubling_change < 1e-6
+        assert abs(estimate_constant(TruncatedSystem(LF_MODEL, K=4)).c_hat - est.c_hat) < 1e-6
 
     def test_range_for_zero_two_free_law(self):
         # {p0 = p1 = 1/2}: q_1(t) = e^{-t/2} exactly, so the constant is 1
@@ -716,20 +717,17 @@ class TestEstimateConstant:
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
             est = estimate_constant(TruncatedSystem(m, K=K))
         assert est.c_hat == c_hat and est.t_star == t_star
-        *solves, record = [r for r in caplog.records if r.name == "sporesim.analytic"]
-        found = re.search(
-            rf"constant estimate, K={K} and 2K={2 * K}: t\*=\S+ at grid row (\d+) of (\d+); "
-            r"rows solved (\d+) at K and (\d+) at 2K",
-            record.getMessage(),
+        solve, record = [r for r in caplog.records if r.name == "sporesim.analytic"]
+        found = re.fullmatch(
+            rf"constant estimate, K={K}: t\*=\S+ at grid row (\d+) of (\d+)", record.getMessage()
         )
         assert found, record.getMessage()
-        row, grid, rows_k, rows_2k = map(int, found.groups())
+        row, grid = map(int, found.groups())
         a = tail_exponent(m)  # default grid: dt = min(0.5, (10/a)/100) to 30/a
         assert _grid(30.0 / a, min(0.5, 0.1 / a))[row] == t_star
-        assert rows_k <= row + 1 and rows_2k <= row + 1 and row + 1 < grid
-        # every pass of the K and 2K solves stopped there
-        for solve, size in zip(solves, (K, 2 * K)):
-            assert max(parse_solve_record(solve, K=size, grid=grid)[5]) <= row + 1
+        assert row + 1 < grid
+        # every pass of the one solve stopped there
+        assert max(parse_solve_record(solve, K=K, grid=grid)[5]) <= row + 1
 
 
     @pytest.mark.parametrize(
@@ -776,38 +774,49 @@ class TestEstimateConstant:
         with pytest.raises(ValueError, match="tol and solver_tol must be positive"):
             estimate_constant(TruncatedSystem(LF_MODEL, K=2), **tols)
 
-    @pytest.mark.parametrize("a, top", [(0.25, 20763), (2.0**-10, 102)])
+    @pytest.mark.parametrize("a, top", [(0.25, 41527), (2.0**-10, 204)])
     def test_settling_floor_rejects_before_any_solve(self, monkeypatch, a, top):
-        # 2K values over the grid to 10/a: 101 points at a = 0.25 (spacing
-        # 0.4), 20,481 at 2**-10 (spacing 0.5); 2 x 20763 x 101 <= 2**22
+        # K values over the grid to 10/a: 101 points at a = 0.25 (spacing
+        # 0.4), 20,481 at 2**-10 (spacing 0.5); 41527 x 101 <= 2**22
         def no_solve(*args, **kwargs):
             raise AssertionError("solved")
 
         points = analytic.grid_intervals(10.0 / a, analytic.constant_dt(a)) + 1
-        assert 2 * top * points <= MAX_SIZE < 2 * (top + 1) * points
+        assert top * points <= MAX_SIZE < (top + 1) * points
         analytic.check_settles(HALF_MODEL, top, 1e-8, a)
-        with pytest.raises(ValueError, match=f"level K = {top + 1}, .* at {points} grid points"):
+        message = f"settling time 10/a, K = {top + 1} at {points} grid points"
+        with pytest.raises(ValueError, match=message):
             analytic.check_settles(HALF_MODEL, top + 1, 1e-8, a)
         monkeypatch.setattr(analytic, "_solve_scaled", no_solve)
-        with pytest.raises(ValueError, match=f"level K = {top + 1}, "):
+        with pytest.raises(ValueError, match=message):
             estimate_constant(TruncatedSystem(HALF_MODEL, K=top + 1), a=a)
+        # the constant experiment solves 2K too, so its K stops at half that:
+        # 20,763 at a = 0.25, and 20,764 exits at experiment.K
+        text = (
+            '{"model": {"beta": 1.0, "rho": 0.0, "offspring": {"kind": "table", "probs": '
+            '[0.5, 0.5]}}, "experiment": {"type": "constant", "a": %r, "K": %d}}'
+        )
+        assert parse_config(text % (a, top // 2)).settings["K"] == top // 2
+        with pytest.raises(ConfigError, match=f"level K = {top // 2 + 1}, at 2K: ") as exc:
+            parse_config(text % (a, top // 2 + 1))
+        assert exc.value.path == "experiment.K"
 
     def test_default_level_solves_one_pair(self, caplog):
-        # geometric(0.4), beta 0.5, rho 1: the level of the law's tail at
-        # tol/1000 settles with its double, in two solves and no more
+        # geometric(0.4), beta 0.5, rho 1: the estimate at the level of the
+        # law's tail at tol/1000 is one solve, one pair of passes; the level
+        # settles with its double, which is a second call
         m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
         K = analytic.default_level(m)
         assert K == 56
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
             est = estimate_constant(TruncatedSystem(m, K=K))
-        *solves, record = [r for r in caplog.records if r.name == "sporesim.analytic"]
+        solve, record = [r for r in caplog.records if r.name == "sporesim.analytic"]
         a = tail_exponent(m)
         grid = len(_grid(30.0 / a, analytic.constant_dt(a)))
-        assert len(solves) == 2
-        for solve, size in zip(solves, (K, 2 * K)):
-            parse_solve_record(solve, K=size, grid=grid)
-        assert record.getMessage().startswith(f"constant estimate, K={K} and 2K={2 * K}: ")
-        assert est.K == K and est.k_doubling_change <= 1e-9
+        parse_solve_record(solve, K=K, grid=grid)
+        assert record.getMessage().startswith(f"constant estimate, K={K}: ")
+        assert est.K == K
+        assert abs(estimate_constant(TruncatedSystem(m, K=2 * K)).c_hat - est.c_hat) <= 1e-9
 
     @pytest.mark.parametrize(
         "m, K, delta",
@@ -855,7 +864,7 @@ class TestEstimateConstant:
         upper = (h + e).min()
         K = analytic.default_level(m)
         est = estimate_constant(TruncatedSystem(m, K=K))
-        assert est.k_doubling_change < 1e-8
+        assert abs(estimate_constant(TruncatedSystem(m, K=2 * K)).c_hat - est.c_hat) < 1e-8
         assert lower <= est.c_hat <= upper
 
 

@@ -34,6 +34,7 @@ from sporesim.analytic import (
     TruncatedSystem,
     constant_dt,
     default_level,
+    estimate_constant,
     grid_intervals,
     solve_survival,
     truncation_level,
@@ -370,7 +371,8 @@ OUT_OF_RANGE = {
 
 def floor_top(a: float) -> int:
     """The largest K whose 2K values at each point of the grid to the settling
-    time 10/a total at most MAX_SIZE: the rule analytic.check_settles keeps."""
+    time 10/a total at most MAX_SIZE: the rule the constant experiment keeps,
+    and gumbel's with C: null (analytic.check_settles at K and at 2K)."""
     return MAX_SIZE // (2 * (math.ceil(10.0 / a / constant_dt(a)) + 1))
 
 
@@ -864,6 +866,44 @@ class TestMain:
         assert report["K"] == report["metadata"]["config"]["experiment"]["K"] == 31
         model = ModelParams(1.0, 0.0, OffspringDistribution.geometric(0.6))
         assert abs(report["c_hat"] - rho_zero_constant(model)) <= 2e-9
+
+    @staticmethod
+    def solve_records(caplog) -> list[str]:
+        return [
+            r.getMessage()
+            for r in caplog.records
+            if r.name == "sporesim.analytic" and r.getMessage().startswith("backward solve, ")
+        ]
+
+    def test_gumbel_estimate_solves_its_level_alone(self, tmp_path, caplog):
+        # Poisson(2), beta 0.5, rho 1: C: null reads the estimate's c_hat
+        # alone, so the run solves the default level 18 and no other
+        text = (
+            '{%s, "experiment": {"type": "gumbel", "z": {"1": 10}, "replicates": 5, "seed": 3}}'
+            % POISSON_MODEL_BLOCK
+        )
+        cfg = write_config(tmp_path, text)
+        with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
+            assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+        solves = self.solve_records(caplog)
+        assert len(solves) == 1 and solves[0].startswith("backward solve, K=18 on "), solves
+
+    def test_constant_k_doubling_change_is_the_gap_of_two_estimates(self, tmp_path, caplog):
+        # geometric(0.4), beta 0.5, rho 1 at its default level 56: the run
+        # solves K and 2K, and writes the gap between the library's two estimates
+        text = '{%s, "experiment": {"type": "constant"}}' % GEOMETRIC_MODEL_BLOCK
+        cfg = write_config(tmp_path, text)
+        with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
+            assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+        solves = self.solve_records(caplog)
+        assert [r.split(" on ")[0] for r in solves] == [
+            "backward solve, K=56", "backward solve, K=112"
+        ]
+        est = json.loads((tmp_path / "o" / "constant.json").read_text())
+        m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
+        c_K, c_2K = (estimate_constant(TruncatedSystem(m, K=K), est["a"]).c_hat for K in (56, 112))
+        assert est["K"] == 56 and est["c_hat"] == c_K
+        assert est["k_doubling_change"] == abs(c_2K - c_K)
 
     def test_constant_and_gumbel_constant_are_one_estimate(self, tmp_path):
         # constant at its defaults and gumbel's C: null estimate at the same

@@ -18,6 +18,21 @@ def test_package_has_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def test_package_calls_no_compatibility_alias():
+    # from_counts, RandomStream and sample_offspring are kept for outside
+    # callers only: the package builds a PopulationState and draws through
+    # the engine, so removing the aliases touches no module here
+    aliases = {"from_counts", "RandomStream", "sample_offspring"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in aliases
+    ]
+    assert SOURCES and not found, found
+
+
 def readme_python_blocks() -> list[str]:
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     return re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)

@@ -252,6 +252,16 @@ class TestGrowthCondition:
         with pytest.raises(ValueError):
             check_growth_condition({}, a=0.1, lam=0.2)
 
+    @pytest.mark.parametrize(
+        "z, error",
+        [({1: 2.5}, TypeError), ({0: 3, 1: 1}, ValueError), ({1: -1, 2: 1}, ValueError)],
+        ids=["fractional-count", "type-0", "negative-count"],
+    )
+    def test_start_rule_applied(self, z, error):
+        # the start rule of PopulationState: integer types >= 1, counts >= 0
+        with pytest.raises(error):
+            check_growth_condition(z, a=0.1, lam=0.2)
+
 
 class TestFitDecayRate:
     @staticmethod
