@@ -37,7 +37,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import ModelParams, tail_exponent
+from .model import ModelParams, checked_int, tail_exponent
 
 logger = logging.getLogger(__name__)
 
@@ -65,7 +65,7 @@ class TruncatedSystem:
     K: int
 
     def __post_init__(self) -> None:
-        if self.K < 1:
+        if checked_int(self.K, "truncation level K") < 1:
             raise ValueError("truncation level K must be >= 1")
 
     @cached_property
@@ -282,9 +282,9 @@ def constant_dt(a: float) -> float:
 
 def grid_intervals(t_max: float, dt: float | None, span: str = "t_max") -> int:
     """Intervals of the output grid over [0, t_max] (``span`` in errors) at spacing dt (None:
-    default_dt); ValueError unless both are positive and it has at most MAX_SIZE points."""
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    default_dt); ValueError unless both are finite and positive, within MAX_SIZE points."""
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if dt is None:
         dt = default_dt(t_max)
     if not (math.isfinite(dt) and dt > 0.0):
@@ -322,8 +322,8 @@ def solve_survival(
     The curves' ``qs`` are read-only columns of one matrix and they share
     one read-only ``err``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol!r}")
     ts = _grid(t_max, dt)
     Q = np.empty((len(ts), sys.K))
     sigma, err = _solve_scaled(sys, ts, tol, Q.__setitem__)  # each row m into Q[m]

@@ -62,7 +62,13 @@ from .analytic import (
     truncation_level,
 )
 from .model import ModelParams, OffspringDistribution, tail_exponent
-from .simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS, RNG_ALGORITHM, BudgetError
+from .simulator import (
+    DEFAULT_MAX_EVENTS,
+    MAX_EVENTS,
+    RNG_ALGORITHM,
+    BudgetError,
+    PopulationState,
+)
 from .stats import (
     GUMBEL_MEDIAN,
     check_growth_condition,
@@ -186,22 +192,19 @@ def _optional_number(value) -> float | None:
 
 
 def _initial_counts(value) -> dict[str, int]:
-    """Sparse map type -> host count; zero counts dropped, types sorted."""
+    """Sparse map type -> host count under PopulationState's rule, types sorted; JSON adds
+    canonical keys, types up to 2**22 and 2**22 hosts at most."""
     if not isinstance(value, dict) or not value:
         raise ValueError("expected a nonempty map of type -> host count")
-    counts: dict[int, int] = {}
-    for key, n in value.items():
+    for key in value:
         # only canonical keys: "01", " 1" or "1_0" would alias (or silently
         # rename) a type and drop its hosts when keyed on int(key)
-        if not key.isdecimal() or str(int(key)) != key:
-            raise ValueError(f"type key {key!r} is not a canonical decimal integer")
-        k = int(key)
-        if not 1 <= k <= MAX_SIZE:
-            raise ValueError(f"type {key!r} must lie in [1, 2**22]")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"host count of type {key!r} must be a nonnegative integer")
-        if n:
-            counts[k] = n
+        if not key.isdecimal() or str(int(key)) != key or not 1 <= int(key) <= MAX_SIZE:
+            raise ValueError(f"type key {key!r} is not a canonical decimal integer in [1, 2**22]")
+    try:
+        counts = PopulationState({int(key): n for key, n in value.items()}).counts
+    except TypeError as e:
+        raise ValueError(str(e)) from e
     if not 1 <= sum(counts.values()) <= MAX_SIZE:  # a replicate holds a row per host
         raise ValueError(f"needs 1 to {MAX_SIZE} (2**22) hosts")
     return {str(k): n for k, n in sorted(counts.items())}

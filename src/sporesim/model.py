@@ -14,6 +14,7 @@ and the process is subcritical exactly when lambda > 0.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +48,13 @@ _POISSON_MAX_MEAN = 700.0
 _GEOMETRIC_MIN_SUCCESS = 5e-4
 
 KINDS = ("table", "poisson", "geometric")
+
+
+def checked_int(value, what: str) -> int:
+    """``value`` as an int (numpy integers pass); a bool, float or string raises TypeError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ started from counts z is the union of sum_k z_k independent families, each
 founded by one host: it dies out when its last family does, and is alive at
 time t when any family is.  The engine simulates single-host families and
 reduces them per replicate: the extinction time is the maximum over the
-replicate's families, the replicate is censored when any family passes the
-horizon, and event counts add up.
+replicate's families, and event counts add up.  That maximum passes the
+horizon exactly when some family does: the replicate is censored, and its
+extinction time reads ``inf``, the one record of its censoring.
 
 Within a family, hosts with the same spore count are exchangeable, so its
 state is a row of host counts n_k by type k plus the totals N = sum n_k
@@ -76,12 +77,11 @@ import bisect
 import functools
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, checked_int
 
 RNG_ALGORITHM = "philox4x32-u01/v4"
 
@@ -260,12 +260,9 @@ class RandomStream:
     version = RNG_ALGORITHM
 
     def __init__(self, seed: int, index: int = 0):
-        seed = int(seed)
-        index = int(index)
-        _check_stream_id(seed, index)
-        self.seed = seed
-        self.index = index
-        self._draws = _stream_uniforms(seed, index)
+        self.seed, self.index = checked_int(seed, "seed"), checked_int(index, "stream index")
+        _check_stream_id(self.seed, self.index)
+        self._draws = _stream_uniforms(self.seed, self.index)
 
     def uniform01(self) -> float:
         """Next uniform draw in [0, 1)."""
@@ -284,9 +281,8 @@ class PopulationState:
     def __post_init__(self) -> None:
         clean: dict[int, int] = {}
         for k, n in self.counts.items():
-            if isinstance(k, bool) or isinstance(n, bool):
-                raise TypeError("types and host counts must be integers, not bools")
-            k, n = operator.index(k), operator.index(n)
+            k = checked_int(k, "a type")
+            n = checked_int(n, f"the host count of type {k}")
             if n < 0 or k < 1:
                 raise ValueError("counts must map types >= 1 to nonnegative host counts")
             if n > 0:
@@ -329,7 +325,8 @@ class SimOutcome:
 class BatchOutcomes:
     """The outcomes of one batch as read-only arrays, in replicate order.
 
-    ``extinction_times`` holds ``inf`` where the replicate was censored.
+    ``extinction_times`` holds ``inf`` where the replicate was censored, and
+    ``censored`` is derived from it once, as ``np.isinf(extinction_times)``.
     Iterating the batch yields a :class:`SimOutcome` per replicate, built
     once, the first time it is iterated.  A batch equals another batch
     holding the same outcomes.
@@ -341,17 +338,16 @@ class BatchOutcomes:
     def __init__(
         self,
         extinction_times: np.ndarray,
-        censored: np.ndarray,
         event_counts: np.ndarray,
         peak_hosts: np.ndarray,
         horizon: float | None,
     ):
         self.extinction_times = extinction_times
-        self.censored = censored
+        self.censored = np.isinf(extinction_times)
         self.event_counts = event_counts
         self.peak_hosts = peak_hosts
-        for a in (extinction_times, censored, event_counts, peak_hosts):
-            a.setflags(write=False)
+        for name in self._ARRAYS:
+            getattr(self, name).setflags(write=False)
         self.horizon = horizon
         self._outcomes: list[SimOutcome] | None = None
 
@@ -360,14 +356,10 @@ class BatchOutcomes:
 
     def __iter__(self):
         if self._outcomes is None:
+            arrays = (self.extinction_times, self.event_counts, self.peak_hosts)
             self._outcomes = [
-                SimOutcome(None if c else t, self.horizon, e, p)
-                for t, c, e, p in zip(
-                    self.extinction_times.tolist(),
-                    self.censored.tolist(),
-                    self.event_counts.tolist(),
-                    self.peak_hosts.tolist(),
-                )
+                SimOutcome(None if t == math.inf else t, self.horizon, e, p)
+                for t, e, p in zip(*(a.tolist() for a in arrays))
             ]
         return iter(self._outcomes)
 
@@ -733,6 +725,9 @@ def _simulate(
     shrinks by not refilling.  Once every family has started and at most
     ``_ALONE`` are left, :func:`_run_alone` finishes each.
     """
+    seed = checked_int(seed, "seed")
+    replicates = checked_int(replicates, "replicates")
+    max_events = checked_int(max_events, "max_events")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if not 1 <= max_events <= MAX_EVENTS:
@@ -746,10 +741,10 @@ def _simulate(
     founders = np.repeat(np.array(types, dtype=np.intp), [init.counts[k] for k in types])
     n_families = len(founders)
     times = np.zeros(replicates)
-    censored = np.zeros(replicates, dtype=bool)
     events = np.zeros(replicates, dtype=np.uint64)
     peaks = np.zeros(replicates)
     failed = replicates  # smallest replicate over budget, if any
+    end = math.inf if horizon is None else horizon
     steps = drain_steps = calls = computed = consumed = undecided = resizes = 0
     alone = alone_events = 0
     lanes_at_start = rows_at_start = most_rows = 0
@@ -764,7 +759,6 @@ def _simulate(
             return max(1, POOL_CELLS // (len(pool.types) + LANE_ROWS))
 
         size = budget()
-        end = math.inf if horizon is None else horizon
         started = 0  # families started so far
         limit = replicates * n_families  # families to start
         # block 0 computed ahead: ahead[w][e, pool.column[i]] is the waiting
@@ -796,7 +790,6 @@ def _simulate(
                         pool.clock[i], pool.done[i], pool.peak[i] = clock, done, peak
                         if done > max_events:
                             failed = r
-                cut = pool.clock > end
                 finished = pool.replicate < failed
             else:
                 if row == depth:
@@ -840,7 +833,6 @@ def _simulate(
             if len(free):
                 r = pool.replicate[free]
                 np.maximum.at(times, r, pool.clock[free])
-                np.logical_or.at(censored, r, cut[free])
                 np.add.at(events, r, pool.done[free])
                 np.add.at(peaks, r, pool.peak[free])
                 over = events[r] > max_events
@@ -886,10 +878,8 @@ def _simulate(
             "the model may be critical or supercritical",
             replicate=index,
         )
-    times[censored] = math.inf
-    return BatchOutcomes(
-        times, censored, events.astype(np.int64), peaks.astype(np.int64), horizon
-    )
+    times[times > end] = math.inf  # a family cut past the horizon: censored
+    return BatchOutcomes(times, events.astype(np.int64), peaks.astype(np.int64), horizon)
 
 
 def run_batch(

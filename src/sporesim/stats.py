@@ -182,9 +182,7 @@ def gumbel_experiment(
     if not init.counts:
         raise ValueError("initial counts must contain at least one host")
 
-    outcomes = run_batch(
-        init, m, seed, replicates=replicates, horizon=None, max_events=max_events
-    )
+    outcomes = run_batch(init, m, seed, replicates, max_events=max_events)
     times = outcomes.extinction_times
     center = math.log(C * sum(k * n for k, n in init.counts.items()))
     w = lam * times - center

@@ -136,6 +136,15 @@ class TestTruncatedSystem:
         with pytest.raises(ValueError):
             TruncatedSystem(LF_MODEL, K=0)
 
+    @pytest.mark.parametrize("K", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_non_integer_K_rejected(self, K):
+        # K=True once built a K = 1 system
+        with pytest.raises(TypeError, match="truncation level K must be an integer"):
+            TruncatedSystem(LF_MODEL, K=K)
+
+    def test_numpy_integer_K_passes(self):
+        assert TruncatedSystem(LF_MODEL, K=np.int64(3)).offspring_table.shape == (4,)
+
 
 class TestSolveSurvival:
     def test_matches_pure_death_closed_form(self):
@@ -223,6 +232,21 @@ class TestSolveSurvival:
             solve_survival(sys, t_max=0.0)
         with pytest.raises(ValueError):
             solve_survival(sys, t_max=1.0, tol=0.0)
+
+    def test_nan_tol_rejected_before_any_step(self, monkeypatch):
+        # tol=nan once stepped and raised SolverError (step-size underflow)
+        def no_pass(*args):
+            raise AssertionError("a pass started before tol was checked")
+
+        monkeypatch.setattr(analytic, "_pass", no_pass)
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            solve_survival(TruncatedSystem(LF_MODEL, K=2), t_max=1.0, tol=math.nan)
+
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_t_max_must_be_positive_and_finite(self, t_max):
+        # nan once reported a grid of over 2**22 points
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            grid_intervals(t_max, None)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_dt_rejected(self, dt):

@@ -273,6 +273,30 @@ OUT_OF_RANGE = {
         "z",
     ),
     "gumbel-z-key-None": (LF_MODEL_BLOCK, '"type": "gumbel", "z": {"None": 1}, "seed": 1', [], "z"),
+    "gumbel-z-key-0": (
+        LF_MODEL_BLOCK, '"type": "gumbel", "z": {"0": 5, "1": 1}, "seed": 1', [], "z"
+    ),
+    # host counts are held to PopulationState's rule: integers, not bools, >= 0
+    "gumbel-z-count-fractional": (
+        LF_MODEL_BLOCK,
+        '"type": "gumbel", "z": {"1": 1.5}, "seed": 1',
+        [],
+        "z",
+        "the host count of type 1 must be an integer, got 1.5",
+    ),
+    "gumbel-z-count-whole-float": (
+        LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 5.0}, "seed": 1', [], "z", "got 5.0"
+    ),
+    "gumbel-z-count-bool": (
+        LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1": true}, "seed": 1', [], "z", "got True"
+    ),
+    "gumbel-z-count-string": (
+        LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1": "5"}, "seed": 1', [], "z", "got '5'"
+    ),
+    "gumbel-z-count-negative": (
+        LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1": -1, "2": 3}, "seed": 1', [], "z"
+    ),
+    "gumbel-z-no-hosts": (LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 0}, "seed": 1', [], "z"),
     # JSON keeps a repeated key's last value: "1": 5 would silently vanish
     "gumbel-z-repeated-key": (
         LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 5, "3": 2, "1": 3}, "seed": 1', [], "z.1"

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import logging
 import math
@@ -169,6 +170,17 @@ class TestRandomStream:
             RandomStream(-1)
         with pytest.raises(ValueError):
             RandomStream(0, 1 << 64)
+
+    @pytest.mark.parametrize("ids", [(1.5, 0), (2, 0.5), (True, 0), (2, False), ("2", 0)])
+    def test_non_integer_ids_rejected(self, ids):
+        # RandomStream(1.5) once ran as seed 1, and "2" as seed 2
+        with pytest.raises(TypeError, match="must be an integer"):
+            RandomStream(*ids)
+
+    def test_numpy_integer_ids_pass(self):
+        a, b = RandomStream(np.uint64(42), np.int32(7)), RandomStream(42, 7)
+        assert (a.seed, a.index) == (42, 7)
+        assert [a.uniform01() for _ in range(5)] == [b.uniform01() for _ in range(5)]
 
     def test_buffering_matches_raw_generator(self):
         # the stream's blocks of 1,024 events must not alter the draw sequence
@@ -427,6 +439,40 @@ class TestRunBatch:
             run_batch(init, m, master_seed=1, replicates=3, max_events=5)
         assert exc.value.replicate == 0
         assert "replicate 0" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"max_events": 1000.0}, "max_events must be an integer"),
+            ({"max_events": 50.5}, "max_events must be an integer"),
+            ({"max_events": True}, "max_events must be an integer"),
+            ({"replicates": 2.0}, "replicates must be an integer"),
+            ({"replicates": True}, "replicates must be an integer"),
+            ({"master_seed": 3.0}, "seed must be an integer"),
+            ({"master_seed": True}, "seed must be an integer"),
+        ],
+        ids=["max_events-whole-float", "max_events-float", "max_events-bool",
+             "replicates-float", "replicates-bool", "seed-float", "seed-bool"],
+    )
+    def test_non_integer_budget_or_count_rejected(self, monkeypatch, bad, message):
+        # max_events=1000.0 once ran, 50.5 failed in numpy's uint64 minimum in
+        # the drain, replicates=2.0 inside np.zeros, a float seed at its first
+        # draw, and True ran as 1
+        def no_draw(*args):
+            raise AssertionError("drew before the arguments were checked")
+
+        monkeypatch.setattr(simulator, "event_prefixes", no_draw)
+        monkeypatch.setattr(simulator, "event_uniforms", no_draw)
+        m = ModelParams(1.0, 0.0, TWO_POINT)
+        args = {"master_seed": 3, "replicates": 200, "max_events": 1000, **bad}
+        with pytest.raises(TypeError, match=message):
+            run_batch(PopulationState({1: 5}), m, **args)
+
+    def test_numpy_integer_budget_and_count_pass(self):
+        m = ModelParams(1.0, 0.0, TWO_POINT)
+        init = PopulationState({1: 5})
+        ints = run_batch(init, m, 3, 20, max_events=1000)
+        assert run_batch(init, m, np.uint64(3), np.int64(20), max_events=np.uint32(1000)) == ints
 
     def test_counter_layout_bounds(self):
         # event e reads counters 2e and 2e + 1 < 2^32; a family index is one
@@ -1039,6 +1085,44 @@ class TestBatchEngine:
                 assert np.array_equal(getattr(batches[0], name), getattr(batch, name)), name
         if horizon is not None:
             assert batches[0].censored.any()
+
+    @pytest.mark.parametrize("alone", [0, 10**9], ids=["pool", "alone"])
+    @pytest.mark.parametrize("horizon", [None, 0.0, 1.5, math.inf], ids=str)
+    def test_censored_read_from_the_extinction_time(self, monkeypatch, alone, horizon):
+        # a replicate is censored exactly when its full extinction time, the
+        # latest of its families', passes the horizon: in engine steps and
+        # with every family finished alone from its first event
+        monkeypatch.setattr(simulator, "_ALONE", alone)
+        calls = spied_alone(monkeypatch)
+        m = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
+        init = PopulationState({1: 2, 2: 1})
+        full = run_batch(init, m, 5, replicates=64)
+        calls.clear()
+        batch = run_batch(init, m, 5, replicates=64, horizon=horizon)
+        assert (len(calls) == 3 * 64) == (alone > 0)
+        assert not batch.censored.flags.writeable
+        assert np.array_equal(batch.censored, batch.extinction_times == math.inf)
+        end = math.inf if horizon is None else horizon
+        cut = full.extinction_times > end
+        assert np.array_equal(batch.censored, cut)
+        assert np.array_equal(batch.extinction_times[~cut], full.extinction_times[~cut])
+        assert [o.censored for o in batch] == cut.tolist()
+        if horizon == 1.5:
+            assert 0 < cut.sum() < 64
+        elif horizon == 0.0:
+            assert cut.all()
+
+    def test_batch_outcomes_derive_censored(self):
+        # the constructor takes no censoring flags: they are the infinite times
+        params = list(inspect.signature(simulator.BatchOutcomes).parameters)
+        assert params == ["extinction_times", "event_counts", "peak_hosts", "horizon"]
+        batch = simulator.BatchOutcomes(
+            np.array([0.5, math.inf]), np.array([3, 9]), np.array([1, 4]), 2.0
+        )
+        assert batch.censored.tolist() == [False, True]
+        with pytest.raises(ValueError):
+            batch.censored[0] = True
+        assert [o.extinction_time for o in batch] == [0.5, None]
 
     def test_budget_error_replicate_independent_of_pool(self, monkeypatch):
         for counts, m, horizon in (
