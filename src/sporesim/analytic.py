@@ -341,11 +341,13 @@ def solve_survival(
     ]
 
 
-def linear_fractional_constant(p0: float, p2: float) -> float:
-    """Leading constant 1 - p2/p0 of the linear birth-death case (p2 < p0)."""
-    if not 0.0 <= p2 < p0:
-        raise ValueError("requires 0 <= p2 < p0 (subcritical)")
-    return 1.0 - p2 / p0
+def linear_fractional_constant(m: ModelParams) -> float | None:
+    """The leading constant's closed form 1 - p2/p0 when the model is linear fractional:
+    rho = 0 and a table law on {0, 2} with p2 < p0.  None for every other model."""
+    probs = m.offspring.probs  # empty for a Poisson or geometric law
+    if m.rho != 0.0 or len(probs) < 3 or any(probs[1:2] + probs[3:]):
+        return None
+    return 1.0 - probs[2] / probs[0] if probs[2] < probs[0] else None
 
 
 # The constant's default level leaves a tail rate of at most tol * _LEVEL_SHARE.  At tol 1e-8,

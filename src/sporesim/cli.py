@@ -129,7 +129,7 @@ class ExperimentConfig:
     def set_seed(self, seed: int) -> None:
         """Record ``seed`` as the master seed of a randomized run, after the
         seed key's range check; a run that draws no random numbers records none."""
-        seed = _checked("experiment.seed", SEED.check, int(seed), self.settings, self.params)
+        seed = _checked("experiment.seed", SEED.check, seed, self.settings, self.params)
         if self.randomized:
             self.settings["seed"] = seed
 
@@ -244,22 +244,22 @@ def _solver_K(K, s: dict, m: ModelParams) -> None:
         grid_cells(K, s["t_max"], s["dt"], "K")
 
 
-def _settles(K, s: dict, m: ModelParams) -> None:
+def _settles(m: ModelParams, K: int, tol: float, a: float) -> None:
     """check_settles at K and at 2K: constant solves 2K for its K-doubling diagnostic, and
     gumbel's estimate (C: null) keeps that floor, its one guard against a stiff default level."""
-    check_settles(m, K, s["tol"], s["a"])
+    check_settles(m, K, tol, a)
     try:
-        check_settles(m, 2 * K, s["tol"], s["a"])
+        check_settles(m, 2 * K, tol, a)
     except ValueError as e:
         raise ValueError(f"level K = {K}, at 2K: {e}") from e
 
 
 def _gumbel_a(a, s: dict, m: ModelParams) -> None:
     tail_exponent(m, a)
-    if s["C"] is None and not _has_lf_constant(m):
+    if s["C"] is None and linear_fractional_constant(m) is None:
         K = default_level(m)  # the level of the estimate C: null makes at a, at its default tol
         try:
-            _settles(K, {"tol": DEFAULT_SETTLING_TOL, "a": a}, m)
+            _settles(m, K, DEFAULT_SETTLING_TOL, a)
         except ValueError as e:
             raise ValueError(f"{e}: give C to run without the estimate at level K = {K}") from e
 
@@ -490,22 +490,11 @@ def emit_json(path: Path, metadata: dict, payload: dict) -> None:
     _write_atomic(path, "JSON", write)
 
 
-def _has_lf_constant(m: ModelParams) -> bool:
-    """Whether C has the closed form 1 - p2/p0: rho = 0, offspring on {0, 2}, p2 < p0."""
-    d = m.offspring
-    if m.rho != 0.0 or d.kind != "table" or len(d.probs) < 3:
-        return False
-    if any(p != 0.0 for j, p in enumerate(d.probs) if j not in (0, 2)):
-        return False
-    return d.probs[2] < d.probs[0]
-
-
 def _resolve_gumbel_constant(m: ModelParams, s: dict) -> tuple[float, str]:
     if s["C"] is not None:
         return s["C"], "config"
-    if _has_lf_constant(m):
-        p0, p2 = m.offspring.probs[0], m.offspring.probs[2]
-        return linear_fractional_constant(p0, p2), "linear_fractional"
+    if (C := linear_fractional_constant(m)) is not None:
+        return C, "linear_fractional"
     est = estimate_constant(TruncatedSystem(m, K=default_level(m)), s["a"])
     return est.c_hat, "backward_system"
 
@@ -611,7 +600,12 @@ EXPERIMENTS: dict[str, Experiment] = {
                 lambda s, m: _checked("a", constant_t_max, s["a"], None),
                 lambda t_max, s, m: constant_t_max(s["a"], t_max),
             ),
-            Key("K", _integer, lambda s, m: default_level(m, s["tol"]), _settles),
+            Key(
+                "K",
+                _integer,
+                lambda s, m: default_level(m, s["tol"]),
+                lambda K, s, m: _settles(m, K, s["tol"], s["a"]),
+            ),
             Key("solver_tol", _number, DEFAULT_SOLVER_TOL, _POSITIVE),
         ),
         run=_run_constant,

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import SurvivalCurve, _grid
-from .model import ModelParams
+from .model import ModelParams, checked_int
 from .simulator import DEFAULT_MAX_EVENTS, PopulationState, run_batch
 
 WILSON_Z = 1.96  # 95% score interval
@@ -26,7 +26,7 @@ WILSON_Z = 1.96  # 95% score interval
 def wilson_interval(successes, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Wilson 95% score intervals for binomial proportions, elementwise over
     ``successes`` (an integer or integer array) out of n; valid at 0 and n."""
-    if n < 1:
+    if checked_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
     if not np.all((0 <= successes) & (successes <= n)):
         raise ValueError("successes must lie in [0, n]")
@@ -81,7 +81,7 @@ def check_growth_condition(z: dict[int, int], a: float, lam: float) -> GrowthCon
     counts = PopulationState(z).counts
     if not counts:
         raise ValueError("initial counts must contain at least one host")
-    if a <= 0.0 or lam <= 0.0:
+    if not (a > 0.0 and lam > 0.0):  # a NaN fails too
         raise ValueError("a and lambda must be positive")
     spores = float(sum(k * n for k, n in counts.items()))
     second = float(sum(k * k * n for k, n in counts.items()))
@@ -113,6 +113,8 @@ def ks_distance(sample, cdf: Callable[[float], float]) -> float:
     n = len(xs)
     if n == 0:
         raise ValueError("sample must be nonempty")
+    if math.isnan(xs[-1]):  # np.sort puts NaN last
+        raise ValueError("sample must hold no NaN")
     d = 0.0
     for i, x in enumerate(xs):
         f = cdf(float(x))

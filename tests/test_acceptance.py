@@ -100,7 +100,7 @@ def test_criterion_2_linear_fractional_oracle():
     curve_err = float(np.abs(c1.qs - exact).max())
 
     est = estimate_constant(sys2)
-    const_err = abs(est.c_hat - linear_fractional_constant(0.6, 0.4))
+    const_err = abs(est.c_hat - linear_fractional_constant(LF_MODEL))
 
     tail = solve_survival(sys2, t_max=200.0, tol=1e-9, dt=0.5)
     lam_fit, _ = fit_decay_rate(tail[0], (100.0, 200.0))

@@ -663,7 +663,29 @@ class TestClosedForms:
         assert closed_form_linear_fractional(0.0, 1.0, 0.6, 0.4) == pytest.approx(1.0)
 
     def test_lf_constant(self):
-        assert linear_fractional_constant(0.6, 0.4) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert linear_fractional_constant(LF_MODEL) == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("probs", [[0.6, 0.0, 0.4], [0.6, 0.0, 0.4, 0.0, 0.0]])
+    def test_lf_constant_is_the_closed_form_bit_for_bit(self, probs):
+        m = ModelParams(1.0, 0.0, OffspringDistribution.table(probs))
+        assert linear_fractional_constant(m) == 1.0 - 0.4 / 0.6
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            ModelParams(1.0, 0.1, TWO_POINT),
+            ModelParams(1.0, 0.0, OffspringDistribution.table([0.6, 0.1, 0.3])),
+            ModelParams(1.0, 0.0, OffspringDistribution.table([0.6, 0.0, 0.3, 0.1])),
+            ModelParams(1.0, 0.0, OffspringDistribution.table([0.5, 0.0, 0.5])),
+            ModelParams(1.0, 0.0, OffspringDistribution.table([0.4, 0.0, 0.6])),
+            HALF_MODEL,
+            ModelParams(1.0, 0.0, OffspringDistribution.poisson(0.5)),
+            ModelParams(1.0, 0.0, OffspringDistribution.geometric(0.6)),
+        ],
+        ids=["rho", "p1", "p3", "critical", "supercritical", "short", "poisson", "geometric"],
+    )
+    def test_lf_constant_only_for_linear_fractional_models(self, m):
+        assert linear_fractional_constant(m) is None
 
     def test_lf_scaled_limit_monotone_from_above(self):
         lam = 0.2
@@ -680,8 +702,6 @@ class TestClosedForms:
             closed_form_linear_fractional(1.0, 1.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             closed_form_linear_fractional(1.0, 1.0, 0.6, 0.3)
-        with pytest.raises(ValueError):
-            linear_fractional_constant(0.4, 0.6)
 
 
 class TestEstimateConstant:

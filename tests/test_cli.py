@@ -537,6 +537,15 @@ class TestParseConfig:
         assert cfg.resolved["experiment"]["seed"] == 99
         assert cfg.settings is cfg.resolved["experiment"]  # one copy, written once
 
+    @pytest.mark.parametrize("seed", [2.7, True, "5"], ids=["float", "bool", "string"])
+    def test_set_seed_applies_the_seed_key_rule(self, seed):
+        # the rule of a seed in a config file: an integer, not a value int() takes
+        cfg = parse_config(MINIMAL_SURVIVAL.replace('"t_max": 5.0', '"t_max": 5.0, "method": "mc"'))
+        with pytest.raises(ConfigError) as exc:
+            cfg.set_seed(seed)
+        assert exc.value.path == "experiment.seed"
+        assert "seed" not in cfg.settings
+
     @pytest.mark.parametrize(
         "text",
         [path.read_text(encoding="utf-8") for path in CONFIGS] + list(MINIMAL_CONFIGS.values()),

@@ -106,3 +106,14 @@ def test_readme_experiment_table_matches_schema():
         for kind, spec in EXPERIMENTS.items()
     }
     assert missing == {kind: [] for kind in EXPERIMENTS}
+
+
+def test_package_version_matches_pyproject():
+    # every artifact records tool_version from sporesim.__version__; the
+    # installed distribution reports pyproject's copy (read by pattern, as
+    # tomllib needs Python 3.11)
+    import sporesim
+
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "(.*)"$', project, flags=re.M) == [sporesim.__version__]

@@ -73,6 +73,10 @@ class TestWilson:
             with pytest.raises(ValueError):
                 wilson_interval(np.array(s), 4)
 
+    def test_fractional_n_rejected(self):
+        with pytest.raises(TypeError):
+            wilson_interval(3, 10.5)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 20, 200, 2000, 100_003])
     def test_array_form_equals_scalar_bit_for_bit(self, n):
         # every s at n, up to a large prime
@@ -227,6 +231,11 @@ class TestKsDistance:
         with pytest.raises(ValueError):
             ks_distance([], norm.cdf)
 
+    def test_nan_rejected(self):
+        # a NaN sorts last and compares false, so it would drop out of the sup
+        with pytest.raises(ValueError, match="NaN"):
+            ks_distance([math.nan, 1.0], gumbel_cdf)
+
 
 class TestGrowthCondition:
     def test_all_type_one(self):
@@ -251,6 +260,11 @@ class TestGrowthCondition:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             check_growth_condition({}, a=0.1, lam=0.2)
+
+    @pytest.mark.parametrize("a, lam", [(math.nan, 0.2), (0.1, math.nan)], ids=["a", "lam"])
+    def test_nan_rate_rejected(self, a, lam):
+        with pytest.raises(ValueError, match="must be positive"):
+            check_growth_condition({1: 10}, a=a, lam=lam)
 
     @pytest.mark.parametrize(
         "z, error",
