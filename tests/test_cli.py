@@ -23,6 +23,7 @@ from sporesim.cli import (
     ConfigError,
     build_metadata,
     emit_csv,
+    emit_json,
     main,
     parse_config,
     run_experiment,
@@ -162,6 +163,37 @@ BENCHMARK_WORK = {
         "at most 11 rows, 3 re-sizes; 8 families finished alone in 167 events",
     ],
 }
+
+# SHA-256 of the same artifacts without their provenance (payload_digest): a
+# change that moves only the recorded config, its hash or the tool version
+# keeps these, while the whole-file digests above move
+SHIPPED_PAYLOAD_DIGESTS = {
+    "constant_linear_fractional/constant.json": "4099e8c9c672b7e6b96d3bcf4385123534ecde482b2c2f5de587398cfcc92599",
+    "survival_linear_fractional/survival_mc.csv": "387b2924ceb988036a1aae21095a27e615544d312b90ef0301f46debd4f98b97",
+    "survival_linear_fractional/survival_ode.csv": "05a1c1db401f3c99b0c206b1dc7210e0d5c496d582064144cf5e98fee9e508d4",
+    "survival_poisson_mix/survival_ode.csv": "111103604b7e3d1ada75362ba5deb3bad905cbb472e9f7cc85fa3296c2a28172",
+}
+BENCHMARK_PAYLOAD_DIGESTS = {
+    "gumbel_lf_mixed/extinction_times.csv": "9beb8279b94ebb0ea12bf933f9d1971a2f949a725e26a0d11bb3d05057b7e5f9",
+    "gumbel_lf_mixed/gumbel.json": "e41be7c81922388eb39e2143cf597579b51f2bdacbbaddc0b330772bdb33a200",
+    "survival_poisson/survival_mc.csv": "4c63f6ee5ba5d96ca5d263ddebca360d42383c36ad87f9abfbf81621ff32e6e5",
+    "survival_poisson/survival_ode.csv": "1fcddb68be7ef78b6692cb75426d3ef810fa2052945de3bf0b0f3756b50e3b2d",
+}
+
+
+def payload_digest(path: Path) -> str:
+    """SHA-256 of an artifact less its provenance: a JSON artifact without its
+    `metadata` object (the rest dumped as the emitter does, which keeps every
+    float's bits), a CSV without its `# ` lines."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["metadata"]
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith("# "))
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 # the smallest config of each experiment type: every optional key defaulted
 MINIMAL_CONFIGS = {
@@ -1229,7 +1261,7 @@ class TestShippedConfigs:
         assert hashes == SHIPPED_CONFIG_HASHES
 
     def test_artifact_digests_pinned(self, tmp_path):
-        digests = {}
+        digests, payloads = {}, {}
         for path in CONFIGS:
             if path.stem == "gumbel_linear_fractional":
                 continue
@@ -1240,10 +1272,12 @@ class TestShippedConfigs:
                 digests[f"{path.stem}/{artifact.name}"] = hashlib.sha256(
                     artifact.read_bytes()
                 ).hexdigest()
+                payloads[f"{path.stem}/{artifact.name}"] = payload_digest(artifact)
+        assert payloads == SHIPPED_PAYLOAD_DIGESTS
         assert digests == SHIPPED_ARTIFACT_DIGESTS
 
     def test_benchmark_workload_digests_pinned(self, tmp_path, caplog):
-        digests, work = {}, {}
+        digests, payloads, work = {}, {}, {}
         for name, config in BENCHMARK_CONFIGS.items():
             cfg = tmp_path / f"{name}.json"
             cfg.write_text(json.dumps(config), encoding="utf-8")
@@ -1261,8 +1295,28 @@ class TestShippedConfigs:
                 digests[f"{name}/{artifact.name}"] = hashlib.sha256(
                     artifact.read_bytes()
                 ).hexdigest()
+                payloads[f"{name}/{artifact.name}"] = payload_digest(artifact)
+        assert payloads == BENCHMARK_PAYLOAD_DIGESTS
         assert digests == BENCHMARK_ARTIFACT_DIGESTS
         assert work == BENCHMARK_WORK
+
+    def test_payload_digest_reads_the_numbers_alone(self, tmp_path):
+        # artifacts that differ in their provenance alone share a payload
+        # digest, and one changed value moves it
+        files = {}
+        for name, metadata, value in (
+            ("a", {"tool": "sporesim", "config": {"a": 0.1}}, 0.25),
+            ("b", {"tool": "sporesim", "config_hash": "0" * 64}, 0.25),
+            ("c", {"tool": "sporesim", "config": {"a": 0.1}}, 0.25 + 2**-54),
+        ):
+            emit_json(tmp_path / f"{name}.json", metadata, {"c_hat": value})
+            emit_csv(tmp_path / f"{name}.csv", metadata, ["t", "q"], [(0.0, value)])
+            files[name] = [tmp_path / f"{name}.{ext}" for ext in ("json", "csv")]
+        for a, b in zip(files["a"], files["b"]):
+            assert a.read_bytes() != b.read_bytes()
+            assert payload_digest(a) == payload_digest(b)
+        for a, c in zip(files["a"], files["c"]):
+            assert payload_digest(a) != payload_digest(c)
 
 
 @pytest.mark.parametrize(
