@@ -77,6 +77,20 @@ class TestWilson:
         with pytest.raises(TypeError):
             wilson_interval(3, 10.5)
 
+    @pytest.mark.parametrize("successes", [2.5, 3.0, True, np.float64(3.0), "3"])
+    def test_non_integer_successes_rejected(self, successes):
+        with pytest.raises(TypeError, match="successes must be an integer"):
+            wilson_interval(successes, 10)
+
+    @pytest.mark.parametrize(
+        "successes",
+        [np.array([0.5, 1.5]), np.array([0.0, 1.0]), np.array([True, False])],
+        ids=["fractional", "whole-float", "bool"],
+    )
+    def test_non_integer_successes_array_rejected(self, successes):
+        with pytest.raises(TypeError, match="successes must be integers, got dtype"):
+            wilson_interval(successes, 4)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 20, 200, 2000, 100_003])
     def test_array_form_equals_scalar_bit_for_bit(self, n):
         # every s at n, up to a large prime
