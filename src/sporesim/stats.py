@@ -27,11 +27,10 @@ def wilson_interval(successes, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Wilson 95% score intervals for binomial proportions, elementwise over
     ``successes`` (an integer or integer array) out of n; valid at 0 and n.
     A float, bool or other non-integer ``successes`` or ``n`` raises TypeError."""
-    if isinstance(successes, np.ndarray):
-        if successes.dtype.kind not in "iu":
-            raise TypeError(f"successes must be integers, got dtype {successes.dtype}")
-    else:
+    if not isinstance(successes, np.ndarray):
         checked_int(successes, "successes")
+    elif successes.dtype.kind not in "iu":
+        raise TypeError(f"successes must be integers, got dtype {successes.dtype}")
     if checked_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
     if not np.all((0 <= successes) & (successes <= n)):
