@@ -49,8 +49,8 @@ class SolverError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Constant extraction did not settle before t_max; carries the tail of
-    the tracked h(t) = e^{lambda t} q_1(t) values."""
+    """Constant extraction did not settle by the end of its span 30/a; carries
+    the tail of the tracked h(t) = e^{lambda t} q_1(t) values."""
 
     def __init__(self, message: str, tail: np.ndarray):
         super().__init__(message)
@@ -275,11 +275,6 @@ def default_dt(t_max: float) -> float:
     return min(0.5, max(t_max / 400.0, 1e-3))
 
 
-def constant_dt(a: float) -> float:
-    """Output grid spacing of :func:`estimate_constant`: (10/a)/100, at most 0.5."""
-    return min(0.5, 10.0 / a / 100.0)
-
-
 def grid_intervals(t_max: float, dt: float | None, span: str = "t_max") -> int:
     """Intervals of the output grid over [0, t_max] (``span`` in errors) at spacing dt (None:
     default_dt); ValueError unless both are finite and positive, within MAX_SIZE points."""
@@ -379,61 +374,53 @@ def default_level(m: ModelParams, tol: float = DEFAULT_SETTLING_TOL) -> int:
     return max(truncation_level(m, tol * _LEVEL_SHARE), 2)
 
 
-def check_settles(m: ModelParams, K: int, tol: float, a: float) -> None:
-    """ValueError unless an estimate at level K can settle to tol: delta_K must be below tol, and
-    K values per point of the grid to 10/a (the least it solves) must fit within MAX_SIZE."""
+def _constant_grid(m: ModelParams) -> tuple[float, float, float]:
+    """The grid of :func:`estimate_constant` on the model's time scale 1/a, a = min(lambda, beta)/2:
+    its settling floor 10/a, its span 30/a and its spacing (10/a)/100, at most 0.5."""
+    a = tail_exponent(m)
+    return 10.0 / a, 30.0 / a, min(0.5, 10.0 / a / 100.0)
+
+
+def check_settles(m: ModelParams, K: int, tol: float) -> None:
+    """ValueError unless an estimate at level K can settle to tol: delta_K below tol, MAX_SIZE
+    points at most to the span 30/a, and K values per point to the floor 10/a within MAX_SIZE."""
+    floor, span, dt = _constant_grid(m)
     if K < (level := truncation_level(m, tol)):
         raise ValueError(f"K = {K} cannot settle to tol = {tol:g}: K >= {level} can")
-    end = "the settling time 10/a"
-    grid_cells(K, 10.0 / a, constant_dt(a), f"to {end}, K", f"a = {a:g}: {end}")
-
-
-def constant_t_max(a: float, t_max: float | None) -> float:
-    """The span of :func:`estimate_constant` at tail exponent a: t_max (None: 30/a), ValueError
-    unless it reaches the settling time 10/a and its grid keeps within MAX_SIZE points."""
-    span = "t_max" if t_max is not None else f"a = {a:g}: the default span 30/a"
-    t_max = 30.0 / a if t_max is None else t_max
-    if not t_max >= 10.0 / a:
-        raise ValueError(f"t_max = {t_max:g} ends before the settling time 10/a = {10.0 / a:g}")
-    grid_intervals(t_max, constant_dt(a), span)
-    return t_max
+    grid_intervals(span, dt, "the span 30/a")
+    grid_cells(K, floor, dt, "to the settling time 10/a, K", "the settling time 10/a")
 
 
 def estimate_constant(
     sys: TruncatedSystem,
-    a: float | None = None,
     tol: float = DEFAULT_SETTLING_TOL,
     solver_tol: float = DEFAULT_SOLVER_TOL,
-    t_max: float | None = None,
 ) -> ConstantEstimate:
     """Extract C = lim e^{lambda t} q_1(t) from the backward system at level sys.K.
 
     Tracks h(t) = e^{lambda t} q_1(t) (nonincreasing, positive) and stops at
     the first grid time t* >= 10/a where the relative change per unit time
     drops below tol; both solver passes stop there, so no row past t* is
-    solved, and of a row only h.  One level is solved; a K-doubling check
-    is a second call at 2K.
+    solved, and of a row only h.  The grid is the model's: a = min(lambda,
+    beta)/2, spacing min(0.5, (10/a)/100), span 30/a.  One level is solved;
+    a K-doubling check is a second call at 2K.
 
     Args:
         sys: Truncated backward system at level K; its model must be subcritical.
-        a: Tail exponent in (0, min(lambda, beta)); default min(lambda, beta)/2.
         tol: Relative-settling threshold per unit time.
         solver_tol: Absolute tolerance handed to the ODE solver.
-        t_max: Integration end, held to :func:`constant_t_max`'s rule; default 30/a.
-            Grid spacing min(0.5, (10/a)/100).
 
     Raises:
-        ValueError: tol or solver_tol <= 0, a, t_max, or a K that cannot settle
+        ValueError: tol or solver_tol <= 0, or a K or model that cannot settle
             (:func:`check_settles`), all before any solve.
-        NonConvergenceError: h(t) not settled before t_max (carries the trailing h values).
+        NonConvergenceError: h(t) not settled by 30/a (carries the trailing h values).
         SolverError: the estimate exceeds 1 by more than 100 solver_tol.
     """
     if not (tol > 0.0 and solver_tol > 0.0):
         raise ValueError(f"tol and solver_tol must be positive, got {tol!r} and {solver_tol!r}")
-    a = tail_exponent(sys.params, a)
-    check_settles(sys.params, sys.K, tol, a)
-    t_floor, t_max = 10.0 / a, constant_t_max(a, t_max)
-    ts = _grid(t_max, constant_dt(a))
+    check_settles(sys.params, sys.K, tol)
+    t_floor, t_max, dt = _constant_grid(sys.params)
+    ts = _grid(t_max, dt)
     h = np.empty(len(ts))  # e^{lambda t} q_1(t) exactly, since sigma = lambda here
 
     def rel_change(i: int) -> float:

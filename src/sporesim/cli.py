@@ -52,7 +52,6 @@ from .analytic import (
     SurvivalCurve,
     TruncatedSystem,
     check_settles,
-    constant_t_max,
     default_dt,
     default_level,
     estimate_constant,
@@ -226,9 +225,6 @@ _EVENT_BUDGET = _bound(
 )
 _REPLICATES = _bound(lambda n, s, m: 1 <= n <= MAX_SIZE, f"must lie in [1, {MAX_SIZE}] (2**22)")
 _SEED_RANGE = _bound(lambda seed, s, m: 0 <= seed < 1 << 64, "must lie in [0, 2**64)")
-_LEADING_CONSTANT = _bound(
-    lambda C, s, m: C is None or 0.0 < C <= 1.0, "leading constant must lie in (0, 1]"
-)
 
 
 # bounds of the keys that fix an output grid, and of what is kept over it: see analytic.MAX_SIZE
@@ -244,22 +240,23 @@ def _solver_K(K, s: dict, m: ModelParams) -> None:
         grid_cells(K, s["t_max"], s["dt"], "K")
 
 
-def _settles(m: ModelParams, K: int, tol: float, a: float) -> None:
+def _settles(m: ModelParams, K: int, tol: float) -> None:
     """check_settles at K and at 2K: constant solves 2K for its K-doubling diagnostic, and
     gumbel's estimate (C: null) keeps that floor, its one guard against a stiff default level."""
-    check_settles(m, K, tol, a)
+    check_settles(m, K, tol)
     try:
-        check_settles(m, 2 * K, tol, a)
+        check_settles(m, 2 * K, tol)
     except ValueError as e:
         raise ValueError(f"level K = {K}, at 2K: {e}") from e
 
 
-def _gumbel_a(a, s: dict, m: ModelParams) -> None:
-    tail_exponent(m, a)
-    if s["C"] is None and linear_fractional_constant(m) is None:
-        K = default_level(m)  # the level of the estimate C: null makes at a, at its default tol
+def _leading_constant(C, s: dict, m: ModelParams) -> None:
+    if C is not None and not 0.0 < C <= 1.0:
+        raise ValueError("leading constant must lie in (0, 1]")
+    if C is None and linear_fractional_constant(m) is None:
+        K = default_level(m)  # the level of the estimate C: null makes, at its default tol
         try:
-            _settles(m, K, DEFAULT_SETTLING_TOL, a)
+            _settles(m, K, DEFAULT_SETTLING_TOL)
         except ValueError as e:
             raise ValueError(f"{e}: give C to run without the estimate at level K = {K}") from e
 
@@ -495,8 +492,7 @@ def _resolve_gumbel_constant(m: ModelParams, s: dict) -> tuple[float, str]:
         return s["C"], "config"
     if (C := linear_fractional_constant(m)) is not None:
         return C, "linear_fractional"
-    est = estimate_constant(TruncatedSystem(m, K=default_level(m)), s["a"])
-    return est.c_hat, "backward_system"
+    return estimate_constant(TruncatedSystem(m, K=default_level(m))).c_hat, "backward_system"
 
 
 def _curve_rows(c: SurvivalCurve) -> list[tuple]:
@@ -529,10 +525,10 @@ def _run_survival(m: ModelParams, s: dict, directory: Path):
 def _run_constant(m: ModelParams, s: dict, directory: Path):
     # the estimate at K, and at 2K for the K-doubling diagnostic, which only this artifact reads
     est, double = (
-        estimate_constant(TruncatedSystem(m, K=K), s["a"], s["tol"], s["solver_tol"], s["t_max"])
+        estimate_constant(TruncatedSystem(m, K=K), s["tol"], s["solver_tol"])
         for K in (s["K"], 2 * s["K"])
     )
-    payload = {**asdict(est), "decay_rate": m.decay_rate, "a": s["a"]}
+    payload = {**asdict(est), "decay_rate": m.decay_rate, "a": tail_exponent(m)}
     payload["k_doubling_change"] = abs(double.c_hat - est.c_hat)
     summary = f"c_hat = {est.c_hat:.6g} at t* = {est.t_star:.4g}"
     return [(directory / "constant.json", "json", payload)], summary
@@ -549,7 +545,7 @@ def _run_gumbel(m: ModelParams, s: dict, directory: Path):
         replicates=s["replicates"],
         max_events=s["max_events"],
     )
-    growth = check_growth_condition(z, a=s["a"], lam=m.decay_rate)
+    growth = check_growth_condition(z, a=tail_exponent(m), lam=m.decay_rate)
     payload = {
         "C": C,
         "C_source": c_source,
@@ -592,19 +588,12 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "constant": Experiment(
         keys=(
-            Key("a", _number, lambda s, m: tail_exponent(m), lambda a, s, m: tail_exponent(m, a)),
             Key("tol", _number, DEFAULT_SETTLING_TOL, _POSITIVE),
-            Key(
-                "t_max",
-                _number,
-                lambda s, m: _checked("a", constant_t_max, s["a"], None),
-                lambda t_max, s, m: constant_t_max(s["a"], t_max),
-            ),
             Key(
                 "K",
                 _integer,
                 lambda s, m: default_level(m, s["tol"]),
-                lambda K, s, m: _settles(m, K, s["tol"], s["a"]),
+                lambda K, s, m: _settles(m, K, s["tol"]),
             ),
             Key("solver_tol", _number, DEFAULT_SOLVER_TOL, _POSITIVE),
         ),
@@ -616,8 +605,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             Key("z", _initial_counts),
             Key("replicates", _integer, 2000, _REPLICATES),
             Key("max_events", _integer, DEFAULT_MAX_EVENTS, _EVENT_BUDGET),
-            Key("C", _optional_number, None, _LEADING_CONSTANT),
-            Key("a", _number, lambda s, m: tail_exponent(m), _gumbel_a),
+            Key("C", _optional_number, None, _leading_constant),
             SEED,
         ),
         run=_run_gumbel,

@@ -263,19 +263,14 @@ class ModelParams:
         return self.decay_rate > 0.0
 
 
-def tail_exponent(m: ModelParams, a: float | None = None) -> float:
-    """The tail exponent ``a`` of the growth condition and of the settling
-    time 10/a of the constant's estimate.  It must lie in (0, min(lambda, beta));
-    the default is the midpoint min(lambda, beta)/2."""
-    cap = min(m.decay_rate, m.beta)
-    if cap <= 0.0:
+def tail_exponent(m: ModelParams) -> float:
+    """The tail exponent a = min(lambda, beta)/2 of the growth condition, and the
+    time scale 1/a of the constant estimate's grid."""
+    if not m.subcritical:
         raise ValueError(
             f"a tail exponent requires a subcritical model, got decay rate {m.decay_rate:g}"
         )
-    a = cap / 2.0 if a is None else float(a)
-    if not 0.0 < a < cap:
-        raise ValueError(f"a = {a!r} must lie in (0, {cap!r})")
-    return a
+    return min(m.decay_rate, m.beta) / 2.0
 
 
 def sample_offspring(d: OffspringDistribution, rng) -> int:

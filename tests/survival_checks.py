@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sporesim import analytic
 from sporesim.analytic import (
     DEFAULT_SOLVER_TOL,
     SurvivalCurve,
@@ -29,6 +30,13 @@ from sporesim.analytic import (
     truncation_level,
 )
 from sporesim.model import ModelParams, OffspringDistribution
+
+
+def cut_constant_span(monkeypatch) -> None:
+    """End the constant estimate's grid at 120, past LF's settling floor 10/a = 100: at tol
+    1e-16 its h(t) has not settled by then.  Over the span 30/a = 300 it has, as on every law
+    tried (h stops changing in floating point, so its relative change reads 0)."""
+    monkeypatch.setattr(analytic, "_constant_grid", lambda m: (100.0, 120.0, 0.5))
 
 
 def closed_form_mu0(k: int, t: float, beta: float, rho: float) -> float:

@@ -35,6 +35,7 @@ from sporesim.analytic import (
 from survival_checks import (
     closed_form_linear_fractional,
     closed_form_mu0,
+    cut_constant_span,
     rho_zero_constant,
     survival_ratios,
     tail_ratio_check,
@@ -49,6 +50,8 @@ TWO_POINT = OffspringDistribution.table([0.6, 0.0, 0.4])
 LF_MODEL = ModelParams(1.0, 0.0, TWO_POINT)
 POISSON_MODEL = ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0))
 HALF_MODEL = ModelParams(1.0, 0.0, OffspringDistribution.table([0.5, 0.5]))
+# a critical table law removed at rate 1e-5: lambda = 1e-5, a = 5e-6
+SLOW_TABLE_MODEL = ModelParams(1.0, 1e-5, OffspringDistribution.table([0.5, 0.0, 0.5]))
 
 
 def backward_jacobian(q: np.ndarray, sys: TruncatedSystem) -> np.ndarray:
@@ -633,15 +636,14 @@ class TestSolveMemory:
         assert held < 8 * sys.K
 
     def test_constant_peaks_far_below_one_matrix(self):
-        # geometric(0.4) at K = 640 over 6,553 points (spacing 0.4): the
-        # solve keeps h alone, not a 6,553 x 640 matrix
-        m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
-        matrix = 6553 * 640 * 8
+        # geometric(0.4), beta 0.02, rho 1 (a = 0.01) at K = 640 over the
+        # 6,001 points to 30/a (spacing 0.5): the solve keeps h alone, not a
+        # 6,001 x 640 matrix
+        m = ModelParams(0.02, 1.0, OffspringDistribution.geometric(0.4))
+        matrix = 6001 * 640 * 8
         est = []
-        peak = traced_peak(
-            lambda: est.append(estimate_constant(TruncatedSystem(m, K=640), t_max=6552 * 0.4))
-        )
-        assert est[0].t_star == 40.0
+        peak = traced_peak(lambda: est.append(estimate_constant(TruncatedSystem(m, K=640))))
+        assert est[0].t_star == 1000.0
         assert peak < matrix / 20
 
 
@@ -729,19 +731,21 @@ class TestEstimateConstant:
     def test_requires_subcritical(self):
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError):
-            estimate_constant(TruncatedSystem(m, K=2), a=0.1)
+            estimate_constant(TruncatedSystem(m, K=2))
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        cut_constant_span(monkeypatch)
         with pytest.raises(NonConvergenceError) as exc:
-            estimate_constant(TruncatedSystem(LF_MODEL, K=2), tol=1e-16, t_max=120.0)
+            estimate_constant(TruncatedSystem(LF_MODEL, K=2), tol=1e-16)
         assert len(exc.value.tail) > 0
 
-    def test_nonconvergence_tail_is_finest_full_pass(self):
+    def test_nonconvergence_tail_is_finest_full_pass(self, monkeypatch):
         # without a settled row both passes run to the end of the grid, and
         # the tail is the last 10 h(t) of the accepted pair's finer pass
+        cut_constant_span(monkeypatch)
         sys = TruncatedSystem(LF_MODEL, K=2)
         with pytest.raises(NonConvergenceError) as exc:
-            estimate_constant(sys, tol=1e-16, t_max=120.0)
+            estimate_constant(sys, tol=1e-16)
         U, _ = solve_rows(sys, _grid(120.0, 0.5), 1e-9)
         assert len(U) == 241
         assert np.array_equal(exc.value.tail, U[-10:, 0])
@@ -798,15 +802,6 @@ class TestEstimateConstant:
     def test_rho_zero_quadrature_on_closed_form(self):
         assert rho_zero_constant(LF_MODEL) == pytest.approx(1.0 / 3.0, abs=1e-11)
 
-    def test_t_max_before_settling_time_rejected_before_any_solve(self, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved")
-
-        monkeypatch.setattr(analytic, "_solve_scaled", no_solve)
-        # LF: a = 0.1, so h(t) cannot settle before 10/a = 100
-        with pytest.raises(ValueError, match="settling time"):
-            estimate_constant(TruncatedSystem(LF_MODEL, K=2), t_max=99.9)
-
     @pytest.mark.parametrize(
         "tols", [{"tol": -1.0}, {"tol": 0.0}, {"solver_tol": 0.0}, {"solver_tol": -1e-9}]
     )
@@ -818,32 +813,47 @@ class TestEstimateConstant:
         with pytest.raises(ValueError, match="tol and solver_tol must be positive"):
             estimate_constant(TruncatedSystem(LF_MODEL, K=2), **tols)
 
-    @pytest.mark.parametrize("a, top", [(0.25, 41527), (2.0**-10, 204)])
+    @pytest.mark.parametrize("a, top", [(0.25, 41527)])
     def test_settling_floor_rejects_before_any_solve(self, monkeypatch, a, top):
-        # K values over the grid to 10/a: 101 points at a = 0.25 (spacing
-        # 0.4), 20,481 at 2**-10 (spacing 0.5); 41527 x 101 <= 2**22
+        # K values over the grid to 10/a: 101 points at the model's a = 0.25
+        # (spacing 0.4); 41527 x 101 <= 2**22
         def no_solve(*args, **kwargs):
             raise AssertionError("solved")
 
-        points = analytic.grid_intervals(10.0 / a, analytic.constant_dt(a)) + 1
+        assert tail_exponent(HALF_MODEL) == a
+        points = analytic.grid_intervals(10.0 / a, 0.4) + 1
         assert top * points <= MAX_SIZE < (top + 1) * points
-        analytic.check_settles(HALF_MODEL, top, 1e-8, a)
+        analytic.check_settles(HALF_MODEL, top, 1e-8)
         message = f"settling time 10/a, K = {top + 1} at {points} grid points"
         with pytest.raises(ValueError, match=message):
-            analytic.check_settles(HALF_MODEL, top + 1, 1e-8, a)
+            analytic.check_settles(HALF_MODEL, top + 1, 1e-8)
         monkeypatch.setattr(analytic, "_solve_scaled", no_solve)
         with pytest.raises(ValueError, match=message):
-            estimate_constant(TruncatedSystem(HALF_MODEL, K=top + 1), a=a)
+            estimate_constant(TruncatedSystem(HALF_MODEL, K=top + 1))
         # the constant experiment solves 2K too, so its K stops at half that:
-        # 20,763 at a = 0.25, and 20,764 exits at experiment.K
+        # 20,763, and 20,764 exits at experiment.K
         text = (
             '{"model": {"beta": 1.0, "rho": 0.0, "offspring": {"kind": "table", "probs": '
-            '[0.5, 0.5]}}, "experiment": {"type": "constant", "a": %r, "K": %d}}'
+            '[0.5, 0.5]}}, "experiment": {"type": "constant", "K": %d}}'
         )
-        assert parse_config(text % (a, top // 2)).settings["K"] == top // 2
+        assert parse_config(text % (top // 2)).settings["K"] == top // 2
         with pytest.raises(ConfigError, match=f"level K = {top // 2 + 1}, at 2K: ") as exc:
-            parse_config(text % (a, top // 2 + 1))
+            parse_config(text % (top // 2 + 1))
         assert exc.value.path == "experiment.K"
+
+    def test_span_past_max_size_rejected_before_any_solve(self, monkeypatch):
+        # the span 30/a = 6e6 at spacing 0.5 is 1.2e7 intervals, past 2**22
+        # points, at any level
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        assert tail_exponent(SLOW_TABLE_MODEL) == pytest.approx(5e-6, rel=1e-9)
+        message = "the span 30/a = 6e[+]06 at spacing 0.5 gives over 4194304 [(]2[*][*]22[)]"
+        with pytest.raises(ValueError, match=message):
+            analytic.check_settles(SLOW_TABLE_MODEL, 2, 1e-8)
+        monkeypatch.setattr(analytic, "_solve_scaled", no_solve)
+        with pytest.raises(ValueError, match=message):
+            estimate_constant(TruncatedSystem(SLOW_TABLE_MODEL, K=2))
 
     def test_default_level_solves_one_pair(self, caplog):
         # geometric(0.4), beta 0.5, rho 1: the estimate at the level of the
@@ -855,8 +865,8 @@ class TestEstimateConstant:
         with caplog.at_level(logging.DEBUG, logger="sporesim.analytic"):
             est = estimate_constant(TruncatedSystem(m, K=K))
         solve, record = [r for r in caplog.records if r.name == "sporesim.analytic"]
-        a = tail_exponent(m)
-        grid = len(_grid(30.0 / a, analytic.constant_dt(a)))
+        a = tail_exponent(m)  # 0.25: spacing (10/a)/100 = 0.4 to 30/a
+        grid = len(_grid(30.0 / a, 0.4))
         parse_solve_record(solve, K=K, grid=grid)
         assert record.getMessage().startswith(f"constant estimate, K={K}: ")
         assert est.K == K
@@ -960,7 +970,7 @@ class TestTruncationLevelFromTail:
         with pytest.raises(ValueError, match="bound must be positive"):
             analytic.truncation_level(LF_MODEL, bound)
         with pytest.raises(ValueError, match="bound must be positive"):
-            analytic.check_settles(LF_MODEL, 2, bound, 0.05)
+            analytic.check_settles(LF_MODEL, 2, bound)
 
     def test_level_above_max_size_rejected(self, monkeypatch):
         monkeypatch.setattr(analytic, "MAX_SIZE", 64)
@@ -974,14 +984,14 @@ class TestTruncationLevelFromTail:
         # a level can settle where delta_K < tol: K = 1 for a law with no
         # mass above 1, and K < 1 never
         half = ModelParams(1.0, 0.0, OffspringDistribution.table([0.5, 0.5]))
-        analytic.check_settles(half, 1, 1e-8, 0.25)
+        analytic.check_settles(half, 1, 1e-8)
         geometric = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
         level = analytic.truncation_level(geometric, 1e-8)
         assert 0.5 * geometric_tail(0.4, level - 1) > 1e-8 >= 0.5 * geometric_tail(0.4, level)
-        analytic.check_settles(geometric, level, 1e-8, 0.25)
+        analytic.check_settles(geometric, level, 1e-8)
         for m, K in ((geometric, level - 1), (half, 0)):
             with pytest.raises(ValueError, match=f"K = {K} cannot settle to tol = 1e-08"):
-                analytic.check_settles(m, K, 1e-8, 0.25)
+                analytic.check_settles(m, K, 1e-8)
 
 
 class TestTruncationLowerBound:

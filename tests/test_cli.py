@@ -33,7 +33,6 @@ from sporesim.analytic import (
     DEFAULT_SOLVER_TOL,
     MAX_SIZE,
     TruncatedSystem,
-    constant_dt,
     default_level,
     estimate_constant,
     grid_intervals,
@@ -42,7 +41,7 @@ from sporesim.analytic import (
 )
 from sporesim.model import ModelParams, OffspringDistribution, tail_exponent
 from sporesim.simulator import RNG_ALGORITHM
-from survival_checks import rho_zero_constant
+from survival_checks import cut_constant_span, rho_zero_constant
 
 MINIMAL_SURVIVAL = """
 {
@@ -80,14 +79,19 @@ WIDE_MODEL_BLOCK = (
 WIDER_MODEL_BLOCK = (
     '"model": {"beta": 1, "rho": 999, "offspring": {"kind": "geometric", "param": 0.001}}'
 )
+# a critical table law removed at rate 1e-5: lambda = 1e-5, a = 5e-6, so the
+# constant's span 30/a = 6e6 at spacing 0.5 passes 2**22 points at any level
+SLOW_TABLE_MODEL_BLOCK = (
+    '"model": {"beta": 1, "rho": 1e-5, "offspring": {"kind": "table", "probs": [0.5, 0, 0.5]}}'
+)
 
 CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
 
 # config_hash of every shipped config: a parser change that moves a resolved
 # byte fails here
 SHIPPED_CONFIG_HASHES = {
-    "constant_linear_fractional": "95cdb69566a329fb38393ab6f0c468d2ebb4945002482f88d57e5273ff17b446",
-    "gumbel_linear_fractional": "e5d1420627716c6ccad7f13e3e76299914886e83fb210f5f84a7fd822f0139e0",
+    "constant_linear_fractional": "359319bbbdb134cf0a46c79a3cfcefdaf8f4cd4a5527dc25475719fd913bde85",
+    "gumbel_linear_fractional": "7d87c4d76dfa6df9665ef856fe05499d6315196a13f42574d77c4773e711a5b9",
     "survival_linear_fractional": "c649c8389ef787050128528fa76de84aa9cdfd283b0d81dd7342bd5eec7830ea",
     "survival_poisson_mix": "708f3beed919abd36622a3fb5fc6305549ea190403b3981404375930a196aa4f",
 }
@@ -97,7 +101,7 @@ SHIPPED_CONFIG_HASHES = {
 # solver or emitter change that moves one byte fails here.  A deliberate
 # change updates this table and names the configs whose bytes moved
 SHIPPED_ARTIFACT_DIGESTS = {
-    "constant_linear_fractional/constant.json": "ea60c4b698a26116ac4fe257c6c6736e854f7fc81dc978ee6c80fb3d95a33206",
+    "constant_linear_fractional/constant.json": "065e9be1e289cc3606fbac773d9959129a5a5b9205b091b777c197fb2219d927",
     "survival_linear_fractional/survival_mc.csv": "e845c541fee277deb4770b2360c4a09400c7b449f736acc942d300f44b3d3f84",
     "survival_linear_fractional/survival_ode.csv": "16b8f03acced04c88e34fb4a188dc7b29816bb83c56218d8f129cd59fbe577a4",
     "survival_poisson_mix/survival_ode.csv": "baf0a23b78e4f0ea109826731c3f856670b9e318b899354c948caf599825ea98",
@@ -127,8 +131,8 @@ BENCHMARK_CONFIGS = {
     },
 }
 BENCHMARK_ARTIFACT_DIGESTS = {
-    "gumbel_lf_mixed/extinction_times.csv": "4d4045cdab348f10cc6fece1336c89b8ab3587cdb152344ef11c972de6d17dce",
-    "gumbel_lf_mixed/gumbel.json": "f70ba0e71e4e35ff76b4c2f6dfc4791643f9f2bda22801f9c4d2396b20ef036f",
+    "gumbel_lf_mixed/extinction_times.csv": "79bacb94180148d8b579a8a434467e2eefa109a31a8ef0ecb7c39021c192a960",
+    "gumbel_lf_mixed/gumbel.json": "38d0603fe6b9a6ee70feab88099b4f4e5cde89b2c0600fbd75108636dbf89113",
     "survival_poisson/survival_mc.csv": "ddab071d4a8b5e7e1f79e967131721dbfbf6e2e638200d9c89b46d9a7163a8ef",
     "survival_poisson/survival_ode.csv": "417f9b3d6c70c0557e058c3d94b45e3665913c251cfd2a8a117416502989845c",
 }
@@ -287,16 +291,17 @@ OUT_OF_RANGE = {
     "survival-dt-0": (LF_MODEL_BLOCK, LF_SURVIVAL_ODE + ', "dt": 0', [], "dt"),
     "survival-dt-negative": (LF_MODEL_BLOCK, LF_SURVIVAL_ODE + ', "dt": -1', [], "dt"),
     "survival-tol-0": (LF_MODEL_BLOCK, LF_SURVIVAL_ODE + ', "tol": 0', [], "tol"),
-    "constant-tol-0": (
-        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "tol": 0, "t_max": 10.0', [], "tol"
-    ),
+    "constant-tol-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 2, "tol": 0', [], "tol"),
     "constant-solver_tol-0": (
         LF_MODEL_BLOCK, '"type": "constant", "K": 2, "solver_tol": 0', [], "solver_tol"
     ),
-    "constant-t_max-0": (LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 0', [], "t_max"),
-    # LF: a = 0.1, so h(t) cannot settle before 10/a = 100
+    # retired keys: the constant's grid is the model's, so a config that sets
+    # its t_max, or a for constant or gumbel, exits at that key as unknown
+    "constant-t_max-0": (
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 0', [], "t_max", "unknown key"
+    ),
     "constant-t_max-below-settling": (
-        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 99.9', [], "t_max"
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 99.9', [], "t_max", "unknown key"
     ),
     "gumbel-z-aliased-keys": (
         LF_MODEL_BLOCK,
@@ -342,7 +347,7 @@ OUT_OF_RANGE = {
         LF_MODEL_BLOCK, LF_SURVIVAL_MC + ', "dt": 1e-300, "seed": 1', [], "dt"
     ),
     "constant-grid-t_max-1e300": (
-        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 1e300', [], "t_max"
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 1e300', [], "t_max", "unknown key"
     ),
     # sizes past MAX_SIZE: replicates, the largest type, grid points, and grid
     # points times K, that last one reported at the later key of the pair
@@ -360,33 +365,45 @@ OUT_OF_RANGE = {
         LF_MODEL_BLOCK, '"type": "survival", "k": [1000000000], "t_max": 1.0', [], "k"
     ),
     # the settling floor: 2K over the grid to the settling time 10/a passes
-    # MAX_SIZE, reported at K; for gumbel with C: null, at a
+    # MAX_SIZE, reported at K; for gumbel with C: null, at C
     "constant-K-10**9": (LF_MODEL_BLOCK, '"type": "constant", "K": 1000000000', [], "K"),
-    # 2K = 588 (the wide law's level) over 20,481 points to 10/a = 10,240
     "constant-default-t_max-a-2**-10": (
-        WIDE_MODEL_BLOCK, '"type": "constant", "a": 0.0009765625', [], "K"
+        WIDE_MODEL_BLOCK, '"type": "constant", "a": 0.0009765625', [], "a", "unknown key"
     ),
     "constant-level-35824": (WIDER_MODEL_BLOCK, '"type": "constant"', [], "K"),
     "gumbel-estimated-C-level-35824": (
-        WIDER_MODEL_BLOCK, '"type": "gumbel", "z": {"1": 10}, "seed": 1', [], "a"
+        WIDER_MODEL_BLOCK,
+        '"type": "gumbel", "z": {"1": 10}, "seed": 1',
+        [],
+        "C",
+        "give C to run without the estimate at level K = 35824",
     ),
-    # 10/a = 1e7 is 2e7 intervals of 0.5, and 2K = 36 at the law's level allows 116,507
     "gumbel-estimated-C-a-1e-6": (
         POISSON_MODEL_BLOCK,
         '"type": "gumbel", "z": {"1": 10}, "a": 1e-6, "seed": 1',
         [],
         "a",
-        "a = 1e-06: the settling time 10/a = 1e+07 at spacing 0.5 gives over 4194304 (2**22) "
-        "grid points: give C to run without the estimate at level K = 18",
+        "unknown key",
     ),
-    # the constant's default span 30/a = 3e7 is 6e7 intervals of 0.5: a names the span
     "constant-default-span-a-1e-6": (
-        POISSON_MODEL_BLOCK,
-        '"type": "constant", "a": 1e-6',
+        POISSON_MODEL_BLOCK, '"type": "constant", "a": 1e-6', [], "a", "unknown key"
+    ),
+    # the model's span 30/a past 2**22 points, before any solve: at K for
+    # constant, at C for gumbel with C: null, with the way out
+    "constant-span-past-2**22": (
+        SLOW_TABLE_MODEL_BLOCK,
+        '"type": "constant"',
         [],
-        "a",
-        "a = 1e-06: the default span 30/a = 3e+07 at spacing 0.5 gives over 4194304 (2**22) "
-        "grid points",
+        "K",
+        "the span 30/a = 6e+06 at spacing 0.5 gives over 4194304 (2**22) grid points",
+    ),
+    "gumbel-estimated-C-span-past-2**22": (
+        SLOW_TABLE_MODEL_BLOCK,
+        '"type": "gumbel", "z": {"1": 10}, "seed": 1',
+        [],
+        "C",
+        "the span 30/a = 6e+06 at spacing 0.5 gives over 4194304 (2**22) grid points: "
+        "give C to run without the estimate at level K = 2",
     ),
     "gumbel-z-type-10**9": (
         LF_MODEL_BLOCK, '"type": "gumbel", "z": {"1000000000": 1}, "seed": 1', [], "z"
@@ -429,7 +446,7 @@ def floor_top(a: float) -> int:
     """The largest K whose 2K values at each point of the grid to the settling
     time 10/a total at most MAX_SIZE: the rule the constant experiment keeps,
     and gumbel's with C: null (analytic.check_settles at K and at 2K)."""
-    return MAX_SIZE // (2 * (math.ceil(10.0 / a / constant_dt(a)) + 1))
+    return MAX_SIZE // (2 * (math.ceil(10.0 / a / min(0.5, 10.0 / a / 100.0)) + 1))
 
 
 @st.composite
@@ -454,7 +471,6 @@ def in_range_configs(draw):
     # subcritical by a margin, with rho >= 0
     rho = max(0.0, beta * (law.mean - 1.0)) + draw(st.floats(0.01, 2.0))
     m = ModelParams(beta, rho, law)
-    cap = min(m.decay_rate, beta)
 
     e: dict = {"type": kind}
 
@@ -474,15 +490,13 @@ def in_range_configs(draw):
             e["K"] = draw(st.integers(max(e["k"]), top))
         maybe("method", st.sampled_from(["ode", "mc", "both"]))
     if kind == "constant":
-        maybe("a", st.floats(0.05, 0.95).map(lambda f: f * cap))
         maybe("solver_tol", st.floats(1e-12, 1e-3))
         maybe("tol", st.floats(1e-12, 1e-3))
-        a, tol = e.get("a", tail_exponent(m)), e.get("tol", DEFAULT_SETTLING_TOL)
-        # from the settling time 10/a on, and K from the law's level at tol up
-        # to the most the settling floor allows; K is given whenever its
-        # default is over that, as at a small a for an unbounded law
-        maybe("t_max", st.floats(10.0 / a, 40.0 / a))
-        top = floor_top(a)
+        tol = e.get("tol", DEFAULT_SETTLING_TOL)
+        # K from the law's level at tol up to the most the settling floor
+        # allows; K is given whenever its default is over that, as at a small
+        # a for an unbounded law
+        top = floor_top(tail_exponent(m))
         level = truncation_level(m, tol)
         assume(level <= top)
         if default_level(m, tol) > top or draw(st.booleans()):
@@ -493,11 +507,9 @@ def in_range_configs(draw):
         for k in draw(st.lists(st.integers(1, MAX_SIZE), min_size=1, max_size=4, unique=True)):
             e["z"][str(k)] = n = draw(st.integers(0 if e["z"] else 1, left))
             left -= n
-        # C: null estimates the constant at the law's level at a (no model
-        # here has the LF closed form, as rho > 0), where that grid fits
-        maybe("a", st.one_of(st.floats(0.05, 0.95), st.floats(1e-6, 0.05)).map(lambda f: f * cap))
-        a = e.get("a", tail_exponent(m))
-        if default_level(m) <= floor_top(a):
+        # C: null estimates the constant at the law's level (no model here
+        # has the LF closed form, as rho > 0), where that grid fits
+        if default_level(m) <= floor_top(tail_exponent(m)):
             maybe("C", st.one_of(st.none(), st.floats(1e-6, 1.0)))
         else:
             e["C"] = draw(st.floats(1e-6, 1.0))
@@ -597,26 +609,6 @@ class TestParseConfig:
         again = parse_config(json.dumps(cfg.resolved))
         assert again.resolved == cfg.resolved
         assert build_metadata(again)["config_hash"] == build_metadata(cfg)["config_hash"]
-
-    @pytest.mark.parametrize(
-        "model, experiment",
-        [
-            # the wide law at its default level 294 (2K x 15,361 points at
-            # 30/a passes MAX_SIZE, and a pass keeps one row)
-            (WIDE_MODEL_BLOCK, '"a": 0.00390625'),
-            (POISSON_MODEL_BLOCK, '"K": 8264'),
-            (LF_MODEL_BLOCK, '"tol": 1e-8'),
-        ],
-        ids=["a-2**-8", "K-8264", "lf"],
-    )
-    def test_default_constant_t_max_is_30_over_a(self, tmp_path, model, experiment):
-        text = '{%s, "experiment": {"type": "constant", %s}}' % (model, experiment)
-        cfg = parse_config(text)
-        assert cfg.settings["t_max"] == 30.0 / cfg.settings["a"]
-        resolved_text = json.dumps(cfg.resolved)
-        assert parse_config(resolved_text).resolved == cfg.resolved
-        path = write_config(tmp_path, resolved_text)
-        assert main(["validate", "--config", str(path)]) == EXIT_OK
 
     def test_K_must_cover_requested_k(self):
         text = MINIMAL_SURVIVAL.replace('"t_max": 5.0', '"t_max": 5.0, "K": 1')
@@ -866,14 +858,17 @@ class TestMain:
         assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
         assert f"'{path}': key given more than once" in capsys.readouterr().err
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # constant extraction with an unreachable settling threshold
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # constant extraction with a settling threshold unreachable on a grid
+        # cut to t = 120
+        cut_constant_span(monkeypatch)
         text = (
-            '{%s, "experiment": {"type": "constant", "K": 2, "tol": 1e-16, '
-            '"t_max": 120.0}, "output": {"dir": "%s"}}' % (LF_MODEL_BLOCK, tmp_path / "n")
+            '{%s, "experiment": {"type": "constant", "K": 2, "tol": 1e-16}, '
+            '"output": {"dir": "%s"}}' % (LF_MODEL_BLOCK, tmp_path / "n")
         )
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", str(cfg)]) == EXIT_NUMERICAL
+        assert "did not settle to 1e-16/unit time by t=120 at K=2" in capsys.readouterr().err
 
     def test_unattainable_solver_tol_exit_code(self, tmp_path, capsys):
         # a tolerance below double precision fails fast and writes nothing
@@ -966,13 +961,13 @@ class TestMain:
         ]
         est = json.loads((tmp_path / "o" / "constant.json").read_text())
         m = ModelParams(0.5, 1.0, OffspringDistribution.geometric(0.4))
-        c_K, c_2K = (estimate_constant(TruncatedSystem(m, K=K), est["a"]).c_hat for K in (56, 112))
-        assert est["K"] == 56 and est["c_hat"] == c_K
+        c_K, c_2K = (estimate_constant(TruncatedSystem(m, K=K)).c_hat for K in (56, 112))
+        assert est["K"] == 56 and est["c_hat"] == c_K and est["a"] == tail_exponent(m) == 0.25
         assert est["k_doubling_change"] == abs(c_2K - c_K)
 
     def test_constant_and_gumbel_constant_are_one_estimate(self, tmp_path):
-        # constant at its defaults and gumbel's C: null estimate at the same
-        # default a: one level and one settling tolerance, so one C bit for bit
+        # constant at its defaults and gumbel's C: null estimate: one level, one
+        # settling tolerance and the model's one grid, so one C bit for bit
         for name, model, K, C in (
             ("geometric", GEOMETRIC_MODEL_BLOCK, 56, 0.3384517405506967),
             ("poisson", POISSON_MODEL_BLOCK, 18, 0.25080671160051315),
@@ -989,7 +984,6 @@ class TestMain:
             est = json.loads((tmp_path / name / "constant.json").read_text())
             report = json.loads((tmp_path / name / "gumbel.json").read_text())
             assert est["K"] == est["metadata"]["config"]["experiment"]["K"] == K
-            assert est["a"] == report["metadata"]["config"]["experiment"]["a"]
             assert report["C_source"] == "backward_system"
             assert est["c_hat"] == report["C"] == C
 
@@ -1023,48 +1017,32 @@ class TestMain:
             assert report["C_source"] == "backward_system"
             assert report["C"] == pytest.approx(0.007576834748591218, abs=1e-9)
 
-    def test_constant_at_the_size_bound_runs_in_2_gib(self, tmp_path):
+    def test_constant_at_the_size_bound_runs_in_2_gib(self):
         # geometric(0.4), beta 0.5, rho 1 (a = 0.25, spacing 0.4).  A pass
-        # keeps one row, so K = 320 runs over 6,554 grid points (640 x 6,554
-        # is past MAX_SIZE) and over MAX_SIZE - 1, the most (n - 1) * 0.4
-        # reaches (MAX_SIZE * 0.4 is rejected at t_max); both levels settle
-        # at t* = 40.  K is bounded by the settling
-        # floor alone: 2K over the 101 points to 10/a = 40, so 20,763 and not
-        # one more.  The runs need their sizes within a 2 GiB address-space
-        # limit, in a child process
-        text = '{%s, "experiment": {"type": "constant", "K": %%d, "t_max": %%r}}' % (
-            GEOMETRIC_MODEL_BLOCK
-        )
-        dt = constant_dt(0.25)
+        # keeps one row, and the grid is the model's, at most 2**22 points by
+        # the span check, so K is bounded by the settling floor alone: 2K over
+        # the 101 points to 10/a = 40, so 20,763 and not one more
+        text = '{%s, "experiment": {"type": "constant", "K": %%d}}' % GEOMETRIC_MODEL_BLOCK
         assert 2 * 20763 * 101 <= MAX_SIZE < 2 * 20764 * 101
-        assert parse_config(text % (20763, 40.0)).settings["K"] == 20763
-        for K, t_max, key in ((20764, 40.0, "K"), (320, MAX_SIZE * dt, "t_max")):
-            with pytest.raises(ConfigError) as exc:
-                parse_config(text % (K, t_max))
-            assert exc.value.path == f"experiment.{key}"
-        for points in (6554, MAX_SIZE - 1):
-            t_max = (points - 1) * dt
-            assert grid_intervals(t_max, dt) + 1 == points
-            out = tmp_path / f"out-{points}"
-            proc = run_limited(write_config(tmp_path, text % (320, t_max)), out)
-            assert proc.returncode == EXIT_OK, proc.stderr
-            est = json.loads((out / "constant.json").read_text())
-            assert est["K"] == 320 and est["t_star"] == 40.0
+        assert parse_config(text % 20763).settings["K"] == 20763
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text % 20764)
+        assert exc.value.path == "experiment.K"
 
     def test_level_past_the_settling_floor_named(self, tmp_path, capsys):
         # geometric(0.001): the level 35,824 cannot run and no lower K can
-        # settle.  constant says so at K, and gumbel with C: null at a, with
+        # settle.  constant says so at K, and gumbel with C: null at C, with
         # the way out
         for experiment, path in (
             ('"type": "constant"', "K"),
-            ('"type": "gumbel", "z": {"1": 10}, "seed": 1', "a"),
+            ('"type": "gumbel", "z": {"1": 10}, "seed": 1', "C"),
         ):
             text = '{%s, "experiment": {%s}}' % (WIDER_MODEL_BLOCK, experiment)
             assert main(["validate", "--config", str(write_config(tmp_path, text))]) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert f"'experiment.{path}': level K = 35824, " in err
             assert "101 grid points" in err and "(2**22)" in err
-            assert ("give C" in err) == (path == "a")
+            assert ("give C" in err) == (path == "C")
 
     def test_mc_survival_needs_no_solver_K(self, tmp_path, capsys):
         # an MC-only run solves no ODE, so K x grid points does not bound it:
@@ -1125,16 +1103,25 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "model, C, source",
-        [(LF_MODEL_BLOCK, "null", "linear_fractional"), (POISSON_MODEL_BLOCK, "0.5", "config")],
+        [
+            # linear fractional, p2 just below p0: lambda = 1e-5
+            (
+                '"model": {"beta": 1, "rho": 0, '
+                '"offspring": {"kind": "table", "probs": [0.500005, 0, 0.499995]}}',
+                "null",
+                "linear_fractional",
+            ),
+            (SLOW_TABLE_MODEL_BLOCK, "0.5", "config"),
+        ],
         ids=["lf-closed-form", "C-given"],
     )
     def test_gumbel_tiny_a_runs_where_no_constant_is_estimated(
         self, tmp_path, model, C, source
     ):
-        # at a = 1e-6 no grid from the settling time 10/a holds the constant's
-        # pair of levels, which neither an LF law's closed form nor a given C needs
+        # at lambda = 1e-5, a = 5e-6, the constant's span 30/a passes 2**22
+        # grid points, which neither an LF law's closed form nor a given C needs
         text = (
-            '{%s, "experiment": {"type": "gumbel", "z": {"1": 10}, "a": 1e-6, "C": %s, '
+            '{%s, "experiment": {"type": "gumbel", "z": {"1": 10}, "C": %s, '
             '"replicates": 5, "seed": 1}}' % (model, C)
         )
         cfg = write_config(tmp_path, text)

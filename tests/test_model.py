@@ -1,5 +1,4 @@
 import math
-import re
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -299,21 +298,11 @@ class TestVectorQuantiles:
 
 class TestTailExponent:
     def test_defaults_midpoints(self):
+        # the midpoint of (0, min(lambda, beta)), where lambda or beta is the smaller
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.6, 0.0, 0.4]))
-        cap = min(m.decay_rate, m.beta)
-        assert tail_exponent(m) == cap / 2.0
-        assert tail_exponent(m, 0.15) == 0.15
-        # an integer a from a config resolves to a float
-        wide = ModelParams(4.0, 1.0, OffspringDistribution.table([1.0]))  # cap = 4
-        assert type(tail_exponent(wide, 1)) is float
-
-    def test_invalid_rejected(self):
-        m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.6, 0.0, 0.4]))
-        cap = min(m.decay_rate, m.beta)  # 0.2 less a rounding error
-        for a in (0.3, cap, 0.0, -0.1, math.nan):
-            message = f"a = {float(a)!r} must lie in (0, {cap!r})"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                tail_exponent(m, a)
+        assert tail_exponent(m) == min(m.decay_rate, m.beta) / 2.0 == m.decay_rate / 2.0
+        wide = ModelParams(4.0, 1.0, OffspringDistribution.table([1.0]))  # lambda 5, beta 4
+        assert tail_exponent(wide) == 2.0
 
     def test_supercritical_rejected(self):
         m = ModelParams(1.0, 0.0, OffspringDistribution.table([0.0, 0.0, 1.0]))
