@@ -91,7 +91,12 @@ def check_growth_condition(z: dict[int, int], a: float, lam: float) -> GrowthCon
     spores = float(sum(k * n for k, n in counts.items()))
     second = float(sum(k * k * n for k, n in counts.items()))
     exponent = 1.0 + a / lam
-    return GrowthConditionReport(spores, second, exponent, second / spores**exponent)
+    return GrowthConditionReport(
+        spores=spores,
+        second_moment=second,
+        exponent=exponent,
+        ratio=second / spores**exponent,
+    )
 
 
 def gumbel_cdf(w: float) -> float:
