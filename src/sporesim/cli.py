@@ -6,7 +6,7 @@ Experiments are described by a JSON config with three blocks::
       "model":      {"beta": 1.0, "rho": 0.0,
                      "offspring": {"kind": "table", "probs": [0.6, 0.0, 0.4]}},
       "experiment": {"type": "survival", ...},
-      "output":     {"dir": ".", "format": "csv"}
+      "output":     {"dir": "."}
     }
 
 Experiment types: survival (per-k curves, ODE and/or Monte Carlo), constant
@@ -380,7 +380,7 @@ OFFSPRING: dict[str, tuple[Key, ...]] = {
     "geometric": (_PARAM,),
 }
 MODEL = (Key("beta", _number), Key("rho", _number), Block("offspring", _offspring))
-OUTPUT = (Key("dir", _string, "."), Key("format", _one_of("csv"), "csv"))
+OUTPUT = (Key("dir", _string, "."),)
 CONFIG = (
     Block("model", _model),
     Block("experiment", _experiment),

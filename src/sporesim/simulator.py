@@ -181,7 +181,7 @@ def philox4x32(counter, key: tuple[int, int]) -> tuple[np.ndarray, ...]:
     two 32-bit integers; returns the four output words as uint64 arrays.
     Each 32x32 -> 64 product is one exact uint64 multiply.
     """
-    shape = np.broadcast_shapes(*map(np.shape, counter))
+    shape = np.broadcast(*counter).shape
     # words 0 and 2, words 1 and 3, products; one allocation, not three
     even, odd, scratch = np.empty((3, 2, *shape), dtype=np.uint64)
     even[0], odd[0], even[1], odd[1] = counter

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import logging
 import math
@@ -89,10 +90,10 @@ CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
 # config_hash of every shipped config: a parser change that moves a resolved
 # byte fails here
 SHIPPED_CONFIG_HASHES = {
-    "constant_linear_fractional": "f695901a4ec97824e84fc63af850f7021e49edf35bd0ea51d8298e57987b5bd9",
-    "gumbel_linear_fractional": "7d87c4d76dfa6df9665ef856fe05499d6315196a13f42574d77c4773e711a5b9",
-    "survival_linear_fractional": "c649c8389ef787050128528fa76de84aa9cdfd283b0d81dd7342bd5eec7830ea",
-    "survival_poisson_mix": "708f3beed919abd36622a3fb5fc6305549ea190403b3981404375930a196aa4f",
+    "constant_linear_fractional": "72f1f8d54c563c5ba87770f14b03bc13baa4fef45a8b38b0f775a98f6932a122",
+    "gumbel_linear_fractional": "2090f58fd238ab684c7ba1e4c1915ac9802ebe81521381fa01e08113e579e899",
+    "survival_linear_fractional": "4b50b4ec681f94947382b2e9ca5d228a0e29e272e8d410b1552118224a80946b",
+    "survival_poisson_mix": "ed2775f475cdb6514f62bb2204c4a07b6c3ca5772e20f82e20c943d086515ab5",
 }
 
 # SHA-256 of every artifact of the shipped configs at --seed 1, except the
@@ -100,10 +101,10 @@ SHIPPED_CONFIG_HASHES = {
 # solver or emitter change that moves one byte fails here.  A deliberate
 # change updates this table and names the configs whose bytes moved
 SHIPPED_ARTIFACT_DIGESTS = {
-    "constant_linear_fractional/constant.json": "d8b6b391dc136d98ee5e27efdd71db368d6b547bd58e12cef22d535111e4c9ab",
-    "survival_linear_fractional/survival_mc.csv": "e845c541fee277deb4770b2360c4a09400c7b449f736acc942d300f44b3d3f84",
-    "survival_linear_fractional/survival_ode.csv": "16b8f03acced04c88e34fb4a188dc7b29816bb83c56218d8f129cd59fbe577a4",
-    "survival_poisson_mix/survival_ode.csv": "baf0a23b78e4f0ea109826731c3f856670b9e318b899354c948caf599825ea98",
+    "constant_linear_fractional/constant.json": "72b119e267ea1af1af115f8ef143b09e918777eef68ede61b7593bb6ef669d18",
+    "survival_linear_fractional/survival_mc.csv": "e639a2d313a65bc2f3eedc5e3a33d502b17048068a0aa72bd7024b9d3ad571fd",
+    "survival_linear_fractional/survival_ode.csv": "90bacdf33afe895ef2b001fabdd49c167e7647bcf41ba90d8c0158ba71d3085c",
+    "survival_poisson_mix/survival_ode.csv": "500292ca0d6646579fb8e2ffac96575c485ee100cca8933c6dc674c62867b120",
 }
 
 # the configs of the benchmark's two simulating workloads, copied from
@@ -130,10 +131,10 @@ BENCHMARK_CONFIGS = {
     },
 }
 BENCHMARK_ARTIFACT_DIGESTS = {
-    "gumbel_lf_mixed/extinction_times.csv": "79bacb94180148d8b579a8a434467e2eefa109a31a8ef0ecb7c39021c192a960",
-    "gumbel_lf_mixed/gumbel.json": "38d0603fe6b9a6ee70feab88099b4f4e5cde89b2c0600fbd75108636dbf89113",
-    "survival_poisson/survival_mc.csv": "ddab071d4a8b5e7e1f79e967131721dbfbf6e2e638200d9c89b46d9a7163a8ef",
-    "survival_poisson/survival_ode.csv": "417f9b3d6c70c0557e058c3d94b45e3665913c251cfd2a8a117416502989845c",
+    "gumbel_lf_mixed/extinction_times.csv": "2e40cc7aabe5d97f5364680f54d432b20157c086e858b4ee0a85d930ae8630fc",
+    "gumbel_lf_mixed/gumbel.json": "522adf8f3130b5742c737f9e507de452bfedbbe09c9ea7e2ec4ea9c2a4e104c5",
+    "survival_poisson/survival_mc.csv": "f9ad8b152bc44241998c7274224f40a86c2752bbd4306f459b5f9a62f31f94f8",
+    "survival_poisson/survival_ode.csv": "a6ef606397c6009d14abb1d044914237265499092f9a61e6ded4c37863df41ba",
 }
 # the work the same runs do, as the engine's and the solver's debug records
 # report it: a change that alters the work a workload does shows here
@@ -541,7 +542,7 @@ class TestParseConfig:
         assert s["K"] == 2  # max(k), and the level of a law whose support ends at 2
         assert s["dt"] == pytest.approx(5.0 / 400.0)
         assert cfg.resolved["experiment"]["method"] == "ode"
-        assert cfg.resolved["output"] == {"dir": ".", "format": "csv"}
+        assert cfg.resolved["output"] == {"dir": "."}
         assert not cfg.randomized
 
     def test_bad_probability_sum_names_path(self):
@@ -573,6 +574,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(bad_exp)
         assert exc.value.path == "experiment.oops"
+        # each experiment fixes its artifacts' format
+        bad_out = MINIMAL_SURVIVAL.replace(
+            '5.0}\n', '5.0},\n  "output": {"dir": ".", "format": "csv"}\n'
+        )
+        with pytest.raises(ConfigError) as exc:
+            parse_config(bad_out)
+        assert str(exc.value) == "config error at 'output.format': unknown key"
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError):
@@ -1359,6 +1367,32 @@ def test_traced_benchmark_run(tmp_path, experiment, batch_slice, spans):
         "probe.sample_offspring",
         *spans,
     }, names
+
+
+def test_benchmark_layer_reader_accepts_traced_constant_run(tmp_path):
+    # perfbench/run.py's per-layer reader works out the constant's grid
+    # points from constant.json: it must read what the package writes
+    repo = Path(__file__).parent.parent
+    cfg = write_config(tmp_path, '{%s, "experiment": {"type": "constant", "K": 2}}' % LF_MODEL_BLOCK)
+    out, trace_file = tmp_path / "out", tmp_path / "trace.json"
+    path = [str(repo / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [
+            sys.executable, str(repo / "perfbench" / "trace.py"), "--config", str(cfg),
+            "--seed", "7", "--out-dir", str(out), "--trace-file", str(trace_file),
+            "--slice", "null",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("bench_run", repo / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    spans = json.loads(trace_file.read_text())["spans"]
+    assert bench.layer_metrics(spans, {}, 0.0, out)["analytic.grid_points"] > 0
 
 
 # runs each (config, out-dir) pair of argv[1] through the CLI, then names the

@@ -14,7 +14,7 @@ from scipy.stats import chisquare, ks_2samp, kstest, norm
 
 from family_draws import family_uniforms
 from naive_engine import run_to_extinction_reference
-from sporesim import simulator
+from sporesim import model, simulator
 from sporesim.analytic import TruncatedSystem, solve_survival
 from sporesim.model import ModelParams, OffspringDistribution
 from sporesim.simulator import (
@@ -1085,6 +1085,40 @@ class TestBatchEngine:
                 assert np.array_equal(getattr(batches[0], name), getattr(batch, name)), name
         if horizon is not None:
             assert batches[0].censored.any()
+
+    def test_same_batch_on_every_scan_and_search_path(self, monkeypatch, caplog):
+        # the type scan's row loop and cumsum (_ROW_SUMS), its uint8 count and
+        # count_nonzero (_BYTE_ROWS), and the offspring table's linear search
+        # and guide table (model._LINEAR_SEARCH) give the same batch
+        cases = [
+            ({1: 40, 3: 20}, ModelParams(1.0, 0.0, TWO_POINT), 20, None),
+            ({3: 1}, ModelParams(0.5, 1.0, OffspringDistribution.poisson(2.0)), 3000, 10.0),
+            # a wide law: many sparse type rows, and families finished alone
+            ({30: 1}, ModelParams(1.0, 20.0, OffspringDistribution.geometric(0.05)), 300, None),
+        ]
+        paths = [
+            (simulator, "_ROW_SUMS", 0),
+            (simulator, "_ROW_SUMS", 2**30),
+            (simulator, "_BYTE_ROWS", 1),
+            (model, "_LINEAR_SEARCH", 0),
+        ]
+        for counts, m, replicates, horizon in cases:
+            init = PopulationState.from_counts(counts)
+            with caplog.at_level(logging.DEBUG, logger="sporesim.simulator"):
+                default = run_batch(init, m, 7, replicates=replicates, horizon=horizon)
+            for module, name, value in paths:
+                with monkeypatch.context() as patch:
+                    patch.setattr(module, name, value)
+                    batch = run_batch(init, m, 7, replicates=replicates, horizon=horizon)
+                for array in ARRAYS:
+                    assert np.array_equal(getattr(default, array), getattr(batch, array)), (
+                        name,
+                        value,
+                        array,
+                    )
+        wide = caplog.records[-1].getMessage()
+        assert "; 8625 events," in wide and "at most 75 rows" in wide
+        assert wide.endswith("8 families finished alone in 2795 events")
 
     @pytest.mark.parametrize("alone", [0, 10**9], ids=["pool", "alone"])
     @pytest.mark.parametrize("horizon", [None, 0.0, 1.5, math.inf], ids=str)
